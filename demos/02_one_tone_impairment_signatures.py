@@ -16,7 +16,7 @@ The predict/verify pair automates reading such a spectrum.
 import numpy as np
 
 from fdsic import gen_tone, predict_harmonics, simulate_received, spectrum, verify_harmonics
-from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, build_preset
+from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.spectral import measure_line_db
 
 print(__doc__)
@@ -31,7 +31,7 @@ print()
 
 tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
 for name in ("fig5_m10dbm", "fig7_20dbm"):
-    cfg = build_preset(name)
+    cfg = load_preset(name)
     received, stages = simulate_received(tone, cfg, seed=1)
     spec = spectrum(received, n_fft=4096)
     carrier = measure_line_db(spec, TONE_FREQ)

@@ -15,35 +15,24 @@ held-out frames (smaller is better). A short grid keeps this demo quick;
 the CLI `fdsic sweep` runs the full one.
 """
 
-from fdsic import CancellerMethod, CancellerSpec, gen_ofdm_frames, run_comparison
-from fdsic.presets import OFDM_DRIVE_RMS, SAMPLE_RATE, build_preset
+from fdsic import DEFAULT_SPECS, load_preset, run_sweep
 from fdsic.signals import OfdmFrameSpec
 
 print(__doc__)
 
-specs = [
-    CancellerSpec(CancellerMethod.LINEAR),
-    CancellerSpec(CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="envelope"),
-    CancellerSpec(CancellerMethod.WIDELY_LINEAR),
-    CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
-]
-
-frames = OfdmFrameSpec(n_frames=40, seed=0)
-x = gen_ofdm_frames(frames, SAMPLE_RATE)
-x = x.with_samples(x.samples * OFDM_DRIVE_RMS)
-
+powers = (-10, 2, 14, 22)
 for preset in ("sweep_40db", "sweep_55db"):
-    cfg = build_preset(preset)
+    reports = run_sweep(
+        load_preset(preset), powers, DEFAULT_SPECS, OfdmFrameSpec(n_frames=40, seed=0), seed=0
+    )
     print(f"--- {preset} (residual above thermal floor, dB) ---")
-    header = " ".join(f"{s.label():>28s}" for s in specs)
+    header = " ".join(f"{s.label():>28s}" for s in DEFAULT_SPECS)
     print(f"{'P(dBm)':>7s} {header}")
-    for power in (-10, 2, 14, 22):
-        reports = run_comparison(
-            x, cfg.with_tx_power(power), specs, seed=0, n_frames=frames.n_frames
-        )
+    n = len(DEFAULT_SPECS)
+    for i, power in enumerate(powers):
         cells = " ".join(
             f"{rep.residual_above_noise_db:22.2f}+-{rep.residual_above_noise_std_db:4.2f}"
-            for rep in reports
+            for rep in reports[i * n : (i + 1) * n]
         )
         print(f"{power:7.0f} {cells}")
     print()

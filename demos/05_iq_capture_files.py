@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from fdsic import gen_tone, read_iq, simulate_received, spectrum, write_iq
-from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, build_preset
+from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.spectral import write_spectrum_csv
 
 print(__doc__)
 
 workdir = Path(tempfile.mkdtemp(prefix="fdsic-demo-"))
 tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
-received, _ = simulate_received(tone, build_preset("fig5_m10dbm"), seed=7)
+received, _ = simulate_received(tone, load_preset("fig5_m10dbm"), seed=7)
 
 iq_path = write_iq(received, workdir / "capture.iq")
 print(f"wrote {iq_path} ({iq_path.stat().st_size} bytes)")

@@ -16,31 +16,24 @@ import time
 import numpy as np
 
 from fdsic import (
-    CancellerMethod,
-    CancellerSpec,
+    DEFAULT_SPECS,
     apply_phase_noise,
-    gen_ofdm_frames,
     gen_tone,
+    load_preset,
     measure_line_db,
     power_db,
-    run_comparison,
+    run_sweep,
     simulate_received,
     skirt_peak_dbc,
     spectrum,
 )
 from fdsic.impairments import PhaseNoiseSpec
-from fdsic.presets import (
-    OFDM_DRIVE_RMS,
-    SAMPLE_RATE,
-    TONE_AMPLITUDE,
-    TONE_FREQ,
-    build_preset,
-)
+from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ
 from fdsic.signals import OfdmFrameSpec
 
 
 def tone_signature(preset_name: str, seed: int = 1):
-    cfg = build_preset(preset_name)
+    cfg = load_preset(preset_name)
     x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33, SAMPLE_RATE)
     r, stages = simulate_received(x, cfg, seed)
     spec = spectrum(r, n_fft=4096)
@@ -82,26 +75,20 @@ def calibrate_linewidth(target_dbc: float = -46.0):
 
 def sweep_behavior(preset_name: str, powers, seed: int = 7):
     print(f"--- {preset_name}: canceller sweep ---")
-    cfg0 = build_preset(preset_name)
-    spec_ofdm = OfdmFrameSpec(seed=123)
-    x = gen_ofdm_frames(spec_ofdm, SAMPLE_RATE)
-    x = x.with_samples(x.samples * OFDM_DRIVE_RMS)
-    specs = [
-        CancellerSpec(CancellerMethod.LINEAR),
-        CancellerSpec(CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="envelope"),
-        CancellerSpec(CancellerMethod.WIDELY_LINEAR),
-        CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
-    ]
-    header = ["P(dBm)"] + [s.label() for s in specs] + ["floor(dB)"]
+    t0 = time.time()
+    reports = run_sweep(
+        load_preset(preset_name), powers, DEFAULT_SPECS, OfdmFrameSpec(seed=123), seed
+    )
+    header = ["P(dBm)"] + [s.label() for s in DEFAULT_SPECS] + ["floor(dB)"]
     print("  " + "  ".join(f"{h:>28s}" if i else f"{h:>7s}" for i, h in enumerate(header)))
-    for p in powers:
-        t0 = time.time()
-        reports = run_comparison(x, cfg0.with_tx_power(p), specs, seed=seed)
+    n = len(DEFAULT_SPECS)
+    for i, p in enumerate(powers):
         row = [f"{p:7.1f}"]
-        for rep in reports:
+        for rep in reports[i * n : (i + 1) * n]:
             row.append(f"{rep.residual_above_noise_db:22.2f}+-{rep.residual_above_noise_std_db:4.2f}")
-        row.append(f"{reports[0].apparent_noise_floor_dbfs:8.1f}")
-        print("  " + "  ".join(row) + f"   [{time.time() - t0:.1f}s]")
+        row.append(f"{reports[i * n].apparent_noise_floor_dbfs:8.1f}")
+        print("  " + "  ".join(row))
+    print(f"  [{time.time() - t0:.1f}s]")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .analysis import (
     verify_harmonics,
 )
 from .cancellers import (
+    DEFAULT_SPECS,
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
@@ -25,10 +26,10 @@ from .cancellers import (
     SuppressionReport,
     build_basis,
     cancel,
-    high_power_term_count,
     ls_estimate,
     reconstruct,
     run_comparison,
+    run_sweep,
 )
 from .impairments import (
     ChannelAndReceiver,
@@ -46,7 +47,7 @@ from .impairments import (
     save_config,
     simulate_received,
 )
-from .presets import build_preset, load_preset
+from .presets import load_preset
 from .signals import (
     ComplexBasebandSignal,
     OfdmFrameSpec,

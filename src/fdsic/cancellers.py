@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .impairments import ImpairmentConfig, simulate_received
-from .signals import ComplexBasebandSignal, fir_convolve
+from .impairments import REF_DRIVE_RMS, ImpairmentConfig, simulate_received
+from .presets import SAMPLE_RATE
+from .signals import ComplexBasebandSignal, OfdmFrameSpec, fir_convolve, gen_ofdm_frames
 
 
 class CancellerMethod(str, enum.Enum):
@@ -84,6 +86,15 @@ class CancellerSpec:
         if self.method is CancellerMethod.JOINT_DAC_IQ:
             return f"{self.method.value}(m_max={self.m_max})"
         return self.method.value
+
+
+# The four cancellers the comparison scores, at the orders it uses.
+DEFAULT_SPECS = (
+    CancellerSpec(CancellerMethod.LINEAR),
+    CancellerSpec(CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="envelope"),
+    CancellerSpec(CancellerMethod.WIDELY_LINEAR),
+    CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
+)
 
 
 @dataclass(frozen=True)
@@ -225,15 +236,6 @@ def _check_compatible(bases: list[BasisSignal], fit: LsFit) -> None:
         )
 
 
-def high_power_term_count(m_max: int, n_max: int) -> int:
-    """Number of composite channels in the full amplifier+converter model."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    if n_max < 1 or n_max % 2 == 0:
-        raise ValueError("n_max must be odd and >= 1")
-    return (2 * m_max) ** n_max
-
-
 # Fitting more training rows than this buys no measurable accuracy for the
 # sweep scenarios but dominates runtime, so run_comparison caps the fit.
 MAX_TRAIN_SAMPLES = 65536
@@ -242,7 +244,7 @@ MAX_TRAIN_SAMPLES = 65536
 def run_comparison(
     x: ComplexBasebandSignal,
     cfg: ImpairmentConfig,
-    specs: list[CancellerSpec],
+    specs: Sequence[CancellerSpec],
     seed: int,
     train_fraction: float = 0.5,
     n_frames: int = 100,
@@ -302,5 +304,27 @@ def run_comparison(
                 residual_above_noise_std_db=float(np.std(per_frame)),
                 apparent_noise_floor_dbfs=apparent_floor,
             )
+        )
+    return reports
+
+
+def run_sweep(
+    cfg: ImpairmentConfig,
+    powers: Sequence[float],
+    specs: Sequence[CancellerSpec],
+    frames: OfdmFrameSpec,
+    seed: int,
+) -> list[SuppressionReport]:
+    """Run the canceller comparison at each transmit power.
+
+    The transmit frames are generated once, scaled to the nominal DAC
+    drive and shared by every power. Reports come in (power, spec) order.
+    """
+    x = gen_ofdm_frames(frames, SAMPLE_RATE)
+    x = x.with_samples(x.samples * REF_DRIVE_RMS)
+    reports = []
+    for power in powers:
+        reports += run_comparison(
+            x, cfg.with_tx_power(power), specs, seed=seed, n_frames=frames.n_frames
         )
     return reports

@@ -21,18 +21,18 @@ import sys
 from pathlib import Path
 
 from .analysis import BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
-from .cancellers import CancellerMethod, CancellerSpec, run_comparison
+from .cancellers import DEFAULT_SPECS, CancellerMethod, CancellerSpec, run_sweep
 from .impairments import ImpairmentConfig, config_to_dict, load_config, simulate_received
-from .presets import (
-    OFDM_DRIVE_RMS,
-    PRESET_NAMES,
-    SAMPLE_RATE,
-    TONE_AMPLITUDE,
-    TONE_FREQ,
-    load_preset,
-)
-from .signals import OfdmFrameSpec, gen_ofdm_frames, gen_tone, read_iq, write_iq
+from .presets import PRESET_NAMES, SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from .signals import OfdmFrameSpec, gen_tone, read_iq, write_iq
 from .spectral import spectrum, write_spectrum_csv
+
+
+# The order parameters of the default canceller set seed the sweep flags.
+_DEFAULT_NONLINEAR, _DEFAULT_JOINT = (
+    next(s for s in DEFAULT_SPECS if s.method is m)
+    for m in (CancellerMethod.NONLINEAR, CancellerMethod.JOINT_DAC_IQ)
+)
 
 
 def _parse_powers(text: str) -> list[float]:
@@ -133,16 +133,7 @@ def cmd_sweep(args) -> int:
     specs = _canceller_specs(args)
 
     frames = OfdmFrameSpec(n_frames=args.frames, seed=args.seed)
-    x = gen_ofdm_frames(frames, SAMPLE_RATE)
-    x = x.with_samples(x.samples * OFDM_DRIVE_RMS)
-
-    rows = []
-    for power in powers:
-        reports = run_comparison(
-            x, cfg.with_tx_power(power), specs, seed=args.seed, n_frames=args.frames
-        )
-        for rep in reports:
-            rows.append(rep)
+    rows = run_sweep(cfg, powers, specs, frames, args.seed)
 
     csv_path = out_dir / "suppression.csv"
     with csv_path.open("w", newline="") as fh:
@@ -256,15 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--powers", default="-10:22:4", help="grid a:b:step in dBm")
     p_sweep.add_argument(
         "--methods",
-        default="linear,nonlinear,widely-linear,joint-dac-iq",
+        default=",".join(s.method.value for s in DEFAULT_SPECS),
         help="comma-separated canceller list",
     )
     p_sweep.add_argument("--frames", type=int, default=100)
-    p_sweep.add_argument("--channel-len", type=int, default=32)
-    p_sweep.add_argument("--n-max", type=int, default=5)
-    p_sweep.add_argument("--m-max", type=int, default=3)
+    p_sweep.add_argument("--channel-len", type=int, default=DEFAULT_SPECS[0].channel_len)
+    p_sweep.add_argument("--n-max", type=int, default=_DEFAULT_NONLINEAR.n_max)
+    p_sweep.add_argument("--m-max", type=int, default=_DEFAULT_JOINT.m_max)
     p_sweep.add_argument(
-        "--nonlinear-variant", choices=("power", "envelope"), default="envelope"
+        "--nonlinear-variant",
+        choices=("power", "envelope"),
+        default=_DEFAULT_NONLINEAR.nonlinear_basis_variant,
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -27,9 +27,10 @@ from .signals import ComplexBasebandSignal, fir_convolve
 # drives the amplifier model at unit RMS for the nominal digital drive.
 MAX_TX_POWER_DBM = 22.0
 
-# Nominal RMS of the digital baseband drive at the DAC input. The power
-# sweep scales the RF drive, not the DAC input, so baseband distortion
-# levels stay fixed across output powers while amplifier distortion grows.
+# Nominal RMS of the digital baseband drive at the DAC input: multi-tone
+# frames are scaled to it before the chain. The power sweep scales the RF
+# drive, not the DAC input, so baseband distortion levels stay fixed
+# across output powers while amplifier distortion grows.
 REF_DRIVE_RMS = 0.2
 
 # Receiver gain ranging backs the converter off its full scale by this
@@ -265,12 +266,10 @@ def apply_pa(x: ComplexBasebandSignal, pa: PaNonlinearity) -> ComplexBasebandSig
     """Odd-order envelope polynomial y = sum_n beta'_n x |x|^(n-1)."""
     u = x.samples
     env2 = np.abs(u) ** 2
-    out = np.zeros_like(u)
     gain = np.zeros_like(env2)
     for bp in pa.baseband_coeffs()[::-1]:
         gain = gain * env2 + bp
-    out = gain * u
-    return x.with_samples(out)
+    return x.with_samples(gain * u)
 
 
 @dataclass(frozen=True)
@@ -440,6 +439,8 @@ def config_from_dict(data: dict) -> ImpairmentConfig:
         )
     except KeyError as exc:
         raise ValueError(f"configuration is missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"configuration value has the wrong type: {exc}") from exc
 
 
 def save_config(cfg: ImpairmentConfig, path) -> Path:

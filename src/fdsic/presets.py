@@ -10,10 +10,6 @@ They are presets, not ground truth.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-from pathlib import Path
-
 import numpy as np
 
 from .impairments import (
@@ -23,14 +19,10 @@ from .impairments import (
     IqImbalance,
     PaNonlinearity,
     PhaseNoiseSpec,
-    config_from_dict,
-    config_to_dict,
 )
 
-# Digital drive conventions shared by the harness and the calibration:
-# multi-tone frames are scaled to this RMS at the DAC input, one-tone
-# tests use this fixed tone amplitude.
-OFDM_DRIVE_RMS = 0.2
+# One-tone tests drive the DAC with this fixed tone amplitude (multi-tone
+# frames are scaled to impairments.REF_DRIVE_RMS instead).
 TONE_AMPLITUDE = 0.5
 
 # Default simulation rate: 8x oversampling of the 10 MHz band keeps 3rd
@@ -73,13 +65,17 @@ THERMAL_NOISE_DBFS = -90.0
 ADC_BITS = 14
 ADC_FULL_SCALE = 1.0
 
-PRESET_NAMES = (
-    "fig5_m10dbm",
-    "fig7_20dbm",
-    "fig4_m10dbm_indosc",
-    "sweep_40db",
-    "sweep_55db",
-)
+# Scenario name -> (tx_power_dbm, suppression_db, shared_oscillator).
+# The two sweep presets are the acceptance sweeps; fig5_m10dbm and
+# sweep_40db hold the same values under a one-tone and a sweep name.
+PRESETS = {
+    "fig5_m10dbm": (-10.0, 40.0, True),
+    "fig7_20dbm": (20.0, 40.0, True),
+    "fig4_m10dbm_indosc": (-10.0, 40.0, False),
+    "sweep_40db": (-10.0, 40.0, True),
+    "sweep_55db": (-10.0, 55.0, True),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 # Self-interference channel: a dominant direct path with a weak, mildly
@@ -95,9 +91,11 @@ def _h_si() -> np.ndarray:
     return taps / np.linalg.norm(taps)
 
 
-def _base_config(
-    tx_power_dbm: float, suppression_db: float, shared_oscillator: bool = True
-) -> ImpairmentConfig:
+def load_preset(name: str) -> ImpairmentConfig:
+    """Build a shipped scenario configuration by name."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
+    tx_power_dbm, suppression_db, shared_oscillator = PRESETS[name]
     return ImpairmentConfig(
         dac=DacNonlinearity(DAC_COEFFS, DAC_COEFFS),
         tx_iq=IqImbalance(TX_IQ_GAMMA, TX_IQ_DELTA),
@@ -117,43 +115,3 @@ def _base_config(
         ),
         tx_power_dbm=tx_power_dbm,
     )
-
-
-def build_preset(name: str) -> ImpairmentConfig:
-    """Construct a named preset configuration programmatically."""
-    if name == "fig5_m10dbm":
-        return _base_config(tx_power_dbm=-10.0, suppression_db=40.0)
-    if name == "fig7_20dbm":
-        return _base_config(tx_power_dbm=20.0, suppression_db=40.0)
-    if name == "fig4_m10dbm_indosc":
-        return _base_config(
-            tx_power_dbm=-10.0, suppression_db=40.0, shared_oscillator=False
-        )
-    if name == "sweep_40db":
-        return _base_config(tx_power_dbm=-10.0, suppression_db=40.0)
-    if name == "sweep_55db":
-        return _base_config(tx_power_dbm=-10.0, suppression_db=55.0)
-    raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
-
-
-def load_preset(name: str) -> ImpairmentConfig:
-    """Load a shipped preset configuration file by name."""
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
-    data = resources.files("fdsic").joinpath(f"presets/{name}.json").read_text()
-    return config_from_dict(json.loads(data))
-
-
-def write_preset_files(directory) -> list[Path]:
-    """Regenerate the shipped preset JSON files (maintenance helper)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in PRESET_NAMES:
-        path = directory / f"{name}.json"
-        path.write_text(
-            json.dumps(config_to_dict(build_preset(name)), indent=2, sort_keys=True)
-            + "\n"
-        )
-        written.append(path)
-    return written

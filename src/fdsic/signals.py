@@ -218,8 +218,19 @@ def read_iq(path) -> ComplexBasebandSignal:
         if "=" in line:
             key, value = line.split("=", 1)
             fields[key.strip()] = value.strip()
-    sample_rate = float(fields["sample_rate_hz"])
-    length = int(fields["length"])
+
+    def number(key, kind):
+        if key not in fields:
+            raise ValueError(f"header {header_path} is missing key {key!r}")
+        try:
+            return kind(fields[key])
+        except ValueError:
+            raise ValueError(
+                f"header {header_path} field {key!r} is not numeric: {fields[key]!r}"
+            ) from None
+
+    sample_rate = number("sample_rate_hz", float)
+    length = number("length", int)
     raw = np.frombuffer(path.read_bytes(), dtype="<f8")
     if raw.size != 2 * length:
         raise ValueError(

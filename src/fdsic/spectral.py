@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import get_window
 
 from .signals import ComplexBasebandSignal
 
@@ -73,6 +72,15 @@ class Spectrum:
         return int(np.argmin(np.abs(self.bin_freqs - freq)))
 
 
+def _window(name: str, n: int) -> np.ndarray:
+    """Periodic (DFT-even) analysis window of length ``n``."""
+    if name == "hann":
+        return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    if name == "boxcar":
+        return np.ones(n)
+    raise ValueError(f"window must be 'hann' or 'boxcar', got {name!r}")
+
+
 def spectrum(
     signal: ComplexBasebandSignal,
     n_fft: int = 4096,
@@ -82,7 +90,7 @@ def spectrum(
     """Welch-averaged power spectrum with 50% segment overlap.
 
     ``averaging`` selects the number of segments (default: as many as the
-    signal allows). Normalization is Parseval-consistent: the linear bin
+    signal allows); ``window`` is ``"hann"`` or ``"boxcar"``. Normalization is Parseval-consistent: the linear bin
     powers sum to the signal mean power to within the window bias.
     """
     n = len(signal)
@@ -99,7 +107,7 @@ def spectrum(
             f"averaging must be in [1, {max_segments}] for length {n}, got {averaging}"
         )
 
-    win = get_window(window, n_fft, fftbins=True).astype(np.float64)
+    win = _window(window, n_fft)
     win_power = float(np.sum(win**2))
     acc = np.zeros(n_fft, dtype=np.float64)
     for k in range(averaging):

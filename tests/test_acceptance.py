@@ -14,34 +14,33 @@ from helpers_oracles import normal_equations_fit, passband_harmonic_oracle
 
 from fdsic.analysis import BudgetInput, predict_harmonics, suppression_budget
 from fdsic.cancellers import (
+    DEFAULT_SPECS,
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
     build_basis,
     ls_estimate,
-    run_comparison,
+    run_sweep,
 )
 from fdsic.cli import main as cli_main
-from fdsic.impairments import PhaseNoiseSpec, apply_phase_noise, simulate_received
+from fdsic.impairments import (
+    REF_DRIVE_RMS,
+    PhaseNoiseSpec,
+    apply_phase_noise,
+    simulate_received,
+)
 from fdsic.presets import (
-    OFDM_DRIVE_RMS,
     PHASE_NOISE_LINEWIDTH_HZ,
     SAMPLE_RATE,
     TONE_AMPLITUDE,
     TONE_FREQ,
-    build_preset,
+    load_preset,
 )
 from fdsic.signals import ComplexBasebandSignal, OfdmFrameSpec, gen_ofdm_frames, gen_tone
 from fdsic.spectral import measure_line_db, skirt_peak_dbc, spectrum
 
 POWERS = [-10, -6, -2, 2, 6, 10, 14, 18, 22]
-METHOD_SPECS = [
-    CancellerSpec(CancellerMethod.LINEAR),
-    CancellerSpec(CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="envelope"),
-    CancellerSpec(CancellerMethod.WIDELY_LINEAR),
-    CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
-]
-LINEAR, NONLINEAR, WIDELY_LINEAR, JOINT = (spec.label() for spec in METHOD_SPECS)
+LINEAR, NONLINEAR, WIDELY_LINEAR, JOINT = (spec.label() for spec in DEFAULT_SPECS)
 
 
 def announce(number, passed, detail):
@@ -49,28 +48,28 @@ def announce(number, passed, detail):
     assert passed, detail
 
 
-def run_sweep(preset_name):
-    cfg = build_preset(preset_name)
-    x = gen_ofdm_frames(OfdmFrameSpec(seed=0), SAMPLE_RATE)
-    x = x.with_samples(x.samples * OFDM_DRIVE_RMS)
+def sweep_table(preset_name):
+    """{power: {method label: report}} over POWERS for the default cancellers."""
+    reports = run_sweep(
+        load_preset(preset_name), POWERS, DEFAULT_SPECS, OfdmFrameSpec(seed=0), seed=0
+    )
     table = {}
-    for power in POWERS:
-        reports = run_comparison(x, cfg.with_tx_power(power), METHOD_SPECS, seed=0)
-        table[power] = {rep.method: rep for rep in reports}
+    for rep in reports:
+        table.setdefault(rep.tx_power_dbm, {})[rep.method] = rep
     return table
 
 
 @pytest.fixture(scope="module")
 def sweep_40db():
     start = time.monotonic()
-    table = run_sweep("sweep_40db")
+    table = sweep_table("sweep_40db")
     return table, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def sweep_55db():
     start = time.monotonic()
-    table = run_sweep("sweep_55db")
+    table = sweep_table("sweep_55db")
     return table, time.monotonic() - start
 
 
@@ -98,7 +97,7 @@ def test_criterion_01_harmonic_predictor_matches_brute_force():
 
 def test_criterion_02_low_power_tone_signature():
     start = time.monotonic()
-    cfg = build_preset("fig5_m10dbm")
+    cfg = load_preset("fig5_m10dbm")
     tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
     received, _ = simulate_received(tone, cfg, seed=1)
     spec = spectrum(received, n_fft=4096)
@@ -265,13 +264,13 @@ def test_criterion_07_fiftyfive_db_preset_comparison(sweep_55db):
 
 
 def test_criterion_08_quantization_floor_tracks_power():
-    cfg = build_preset("sweep_40db")
+    cfg = load_preset("sweep_40db")
     cfg = dataclasses.replace(
         cfg,
         chan=dataclasses.replace(cfg.chan, thermal_noise_dbfs=-140.0, adc_bits=12),
     )
     x = gen_ofdm_frames(OfdmFrameSpec(seed=0, n_frames=20), SAMPLE_RATE)
-    x = x.with_samples(x.samples * OFDM_DRIVE_RMS)
+    x = x.with_samples(x.samples * REF_DRIVE_RMS)
     floors = {}
     for power in (0.0, 20.0):
         _, stages = simulate_received(x, cfg.with_tx_power(power), seed=5)

@@ -15,7 +15,7 @@ from fdsic.analysis import (
     write_harmonics_csv,
 )
 from fdsic.impairments import DacNonlinearity, apply_dac, simulate_received
-from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, build_preset
+from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.signals import gen_tone
 from fdsic.spectral import spectrum
 
@@ -119,13 +119,13 @@ class TestVerifyHarmonics:
 
     def test_simulated_chain_passes(self):
         sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
-        r, _ = simulate_received(sig, build_preset("fig5_m10dbm"), seed=3)
+        r, _ = simulate_received(sig, load_preset("fig5_m10dbm"), seed=3)
         checks = verify_harmonics(spectrum(r, n_fft=4096), TONE_FREQ, m_max=3)
         assert all(c.passed for c in checks)
 
     def test_simulated_chain_passes_across_100_seeds(self):
         sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
-        cfg = build_preset("fig5_m10dbm")
+        cfg = load_preset("fig5_m10dbm")
         for seed in range(100):
             r, _ = simulate_received(sig, cfg, seed=seed)
             checks = verify_harmonics(spectrum(r, n_fft=4096), TONE_FREQ, m_max=3)

@@ -8,15 +8,16 @@ import numpy.testing as npt
 import pytest
 
 from fdsic.cancellers import (
+    DEFAULT_SPECS,
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
     build_basis,
     cancel,
-    high_power_term_count,
     ls_estimate,
     reconstruct,
     run_comparison,
+    run_sweep,
 )
 from fdsic.impairments import (
     ChannelAndReceiver,
@@ -25,7 +26,9 @@ from fdsic.impairments import (
     IqImbalance,
     PaNonlinearity,
     PhaseNoiseSpec,
+    REF_DRIVE_RMS,
 )
+from fdsic.presets import SAMPLE_RATE, load_preset
 from fdsic.signals import ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec
 
 FS = 80e6
@@ -291,19 +294,6 @@ class TestSpanRelations:
         assert residuals[3] <= residuals[2] + 1e-9
 
 
-class TestHighPowerTermCount:
-    def test_reference_values(self):
-        assert high_power_term_count(3, 3) == 216
-        assert high_power_term_count(1, 1) == 2
-        assert high_power_term_count(2, 3) == 64
-
-    def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            high_power_term_count(0, 3)
-        with pytest.raises(ValueError):
-            high_power_term_count(3, 2)
-
-
 def _clean_config(tx_power=0.0):
     return ImpairmentConfig(
         dac=DacNonlinearity.identity(),
@@ -325,13 +315,7 @@ class TestRunComparison:
     def test_all_methods_reach_floor_without_impairments(self):
         x = gen_ofdm_frames(OfdmFrameSpec(n_frames=20, seed=30), FS)
         x = x.with_samples(0.2 * x.samples)
-        specs = [
-            CancellerSpec(CancellerMethod.LINEAR),
-            CancellerSpec(CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="envelope"),
-            CancellerSpec(CancellerMethod.WIDELY_LINEAR),
-            CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
-        ]
-        reports = run_comparison(x, _clean_config(), specs, seed=31, n_frames=20)
+        reports = run_comparison(x, _clean_config(), DEFAULT_SPECS, seed=31, n_frames=20)
         assert len(reports) == 4
         for rep in reports:
             assert abs(rep.residual_above_noise_db) <= 0.5
@@ -356,3 +340,21 @@ class TestRunComparison:
         assert rep.method == "linear"
         assert rep.apparent_noise_floor_dbfs == pytest.approx(-90.0, abs=1.0)
         assert rep.residual_above_noise_std_db >= 0.0
+
+
+class TestRunSweep:
+    def test_matches_per_power_comparison_loop(self):
+        cfg = load_preset("sweep_55db")
+        frames = OfdmFrameSpec(n_frames=10, seed=35)
+        powers = [-10.0, 22.0]
+        got = run_sweep(cfg, powers, DEFAULT_SPECS, frames, seed=36)
+
+        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = x.with_samples(x.samples * REF_DRIVE_RMS)
+        expected = []
+        for power in powers:
+            expected += run_comparison(
+                x, cfg.with_tx_power(power), DEFAULT_SPECS, seed=36, n_frames=10
+            )
+        assert got == expected
+        assert [rep.tx_power_dbm for rep in got] == [-10.0] * 4 + [22.0] * 4

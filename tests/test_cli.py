@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from fdsic.cancellers import DEFAULT_SPECS
 from fdsic.cli import _parse_powers, main
-from fdsic.presets import SAMPLE_RATE, TONE_FREQ
+from fdsic.impairments import config_to_dict
+from fdsic.presets import SAMPLE_RATE, TONE_FREQ, load_preset
 from fdsic.signals import gen_tone, write_iq
 
 
@@ -110,6 +112,28 @@ class TestSweep:
         methods = {row["method"] for row in rows}
         assert methods == {"linear", "joint-dac-iq(m_max=3)"}
 
+    def test_default_methods_are_the_default_specs(self, tmp_path):
+        rc = main(
+            ["sweep", "--preset", "sweep_55db", "--powers", "-10", "--frames", "10",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        with (tmp_path / "suppression.csv").open() as fh:
+            labels = [row["method"] for row in csv.DictReader(fh)]
+        assert labels == [s.label() for s in DEFAULT_SPECS]
+
+    def test_config_value_of_wrong_type_is_clean_error(self, tmp_path, capsys):
+        data = config_to_dict(load_preset("sweep_55db"))
+        data["chan"]["adc_bits"] = "14"
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        rc = main(
+            ["sweep", "--config", str(tmp_path / "cfg.json"), "--powers", "-10",
+             "--frames", "10", "--out", str(tmp_path / "run")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_unknown_method_lists_valid_names(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--preset", "sweep_55db", "--methods", "volterra",
@@ -168,3 +192,13 @@ class TestSpectrumCommand:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["length=8192\n", "sample_rate_hz=fast\nlength=8192\n"])
+    def test_bad_header_is_clean_error(self, tmp_path, capsys, header):
+        write_iq(gen_tone(TONE_FREQ, 1.0, 8192, SAMPLE_RATE), tmp_path / "tone.iq")
+        (tmp_path / "tone.iq.hdr").write_text(header)
+        rc = main(["spectrum", "--input", str(tmp_path / "tone.iq"), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "sample_rate_hz" in err

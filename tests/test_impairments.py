@@ -27,7 +27,7 @@ from fdsic.impairments import (
     save_config,
     simulate_received,
 )
-from fdsic.presets import PRESET_NAMES, build_preset, load_preset
+from fdsic.presets import PRESET_NAMES, load_preset
 from fdsic.signals import ComplexBasebandSignal, gen_tone, power_db
 from fdsic.spectral import measure_line_db, spectrum
 
@@ -333,7 +333,7 @@ class TestSimulateReceived:
 
     def test_deterministic_in_seed(self):
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        cfg = build_preset("fig5_m10dbm")
+        cfg = load_preset("fig5_m10dbm")
         r1, _ = simulate_received(sig, cfg, seed=6)
         r2, _ = simulate_received(sig, cfg, seed=6)
         r3, _ = simulate_received(sig, cfg, seed=7)
@@ -342,7 +342,7 @@ class TestSimulateReceived:
 
     def test_stage_outputs_exposed(self):
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        r, stages = simulate_received(sig, build_preset("fig5_m10dbm"), seed=6)
+        r, stages = simulate_received(sig, load_preset("fig5_m10dbm"), seed=6)
         for key in ("dac", "tx_iq", "phase_noise", "pa_input", "pa", "rx_clean"):
             assert len(stages[key]) == len(sig)
         assert stages["noise"].shape == (len(sig),)
@@ -360,7 +360,7 @@ class TestSimulateReceived:
         tone = gen_tone(F_TONE, 0.5, 4096 * 16, FS)
         readings = {}
         for name in ("fig5_m10dbm", "fig7_20dbm"):
-            r, _ = simulate_received(tone, build_preset(name), seed=1)
+            r, _ = simulate_received(tone, load_preset(name), seed=1)
             spec = tone_spectrum(r)
             carrier = measure_line_db(spec, F_TONE)
             readings[name] = {
@@ -380,12 +380,12 @@ class TestSimulateReceived:
 
 class TestConfigSerialization:
     def test_dict_roundtrip(self):
-        cfg = build_preset("fig7_20dbm")
+        cfg = load_preset("fig7_20dbm")
         back = config_from_dict(config_to_dict(cfg))
         assert config_to_dict(back) == config_to_dict(cfg)
 
     def test_file_roundtrip(self, tmp_path):
-        cfg = build_preset("sweep_55db")
+        cfg = load_preset("sweep_55db")
         path = save_config(cfg, tmp_path / "cfg.json")
         back = load_config(path)
         npt.assert_array_equal(back.chan.h_si, cfg.chan.h_si)
@@ -394,14 +394,15 @@ class TestConfigSerialization:
         assert back.pn.linewidth == cfg.pn.linewidth
 
     def test_missing_key_named_in_error(self):
-        data = config_to_dict(build_preset("fig5_m10dbm"))
+        data = config_to_dict(load_preset("fig5_m10dbm"))
         del data["pa"]
         with pytest.raises(ValueError, match="pa"):
             config_from_dict(data)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_shipped_presets_match_builders(self, name):
-        assert config_to_dict(load_preset(name)) == config_to_dict(build_preset(name))
+    def test_every_preset_loads_and_roundtrips(self, name):
+        cfg = load_preset(name)
+        assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):

@@ -50,6 +50,11 @@ class TestSpectrumEstimator:
         above = np.count_nonzero(spec.power_db > carrier - 90.0)
         assert above == 1
 
+    def test_unknown_window_rejected(self):
+        sig = gen_tone(1.25e6, 1.0, 4096, FS)
+        with pytest.raises(ValueError, match="hann"):
+            spectrum(sig, n_fft=1024, window="hamming")
+
     def test_tone_line_reading_compensates_window(self):
         sig = gen_tone(1.25e6, 1.0, 4096 * 8, FS)
         spec = spectrum(sig, n_fft=4096)
