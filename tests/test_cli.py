@@ -134,6 +134,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_single_frame_is_clean_error(self, tmp_path, capsys):
+        rc = main(
+            ["sweep", "--preset", "sweep_55db", "--powers", "-10", "--frames", "1",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "frames" in err and "got 1" in err
+
     def test_unknown_method_lists_valid_names(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--preset", "sweep_55db", "--methods", "volterra",
