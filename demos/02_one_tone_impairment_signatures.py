@@ -32,7 +32,7 @@ print()
 tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
 for name in ("fig5_m10dbm", "fig7_20dbm"):
     cfg = load_preset(name)
-    received, stages = simulate_received(tone, cfg, seed=1)
+    received, _ = simulate_received(tone, cfg, seed=1)
     spec = spectrum(received, n_fft=4096)
     carrier = measure_line_db(spec, TONE_FREQ)
     print(f"--- scenario {name} (tx {cfg.tx_power_dbm:+.0f} dBm) ---")

@@ -35,7 +35,7 @@ from fdsic.signals import OfdmFrameSpec
 def tone_signature(preset_name: str, seed: int = 1):
     cfg = load_preset(preset_name)
     x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33, SAMPLE_RATE)
-    r, stages = simulate_received(x, cfg, seed)
+    r, diag = simulate_received(x, cfg, seed)
     spec = spectrum(r, n_fft=4096)
     carrier = measure_line_db(spec, TONE_FREQ)
     print(f"--- {preset_name}: tone test, rx power {power_db(r):.1f} dB ---")
@@ -43,7 +43,7 @@ def tone_signature(preset_name: str, seed: int = 1):
         level = measure_line_db(spec, mult * TONE_FREQ) - carrier
         print(f"  line {mult:+d}f: {level:8.1f} dBc")
     floor = float(np.median(spec.power_db)) - carrier
-    print(f"  per-bin floor: {floor:8.1f} dBc, clipped={stages['clipped_samples']}")
+    print(f"  per-bin floor: {floor:8.1f} dBc, clipped={diag.clipped_samples}")
 
 
 def skirt_for_linewidth(linewidth: float, shared: bool, seed: int = 3) -> float:

@@ -38,6 +38,7 @@ from .impairments import (
     IqImbalance,
     PaNonlinearity,
     PhaseNoiseSpec,
+    ReceiverDiagnostics,
     apply_channel_and_receiver,
     apply_dac,
     apply_iq,

@@ -107,7 +107,7 @@ def cmd_tone_test(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     n_fft = args.n_fft
     tone = gen_tone(args.freq, TONE_AMPLITUDE, n_fft * args.segments, SAMPLE_RATE)
-    received, stages = simulate_received(tone, cfg, args.seed)
+    received, diag = simulate_received(tone, cfg, args.seed)
     spec = spectrum(received, n_fft=n_fft)
     write_spectrum_csv(spec, out_dir / "spectrum.csv")
     checks = verify_harmonics(spec, args.freq, m_max=args.m_max, margin_db=args.margin)
@@ -118,7 +118,7 @@ def cmd_tone_test(args) -> int:
         "tone-test",
         {**source, "freq_hz": args.freq, "seed": args.seed, "n_fft": n_fft,
          "segments": args.segments, "m_max": args.m_max, "margin_db": args.margin,
-         "clipped_samples": stages["clipped_samples"]},
+         "clipped_samples": diag.clipped_samples},
         cfg,
     )
     print(f"tone-test: {len(checks)} orders checked, all_pass={all(c.passed for c in checks)}")

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,10 @@ class PhaseNoiseSpec:
     def __post_init__(self):
         if self.linewidth < 0:
             raise ValueError("linewidth must be >= 0")
+        if not isinstance(self.shared_oscillator, bool):
+            raise ValueError(
+                f"shared_oscillator must be true or false, got {self.shared_oscillator!r}"
+            )
         if self.delay_samples < 0 or int(self.delay_samples) != self.delay_samples:
             raise ValueError("delay_samples must be a nonnegative integer")
         object.__setattr__(self, "delay_samples", int(self.delay_samples))
@@ -192,6 +197,8 @@ class ChannelAndReceiver:
         h = _as_complex_taps(self.h_si, "h_si")
         if self.analog_suppression_db < 0:
             raise ValueError("analog_suppression_db must be >= 0")
+        if not isinstance(self.adc_bits, Integral):
+            raise ValueError(f"adc_bits must be an integer, got {self.adc_bits!r}")
         if not (4 <= self.adc_bits <= 24):
             raise ValueError("adc_bits must lie in [4, 24]")
         if not (self.adc_full_scale > 0):
@@ -276,7 +283,6 @@ def apply_pa(x: ComplexBasebandSignal, pa: PaNonlinearity) -> ComplexBasebandSig
 class ReceiverDiagnostics:
     """Per-run receiver internals for floor and clipping analysis."""
 
-    rx_clean: ComplexBasebandSignal
     noise: np.ndarray
     quant_error: np.ndarray
     clipped_samples: int
@@ -325,7 +331,6 @@ def apply_channel_and_receiver(
 
     received = x.with_samples(digitized)
     diag = ReceiverDiagnostics(
-        rx_clean=clean,
         noise=noise,
         quant_error=digitized - analog,
         clipped_samples=clipped_samples,
@@ -336,36 +341,21 @@ def apply_channel_and_receiver(
 
 def simulate_received(
     x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
-) -> tuple[ComplexBasebandSignal, dict]:
+) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
     """Run the full impairment chain on a digital baseband signal.
 
     Returns the received self-interference signal (in antenna-referred
-    units where mean power in dB reads as dBm) along with every stage
-    output for diagnostics.
+    units where mean power in dB reads as dBm) and the receiver
+    diagnostics: noise, quantization error, clipping and AGC scale.
     """
-    stages: dict = {}
     v = apply_dac(x, cfg.dac)
-    stages["dac"] = v
     v = apply_iq(v, cfg.tx_iq)
-    stages["tx_iq"] = v
     v = apply_phase_noise(v, cfg.pn, seed)
-    stages["phase_noise"] = v
-
     drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-    v = v.with_samples(v.samples * drive)
-    stages["pa_input"] = v
-    v = apply_pa(v, cfg.pa)
-    stages["pa"] = v
-
+    v = apply_pa(v.with_samples(v.samples * drive), cfg.pa)
     # Refer the amplifier output to the antenna: full drive <-> max power.
     v = v.with_samples(v.samples * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
-    received, diag = apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, seed)
-    stages["rx_clean"] = diag.rx_clean
-    stages["noise"] = diag.noise
-    stages["quant_error"] = diag.quant_error
-    stages["clipped_samples"] = diag.clipped_samples
-    stages["agc_scale"] = diag.agc_scale
-    return received, stages
+    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, seed)
 
 
 # --- configuration file round trip ----------------------------------------

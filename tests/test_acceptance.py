@@ -273,8 +273,8 @@ def test_criterion_08_quantization_floor_tracks_power():
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
     floors = {}
     for power in (0.0, 20.0):
-        _, stages = simulate_received(x, cfg.with_tx_power(power), seed=5)
-        extra = stages["noise"] + stages["quant_error"]
+        _, diag = simulate_received(x, cfg.with_tx_power(power), seed=5)
+        extra = diag.noise + diag.quant_error
         floors[power] = 10 * np.log10(np.mean(np.abs(extra) ** 2))
     rise = floors[20.0] - floors[0.0]
     announce(8, abs(rise - 20.0) <= 1.0, f"apparent floor rise {rise:.2f} dB for +20 dB drive")

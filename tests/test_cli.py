@@ -42,6 +42,8 @@ class TestToneTest:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "tone-test"
         assert manifest["resolved_config"]["tx_power_dbm"] == -10.0
+        clipped = manifest["args"]["clipped_samples"]
+        assert isinstance(clipped, int) and clipped == 0
 
     def test_requires_config_or_preset(self, tmp_path, capsys):
         rc = main(["tone-test", "--out", str(tmp_path)])
@@ -122,9 +124,21 @@ class TestSweep:
             labels = [row["method"] for row in csv.DictReader(fh)]
         assert labels == [s.label() for s in DEFAULT_SPECS]
 
-    def test_config_value_of_wrong_type_is_clean_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        ("section", "key", "value"),
+        [
+            ("chan", "adc_bits", "14"),
+            ("chan", "adc_bits", 14.5),
+            ("chan", "adc_bits", True),
+            ("pn", "shared_oscillator", "no"),
+        ],
+        ids=["adc_bits-string", "adc_bits-fraction", "adc_bits-bool", "shared_oscillator-string"],
+    )
+    def test_config_value_of_wrong_type_is_clean_error(
+        self, tmp_path, capsys, section, key, value
+    ):
         data = config_to_dict(load_preset("sweep_55db"))
-        data["chan"]["adc_bits"] = "14"
+        data[section][key] = value
         (tmp_path / "cfg.json").write_text(json.dumps(data))
         rc = main(
             ["sweep", "--config", str(tmp_path / "cfg.json"), "--powers", "-10",

@@ -16,6 +16,7 @@ from fdsic.impairments import (
     IqImbalance,
     PaNonlinearity,
     PhaseNoiseSpec,
+    ReceiverDiagnostics,
     apply_channel_and_receiver,
     apply_dac,
     apply_iq,
@@ -323,7 +324,7 @@ class TestSimulateReceived:
     def test_disabled_impairments_scaled_noisy_copy(self):
         sig = gen_tone(F_TONE, 0.2, 65536, FS)
         cfg = identity_config()
-        r, stages = simulate_received(sig, cfg, seed=4)
+        r, _ = simulate_received(sig, cfg, seed=4)
         # mean rx power == tx - suppression in the antenna-referred units
         assert power_db(r) == pytest.approx(cfg.tx_power_dbm - 30.0, abs=0.3)
         scale = 10 ** ((cfg.tx_power_dbm - 30.0) / 20.0) / 0.2
@@ -340,14 +341,15 @@ class TestSimulateReceived:
         npt.assert_array_equal(r1.samples, r2.samples)
         assert not np.array_equal(r1.samples, r3.samples)
 
-    def test_stage_outputs_exposed(self):
+    def test_receiver_diagnostics_exposed(self):
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        r, stages = simulate_received(sig, load_preset("fig5_m10dbm"), seed=6)
-        for key in ("dac", "tx_iq", "phase_noise", "pa_input", "pa", "rx_clean"):
-            assert len(stages[key]) == len(sig)
-        assert stages["noise"].shape == (len(sig),)
-        assert stages["quant_error"].shape == (len(sig),)
-        assert isinstance(stages["clipped_samples"], int)
+        r, diag = simulate_received(sig, load_preset("fig5_m10dbm"), seed=6)
+        assert isinstance(diag, ReceiverDiagnostics)
+        assert len(r) == len(sig)
+        assert diag.noise.shape == (len(sig),)
+        assert diag.quant_error.shape == (len(sig),)
+        assert isinstance(diag.clipped_samples, int)
+        assert diag.agc_scale > 0
 
     def test_tx_power_range_enforced(self):
         cfg = identity_config()

@@ -1,17 +1,31 @@
-"""The demos and scripts import only names the package defines.
+"""The demos and scripts import only names the package defines, and run.
 
-Nothing else runs them, so a renamed or removed library name would
-otherwise only show when someone next runs one by hand.
+Nothing else runs them, so a renamed or removed library name, or a
+changed return value they unpack, would otherwise only show when someone
+next runs one by hand.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("scripts/*.py")])
+
+# Every script that finishes in about a second. Demo 04 runs a full power
+# sweep (about 12 s); run_sweep has its own tests.
+SMOKE_RUNS = [
+    ("demos/01_suppression_budget.py",),
+    ("demos/02_one_tone_impairment_signatures.py",),
+    ("demos/03_oscillator_phase_noise.py",),
+    ("demos/05_iq_capture_files.py",),
+    ("scripts/calibrate.py", "--skip-pn", "--skip-sweep"),
+]
 
 
 def fdsic_imports(path):
@@ -36,3 +50,13 @@ def test_fdsic_imports_resolve(path):
 
 def test_sources_found():
     assert SOURCES
+
+
+@pytest.mark.parametrize("command", SMOKE_RUNS, ids=" ".join)
+def test_script_runs(command, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / command[0]), *command[1:]],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
