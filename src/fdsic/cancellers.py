@@ -115,13 +115,22 @@ class LsFit:
 
 @dataclass(frozen=True)
 class SuppressionReport:
-    """Held-out residual power relative to the thermal noise floor."""
+    """Held-out residual power relative to the thermal noise floor.
+
+    The last four fields describe the LS fit the figures come from: its
+    regressor condition number, numerical rank out of ``n_params``
+    columns, and the residual power left on the training rows.
+    """
 
     method: str
     tx_power_dbm: float
     residual_above_noise_db: float
     residual_above_noise_std_db: float
     apparent_noise_floor_dbfs: float
+    condition_number: float
+    rank: int
+    n_params: int
+    training_residual_dbfs: float
 
 
 def build_basis(x: ComplexBasebandSignal, spec: CancellerSpec) -> list[BasisSignal]:
@@ -147,14 +156,27 @@ def build_basis(x: ComplexBasebandSignal, spec: CancellerSpec) -> list[BasisSign
     return bases
 
 
-def _regressor_matrix(bases: list[BasisSignal], length: int, taps: int) -> np.ndarray:
-    """Stacked causal Toeplitz blocks, column l of block b = basis_b[n - l]."""
-    cols = []
-    for basis in bases:
-        padded = np.concatenate([np.zeros(taps - 1, dtype=np.complex128), basis.samples[:length]])
+# Training rows added to the triangular factor per QR step of the
+# streamed LS fit: enough rows to keep LAPACK efficient, while the largest
+# block (joint-dac-iq, 192 columns) stays near 14 MB.
+FIT_BLOCK_ROWS = 4096
+
+
+def _regressor_rows(
+    bases: list[BasisSignal], start: int, stop: int, taps: int
+) -> np.ndarray:
+    """Rows ``[start, stop)`` of the stacked causal Toeplitz regressor.
+
+    Column l of block b in row n is ``basis_b[n - l]``, zero before sample 0.
+    """
+    rows = np.empty((stop - start, len(bases) * taps), dtype=np.complex128)
+    first = start - taps + 1
+    history = np.zeros(max(-first, 0), dtype=np.complex128)
+    for b, basis in enumerate(bases):
+        padded = np.concatenate([history, basis.samples[max(first, 0) : stop]])
         windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
-        cols.append(windows[:, ::-1])
-    return np.hstack(cols) if len(cols) > 1 else np.ascontiguousarray(cols[0])
+        rows[:, b * taps : (b + 1) * taps] = windows[:, ::-1]
+    return rows
 
 
 def ls_estimate(
@@ -162,9 +184,10 @@ def ls_estimate(
 ) -> LsFit:
     """Jointly fit one FIR channel per basis by least squares.
 
-    Solved through an orthogonal (SVD) factorization; a rank-deficient
-    regressor matrix falls back to the minimum-norm solution and is
-    flagged in the conditioning report.
+    The training rows are reduced block by block to a square triangular
+    factor by QR, which an SVD then solves; a rank-deficient regressor
+    falls back to the minimum-norm solution and is flagged in the
+    conditioning report. See :func:`_ls_fit_columns`.
     """
     return _ls_fit_columns(r.samples[:, np.newaxis], bases, channel_len)[0]
 
@@ -174,11 +197,25 @@ def _ls_fit_columns(
 ) -> list[LsFit]:
     """:func:`ls_estimate` for every column of ``rhs`` from one factorization.
 
-    The regressor matrix depends only on the bases, so it is built and
-    solved once with the columns as right-hand sides; fit k equals the
-    fit of column k alone up to rounding.
+    The training rows of ``[A | rhs]`` are streamed in blocks of
+    ``FIT_BLOCK_ROWS``: each block is stacked under the ``n_params``
+    carried rows ``[R11 | R12]`` of the triangular factor and reduced by
+    QR again, so no full-length regressor ``A`` is ever built. The rows
+    the QR leaves below ``n_params`` are zero in the regressor columns:
+    their energy is residual that no fit explains, and it is added per
+    column. One SVD-based ``lstsq`` of ``R11 h = R12`` at the dense
+    problem's default threshold ``rcond = eps * max(n, n_params)`` gives
+    the rank, singular values and minimum-norm solution of the dense fit.
+    The carried factor keeps exactly ``n_params`` rows, so the regressor
+    columns round the same whatever the number of right-hand sides, and
+    fit k equals the fit of column k alone up to rounding.
+
+    Well-posed fits give the dense SVD solve's coefficients within 1e-14
+    relative. A rank-deficient fit (the joint-dac-iq fit on 10 frames) rounds its
+    near-null directions differently, which moves its held-out figures by
+    up to 1e-4 dB and leaves its rank unchanged.
     """
-    n = rhs.shape[0]
+    n, n_rhs = rhs.shape
     n_params = len(bases) * channel_len
     if n < 4 * n_params:
         raise ValueError(
@@ -188,14 +225,30 @@ def _ls_fit_columns(
         if basis.samples.size < n:
             raise ValueError(f"basis {basis.label!r} shorter than received signal")
 
-    matrix = _regressor_matrix(bases, n, channel_len)
-    coeffs, _, rank, singular = np.linalg.lstsq(matrix, rhs, rcond=None)
+    top = np.empty((0, n_params + n_rhs), dtype=np.complex128)
+    dropped = np.zeros(n_rhs)
+    for start in range(0, n, FIT_BLOCK_ROWS):
+        stop = min(start + FIT_BLOCK_ROWS, n)
+        block = np.empty((len(top) + stop - start, n_params + n_rhs), dtype=np.complex128)
+        block[: len(top)] = top
+        block[len(top) :, :n_params] = _regressor_rows(bases, start, stop, channel_len)
+        block[len(top) :, n_params:] = rhs[start:stop]
+        r = np.linalg.qr(block, mode="r")
+        top = r[:n_params]
+        dropped += np.sum(np.abs(r[n_params:, n_params:]) ** 2, axis=0)
+
+    r11, r12 = top[:, :n_params], top[:, n_params:]
+    coeffs, _, rank, singular = np.linalg.lstsq(
+        r11, r12, rcond=np.finfo(np.float64).eps * max(n, n_params)
+    )
 
     cond = float(singular[0] / singular[-1]) if singular[-1] > 0 else float("inf")
     fits = []
-    for b, h in zip(rhs.T, coeffs.T):
-        # Column by column, the residual temporaries stay one signal long.
-        resid_power = float(np.mean(np.abs(b - matrix @ h) ** 2))
+    for b, h, energy in zip(r12.T, coeffs.T, dropped):
+        # Column by column: a matrix product rounds each column differently
+        # with the number of columns, and a residual at rounding level (an
+        # exact fit) would then depend on how many powers share the fit.
+        resid_power = (float(np.sum(np.abs(b - r11 @ h) ** 2)) + energy) / n
         fits.append(
             LsFit(
                 channels={
@@ -307,9 +360,8 @@ def _compare(
 ) -> list[SuppressionReport]:
     """:func:`run_comparison` at every config in ``cfgs``, one LS solve per spec.
 
-    Reports come in (config, spec) order. Every spec is fitted before any
-    is scored: scoring between fits left more heap in use under the large
-    joint-dac-iq solve and raised peak memory by about 9 %.
+    Reports come in (config, spec) order. Neither the fit nor the scoring
+    builds a full-length regressor matrix: both walk the rows in blocks.
     """
     if not specs:
         raise ValueError("specs must be nonempty")
@@ -341,9 +393,7 @@ def _compare(
         del r, diag, extra
 
     # Fit: one factorization per spec, every config a right-hand side. The
-    # bases are built on the training prefix only: holding every spec's
-    # full-length bases under the joint-dac-iq solve instead raised the
-    # 100-frame sweep's peak memory by 11 %.
+    # fit reads only the training prefix of each basis.
     fit_len = min(split, MAX_TRAIN_SAMPLES)
     x_train = x.with_samples(x.samples[:fit_len])
     fits = [
@@ -351,26 +401,44 @@ def _compare(
         for spec in specs
     ]
 
-    # Score each (config, spec) on the held-out frames.
-    bases = [build_basis(x, spec) for spec in specs]
+    # Score: per held-out frame, the residual of every config at once is
+    # the received block minus its regressor rows times the coefficient
+    # matrix H (one column per config), so no full-length cancellation
+    # signal is formed.
+    noise_floors = 10.0 ** (np.array([cfg.chan.thermal_noise_dbfs for cfg in cfgs]) / 10.0)
+    starts = range(split, usable, frame_len)
+    per_frame_db = []
+    for spec, spec_fits in zip(specs, fits):
+        bases = build_basis(x, spec)
+        h = np.stack(
+            [np.concatenate([fit.channels[b.label] for b in bases]) for fit in spec_fits],
+            axis=1,
+        )
+        db = np.empty((len(cfgs), len(starts)))
+        for i, start in enumerate(starts):
+            stop = start + frame_len
+            residual = received[start:stop] - _regressor_rows(
+                bases, start, stop, spec.channel_len
+            ) @ h
+            power = np.mean(np.abs(residual) ** 2, axis=0)
+            db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floors)
+        per_frame_db.append(db)
+
     reports = []
     for k, cfg in enumerate(cfgs):
-        r = x.with_samples(received[:, k])
-        noise_floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
-        for spec, spec_bases, spec_fits in zip(specs, bases, fits):
-            residual = cancel(r, spec_bases, spec_fits[k])
-            per_frame = []
-            for start in range(split, usable, frame_len):
-                p = float(np.mean(np.abs(residual.samples[start : start + frame_len]) ** 2))
-                per_frame.append(10.0 * math.log10(max(p, 1e-300) / noise_floor))
-            per_frame = np.asarray(per_frame)
+        for spec, spec_fits, db in zip(specs, fits, per_frame_db):
+            fit = spec_fits[k]
             reports.append(
                 SuppressionReport(
                     method=spec.label(),
                     tx_power_dbm=cfg.tx_power_dbm,
-                    residual_above_noise_db=float(np.mean(per_frame)),
-                    residual_above_noise_std_db=float(np.std(per_frame)),
+                    residual_above_noise_db=float(np.mean(db[k])),
+                    residual_above_noise_std_db=float(np.std(db[k])),
                     apparent_noise_floor_dbfs=floors[k],
+                    condition_number=fit.condition_diag["condition_number"],
+                    rank=fit.condition_diag["rank"],
+                    n_params=fit.condition_diag["n_params"],
+                    training_residual_dbfs=fit.residual_power_dbfs,
                 )
             )
     return reports

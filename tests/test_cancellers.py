@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,8 @@ import pytest
 
 from fdsic.cancellers import (
     DEFAULT_SPECS,
+    MAX_TRAIN_SAMPLES,
+    TRAIN_FRACTION,
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
@@ -28,6 +31,7 @@ from fdsic.impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     REF_DRIVE_RMS,
+    simulate_received,
 )
 from fdsic.presets import SAMPLE_RATE, load_preset
 from fdsic.signals import ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec
@@ -42,14 +46,19 @@ def random_signal(n, seed):
     )
 
 
-def normal_equations_fit(r, bases, taps):
-    """Dense normal-equations reference: h = (A^H A)^-1 A^H r."""
+def dense_regressor(bases, n, taps):
+    """Full n-row causal Toeplitz regressor, one block of taps columns per basis."""
     cols = []
     for basis in bases:
-        padded = np.concatenate([np.zeros(taps - 1, dtype=complex), basis.samples[: len(r)]])
+        padded = np.concatenate([np.zeros(taps - 1, dtype=complex), basis.samples[:n]])
         shifted = np.lib.stride_tricks.sliding_window_view(padded, taps)[:, ::-1]
         cols.append(shifted)
-    a = np.hstack(cols)
+    return np.hstack(cols)
+
+
+def normal_equations_fit(r, bases, taps):
+    """Dense normal-equations reference: h = (A^H A)^-1 A^H r."""
+    a = dense_regressor(bases, len(r), taps)
     gram = a.conj().T @ a
     rhs = a.conj().T @ r.samples
     return np.linalg.solve(gram, rhs)
@@ -210,6 +219,60 @@ class TestBatchedFit:
         )
         fits = self.assert_matches_per_column(rhs, bases, 4)
         assert all(fit.condition_diag["rank_deficient"] for fit in fits)
+
+
+class TestStreamedFit:
+    """The block-streamed QR fit against a dense SVD solve of the whole matrix."""
+
+    @pytest.mark.parametrize("n", [1000, 8192, 9000])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CancellerSpec(CancellerMethod.WIDELY_LINEAR),
+            CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
+        ],
+        ids=lambda spec: spec.method.value,
+    )
+    def test_matches_dense_lstsq(self, n, spec):
+        # 1000 rows fit in one block, 8192 in two whole ones, 9000 leave a
+        # remainder block.
+        x = random_signal(n, 50)
+        bases = build_basis(x, spec)
+        a = dense_regressor(bases, n, spec.channel_len)
+        rng = np.random.default_rng(51)
+        truth = rng.standard_normal((a.shape[1], 3)) + 1j * rng.standard_normal((a.shape[1], 3))
+        rhs = a @ truth + 0.01 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+
+        ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+        fits = _ls_fit_columns(rhs, bases, spec.channel_len)
+        for k, fit in enumerate(fits):
+            h = np.concatenate([fit.channels[b.label] for b in bases])
+            assert np.max(np.abs(h - ref[:, k])) / np.max(np.abs(ref[:, k])) < 1e-12
+            assert fit.condition_diag["rank"] == ref_rank
+            direct = 10 * np.log10(np.mean(np.abs(rhs[:, k] - a @ h) ** 2))
+            assert fit.residual_power_dbfs == pytest.approx(direct, abs=1e-9)
+
+    def test_duplicate_basis_rank_matches_dense(self):
+        x = random_signal(9000, 52)
+        bases = [BasisSignal("x", x.samples), BasisSignal("x_copy", x.samples.copy())]
+        rhs = fir_convolve(x, [1.0, 0.3j]).samples[:, np.newaxis]
+        _, _, ref_rank, _ = np.linalg.lstsq(dense_regressor(bases, 9000, 4), rhs, rcond=None)
+        fit = _ls_fit_columns(rhs, bases, 4)[0]
+        assert fit.condition_diag["rank"] == ref_rank < fit.condition_diag["n_params"]
+
+    def test_peak_memory_below_a_third_of_dense_regressor(self):
+        n, n_rhs = 65536, 3
+        spec = CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3)
+        bases = build_basis(random_signal(n, 53), spec)
+        rhs = random_signal(n * n_rhs, 54).samples.reshape(n, n_rhs)
+        dense_bytes = n * len(bases) * spec.channel_len * 16  # 201 MB
+        tracemalloc.start()
+        try:
+            _ls_fit_columns(rhs, bases, spec.channel_len)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 3
 
 
 class TestCancel:
@@ -384,6 +447,30 @@ class TestRunComparison:
         assert rep.apparent_noise_floor_dbfs == pytest.approx(-90.0, abs=1.0)
         assert rep.residual_above_noise_std_db >= 0.0
 
+    def test_reports_carry_fit_diagnostics(self):
+        # Ten frames leave the joint-dac-iq fit numerically rank-deficient.
+        frames = OfdmFrameSpec(n_frames=10, seed=41)
+        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = x.with_samples(x.samples * REF_DRIVE_RMS)
+        cfg = load_preset("sweep_55db").with_tx_power(22.0)
+        reports = {
+            rep.method: rep
+            for rep in run_comparison(x, cfg, DEFAULT_SPECS, seed=42, n_frames=10)
+        }
+        linear = reports["linear"]
+        joint = reports["joint-dac-iq(m_max=3)"]
+        assert linear.n_params == 32
+        assert linear.rank == linear.n_params
+        assert joint.n_params == 6 * 32
+        assert joint.rank < joint.n_params
+        assert joint.condition_number > 1e12 > linear.condition_number >= 1.0
+        for rep in reports.values():
+            assert isinstance(rep.rank, int) and isinstance(rep.n_params, int)
+            assert math.isfinite(rep.training_residual_dbfs)
+            # The training residual is what the fit left of the received
+            # power; it cannot lie below the thermal floor by much.
+            assert rep.training_residual_dbfs > cfg.chan.thermal_noise_dbfs - 3.0
+
 
 class TestRunSweep:
     def test_matches_per_power_comparison_loop(self):
@@ -432,3 +519,45 @@ class TestRunSweep:
         assert len(reports) == len(powers) * len(DEFAULT_SPECS)
         assert len(calls) == len(DEFAULT_SPECS)
         assert all(shape[1] == len(powers) for shape in calls)
+
+    def test_blocked_scoring_matches_cancel_path(self):
+        # Each report recomputed with the one-signal API: ls_estimate on the
+        # training prefix, cancel on the full signal, per-frame dB.
+        cfg = load_preset("sweep_55db")
+        frames = OfdmFrameSpec(n_frames=10, seed=39)
+        powers = [-10.0, 22.0]
+        reports = run_sweep(cfg, powers, DEFAULT_SPECS, frames, seed=40)
+
+        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = x.with_samples(x.samples * REF_DRIVE_RMS)
+        frame_len = len(x) // frames.n_frames
+        split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
+        fit_len = min(split, MAX_TRAIN_SAMPLES)
+        x_train = x.with_samples(x.samples[:fit_len])
+        expected = []
+        for power in powers:
+            power_cfg = cfg.with_tx_power(power)
+            r, _ = simulate_received(x, power_cfg, 40)
+            floor = 10.0 ** (power_cfg.chan.thermal_noise_dbfs / 10.0)
+            for spec in DEFAULT_SPECS:
+                fit = ls_estimate(
+                    r.with_samples(r.samples[:fit_len]),
+                    build_basis(x_train, spec),
+                    spec.channel_len,
+                )
+                residual = cancel(r, build_basis(x, spec), fit).samples
+                per_frame = [
+                    10.0 * math.log10(
+                        max(float(np.mean(np.abs(residual[s : s + frame_len]) ** 2)), 1e-300)
+                        / floor
+                    )
+                    for s in range(split, frames.n_frames * frame_len, frame_len)
+                ]
+                expected.append((np.mean(per_frame), np.std(per_frame), fit))
+
+        assert len(reports) == len(expected)
+        assert any(rep.rank < rep.n_params for rep in reports)
+        for rep, (mean, std, fit) in zip(reports, expected):
+            assert rep.residual_above_noise_db == pytest.approx(mean, abs=1e-9)
+            assert rep.residual_above_noise_std_db == pytest.approx(std, abs=1e-9)
+            assert rep.rank == fit.condition_diag["rank"]
