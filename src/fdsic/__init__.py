@@ -25,9 +25,7 @@ from .cancellers import (
     LsFit,
     SuppressionReport,
     build_basis,
-    cancel,
     ls_estimate,
-    reconstruct,
     run_comparison,
     run_sweep,
 )

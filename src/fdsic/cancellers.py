@@ -21,13 +21,13 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .impairments import REF_DRIVE_RMS, ImpairmentConfig, simulate_received
 from .presets import SAMPLE_RATE
-from .signals import ComplexBasebandSignal, OfdmFrameSpec, fir_convolve, gen_ofdm_frames
+from .signals import ComplexBasebandSignal, OfdmFrameSpec, gen_ofdm_frames
 
 
 class CancellerMethod(str, enum.Enum):
@@ -105,21 +105,34 @@ class BasisSignal:
 
 @dataclass(frozen=True)
 class LsFit:
-    """Jointly estimated per-basis FIR channels plus diagnostics."""
+    """Jointly estimated per-basis FIR channels plus diagnostics.
 
-    channels: dict
+    ``coefficients`` holds each basis's taps back to back, in the order of
+    ``labels`` (the order of :func:`build_basis`). ``rank`` is the
+    regressor's numerical rank out of ``n_params`` columns; below
+    ``n_params`` the coefficients are the minimum-norm solution.
+    ``residual_power_dbfs`` is the power the fit leaves on its training rows.
+    """
+
+    labels: tuple[str, ...]
+    coefficients: np.ndarray
     training_len: int
-    condition_diag: dict
+    condition_number: float
+    rank: int
     residual_power_dbfs: float
+
+    @property
+    def n_params(self) -> int:
+        return self.coefficients.size
 
 
 @dataclass(frozen=True)
 class SuppressionReport:
     """Held-out residual power relative to the thermal noise floor.
 
-    The last four fields describe the LS fit the figures come from: its
-    regressor condition number, numerical rank out of ``n_params``
-    columns, and the residual power left on the training rows.
+    ``fit`` is the LS fit the figures come from: the fit of this report's
+    own transmit power and canceller. It takes no part in comparing or
+    hashing reports, which its coefficient array would make ambiguous.
     """
 
     method: str
@@ -127,10 +140,7 @@ class SuppressionReport:
     residual_above_noise_db: float
     residual_above_noise_std_db: float
     apparent_noise_floor_dbfs: float
-    condition_number: float
-    rank: int
-    n_params: int
-    training_residual_dbfs: float
+    fit: LsFit = field(compare=False)
 
 
 def build_basis(x: ComplexBasebandSignal, spec: CancellerSpec) -> list[BasisSignal]:
@@ -186,8 +196,8 @@ def ls_estimate(
 
     The training rows are reduced block by block to a square triangular
     factor by QR, which an SVD then solves; a rank-deficient regressor
-    falls back to the minimum-norm solution and is flagged in the
-    conditioning report. See :func:`_ls_fit_columns`.
+    falls back to the minimum-norm solution, and the fit's ``rank`` is
+    then below its ``n_params``. See :func:`_ls_fit_columns`.
     """
     return _ls_fit_columns(r.samples[:, np.newaxis], bases, channel_len)[0]
 
@@ -243,66 +253,27 @@ def _ls_fit_columns(
     )
 
     cond = float(singular[0] / singular[-1]) if singular[-1] > 0 else float("inf")
+    labels = tuple(basis.label for basis in bases)
     fits = []
-    for b, h, energy in zip(r12.T, coeffs.T, dropped):
+    for k, energy in enumerate(dropped):
         # Column by column: a matrix product rounds each column differently
         # with the number of columns, and a residual at rounding level (an
         # exact fit) would then depend on how many powers share the fit.
-        resid_power = (float(np.sum(np.abs(b - r11 @ h) ** 2)) + energy) / n
+        h = coeffs[:, k]
+        resid_power = (float(np.sum(np.abs(r12[:, k] - r11 @ h) ** 2)) + energy) / n
         fits.append(
             LsFit(
-                channels={
-                    basis.label: h[i * channel_len : (i + 1) * channel_len]
-                    for i, basis in enumerate(bases)
-                },
+                labels=labels,
+                coefficients=h,
                 training_len=n,
-                condition_diag={
-                    "condition_number": cond,
-                    "rank": int(rank),
-                    "n_params": n_params,
-                    "rank_deficient": bool(rank < n_params),
-                },
+                condition_number=cond,
+                rank=int(rank),
                 residual_power_dbfs=(
                     10.0 * math.log10(resid_power) if resid_power > 0 else float("-inf")
                 ),
             )
         )
     return fits
-
-
-def reconstruct(
-    bases: list[BasisSignal], fit: LsFit, sample_rate: float
-) -> ComplexBasebandSignal:
-    """Sum of per-basis channel convolutions (the cancellation signal)."""
-    _check_compatible(bases, fit)
-    total = np.zeros(bases[0].samples.size, dtype=np.complex128)
-    for basis in bases:
-        taps = fit.channels[basis.label]
-        sig = ComplexBasebandSignal(basis.samples, sample_rate)
-        total += fir_convolve(sig, taps).samples
-    return ComplexBasebandSignal(total, sample_rate)
-
-
-def cancel(
-    r: ComplexBasebandSignal, bases: list[BasisSignal], fit: LsFit
-) -> ComplexBasebandSignal:
-    """Subtract the reconstructed self-interference from ``r``."""
-    _check_compatible(bases, fit)
-    if any(basis.samples.size < len(r) for basis in bases):
-        raise ValueError("basis signals shorter than received signal")
-    est = reconstruct(
-        [BasisSignal(b.label, b.samples[: len(r)]) for b in bases], fit, r.sample_rate
-    )
-    return r.with_samples(r.samples - est.samples)
-
-
-def _check_compatible(bases: list[BasisSignal], fit: LsFit) -> None:
-    labels = [b.label for b in bases]
-    if sorted(labels) != sorted(fit.channels.keys()):
-        raise ValueError(
-            f"basis set {labels} does not match fitted channels "
-            f"{sorted(fit.channels.keys())}"
-        )
 
 
 # Fitting more training rows than this buys no measurable accuracy for the
@@ -410,10 +381,7 @@ def _compare(
     per_frame_db = []
     for spec, spec_fits in zip(specs, fits):
         bases = build_basis(x, spec)
-        h = np.stack(
-            [np.concatenate([fit.channels[b.label] for b in bases]) for fit in spec_fits],
-            axis=1,
-        )
+        h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
         db = np.empty((len(cfgs), len(starts)))
         for i, start in enumerate(starts):
             stop = start + frame_len
@@ -427,7 +395,6 @@ def _compare(
     reports = []
     for k, cfg in enumerate(cfgs):
         for spec, spec_fits, db in zip(specs, fits, per_frame_db):
-            fit = spec_fits[k]
             reports.append(
                 SuppressionReport(
                     method=spec.label(),
@@ -435,10 +402,7 @@ def _compare(
                     residual_above_noise_db=float(np.mean(db[k])),
                     residual_above_noise_std_db=float(np.std(db[k])),
                     apparent_noise_floor_dbfs=floors[k],
-                    condition_number=fit.condition_diag["condition_number"],
-                    rank=fit.condition_diag["rank"],
-                    n_params=fit.condition_diag["n_params"],
-                    training_residual_dbfs=fit.residual_power_dbfs,
+                    fit=spec_fits[k],
                 )
             )
     return reports

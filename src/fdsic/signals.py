@@ -48,10 +48,6 @@ class ComplexBasebandSignal:
         """New signal with the same sample rate and different samples."""
         return ComplexBasebandSignal(samples, self.sample_rate)
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class OfdmFrameSpec:
