@@ -37,6 +37,7 @@ from .impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     ReceiverDiagnostics,
+    amplify_and_receive,
     apply_channel_and_receiver,
     apply_dac,
     apply_iq,
@@ -45,6 +46,7 @@ from .impairments import (
     load_config,
     save_config,
     simulate_received,
+    transmit_front_end,
 )
 from .presets import load_preset
 from .signals import (

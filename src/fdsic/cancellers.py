@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .impairments import REF_DRIVE_RMS, ImpairmentConfig, simulate_received
+from .impairments import (
+    REF_DRIVE_RMS,
+    ImpairmentConfig,
+    amplify_and_receive,
+    transmit_front_end,
+)
 from .presets import SAMPLE_RATE
 from .signals import ComplexBasebandSignal, OfdmFrameSpec, gen_ofdm_frames
 
@@ -239,7 +244,9 @@ def _ls_fit_columns(
     dropped = np.zeros(n_rhs)
     for start in range(0, n, FIT_BLOCK_ROWS):
         stop = min(start + FIT_BLOCK_ROWS, n)
-        block = np.empty((len(top) + stop - start, n_params + n_rhs), dtype=np.complex128)
+        block = np.empty(
+            (len(top) + stop - start, n_params + n_rhs), dtype=np.complex128, order="F"
+        )
         block[: len(top)] = top
         block[len(top) :, :n_params] = _regressor_rows(bases, start, stop, channel_len)
         block[len(top) :, n_params:] = rhs[start:stop]
@@ -299,7 +306,7 @@ def run_comparison(
     Residual-above-noise statistics are aggregated across the held-out
     frames (mean and one-standard-deviation spread).
     """
-    return _compare(x, [cfg], specs, seed, n_frames)
+    return _compare(x, cfg, [cfg.tx_power_dbm], specs, seed, n_frames)
 
 
 def run_sweep(
@@ -312,37 +319,44 @@ def run_sweep(
     """Run the canceller comparison at each transmit power.
 
     The transmit frames are generated once, scaled to the nominal DAC
-    drive and shared by every power, so each canceller is fitted at all
-    powers with one factorization. Reports come in (power, spec) order
-    and match :func:`run_comparison` at each power up to rounding.
+    drive and shared by every power, so the transmit front end runs once
+    and each canceller is fitted at all powers with one factorization.
+    Reports come in (power, spec) order and match :func:`run_comparison`
+    at each power up to rounding.
     """
     x = gen_ofdm_frames(frames, SAMPLE_RATE)
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
-    cfgs = [cfg.with_tx_power(power) for power in powers]
-    return _compare(x, cfgs, specs, seed, n_frames=frames.n_frames)
+    return _compare(x, cfg, powers, specs, seed, n_frames=frames.n_frames)
 
 
 def _compare(
     x: ComplexBasebandSignal,
-    cfgs: Sequence[ImpairmentConfig],
+    cfg: ImpairmentConfig,
+    powers: Sequence[float],
     specs: Sequence[CancellerSpec],
     seed: int,
     n_frames: int,
 ) -> list[SuppressionReport]:
-    """:func:`run_comparison` at every config in ``cfgs``, one LS solve per spec.
+    """:func:`run_comparison` of ``cfg`` at every transmit power in ``powers``.
 
-    Reports come in (config, spec) order. Neither the fit nor the scoring
-    builds a full-length regressor matrix: both walk the rows in blocks.
+    Only ``cfg.tx_power_dbm`` varies across ``powers``, so the transmit
+    front end runs once and only the amplifier and receiver run per power.
+    Each spec is fitted at every power with one LS factorization. Reports
+    come in (power, spec) order. Neither the fit nor the scoring builds a
+    full-length regressor matrix: both walk the rows in blocks.
     """
     if not specs:
         raise ValueError("specs must be nonempty")
+    if not powers:
+        raise ValueError("powers must be nonempty")
     if n_frames < 2:
         raise ValueError(
             f"a comparison needs at least 2 frames (one to train, one held out), "
             f"got {n_frames}"
         )
-    if not all(math.isfinite(cfg.chan.thermal_noise_dbfs) for cfg in cfgs):
+    if not math.isfinite(cfg.chan.thermal_noise_dbfs):
         raise ValueError("run_comparison requires a finite thermal noise floor")
+    cfgs = [cfg.with_tx_power(power) for power in powers]
 
     frame_len = len(x) // n_frames
     if frame_len < 1:
@@ -351,32 +365,38 @@ def _compare(
     n_train_frames = min(max(n_train_frames, 1), n_frames - 1)
     split = n_train_frames * frame_len
     usable = n_frames * frame_len
+    fit_len = min(split, MAX_TRAIN_SAMPLES)
 
-    # Simulate: keep only the received samples (one column per config) and
-    # the apparent floor; each chain's stage signals are dropped at once.
-    received = np.empty((len(x), len(cfgs)), dtype=np.complex128, order="F")
+    # Simulate: run the front end once, then the amplifier and receiver at
+    # each power. Keep only the received rows the fit reads (``train``,
+    # rows [0, fit_len)) and those the scoring reads (``held``, rows
+    # [split, usable)), one column per power, plus the apparent floor.
+    front = transmit_front_end(x, cfg, seed)
+    train = np.empty((fit_len, len(cfgs)), dtype=np.complex128, order="F")
+    held = np.empty((usable - split, len(cfgs)), dtype=np.complex128, order="F")
     floors = []
-    for k, cfg in enumerate(cfgs):
-        r, diag = simulate_received(x, cfg, seed)
-        received[:, k] = r.samples
+    for k, power_cfg in enumerate(cfgs):
+        r, diag = amplify_and_receive(front, power_cfg, seed)
+        train[:, k] = r.samples[:fit_len]
+        held[:, k] = r.samples[split:usable]
         extra = diag.noise[split:usable] + diag.quant_error[split:usable]
         floors.append(10.0 * math.log10(float(np.mean(np.abs(extra) ** 2))))
         del r, diag, extra
+    del front
 
-    # Fit: one factorization per spec, every config a right-hand side. The
+    # Fit: one factorization per spec, every power a right-hand side. The
     # fit reads only the training prefix of each basis.
-    fit_len = min(split, MAX_TRAIN_SAMPLES)
     x_train = x.with_samples(x.samples[:fit_len])
     fits = [
-        _ls_fit_columns(received[:fit_len], build_basis(x_train, spec), spec.channel_len)
+        _ls_fit_columns(train, build_basis(x_train, spec), spec.channel_len)
         for spec in specs
     ]
 
-    # Score: per held-out frame, the residual of every config at once is
+    # Score: per held-out frame, the residual of every power at once is
     # the received block minus its regressor rows times the coefficient
-    # matrix H (one column per config), so no full-length cancellation
+    # matrix H (one column per power), so no full-length cancellation
     # signal is formed.
-    noise_floors = 10.0 ** (np.array([cfg.chan.thermal_noise_dbfs for cfg in cfgs]) / 10.0)
+    noise_floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
     starts = range(split, usable, frame_len)
     per_frame_db = []
     for spec, spec_fits in zip(specs, fits):
@@ -385,20 +405,20 @@ def _compare(
         db = np.empty((len(cfgs), len(starts)))
         for i, start in enumerate(starts):
             stop = start + frame_len
-            residual = received[start:stop] - _regressor_rows(
+            residual = held[start - split : stop - split] - _regressor_rows(
                 bases, start, stop, spec.channel_len
             ) @ h
             power = np.mean(np.abs(residual) ** 2, axis=0)
-            db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floors)
+            db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floor)
         per_frame_db.append(db)
 
     reports = []
-    for k, cfg in enumerate(cfgs):
+    for k, power_cfg in enumerate(cfgs):
         for spec, spec_fits, db in zip(specs, fits, per_frame_db):
             reports.append(
                 SuppressionReport(
                     method=spec.label(),
-                    tx_power_dbm=cfg.tx_power_dbm,
+                    tx_power_dbm=power_cfg.tx_power_dbm,
                     residual_above_noise_db=float(np.mean(db[k])),
                     residual_above_noise_std_db=float(np.std(db[k])),
                     apparent_noise_floor_dbfs=floors[k],

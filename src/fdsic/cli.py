@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,20 +39,26 @@ _DEFAULT_NONLINEAR, _DEFAULT_JOINT = (
 def _parse_powers(text: str) -> list[float]:
     """Parse a power grid 'a:b:step' (inclusive) or a single value."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise ValueError(f"powers must be 'a:b:step' or a single value, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    if len(parts) not in (1, 3):
+        raise ValueError(f"--powers must be 'a:b:step' or a single value, got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"--powers must be numbers in dBm, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"--powers must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0:
-        raise ValueError("powers step must be positive")
+        raise ValueError(f"--powers step must be positive, got {text!r}")
     grid = []
     value = start
     while value <= stop + 1e-9:
         grid.append(round(value, 9))
         value += step
     if not grid:
-        raise ValueError(f"power grid {text!r} is empty")
+        raise ValueError(f"--powers grid {text!r} is empty")
     return grid
 
 

@@ -6,7 +6,9 @@ amplifier distortion, the self-interference channel with flat analog
 suppression, thermal noise, and a gain-ranged quantizing receiver.
 
 Stage order is fixed: DAC -> TX IQ -> phase noise -> PA -> channel ->
-RX IQ -> noise -> ADC. All randomness derives from an explicit seed via
+RX IQ -> noise -> ADC. The transmit power enters only at the PA drive, so
+the chain splits there into ``transmit_front_end`` and
+``amplify_and_receive``. All randomness derives from an explicit seed via
 named substreams.
 """
 
@@ -339,6 +341,35 @@ def apply_channel_and_receiver(
     return received, diag
 
 
+def transmit_front_end(
+    x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
+) -> ComplexBasebandSignal:
+    """DAC -> TX IQ -> phase noise: the stages before the power enters.
+
+    The output does not depend on ``cfg.tx_power_dbm``, so a power sweep
+    can run it once and feed it to :func:`amplify_and_receive` at every
+    power.
+    """
+    v = apply_dac(x, cfg.dac)
+    v = apply_iq(v, cfg.tx_iq)
+    return apply_phase_noise(v, cfg.pn, seed)
+
+
+def amplify_and_receive(
+    v: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
+) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
+    """Drive -> PA -> antenna reference -> channel and receiver.
+
+    ``v`` is the :func:`transmit_front_end` output; ``cfg.tx_power_dbm``
+    sets the amplifier drive. Returns what :func:`simulate_received` does.
+    """
+    drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+    v = apply_pa(v.with_samples(v.samples * drive), cfg.pa)
+    # Refer the amplifier output to the antenna: full drive <-> max power.
+    v = v.with_samples(v.samples * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
+    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, seed)
+
+
 def simulate_received(
     x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
 ) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
@@ -348,14 +379,7 @@ def simulate_received(
     units where mean power in dB reads as dBm) and the receiver
     diagnostics: noise, quantization error, clipping and AGC scale.
     """
-    v = apply_dac(x, cfg.dac)
-    v = apply_iq(v, cfg.tx_iq)
-    v = apply_phase_noise(v, cfg.pn, seed)
-    drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-    v = apply_pa(v.with_samples(v.samples * drive), cfg.pa)
-    # Refer the amplifier output to the antenna: full drive <-> max power.
-    v = v.with_samples(v.samples * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
-    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, seed)
+    return amplify_and_receive(transmit_front_end(x, cfg, seed), cfg, seed)
 
 
 # --- configuration file round trip ----------------------------------------

@@ -10,9 +10,9 @@ import pytest
 
 from helpers_oracles import cancel, dense_regressor, normal_equations_fit
 
+from fdsic import cancellers, impairments
 from fdsic.cancellers import (
     DEFAULT_SPECS,
-    MAX_TRAIN_SAMPLES,
     TRAIN_FRACTION,
     BasisSignal,
     CancellerMethod,
@@ -508,9 +508,47 @@ class TestRunSweep:
         assert len(calls) == len(DEFAULT_SPECS)
         assert all(shape[1] == len(powers) for shape in calls)
 
-    def test_blocked_scoring_matches_cancel_path(self):
+    def test_front_end_runs_once_per_sweep(self, monkeypatch):
+        calls = {"apply_dac": 0, "apply_phase_noise": 0, "apply_pa": 0}
+
+        def counting(name):
+            stage = getattr(impairments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return stage(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(impairments, name, counting(name))
+        powers = [-10.0, 6.0, 22.0]
+        reports = run_sweep(
+            load_preset("sweep_55db"),
+            powers,
+            DEFAULT_SPECS,
+            OfdmFrameSpec(n_frames=4, seed=41),
+            seed=42,
+        )
+        assert len(reports) == len(powers) * len(DEFAULT_SPECS)
+        assert calls == {"apply_dac": 1, "apply_phase_noise": 1, "apply_pa": 3}
+
+    def test_empty_power_list_rejected(self):
+        with pytest.raises(ValueError, match="powers must be nonempty"):
+            run_sweep(
+                load_preset("sweep_55db"), [], DEFAULT_SPECS, OfdmFrameSpec(n_frames=4), seed=0
+            )
+
+    @pytest.mark.parametrize(
+        "max_train", [None, 8192], ids=["fit-to-split", "rows-between-fit-and-split"]
+    )
+    def test_blocked_scoring_matches_cancel_path(self, monkeypatch, max_train):
         # Each report recomputed with the one-signal API: ls_estimate on the
-        # training prefix, cancel on the full signal, per-frame dB.
+        # training prefix, cancel on the full signal, per-frame dB. With a
+        # capped fit the received rows [fit_len, split) are read by neither
+        # the fit nor the scoring.
+        if max_train is not None:
+            monkeypatch.setattr(cancellers, "MAX_TRAIN_SAMPLES", max_train)
         cfg = load_preset("sweep_55db")
         frames = OfdmFrameSpec(n_frames=10, seed=39)
         powers = [-10.0, 22.0]
@@ -520,7 +558,8 @@ class TestRunSweep:
         x = x.with_samples(x.samples * REF_DRIVE_RMS)
         frame_len = len(x) // frames.n_frames
         split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
-        fit_len = min(split, MAX_TRAIN_SAMPLES)
+        fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
+        assert (fit_len < split) == (max_train is not None)
         x_train = x.with_samples(x.samples[:fit_len])
         expected = []
         for power in powers:

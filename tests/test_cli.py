@@ -158,6 +158,23 @@ class TestSweep:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "frames" in err and "got 1" in err
 
+    @pytest.mark.parametrize("powers", ["-10:22:nan", "abc"], ids=["nan", "unparsable"])
+    def test_bad_power_grid_is_clean_error(self, tmp_path, capsys, powers):
+        rc = main(
+            ["sweep", "--preset", "sweep_55db", f"--powers={powers}", "--frames", "4",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --powers ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "suppression.csv").exists()
+
+    def test_infinite_power_grid_is_rejected(self):
+        # Parsed directly, not through main: a parser that accepted the
+        # infinite stop would append to the grid until memory ran out.
+        with pytest.raises(ValueError, match="^--powers must be finite"):
+            _parse_powers("-10:inf:4")
+
     def test_unknown_method_lists_valid_names(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--preset", "sweep_55db", "--methods", "volterra",

@@ -17,6 +17,7 @@ from fdsic.impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     ReceiverDiagnostics,
+    amplify_and_receive,
     apply_channel_and_receiver,
     apply_dac,
     apply_iq,
@@ -27,6 +28,7 @@ from fdsic.impairments import (
     load_config,
     save_config,
     simulate_received,
+    transmit_front_end,
 )
 from fdsic.presets import PRESET_NAMES, load_preset
 from fdsic.signals import ComplexBasebandSignal, gen_tone, power_db
@@ -350,6 +352,25 @@ class TestSimulateReceived:
         assert diag.quant_error.shape == (len(sig),)
         assert isinstance(diag.clipped_samples, int)
         assert diag.agc_scale > 0
+
+    def test_is_front_end_then_amplify_and_receive(self):
+        cfg = load_preset("fig5_m10dbm")
+        assert cfg.pn.linewidth > 0 and np.any(cfg.tx_iq.delta)
+        sig = gen_tone(F_TONE, 0.2, 8192, FS)
+        r, diag = simulate_received(sig, cfg, seed=6)
+        r2, diag2 = amplify_and_receive(transmit_front_end(sig, cfg, seed=6), cfg, seed=6)
+        assert r.samples.tobytes() == r2.samples.tobytes()
+        assert diag.noise.tobytes() == diag2.noise.tobytes()
+        assert diag.quant_error.tobytes() == diag2.quant_error.tobytes()
+        assert diag.clipped_samples == diag2.clipped_samples
+        assert diag.agc_scale == diag2.agc_scale
+
+    def test_front_end_does_not_depend_on_tx_power(self):
+        cfg = load_preset("fig5_m10dbm")
+        sig = gen_tone(F_TONE, 0.2, 8192, FS)
+        low = transmit_front_end(sig, cfg.with_tx_power(-10.0), seed=6)
+        high = transmit_front_end(sig, cfg.with_tx_power(22.0), seed=6)
+        assert low.samples.tobytes() == high.samples.tobytes()
 
     def test_tx_power_range_enforced(self):
         cfg = identity_config()
