@@ -177,21 +177,23 @@ def build_basis(x: ComplexBasebandSignal, spec: CancellerSpec) -> list[BasisSign
 FIT_BLOCK_ROWS = 4096
 
 
-def _regressor_rows(
-    bases: list[BasisSignal], start: int, stop: int, taps: int
-) -> np.ndarray:
-    """Rows ``[start, stop)`` of the stacked causal Toeplitz regressor.
+def _fill_regressor(
+    out: np.ndarray, bases: list[BasisSignal], start: int, stop: int, taps: int
+) -> None:
+    """Write rows ``[start, stop)`` of the stacked causal Toeplitz regressor.
 
-    Column l of block b in row n is ``basis_b[n - l]``, zero before sample 0.
+    Column ``b * taps + l`` of row n is ``basis_b[n - l]``, zero before
+    sample 0. ``out`` is the caller's column-major ``(stop - start) x
+    len(bases) * taps`` buffer, so the fit and the scoring reuse one buffer
+    for every block; each column is one contiguous copy of a basis window.
     """
-    rows = np.empty((stop - start, len(bases) * taps), dtype=np.complex128)
     first = start - taps + 1
-    history = np.zeros(max(-first, 0), dtype=np.complex128)
     for b, basis in enumerate(bases):
-        padded = np.concatenate([history, basis.samples[max(first, 0) : stop]])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
-        rows[:, b * taps : (b + 1) * taps] = windows[:, ::-1]
-    return rows
+        seg = basis.samples[max(first, 0) : stop]
+        if first < 0:
+            seg = np.concatenate([np.zeros(-first, dtype=np.complex128), seg])
+        for lag in range(taps):
+            out[:, b * taps + lag] = seg[taps - 1 - lag : taps - 1 - lag + stop - start]
 
 
 def ls_estimate(
@@ -215,7 +217,11 @@ def _ls_fit_columns(
     The training rows of ``[A | rhs]`` are streamed in blocks of
     ``FIT_BLOCK_ROWS``: each block is stacked under the ``n_params``
     carried rows ``[R11 | R12]`` of the triangular factor and reduced by
-    QR again, so no full-length regressor ``A`` is ever built. The rows
+    QR again, so no full-length regressor ``A`` is ever built. One
+    column-major buffer of ``n_params + FIT_BLOCK_ROWS`` rows serves every
+    step: :func:`_fill_regressor` writes the block's regressor rows below
+    the carried rows column by column, the right-hand sides follow, and
+    the new factor's leading rows are written back to the top. The rows
     the QR leaves below ``n_params`` are zero in the regressor columns:
     their energy is residual that no fit explains, and it is added per
     column. One SVD-based ``lstsq`` of ``R11 h = R12`` at the dense
@@ -240,21 +246,24 @@ def _ls_fit_columns(
         if basis.samples.size < n:
             raise ValueError(f"basis {basis.label!r} shorter than received signal")
 
-    top = np.empty((0, n_params + n_rhs), dtype=np.complex128)
+    buf = np.empty(
+        (n_params + min(FIT_BLOCK_ROWS, n), n_params + n_rhs),
+        dtype=np.complex128,
+        order="F",
+    )
+    carried = 0
     dropped = np.zeros(n_rhs)
     for start in range(0, n, FIT_BLOCK_ROWS):
         stop = min(start + FIT_BLOCK_ROWS, n)
-        block = np.empty(
-            (len(top) + stop - start, n_params + n_rhs), dtype=np.complex128, order="F"
-        )
-        block[: len(top)] = top
-        block[len(top) :, :n_params] = _regressor_rows(bases, start, stop, channel_len)
-        block[len(top) :, n_params:] = rhs[start:stop]
-        r = np.linalg.qr(block, mode="r")
-        top = r[:n_params]
+        rows = carried + stop - start
+        _fill_regressor(buf[carried:rows, :n_params], bases, start, stop, channel_len)
+        buf[carried:rows, n_params:] = rhs[start:stop]
+        r = np.linalg.qr(buf[:rows], mode="r")
+        carried = min(len(r), n_params)
+        buf[:carried] = r[:carried]
         dropped += np.sum(np.abs(r[n_params:, n_params:]) ** 2, axis=0)
 
-    r11, r12 = top[:, :n_params], top[:, n_params:]
+    r11, r12 = r[:n_params, :n_params], r[:n_params, n_params:]
     coeffs, _, rank, singular = np.linalg.lstsq(
         r11, r12, rcond=np.finfo(np.float64).eps * max(n, n_params)
     )
@@ -395,19 +404,24 @@ def _compare(
     # Score: per held-out frame, the residual of every power at once is
     # the received block minus its regressor rows times the coefficient
     # matrix H (one column per power), so no full-length cancellation
-    # signal is formed.
+    # signal is formed. The scoring bases cover only the held-out rows and
+    # the taps - 1 samples of history before them (the fit has already
+    # checked split >= 4 * taps, so that history exists); each frame's
+    # regressor rows are written into one column-major buffer per spec.
     noise_floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
     starts = range(split, usable, frame_len)
     per_frame_db = []
     for spec, spec_fits in zip(specs, fits):
-        bases = build_basis(x, spec)
+        first = split - spec.channel_len + 1
+        bases = build_basis(x.with_samples(x.samples[first:usable]), spec)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
+        rows = np.empty((frame_len, h.shape[0]), dtype=np.complex128, order="F")
         db = np.empty((len(cfgs), len(starts)))
         for i, start in enumerate(starts):
-            stop = start + frame_len
-            residual = held[start - split : stop - split] - _regressor_rows(
-                bases, start, stop, spec.channel_len
-            ) @ h
+            _fill_regressor(
+                rows, bases, start - first, start - first + frame_len, spec.channel_len
+            )
+            residual = held[start - split : start - split + frame_len] - rows @ h
             power = np.mean(np.abs(residual) ** 2, axis=0)
             db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floor)
         per_frame_db.append(db)

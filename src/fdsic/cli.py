@@ -23,7 +23,14 @@ from pathlib import Path
 
 from .analysis import BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
 from .cancellers import DEFAULT_SPECS, CancellerMethod, CancellerSpec, run_sweep
-from .impairments import ImpairmentConfig, config_to_dict, load_config, simulate_received
+from .impairments import (
+    MAX_TX_POWER_DBM,
+    MIN_TX_POWER_DBM,
+    ImpairmentConfig,
+    config_to_dict,
+    load_config,
+    simulate_received,
+)
 from .presets import PRESET_NAMES, SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from .signals import OfdmFrameSpec, gen_tone, read_iq, write_iq
 from .spectral import spectrum, write_spectrum_csv
@@ -37,7 +44,13 @@ _DEFAULT_NONLINEAR, _DEFAULT_JOINT = (
 
 
 def _parse_powers(text: str) -> list[float]:
-    """Parse a power grid 'a:b:step' (inclusive) or a single value."""
+    """Parse a power grid 'a:b:step' (inclusive) or a single value.
+
+    The endpoints must lie in the transmit power range the impairment
+    models accept, and the step must be at least 0.001 dB, the resolution
+    of ``tx_power_dbm`` in suppression.csv (a finer step only writes
+    duplicate rows), so the grid is bounded before it is built.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValueError(f"--powers must be 'a:b:step' or a single value, got {text!r}")
@@ -47,11 +60,16 @@ def _parse_powers(text: str) -> list[float]:
         raise ValueError(f"--powers must be numbers in dBm, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"--powers must be finite, got {text!r}")
+    if not all(MIN_TX_POWER_DBM <= v <= MAX_TX_POWER_DBM for v in values[:2]):
+        raise ValueError(
+            f"--powers must lie in [{MIN_TX_POWER_DBM:g}, {MAX_TX_POWER_DBM:g}] dBm, "
+            f"got {text!r}"
+        )
     if len(values) == 1:
         return values
     start, stop, step = values
-    if step <= 0:
-        raise ValueError(f"--powers step must be positive, got {text!r}")
+    if step < 0.001:
+        raise ValueError(f"--powers step must be at least 0.001 dB, got {text!r}")
     grid = []
     value = start
     while value <= stop + 1e-9:

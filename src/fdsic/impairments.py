@@ -30,6 +30,9 @@ from .signals import ComplexBasebandSignal, fir_convolve
 # drives the amplifier model at unit RMS for the nominal digital drive.
 MAX_TX_POWER_DBM = 22.0
 
+# Lowest transmit power the impairment models are calibrated for.
+MIN_TX_POWER_DBM = -10.0
+
 # Nominal RMS of the digital baseband drive at the DAC input: multi-tone
 # frames are scaled to it before the chain. The power sweep scales the RF
 # drive, not the DAC input, so baseband distortion levels stay fixed
@@ -221,9 +224,10 @@ class ImpairmentConfig:
     tx_power_dbm: float = -10.0
 
     def __post_init__(self):
-        if not (-10.0 <= self.tx_power_dbm <= MAX_TX_POWER_DBM):
+        if not (MIN_TX_POWER_DBM <= self.tx_power_dbm <= MAX_TX_POWER_DBM):
             raise ValueError(
-                f"tx_power_dbm must lie in [-10, {MAX_TX_POWER_DBM}], got {self.tx_power_dbm}"
+                f"tx_power_dbm must lie in [{MIN_TX_POWER_DBM:g}, {MAX_TX_POWER_DBM}], "
+                f"got {self.tx_power_dbm}"
             )
 
     def with_tx_power(self, tx_power_dbm: float) -> "ImpairmentConfig":

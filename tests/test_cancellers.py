@@ -17,6 +17,7 @@ from fdsic.cancellers import (
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
+    _fill_regressor,
     _ls_fit_columns,
     build_basis,
     ls_estimate,
@@ -200,6 +201,30 @@ class TestBatchedFit:
         )
         fits = self.assert_matches_per_column(rhs, bases, 4)
         assert all(fit.rank < fit.n_params for fit in fits)
+
+
+class TestFillRegressor:
+    """The in-place regressor writer against the dense Toeplitz oracle."""
+
+    @pytest.mark.parametrize(
+        "start, stop", [(0, 5), (3, 40), (4096, 8192), (8190, 9000)]
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CancellerSpec(CancellerMethod.LINEAR),
+            CancellerSpec(CancellerMethod.WIDELY_LINEAR),
+            CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
+        ],
+        ids=lambda spec: spec.method.value,
+    )
+    def test_matches_dense_regressor_rows(self, spec, start, stop):
+        # [0, 5) and [3, 40) start inside the zero history before sample 0.
+        bases = build_basis(random_signal(9000, 55), spec)
+        taps = spec.channel_len
+        out = np.empty((stop - start, len(bases) * taps), dtype=np.complex128, order="F")
+        _fill_regressor(out, bases, start, stop, taps)
+        assert np.array_equal(out, dense_regressor(bases, 9000, taps)[start:stop])
 
 
 class TestStreamedFit:
@@ -538,6 +563,29 @@ class TestRunSweep:
             run_sweep(
                 load_preset("sweep_55db"), [], DEFAULT_SPECS, OfdmFrameSpec(n_frames=4), seed=0
             )
+
+    def test_scoring_bases_cover_only_held_rows(self, monkeypatch):
+        lengths = []
+        build = cancellers.build_basis
+
+        def recording_build_basis(x, spec):
+            lengths.append(len(x))
+            return build(x, spec)
+
+        monkeypatch.setattr(cancellers, "build_basis", recording_build_basis)
+        frames = OfdmFrameSpec(n_frames=10, seed=43)
+        run_sweep(load_preset("sweep_55db"), [-10.0, 22.0], DEFAULT_SPECS, frames, seed=44)
+
+        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        frame_len = len(x) // frames.n_frames
+        split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
+        usable = frames.n_frames * frame_len
+        fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
+        # All fits first, then each spec's scoring bases: the held-out rows
+        # plus the taps - 1 samples of history before them.
+        assert lengths == [fit_len] * len(DEFAULT_SPECS) + [
+            usable - split + spec.channel_len - 1 for spec in DEFAULT_SPECS
+        ]
 
     @pytest.mark.parametrize(
         "max_train", [None, 8192], ids=["fit-to-split", "rows-between-fit-and-split"]

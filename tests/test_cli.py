@@ -158,7 +158,11 @@ class TestSweep:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "frames" in err and "got 1" in err
 
-    @pytest.mark.parametrize("powers", ["-10:22:nan", "abc"], ids=["nan", "unparsable"])
+    @pytest.mark.parametrize(
+        "powers",
+        ["-10:22:nan", "abc", "-20:22:4", "23"],
+        ids=["nan", "unparsable", "start-below-range", "above-range"],
+    )
     def test_bad_power_grid_is_clean_error(self, tmp_path, capsys, powers):
         rc = main(
             ["sweep", "--preset", "sweep_55db", f"--powers={powers}", "--frames", "4",
@@ -174,6 +178,12 @@ class TestSweep:
         # infinite stop would append to the grid until memory ran out.
         with pytest.raises(ValueError, match="^--powers must be finite"):
             _parse_powers("-10:inf:4")
+
+    def test_sub_resolution_power_step_is_rejected(self):
+        # Parsed directly, not through main: a parser that accepted the step
+        # would build a grid of about 3.2e10 powers before any check.
+        with pytest.raises(ValueError, match="^--powers step must be at least 0.001 dB"):
+            _parse_powers("-10:22:1e-9")
 
     def test_unknown_method_lists_valid_names(self, tmp_path, capsys):
         rc = main(
