@@ -46,6 +46,7 @@ from .impairments import (
     load_config,
     save_config,
     simulate_received,
+    thermal_noise,
     transmit_front_end,
 )
 from .presets import load_preset

@@ -65,11 +65,35 @@ def verify_harmonics(
     counterpart by ``margin_db`` or the counterpart sits at the floor;
     even orders pass when both lines are present and agree within
     ``equal_power_tol_db``. The tone must be coherently placed (its
-    frequency on the spectrum bin grid).
+    frequency on the spectrum bin grid) and nonzero, every predicted line
+    up to ``m_max`` must lie inside the sampled band ``|freq| < fs/2``
+    (its counterpart, the sign-flipped line, then does too), and the
+    margins must be finite; otherwise no order is checked and
+    ``ValueError`` is raised.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    for name, value in (
+        ("margin_db", margin_db),
+        ("equal_power_tol_db", equal_power_tol_db),
+        ("floor_margin_db", floor_margin_db),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not (math.isfinite(f) and f != 0.0):
+        raise ValueError(f"tone frequency must be finite and nonzero, got {f} Hz")
     spacing = spec.bin_spacing
+    # The bins of an FFT spectrum span [-fs/2, fs/2); a line at or beyond
+    # fs/2 would be read from the band edge or from its alias.
+    nyquist = len(spec.bin_freqs) * spacing / 2.0
+    predictions = [predict_harmonics(m, f) for m in range(1, m_max + 1)]
+    for prediction in predictions:
+        for freq in prediction.frequencies:
+            if abs(freq) >= nyquist:
+                raise ValueError(
+                    f"harmonic order {prediction.order} lies at {freq:g} Hz, outside "
+                    f"the sampled band +-{nyquist:g} Hz"
+                )
     for target in (f, -f):
         offset = abs(spec.bin_freqs[spec.nearest_bin(target)] - target)
         if offset > spacing / 100.0:
@@ -86,8 +110,7 @@ def verify_harmonics(
     floor_line_db = floor_db + 10.0 * math.log10(lobe_bins) + floor_margin_db
 
     checks = []
-    for m in range(1, m_max + 1):
-        prediction = predict_harmonics(m, f)
+    for prediction in predictions:
         measured = tuple(measure_line_db(spec, freq) - carrier_db for freq in prediction.frequencies)
         counterparts = tuple(-freq for freq in prediction.frequencies)
         counterpart_db = tuple(
@@ -109,7 +132,7 @@ def verify_harmonics(
             )
         checks.append(
             HarmonicCheck(
-                order=m,
+                order=prediction.order,
                 predicted_freqs=prediction.frequencies,
                 measured_dbc=measured,
                 counterpart_dbc=counterpart_db,

@@ -29,6 +29,7 @@ from .impairments import (
     REF_DRIVE_RMS,
     ImpairmentConfig,
     amplify_and_receive,
+    thermal_noise,
     transmit_front_end,
 )
 from .presets import SAMPLE_RATE
@@ -292,6 +293,26 @@ def _ls_fit_columns(
     return fits
 
 
+def _block_operator(h: np.ndarray, n_bases: int, taps: int) -> np.ndarray:
+    """The ``taps`` outputs of a causal FIR block as one matrix product.
+
+    Output ``p`` of a block reads input samples ``p - taps + 1 .. p`` of
+    each basis. A row that holds, for each basis in order, the
+    ``2 * taps`` input samples from ``taps - 1`` before the block's first
+    output on, times the returned ``(2 * taps * n_bases) x (taps * n_rhs)``
+    matrix, gives the block's outputs for every column of ``h`` in
+    ``(p, k)`` order: its entry at row ``(b, m)``, column ``(p, k)`` is
+    ``h[b*taps + taps-1-(m-p), k]`` when ``0 <= m - p < taps``, else 0.
+    ``h`` holds ``taps`` coefficients per basis in basis order, one column
+    per right-hand side.
+    """
+    lag = np.arange(2 * taps)[:, np.newaxis] - np.arange(taps)
+    inside = (lag >= 0) & (lag < taps)
+    g = h.reshape(n_bases, taps, h.shape[1])[:, np.where(inside, taps - 1 - lag, 0)]
+    g[:, ~inside] = 0.0
+    return g.reshape(2 * taps * n_bases, taps * h.shape[1])
+
+
 # Fitting more training rows than this buys no measurable accuracy for the
 # sweep scenarios but dominates runtime, so run_comparison caps the fit.
 MAX_TRAIN_SAMPLES = 65536
@@ -349,10 +370,11 @@ def _compare(
     """:func:`run_comparison` of ``cfg`` at every transmit power in ``powers``.
 
     Only ``cfg.tx_power_dbm`` varies across ``powers``, so the transmit
-    front end runs once and only the amplifier and receiver run per power.
-    Each spec is fitted at every power with one LS factorization. Reports
-    come in (power, spec) order. Neither the fit nor the scoring builds a
-    full-length regressor matrix: both walk the rows in blocks.
+    front end runs and the thermal noise is drawn once, and only the
+    amplifier and receiver run per power. Each spec is fitted at every
+    power with one LS factorization. Reports come in (power, spec) order.
+    Neither the fit nor the scoring builds a full-length regressor matrix:
+    the fit walks the rows in blocks, the scoring the held-out frames.
     """
     if not specs:
         raise ValueError("specs must be nonempty")
@@ -376,22 +398,24 @@ def _compare(
     usable = n_frames * frame_len
     fit_len = min(split, MAX_TRAIN_SAMPLES)
 
-    # Simulate: run the front end once, then the amplifier and receiver at
-    # each power. Keep only the received rows the fit reads (``train``,
-    # rows [0, fit_len)) and those the scoring reads (``held``, rows
-    # [split, usable)), one column per power, plus the apparent floor.
+    # Simulate: run the front end and draw the noise once, then the
+    # amplifier and receiver at each power. Keep only the received rows the
+    # fit reads (``train``, rows [0, fit_len)) and those the scoring reads
+    # (``held``, rows [split, usable)), one column per power, plus the
+    # apparent floor.
     front = transmit_front_end(x, cfg, seed)
+    noise = thermal_noise(len(x), cfg.chan, seed)
     train = np.empty((fit_len, len(cfgs)), dtype=np.complex128, order="F")
     held = np.empty((usable - split, len(cfgs)), dtype=np.complex128, order="F")
     floors = []
     for k, power_cfg in enumerate(cfgs):
-        r, diag = amplify_and_receive(front, power_cfg, seed)
+        r, diag = amplify_and_receive(front, power_cfg, noise)
         train[:, k] = r.samples[:fit_len]
         held[:, k] = r.samples[split:usable]
         extra = diag.noise[split:usable] + diag.quant_error[split:usable]
         floors.append(10.0 * math.log10(float(np.mean(np.abs(extra) ** 2))))
         del r, diag, extra
-    del front
+    del front, noise
 
     # Fit: one factorization per spec, every power a right-hand side. The
     # fit reads only the training prefix of each basis.
@@ -402,26 +426,37 @@ def _compare(
     ]
 
     # Score: per held-out frame, the residual of every power at once is
-    # the received block minus its regressor rows times the coefficient
-    # matrix H (one column per power), so no full-length cancellation
-    # signal is formed. The scoring bases cover only the held-out rows and
-    # the taps - 1 samples of history before them (the fit has already
-    # checked split >= 4 * taps, so that history exists); each frame's
-    # regressor rows are written into one column-major buffer per spec.
+    # the received block minus the frame's reconstruction at every power,
+    # so no full-length cancellation signal is formed. The scoring bases
+    # cover only the held-out rows and the taps - 1 samples of history
+    # before them (the fit has already checked split >= 4 * taps, so that
+    # history exists). Output block i (samples [i*taps, (i+1)*taps) of the
+    # frame) reads only history blocks i and i + 1 of each basis, so the
+    # reconstruction is one product of those block pairs, side by side in
+    # ``pairs``, with the spec's block operator (see _block_operator).
     noise_floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
-    starts = range(split, usable, frame_len)
+    offsets = range(0, usable - split, frame_len)
     per_frame_db = []
     for spec, spec_fits in zip(specs, fits):
-        first = split - spec.channel_len + 1
+        taps = spec.channel_len
+        first = split - taps + 1
         bases = build_basis(x.with_samples(x.samples[first:usable]), spec)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
-        rows = np.empty((frame_len, h.shape[0]), dtype=np.complex128, order="F")
-        db = np.empty((len(cfgs), len(starts)))
-        for i, start in enumerate(starts):
-            _fill_regressor(
-                rows, bases, start - first, start - first + frame_len, spec.channel_len
-            )
-            residual = held[start - split : start - split + frame_len] - rows @ h
+        g = _block_operator(h, len(bases), taps)
+        n_blocks = -(-frame_len // taps)
+        history = np.zeros((n_blocks + 1) * taps, dtype=np.complex128)
+        blocks = history.reshape(n_blocks + 1, taps)
+        pairs = np.empty((n_blocks, 2 * taps * len(bases)), dtype=np.complex128)
+        db = np.empty((len(cfgs), len(offsets)))
+        for i, offset in enumerate(offsets):
+            for b, basis in enumerate(bases):
+                history[: frame_len + taps - 1] = basis.samples[
+                    offset : offset + frame_len + taps - 1
+                ]
+                pairs[:, 2 * b * taps : (2 * b + 1) * taps] = blocks[:-1]
+                pairs[:, (2 * b + 1) * taps : (2 * b + 2) * taps] = blocks[1:]
+            estimate = (pairs @ g).reshape(n_blocks * taps, len(cfgs))[:frame_len]
+            residual = held[offset : offset + frame_len] - estimate
             power = np.mean(np.abs(residual) ** 2, axis=0)
             db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floor)
         per_frame_db.append(db)

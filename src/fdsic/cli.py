@@ -134,8 +134,8 @@ def cmd_tone_test(args) -> int:
     tone = gen_tone(args.freq, TONE_AMPLITUDE, n_fft * args.segments, SAMPLE_RATE)
     received, diag = simulate_received(tone, cfg, args.seed)
     spec = spectrum(received, n_fft=n_fft)
-    write_spectrum_csv(spec, out_dir / "spectrum.csv")
     checks = verify_harmonics(spec, args.freq, m_max=args.m_max, margin_db=args.margin)
+    write_spectrum_csv(spec, out_dir / "spectrum.csv")
     write_harmonics_csv(checks, out_dir / "harmonics.csv")
     write_iq(received, out_dir / "capture.iq")
     _write_manifest(

@@ -9,7 +9,10 @@ Stage order is fixed: DAC -> TX IQ -> phase noise -> PA -> channel ->
 RX IQ -> noise -> ADC. The transmit power enters only at the PA drive, so
 the chain splits there into ``transmit_front_end`` and
 ``amplify_and_receive``. All randomness derives from an explicit seed via
-named substreams.
+named substreams. The receiver's thermal noise does not depend on the
+transmit power either: ``thermal_noise`` draws it, and
+``amplify_and_receive`` takes the drawn array, so a power sweep draws it
+once and adds the same noise at every power.
 """
 
 from __future__ import annotations
@@ -295,25 +298,37 @@ class ReceiverDiagnostics:
     agc_scale: float
 
 
+def thermal_noise(n: int, chan: ChannelAndReceiver, seed: int) -> np.ndarray:
+    """``n`` samples of the receiver's complex Gaussian thermal noise.
+
+    The power is ``chan.thermal_noise_dbfs`` (zeros when it is ``-inf``),
+    drawn from the seed's ``thermal-noise`` substream.
+    """
+    if not math.isfinite(chan.thermal_noise_dbfs):
+        return np.zeros(n, dtype=np.complex128)
+    noise_rms = 10.0 ** (chan.thermal_noise_dbfs / 20.0)
+    rng = substream(seed, "thermal-noise")
+    return (noise_rms / math.sqrt(2.0)) * (
+        rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+
+
 def apply_channel_and_receiver(
     x: ComplexBasebandSignal,
     chan: ChannelAndReceiver,
     rx_iq: IqImbalance,
-    seed: int,
+    noise: np.ndarray,
 ) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
-    """Suppression, SI channel, RX IQ imbalance, noise, and gain-ranged ADC."""
+    """Suppression, SI channel, RX IQ imbalance, noise, and gain-ranged ADC.
+
+    ``noise`` is the receiver noise added ahead of the converter, one
+    sample per sample of ``x``: :func:`thermal_noise` of ``len(x)``.
+    """
+    if len(noise) != len(x):
+        raise ValueError(f"noise has {len(noise)} samples, the signal {len(x)}")
     attenuated = x.samples * 10.0 ** (-chan.analog_suppression_db / 20.0)
     through = fir_convolve(x.with_samples(attenuated), chan.h_si)
     clean = apply_iq(through, rx_iq)
-
-    if math.isfinite(chan.thermal_noise_dbfs):
-        noise_rms = 10.0 ** (chan.thermal_noise_dbfs / 20.0)
-        rng = substream(seed, "thermal-noise")
-        noise = (noise_rms / math.sqrt(2.0)) * (
-            rng.standard_normal(len(clean)) + 1j * rng.standard_normal(len(clean))
-        )
-    else:
-        noise = np.zeros(len(clean), dtype=np.complex128)
     analog = clean.samples + noise
 
     rms = math.sqrt(float(np.mean(np.abs(analog) ** 2)))
@@ -360,18 +375,20 @@ def transmit_front_end(
 
 
 def amplify_and_receive(
-    v: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
+    v: ComplexBasebandSignal, cfg: ImpairmentConfig, noise: np.ndarray
 ) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
     """Drive -> PA -> antenna reference -> channel and receiver.
 
     ``v`` is the :func:`transmit_front_end` output; ``cfg.tx_power_dbm``
-    sets the amplifier drive. Returns what :func:`simulate_received` does.
+    sets the amplifier drive. ``noise`` is the receiver noise,
+    :func:`thermal_noise` of ``len(v)``, which does not depend on the
+    power either. Returns what :func:`simulate_received` does.
     """
     drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
     v = apply_pa(v.with_samples(v.samples * drive), cfg.pa)
     # Refer the amplifier output to the antenna: full drive <-> max power.
     v = v.with_samples(v.samples * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
-    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, seed)
+    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, noise)
 
 
 def simulate_received(
@@ -383,7 +400,8 @@ def simulate_received(
     units where mean power in dB reads as dBm) and the receiver
     diagnostics: noise, quantization error, clipping and AGC scale.
     """
-    return amplify_and_receive(transmit_front_end(x, cfg, seed), cfg, seed)
+    noise = thermal_noise(len(x), cfg.chan, seed)
+    return amplify_and_receive(transmit_front_end(x, cfg, seed), cfg, noise)
 
 
 # --- configuration file round trip ----------------------------------------

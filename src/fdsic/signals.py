@@ -158,8 +158,13 @@ def fir_convolve(signal: ComplexBasebandSignal, taps) -> ComplexBasebandSignal:
     taps = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
     if taps.size < 1 or taps.ndim != 1:
         raise ValueError("taps must be a nonempty 1-D sequence")
-    full = np.convolve(signal.samples, taps)
-    return signal.with_samples(full[: len(signal)])
+    # Shift and add, one vector pass per tap: the filters here are short,
+    # and np.convolve makes one dot-product call per output sample.
+    x = signal.samples
+    out = x * taps[0]
+    for k in range(1, taps.size):
+        out[k:] += x[:-k] * taps[k]
+    return signal.with_samples(out)
 
 
 def power_db(signal: ComplexBasebandSignal) -> float:

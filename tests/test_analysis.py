@@ -1,6 +1,7 @@
 """Tests for the harmonic predictor, spectrum verification, and budget."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,30 @@ class TestVerifyHarmonics:
         spec = spectrum(sig, n_fft=4096)
         with pytest.raises(ValueError, match="coherent"):
             verify_harmonics(spec, 1.0e6, m_max=2)
+
+    @pytest.mark.parametrize(
+        "freq, m_max, order, line",
+        [(30e6, 2, 2, "-6e+07"), (15e6, 3, 3, "-4.5e+07"), (20e6, 2, 2, "-4e+07")],
+        ids=["even-order", "odd-order", "at-nyquist"],
+    )
+    def test_line_outside_sampled_band_rejected(self, freq, m_max, order, line):
+        # fs = 80 MHz: a line at or beyond +-40 MHz has no bin of its own.
+        spec = spectrum(gen_tone(freq, 0.5, 4096 * 4, SAMPLE_RATE), n_fft=4096)
+        assert len(verify_harmonics(spec, freq, m_max=m_max - 1)) == m_max - 1
+        with pytest.raises(ValueError, match=re.escape(f"order {order} lies at {line} Hz")):
+            verify_harmonics(spec, freq, m_max=m_max)
+
+    def test_tone_at_dc_rejected(self):
+        spec = self.make_spectrum(DacNonlinearity.identity())
+        with pytest.raises(ValueError, match="nonzero"):
+            verify_harmonics(spec, 0.0, m_max=3)
+
+    @pytest.mark.parametrize("name", ["margin_db", "equal_power_tol_db", "floor_margin_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_margin_rejected(self, name, value):
+        spec = self.make_spectrum(DacNonlinearity.identity())
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            verify_harmonics(spec, TONE_FREQ, m_max=3, **{name: value})
 
     def test_csv_export(self, tmp_path):
         spec = self.make_spectrum(DacNonlinearity([1, 1e-3], [1, 1e-3]))

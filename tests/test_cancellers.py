@@ -558,6 +558,26 @@ class TestRunSweep:
         assert len(reports) == len(powers) * len(DEFAULT_SPECS)
         assert calls == {"apply_dac": 1, "apply_phase_noise": 1, "apply_pa": 3}
 
+    def test_thermal_noise_drawn_once_per_sweep(self, monkeypatch):
+        names = []
+        substream = impairments.substream
+
+        def recording_substream(seed, name):
+            names.append(name)
+            return substream(seed, name)
+
+        monkeypatch.setattr(impairments, "substream", recording_substream)
+        powers = [-10.0, 6.0, 22.0]
+        reports = run_sweep(
+            load_preset("sweep_55db"),
+            powers,
+            DEFAULT_SPECS,
+            OfdmFrameSpec(n_frames=4, seed=45),
+            seed=46,
+        )
+        assert len(reports) == len(powers) * len(DEFAULT_SPECS)
+        assert names.count("thermal-noise") == 1
+
     def test_empty_power_list_rejected(self):
         with pytest.raises(ValueError, match="powers must be nonempty"):
             run_sweep(
@@ -588,19 +608,24 @@ class TestRunSweep:
         ]
 
     @pytest.mark.parametrize(
-        "max_train", [None, 8192], ids=["fit-to-split", "rows-between-fit-and-split"]
+        "max_train, channel_len",
+        [(None, 32), (8192, 32), (None, 1), (None, 7), (None, 20)],
+        ids=["fit-to-split", "rows-between-fit-and-split", "taps-1", "taps-7", "taps-20"],
     )
-    def test_blocked_scoring_matches_cancel_path(self, monkeypatch, max_train):
+    def test_blocked_scoring_matches_cancel_path(self, monkeypatch, max_train, channel_len):
         # Each report recomputed with the one-signal API: ls_estimate on the
         # training prefix, cancel on the full signal, per-frame dB. With a
         # capped fit the received rows [fit_len, split) are read by neither
-        # the fit nor the scoring.
+        # the fit nor the scoring. Of the channel lengths, only 1 and 32
+        # divide the 4096-sample frame, so the scoring's last block of
+        # taps outputs overhangs the frame for 7 and 20.
         if max_train is not None:
             monkeypatch.setattr(cancellers, "MAX_TRAIN_SAMPLES", max_train)
+        specs = [dataclasses.replace(spec, channel_len=channel_len) for spec in DEFAULT_SPECS]
         cfg = load_preset("sweep_55db")
         frames = OfdmFrameSpec(n_frames=10, seed=39)
         powers = [-10.0, 22.0]
-        reports = run_sweep(cfg, powers, DEFAULT_SPECS, frames, seed=40)
+        reports = run_sweep(cfg, powers, specs, frames, seed=40)
 
         x = gen_ofdm_frames(frames, SAMPLE_RATE)
         x = x.with_samples(x.samples * REF_DRIVE_RMS)
@@ -614,7 +639,7 @@ class TestRunSweep:
             power_cfg = cfg.with_tx_power(power)
             r, _ = simulate_received(x, power_cfg, 40)
             floor = 10.0 ** (power_cfg.chan.thermal_noise_dbfs / 10.0)
-            for spec in DEFAULT_SPECS:
+            for spec in specs:
                 fit = ls_estimate(
                     r.with_samples(r.samples[:fit_len]),
                     build_basis(x_train, spec),
@@ -631,7 +656,9 @@ class TestRunSweep:
                 expected.append((np.mean(per_frame), np.std(per_frame), fit))
 
         assert len(reports) == len(expected)
-        assert any(rep.fit.rank < rep.fit.n_params for rep in reports)
+        # The 32-tap joint fit on 10 frames is rank-deficient; the shorter
+        # channels are full rank.
+        assert any(rep.fit.rank < rep.fit.n_params for rep in reports) == (channel_len == 32)
         for rep, (mean, std, fit) in zip(reports, expected):
             assert rep.residual_above_noise_db == pytest.approx(mean, abs=1e-9)
             assert rep.residual_above_noise_std_db == pytest.approx(std, abs=1e-9)

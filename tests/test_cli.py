@@ -45,6 +45,23 @@ class TestToneTest:
         clipped = manifest["args"]["clipped_samples"]
         assert isinstance(clipped, int) and clipped == 0
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--freq=30e6", "harmonic order 2 lies at -6e+07 Hz"),
+            ("--freq=0", "tone frequency must be finite and nonzero"),
+            ("--margin=nan", "margin_db must be finite"),
+        ],
+        ids=["order-outside-band", "tone-at-dc", "nan-margin"],
+    )
+    def test_unverifiable_check_is_clean_error(self, tmp_path, capsys, flag, message):
+        rc = main(["tone-test", "--preset", "fig5_m10dbm", "--segments", "2", flag,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not any(tmp_path.iterdir())
+
     def test_requires_config_or_preset(self, tmp_path, capsys):
         rc = main(["tone-test", "--out", str(tmp_path)])
         assert rc == 1

@@ -28,6 +28,7 @@ from fdsic.impairments import (
     load_config,
     save_config,
     simulate_received,
+    thermal_noise,
     transmit_front_end,
 )
 from fdsic.presets import PRESET_NAMES, load_preset
@@ -266,7 +267,9 @@ class TestChannelAndReceiver:
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=24
         )
-        out, diag = apply_channel_and_receiver(sig, chan, IqImbalance.identity(), seed=1)
+        out, diag = apply_channel_and_receiver(
+            sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 1)
+        )
         err = np.mean(np.abs(out.samples - sig.samples) ** 2) / np.mean(np.abs(sig.samples) ** 2)
         assert 10 * np.log10(err) < -120.0
         assert diag.clipped_samples == 0
@@ -279,7 +282,9 @@ class TestChannelAndReceiver:
             thermal_noise_dbfs=float("-inf"),
             adc_bits=24,
         )
-        out, _ = apply_channel_and_receiver(sig, chan, IqImbalance.identity(), seed=1)
+        out, _ = apply_channel_and_receiver(
+            sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 1)
+        )
         expected = np.zeros_like(sig.samples)
         expected[2:] = sig.samples[:-2] * 0.1
         err = np.max(np.abs(out.samples - expected))
@@ -296,7 +301,9 @@ class TestChannelAndReceiver:
         floors = []
         for level in (0.01, 0.1):
             sig = ComplexBasebandSignal(level * x, FS)
-            _, diag = apply_channel_and_receiver(sig, chan, IqImbalance.identity(), seed=3)
+            _, diag = apply_channel_and_receiver(
+                sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 3)
+            )
             floors.append(10 * np.log10(np.mean(np.abs(diag.quant_error) ** 2)))
         assert floors[1] - floors[0] == pytest.approx(20.0, abs=0.5)
 
@@ -308,10 +315,21 @@ class TestChannelAndReceiver:
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=12
         )
         out, diag = apply_channel_and_receiver(
-            ComplexBasebandSignal(x, FS), chan, IqImbalance.identity(), seed=1
+            ComplexBasebandSignal(x, FS),
+            chan,
+            IqImbalance.identity(),
+            thermal_noise(len(x), chan, 1),
         )
         assert diag.clipped_samples >= 1
         assert len(out) == 4096
+
+    def test_rejects_noise_of_wrong_length(self):
+        sig = gen_tone(F_TONE, 0.5, 4096, FS)
+        chan = ChannelAndReceiver(h_si=[1.0], analog_suppression_db=0.0)
+        with pytest.raises(ValueError, match="noise has 4095 samples, the signal 4096"):
+            apply_channel_and_receiver(
+                sig, chan, IqImbalance.identity(), thermal_noise(4095, chan, 1)
+            )
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -358,7 +376,9 @@ class TestSimulateReceived:
         assert cfg.pn.linewidth > 0 and np.any(cfg.tx_iq.delta)
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
         r, diag = simulate_received(sig, cfg, seed=6)
-        r2, diag2 = amplify_and_receive(transmit_front_end(sig, cfg, seed=6), cfg, seed=6)
+        r2, diag2 = amplify_and_receive(
+            transmit_front_end(sig, cfg, seed=6), cfg, thermal_noise(len(sig), cfg.chan, 6)
+        )
         assert r.samples.tobytes() == r2.samples.tobytes()
         assert diag.noise.tobytes() == diag2.noise.tobytes()
         assert diag.quant_error.tobytes() == diag2.quant_error.tobytes()

@@ -177,6 +177,15 @@ class TestFirConvolve:
         scale = max(np.max(np.abs(ref)), 1e-30)
         assert np.max(np.abs(out.samples - ref)) / scale < 1e-12
 
+    def test_leaves_input_unchanged(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        sig = ComplexBasebandSignal(x, FS)
+        before = sig.samples.copy()
+        out = fir_convolve(sig, [0.5, 0.25j, -0.1])
+        assert sig.samples.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.samples, sig.samples)
+
     def test_rejects_empty_taps(self):
         with pytest.raises(ValueError):
             fir_convolve(gen_tone(1e6, 1.0, 16, FS), [])
