@@ -18,14 +18,14 @@ print(f"Calibrated oscillator linewidth: {PHASE_NOISE_LINEWIDTH_HZ} Hz\n")
 
 for shared, label in ((False, "independent oscillators"), (True, "shared oscillator")):
     pn = PhaseNoiseSpec(PHASE_NOISE_LINEWIDTH_HZ, shared_oscillator=shared, delay_samples=1)
-    rotated = apply_phase_noise(tone, pn, seed=3)
+    rotated = tone.with_samples(apply_phase_noise(tone.samples, pn, 3, SAMPLE_RATE))
     skirt = skirt_peak_dbc(spectrum(rotated, n_fft=4096), TONE_FREQ)
     print(f"  {label:<26s}: skirt peak {skirt:6.1f} dBc")
 
 print("\nResidual growth with round-trip delay (shared oscillator):")
 for delay in (1, 8, 64, 512):
     pn = PhaseNoiseSpec(PHASE_NOISE_LINEWIDTH_HZ, shared_oscillator=True, delay_samples=delay)
-    rotated = apply_phase_noise(tone, pn, seed=3)
+    rotated = tone.with_samples(apply_phase_noise(tone.samples, pn, 3, SAMPLE_RATE))
     skirt = skirt_peak_dbc(spectrum(rotated, n_fft=4096), TONE_FREQ)
     print(f"  delay {delay:4d} samples: skirt peak {skirt:6.1f} dBc")
 

@@ -49,7 +49,7 @@ def tone_signature(preset_name: str, seed: int = 1):
 def skirt_for_linewidth(linewidth: float, shared: bool, seed: int = 3) -> float:
     x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33, SAMPLE_RATE)
     pn = PhaseNoiseSpec(linewidth=linewidth, shared_oscillator=shared, delay_samples=1)
-    y = apply_phase_noise(x, pn, seed)
+    y = x.with_samples(apply_phase_noise(x.samples, pn, seed, SAMPLE_RATE))
     return skirt_peak_dbc(spectrum(y, n_fft=4096), TONE_FREQ)
 
 

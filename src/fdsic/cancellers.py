@@ -149,9 +149,8 @@ class SuppressionReport:
     fit: LsFit = field(compare=False)
 
 
-def build_basis(x: ComplexBasebandSignal, spec: CancellerSpec) -> list[BasisSignal]:
-    """Ordered regressor signals for the requested cancellation model."""
-    s = x.samples
+def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
+    """Ordered regressor signals of the transmit samples ``s`` for the model."""
     if spec.method is CancellerMethod.LINEAR:
         return [BasisSignal("x", s)]
     if spec.method is CancellerMethod.WIDELY_LINEAR:
@@ -197,17 +196,15 @@ def _fill_regressor(
             out[:, b * taps + lag] = seg[taps - 1 - lag : taps - 1 - lag + stop - start]
 
 
-def ls_estimate(
-    r: ComplexBasebandSignal, bases: list[BasisSignal], channel_len: int
-) -> LsFit:
-    """Jointly fit one FIR channel per basis by least squares.
+def ls_estimate(r: np.ndarray, bases: list[BasisSignal], channel_len: int) -> LsFit:
+    """Jointly fit one FIR channel per basis to the received samples ``r``.
 
     The training rows are reduced block by block to a square triangular
     factor by QR, which an SVD then solves; a rank-deficient regressor
     falls back to the minimum-norm solution, and the fit's ``rank`` is
     then below its ``n_params``. See :func:`_ls_fit_columns`.
     """
-    return _ls_fit_columns(r.samples[:, np.newaxis], bases, channel_len)[0]
+    return _ls_fit_columns(r[:, np.newaxis], bases, channel_len)[0]
 
 
 def _ls_fit_columns(
@@ -386,7 +383,10 @@ def _compare(
             f"got {n_frames}"
         )
     if not math.isfinite(cfg.chan.thermal_noise_dbfs):
-        raise ValueError("run_comparison requires a finite thermal noise floor")
+        raise ValueError(
+            "a comparison scores residuals against the noise floor, so "
+            f"chan.thermal_noise_dbfs must be finite, got {cfg.chan.thermal_noise_dbfs}"
+        )
     cfgs = [cfg.with_tx_power(power) for power in powers]
 
     frame_len = len(x) // n_frames
@@ -410,8 +410,8 @@ def _compare(
     floors = []
     for k, power_cfg in enumerate(cfgs):
         r, diag = amplify_and_receive(front, power_cfg, noise)
-        train[:, k] = r.samples[:fit_len]
-        held[:, k] = r.samples[split:usable]
+        train[:, k] = r[:fit_len]
+        held[:, k] = r[split:usable]
         extra = diag.noise[split:usable] + diag.quant_error[split:usable]
         floors.append(10.0 * math.log10(float(np.mean(np.abs(extra) ** 2))))
         del r, diag, extra
@@ -419,9 +419,8 @@ def _compare(
 
     # Fit: one factorization per spec, every power a right-hand side. The
     # fit reads only the training prefix of each basis.
-    x_train = x.with_samples(x.samples[:fit_len])
     fits = [
-        _ls_fit_columns(train, build_basis(x_train, spec), spec.channel_len)
+        _ls_fit_columns(train, build_basis(x.samples[:fit_len], spec), spec.channel_len)
         for spec in specs
     ]
 
@@ -440,7 +439,7 @@ def _compare(
     for spec, spec_fits in zip(specs, fits):
         taps = spec.channel_len
         first = split - taps + 1
-        bases = build_basis(x.with_samples(x.samples[first:usable]), spec)
+        bases = build_basis(x.samples[first:usable], spec)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
         g = _block_operator(h, len(bases), taps)
         n_blocks = -(-frame_len // taps)

@@ -13,6 +13,13 @@ named substreams. The receiver's thermal noise does not depend on the
 transmit power either: ``thermal_noise`` draws it, and
 ``amplify_and_receive`` takes the drawn array, so a power sweep draws it
 once and adds the same noise at every power.
+
+The stages take and return plain sample arrays; only
+``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for its
+sample rate) and only ``simulate_received`` returns one. Every number of
+a configuration must be finite, except a ``-inf`` thermal noise floor
+(no noise). Finite values can still overflow the chain, so the receiver
+rejects a digitized output that is not finite.
 """
 
 from __future__ import annotations
@@ -49,11 +56,17 @@ REF_DRIVE_RMS = 0.2
 ADC_HEADROOM_DB = 12.0
 
 
+def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite, got {values.tolist()}")
+    return values
+
+
 def _as_complex_taps(taps, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-D tap sequence")
-    return arr
+    return _check_finite(arr, name)
 
 
 @dataclass(frozen=True)
@@ -68,8 +81,8 @@ class DacNonlinearity:
     coeffs_q: np.ndarray
 
     def __post_init__(self):
-        ci = np.atleast_1d(np.asarray(self.coeffs_i, dtype=np.float64))
-        cq = np.atleast_1d(np.asarray(self.coeffs_q, dtype=np.float64))
+        ci = _check_finite(np.atleast_1d(np.asarray(self.coeffs_i, dtype=np.float64)), "coeffs_i")
+        cq = _check_finite(np.atleast_1d(np.asarray(self.coeffs_q, dtype=np.float64)), "coeffs_q")
         if ci.size != cq.size:
             raise ValueError("coeffs_i and coeffs_q must have equal length")
         if ci.size < 1:
@@ -135,13 +148,13 @@ class PhaseNoiseSpec:
     delay_samples: int = 0
 
     def __post_init__(self):
-        if self.linewidth < 0:
-            raise ValueError("linewidth must be >= 0")
+        if not (0 <= self.linewidth < math.inf):
+            raise ValueError(f"linewidth must be finite and >= 0, got {self.linewidth}")
         if not isinstance(self.shared_oscillator, bool):
             raise ValueError(
                 f"shared_oscillator must be true or false, got {self.shared_oscillator!r}"
             )
-        if self.delay_samples < 0 or int(self.delay_samples) != self.delay_samples:
+        if not (0 <= self.delay_samples < math.inf) or int(self.delay_samples) != self.delay_samples:
             raise ValueError("delay_samples must be a nonnegative integer")
         object.__setattr__(self, "delay_samples", int(self.delay_samples))
 
@@ -159,7 +172,7 @@ class PaNonlinearity:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
+        c = _check_finite(np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64)), "PA coeffs")
         if c.size < 1:
             raise ValueError("PA polynomial needs at least the linear term")
         if c[0] <= 0.0:
@@ -203,14 +216,23 @@ class ChannelAndReceiver:
 
     def __post_init__(self):
         h = _as_complex_taps(self.h_si, "h_si")
-        if self.analog_suppression_db < 0:
-            raise ValueError("analog_suppression_db must be >= 0")
+        if not (0 <= self.analog_suppression_db < math.inf):
+            raise ValueError(
+                f"analog_suppression_db must be finite and >= 0, got {self.analog_suppression_db}"
+            )
+        if not (self.thermal_noise_dbfs < math.inf):
+            raise ValueError(
+                "thermal_noise_dbfs must be finite, or -inf for no noise, "
+                f"got {self.thermal_noise_dbfs}"
+            )
         if not isinstance(self.adc_bits, Integral):
             raise ValueError(f"adc_bits must be an integer, got {self.adc_bits!r}")
         if not (4 <= self.adc_bits <= 24):
             raise ValueError("adc_bits must lie in [4, 24]")
-        if not (self.adc_full_scale > 0):
-            raise ValueError("adc_full_scale must be positive")
+        if not (0 < self.adc_full_scale < math.inf):
+            raise ValueError(
+                f"adc_full_scale must be finite and positive, got {self.adc_full_scale}"
+            )
         object.__setattr__(self, "h_si", h)
 
 
@@ -239,7 +261,7 @@ class ImpairmentConfig:
         )
 
 
-def apply_dac(x: ComplexBasebandSignal, dac: DacNonlinearity) -> ComplexBasebandSignal:
+def apply_dac(x: np.ndarray, dac: DacNonlinearity) -> np.ndarray:
     """Per-rail polynomial: sum_m a1_m Re{x}^m + j sum_m a2_m Im{x}^m."""
 
     def rail(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -248,25 +270,24 @@ def apply_dac(x: ComplexBasebandSignal, dac: DacNonlinearity) -> ComplexBaseband
             acc = acc * values + a
         return acc * values
 
-    return x.with_samples(
-        rail(x.samples.real, dac.coeffs_i) + 1j * rail(x.samples.imag, dac.coeffs_q)
-    )
+    return rail(x.real, dac.coeffs_i) + 1j * rail(x.imag, dac.coeffs_q)
 
 
-def apply_iq(x: ComplexBasebandSignal, iq: IqImbalance) -> ComplexBasebandSignal:
+def apply_iq(x: np.ndarray, iq: IqImbalance) -> np.ndarray:
     """Widely-linear filter gamma * x + delta * conj(x)."""
-    direct = fir_convolve(x, iq.gamma)
-    image = fir_convolve(x.with_samples(np.conj(x.samples)), iq.delta)
-    return x.with_samples(direct.samples + image.samples)
+    return fir_convolve(x, iq.gamma) + fir_convolve(np.conj(x), iq.delta)
 
 
 def apply_phase_noise(
-    x: ComplexBasebandSignal, pn: PhaseNoiseSpec, seed: int
-) -> ComplexBasebandSignal:
-    """Rotate each sample by exp(j(phi_tx[n] - phi_rx[n - delay]))."""
+    x: np.ndarray, pn: PhaseNoiseSpec, seed: int, sample_rate: float
+) -> np.ndarray:
+    """Rotate each sample by exp(j(phi_tx[n] - phi_rx[n - delay])).
+
+    ``sample_rate`` in Hz sets the phase step per sample for the linewidth.
+    """
     n = len(x)
     dt = pn.delay_samples
-    sigma = math.sqrt(2.0 * math.pi * pn.linewidth / x.sample_rate)
+    sigma = math.sqrt(2.0 * math.pi * pn.linewidth / sample_rate)
     if pn.shared_oscillator:
         # One walk covering [-dt, n); residual rotation phi[k] - phi[k-dt].
         path = np.cumsum(substream(seed, "phase-noise-shared").normal(0.0, sigma, n + dt))
@@ -275,17 +296,16 @@ def apply_phase_noise(
         phi_tx = np.cumsum(substream(seed, "phase-noise-tx").normal(0.0, sigma, n))
         phi_rx = np.cumsum(substream(seed, "phase-noise-rx").normal(0.0, sigma, n))
         rotation = phi_tx - phi_rx
-    return x.with_samples(x.samples * np.exp(1j * rotation))
+    return x * np.exp(1j * rotation)
 
 
-def apply_pa(x: ComplexBasebandSignal, pa: PaNonlinearity) -> ComplexBasebandSignal:
+def apply_pa(x: np.ndarray, pa: PaNonlinearity) -> np.ndarray:
     """Odd-order envelope polynomial y = sum_n beta'_n x |x|^(n-1)."""
-    u = x.samples
-    env2 = np.abs(u) ** 2
+    env2 = np.abs(x) ** 2
     gain = np.zeros_like(env2)
     for bp in pa.baseband_coeffs()[::-1]:
         gain = gain * env2 + bp
-    return x.with_samples(gain * u)
+    return gain * x
 
 
 @dataclass(frozen=True)
@@ -314,22 +334,23 @@ def thermal_noise(n: int, chan: ChannelAndReceiver, seed: int) -> np.ndarray:
 
 
 def apply_channel_and_receiver(
-    x: ComplexBasebandSignal,
+    x: np.ndarray,
     chan: ChannelAndReceiver,
     rx_iq: IqImbalance,
     noise: np.ndarray,
-) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
+) -> tuple[np.ndarray, ReceiverDiagnostics]:
     """Suppression, SI channel, RX IQ imbalance, noise, and gain-ranged ADC.
 
     ``noise`` is the receiver noise added ahead of the converter, one
     sample per sample of ``x``: :func:`thermal_noise` of ``len(x)``.
+    Raises ``ValueError`` when the digitized output is not finite: a
+    configuration of finite values that overflows the chain ends here.
     """
     if len(noise) != len(x):
         raise ValueError(f"noise has {len(noise)} samples, the signal {len(x)}")
-    attenuated = x.samples * 10.0 ** (-chan.analog_suppression_db / 20.0)
-    through = fir_convolve(x.with_samples(attenuated), chan.h_si)
-    clean = apply_iq(through, rx_iq)
-    analog = clean.samples + noise
+    attenuated = x * 10.0 ** (-chan.analog_suppression_db / 20.0)
+    through = fir_convolve(attenuated, chan.h_si)
+    analog = apply_iq(through, rx_iq) + noise
 
     rms = math.sqrt(float(np.mean(np.abs(analog) ** 2)))
     if rms == 0.0:
@@ -348,46 +369,48 @@ def apply_channel_and_receiver(
     q_i, clip_i = quantize(analog.real)
     q_q, clip_q = quantize(analog.imag)
     digitized = q_i + 1j * q_q
-    clipped_samples = int(np.count_nonzero(clip_i | clip_q))
-
-    received = x.with_samples(digitized)
+    if not np.all(np.isfinite(digitized.view(np.float64))):
+        raise ValueError(
+            "the digitized received signal is not finite: "
+            "the configuration overflows the impairment chain"
+        )
     diag = ReceiverDiagnostics(
         noise=noise,
         quant_error=digitized - analog,
-        clipped_samples=clipped_samples,
+        clipped_samples=int(np.count_nonzero(clip_i | clip_q)),
         agc_scale=scale,
     )
-    return received, diag
+    return digitized, diag
 
 
 def transmit_front_end(
     x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
-) -> ComplexBasebandSignal:
+) -> np.ndarray:
     """DAC -> TX IQ -> phase noise: the stages before the power enters.
 
     The output does not depend on ``cfg.tx_power_dbm``, so a power sweep
     can run it once and feed it to :func:`amplify_and_receive` at every
     power.
     """
-    v = apply_dac(x, cfg.dac)
+    v = apply_dac(x.samples, cfg.dac)
     v = apply_iq(v, cfg.tx_iq)
-    return apply_phase_noise(v, cfg.pn, seed)
+    return apply_phase_noise(v, cfg.pn, seed, x.sample_rate)
 
 
 def amplify_and_receive(
-    v: ComplexBasebandSignal, cfg: ImpairmentConfig, noise: np.ndarray
-) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
+    v: np.ndarray, cfg: ImpairmentConfig, noise: np.ndarray
+) -> tuple[np.ndarray, ReceiverDiagnostics]:
     """Drive -> PA -> antenna reference -> channel and receiver.
 
     ``v`` is the :func:`transmit_front_end` output; ``cfg.tx_power_dbm``
     sets the amplifier drive. ``noise`` is the receiver noise,
     :func:`thermal_noise` of ``len(v)``, which does not depend on the
-    power either. Returns what :func:`simulate_received` does.
+    power either. Returns the received samples and the receiver diagnostics.
     """
     drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-    v = apply_pa(v.with_samples(v.samples * drive), cfg.pa)
+    v = apply_pa(v * drive, cfg.pa)
     # Refer the amplifier output to the antenna: full drive <-> max power.
-    v = v.with_samples(v.samples * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
+    v = v * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
     return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, noise)
 
 
@@ -401,7 +424,8 @@ def simulate_received(
     diagnostics: noise, quantization error, clipping and AGC scale.
     """
     noise = thermal_noise(len(x), cfg.chan, seed)
-    return amplify_and_receive(transmit_front_end(x, cfg, seed), cfg, noise)
+    received, diag = amplify_and_receive(transmit_front_end(x, cfg, seed), cfg, noise)
+    return x.with_samples(received), diag
 
 
 # --- configuration file round trip ----------------------------------------

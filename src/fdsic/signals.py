@@ -1,8 +1,13 @@
 """Complex baseband signal generation and manipulation.
 
-The central data type is :class:`ComplexBasebandSignal`: a uniformly
-sampled complex sequence with an associated sample rate. Amplitudes are
-dimensionless with full scale at 1.0; powers are reported in dBFS.
+:class:`ComplexBasebandSignal` is a uniformly sampled complex sequence
+with its sample rate: the type of a signal that enters or leaves the
+program. The generators and :func:`read_iq` build one, and its
+constructor checks the samples and the rate; :func:`write_iq`,
+:func:`power_db`, :func:`papr_db` and the spectrum read one. Stages that
+compute on samples, such as :func:`fir_convolve`, take and return plain
+arrays. Amplitudes are dimensionless with full scale at 1.0; powers are
+reported in dBFS.
 """
 
 from __future__ import annotations
@@ -35,8 +40,10 @@ class ComplexBasebandSignal:
         samples = np.asarray(self.samples, dtype=np.complex128)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a nonempty 1-D sequence")
-        if not (self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not (0 < self.sample_rate < math.inf):
+            raise ValueError(
+                f"sample_rate must be finite and positive, got {self.sample_rate}"
+            )
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("samples contain non-finite values")
         object.__setattr__(self, "samples", samples)
@@ -149,8 +156,8 @@ def gen_ofdm_frames(spec: OfdmFrameSpec, sample_rate: float) -> ComplexBasebandS
     return ComplexBasebandSignal(samples, sample_rate)
 
 
-def fir_convolve(signal: ComplexBasebandSignal, taps) -> ComplexBasebandSignal:
-    """Linear convolution trimmed to the input length.
+def fir_convolve(x: np.ndarray, taps) -> np.ndarray:
+    """Linear convolution of the samples ``x``, trimmed to their length.
 
     Alignment: output sample 0 corresponds to input sample 0 filtered by
     taps[0] (i.e. the filter is causal and the leading transient is kept).
@@ -160,11 +167,10 @@ def fir_convolve(signal: ComplexBasebandSignal, taps) -> ComplexBasebandSignal:
         raise ValueError("taps must be a nonempty 1-D sequence")
     # Shift and add, one vector pass per tap: the filters here are short,
     # and np.convolve makes one dot-product call per output sample.
-    x = signal.samples
     out = x * taps[0]
     for k in range(1, taps.size):
         out[k:] += x[:-k] * taps[k]
-    return signal.with_samples(out)
+    return out
 
 
 def power_db(signal: ComplexBasebandSignal) -> float:
@@ -231,6 +237,11 @@ def read_iq(path) -> ComplexBasebandSignal:
             ) from None
 
     sample_rate = number("sample_rate_hz", float)
+    if not (0 < sample_rate < math.inf):
+        raise ValueError(
+            f"header {header_path} field 'sample_rate_hz' must be finite and positive, "
+            f"got {fields['sample_rate_hz']!r}"
+        )
     length = number("length", int)
     raw = np.frombuffer(path.read_bytes(), dtype="<f8")
     if raw.size != 2 * length:

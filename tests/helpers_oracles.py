@@ -79,4 +79,4 @@ def cancel(r, bases, fit):
     for i, basis in enumerate(bases):
         h = fit.coefficients[i * taps : (i + 1) * taps]
         estimate += np.convolve(basis.samples[:n], h)[:n]
-    return r.with_samples(r.samples - estimate)
+    return r - estimate

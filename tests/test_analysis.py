@@ -106,7 +106,7 @@ class TestPredictHarmonics:
 class TestVerifyHarmonics:
     def make_spectrum(self, dac, n_seg=8):
         sig = gen_tone(TONE_FREQ, 0.5, 4096 * n_seg, SAMPLE_RATE)
-        return spectrum(apply_dac(sig, dac), n_fft=4096)
+        return spectrum(sig.with_samples(apply_dac(sig.samples, dac)), n_fft=4096)
 
     def test_matched_dac_passes(self):
         spec = self.make_spectrum(DacNonlinearity([1, 1e-3, 1e-3], [1, 1e-3, 1e-3]))

@@ -42,9 +42,7 @@ FS = 80e6
 
 def random_signal(n, seed):
     rng = np.random.default_rng(seed)
-    return ComplexBasebandSignal(
-        (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2), FS
-    )
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
 
 
 class TestBuildBasis:
@@ -52,19 +50,19 @@ class TestBuildBasis:
         x = random_signal(64, 0)
         bases = build_basis(x, CancellerSpec(CancellerMethod.LINEAR))
         assert [b.label for b in bases] == ["x"]
-        npt.assert_array_equal(bases[0].samples, x.samples)
+        npt.assert_array_equal(bases[0].samples, x)
 
     def test_widely_linear_pair(self):
         x = random_signal(64, 0)
         bases = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR))
         assert [b.label for b in bases] == ["x", "conj(x)"]
-        npt.assert_array_equal(bases[1].samples, np.conj(x.samples))
+        npt.assert_array_equal(bases[1].samples, np.conj(x))
 
     def test_nonlinear_odd_orders(self):
         x = random_signal(64, 0)
         bases = build_basis(x, CancellerSpec(CancellerMethod.NONLINEAR, n_max=5))
         assert [b.label for b in bases] == ["x^1", "x^3", "x^5"]
-        npt.assert_allclose(bases[1].samples, x.samples**3)
+        npt.assert_allclose(bases[1].samples, x**3)
 
     def test_nonlinear_envelope_variant(self):
         x = random_signal(64, 0)
@@ -73,7 +71,7 @@ class TestBuildBasis:
         )
         bases = build_basis(x, spec)
         assert [b.label for b in bases] == ["x|x|^0", "x|x|^2", "x|x|^4"]
-        npt.assert_allclose(bases[2].samples, x.samples * np.abs(x.samples) ** 4)
+        npt.assert_allclose(bases[2].samples, x * np.abs(x) ** 4)
 
     def test_joint_enumeration(self):
         x = random_signal(64, 0)
@@ -86,7 +84,7 @@ class TestBuildBasis:
             "re(x)^3",
             "im(x)^3",
         ]
-        npt.assert_allclose(bases[3].samples, (x.samples.imag ** 2).astype(complex))
+        npt.assert_allclose(bases[3].samples, (x.imag ** 2).astype(complex))
 
     def test_rejects_unsupported_combinations(self):
         with pytest.raises(ValueError):
@@ -125,7 +123,7 @@ class TestLsEstimate:
         noise = 10 ** (-60 / 20) / np.sqrt(2) * (
             rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
         )
-        r = ComplexBasebandSignal(fir_convolve(x, h).samples + noise, FS)
+        r = fir_convolve(x, h) + noise
         bases = build_basis(x, CancellerSpec(CancellerMethod.LINEAR, channel_len=4))
         fit = ls_estimate(r, bases, 4)
         assert fit.residual_power_dbfs == pytest.approx(-60.0, abs=0.5)
@@ -133,13 +131,11 @@ class TestLsEstimate:
     def test_matches_normal_equations_oracle_small(self):
         x = random_signal(64, 5)
         rng = np.random.default_rng(6)
-        r = ComplexBasebandSignal(
-            rng.standard_normal(64) + 1j * rng.standard_normal(64), FS
-        )
+        r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         bases = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=2))
         fit = ls_estimate(r, bases, 2)
         got = fit.coefficients
-        ref = normal_equations_fit(r.samples, bases, 2)
+        ref = normal_equations_fit(r, bases, 2)
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-9
 
     def test_rejects_underdetermined(self):
@@ -151,13 +147,13 @@ class TestLsEstimate:
     def test_rank_deficiency_flagged_minimum_norm(self):
         # Duplicate columns: x and a copy of x span a rank-deficient matrix.
         x = random_signal(512, 8)
-        bases = [BasisSignal("x", x.samples), BasisSignal("x_copy", x.samples.copy())]
+        bases = [BasisSignal("x", x), BasisSignal("x_copy", x.copy())]
         r = fir_convolve(x, [0.5])
         fit = ls_estimate(r, bases, 4)
         assert fit.rank < fit.n_params
         # minimum-norm solution still reconstructs the signal
         resid = cancel(r, bases, fit)
-        assert 10 * np.log10(np.mean(np.abs(resid.samples) ** 2) + 1e-300) < -250.0
+        assert 10 * np.log10(np.mean(np.abs(resid) ** 2) + 1e-300) < -250.0
 
     def test_condition_number_reported(self):
         x = random_signal(512, 9)
@@ -175,7 +171,7 @@ class TestBatchedFit:
         fits = _ls_fit_columns(rhs, bases, taps)
         assert len(fits) == rhs.shape[1]
         for column, fit in zip(rhs.T, fits):
-            ref = ls_estimate(ComplexBasebandSignal(column.copy(), FS), bases, taps)
+            ref = ls_estimate(column.copy(), bases, taps)
             got_h, ref_h = fit.coefficients, ref.coefficients
             assert np.max(np.abs(got_h - ref_h)) / np.max(np.abs(ref_h)) < 1e-12
             assert fit.rank == ref.rank
@@ -194,9 +190,9 @@ class TestBatchedFit:
 
     def test_rank_deficient_columns_give_minimum_norm(self):
         x = random_signal(512, 42)
-        bases = [BasisSignal("x", x.samples), BasisSignal("x_copy", x.samples.copy())]
+        bases = [BasisSignal("x", x), BasisSignal("x_copy", x.copy())]
         rhs = np.stack(
-            [fir_convolve(x, h).samples for h in ([0.5], [1.0, -0.25j], [0.1, 0.2, 0.3])],
+            [fir_convolve(x, h) for h in ([0.5], [1.0, -0.25j], [0.1, 0.2, 0.3])],
             axis=1,
         )
         fits = self.assert_matches_per_column(rhs, bases, 4)
@@ -260,8 +256,8 @@ class TestStreamedFit:
 
     def test_duplicate_basis_rank_matches_dense(self):
         x = random_signal(9000, 52)
-        bases = [BasisSignal("x", x.samples), BasisSignal("x_copy", x.samples.copy())]
-        rhs = fir_convolve(x, [1.0, 0.3j]).samples[:, np.newaxis]
+        bases = [BasisSignal("x", x), BasisSignal("x_copy", x.copy())]
+        rhs = fir_convolve(x, [1.0, 0.3j])[:, np.newaxis]
         _, _, ref_rank, _ = np.linalg.lstsq(dense_regressor(bases, 9000, 4), rhs, rcond=None)
         fit = _ls_fit_columns(rhs, bases, 4)[0]
         assert fit.rank == ref_rank < fit.n_params
@@ -270,7 +266,7 @@ class TestStreamedFit:
         n, n_rhs = 65536, 3
         spec = CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3)
         bases = build_basis(random_signal(n, 53), spec)
-        rhs = random_signal(n * n_rhs, 54).samples.reshape(n, n_rhs)
+        rhs = random_signal(n * n_rhs, 54).reshape(n, n_rhs)
         dense_bytes = n * len(bases) * spec.channel_len * 16  # 201 MB
         tracemalloc.start()
         try:
@@ -290,11 +286,11 @@ class TestCancel:
         noise = 10 ** (noise_db / 20) / np.sqrt(2) * (
             rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
         )
-        r = ComplexBasebandSignal(fir_convolve(x, h).samples + noise, FS)
+        r = fir_convolve(x, h) + noise
         bases = build_basis(x, CancellerSpec(CancellerMethod.LINEAR, channel_len=6))
         fit = ls_estimate(r, bases, 6)
         resid = cancel(r, bases, fit)
-        resid_db = 10 * np.log10(np.mean(np.abs(resid.samples) ** 2))
+        resid_db = 10 * np.log10(np.mean(np.abs(resid) ** 2))
         assert resid_db == pytest.approx(noise_db, abs=0.5)
 
     def test_true_channel_cancel_leaves_noise(self):
@@ -306,13 +302,13 @@ class TestCancel:
         noise = 10 ** (noise_db / 20) / np.sqrt(2) * (
             rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
         )
-        r = ComplexBasebandSignal(fir_convolve(x, h).samples + noise, FS)
+        r = fir_convolve(x, h) + noise
         bases = build_basis(x, CancellerSpec(CancellerMethod.LINEAR, channel_len=5))
         true_fit = dataclasses.replace(
             ls_estimate(r, bases, 5), coefficients=h
         )
         resid = cancel(r, bases, true_fit)
-        resid_db = 10 * np.log10(np.mean(np.abs(resid.samples) ** 2))
+        resid_db = 10 * np.log10(np.mean(np.abs(resid) ** 2))
         assert resid_db == pytest.approx(noise_db, abs=0.5)
 
     def test_projection_reduces_power(self):
@@ -321,7 +317,7 @@ class TestCancel:
         bases = build_basis(x, CancellerSpec(CancellerMethod.LINEAR, channel_len=8))
         fit = ls_estimate(r, bases, 8)
         resid = cancel(r, bases, fit)
-        assert np.mean(np.abs(resid.samples) ** 2) <= np.mean(np.abs(r.samples) ** 2)
+        assert np.mean(np.abs(resid) ** 2) <= np.mean(np.abs(r) ** 2)
 
     def test_mismatched_fit_rejected(self):
         x = random_signal(4096, 16)
@@ -339,18 +335,16 @@ class TestCancel:
         # Scaling r scales every channel and leaves the residual ratio fixed.
         x = random_signal(16384, 17)
         rng = np.random.default_rng(18)
-        r = ComplexBasebandSignal(
-            fir_convolve(x, rng.standard_normal(3) + 1j * rng.standard_normal(3)).samples
-            + 0.01 * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))),
-            FS,
-        )
+        r = fir_convolve(
+            x, rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        ) + 0.01 * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
         c = 0.35 - 1.2j
         bases = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=3))
         fit1 = ls_estimate(r, bases, 3)
-        fit2 = ls_estimate(r.with_samples(c * r.samples), bases, 3)
+        fit2 = ls_estimate(c * r, bases, 3)
         npt.assert_allclose(fit2.coefficients, c * fit1.coefficients, rtol=1e-9)
-        ratio1 = 10 ** (fit1.residual_power_dbfs / 10) / np.mean(np.abs(r.samples) ** 2)
-        ratio2 = 10 ** (fit2.residual_power_dbfs / 10) / np.mean(np.abs(c * r.samples) ** 2)
+        ratio1 = 10 ** (fit1.residual_power_dbfs / 10) / np.mean(np.abs(r) ** 2)
+        ratio2 = 10 ** (fit2.residual_power_dbfs / 10) / np.mean(np.abs(c * r) ** 2)
         assert abs(10 * np.log10(ratio1 / ratio2)) < 1e-9
 
 
@@ -358,11 +352,10 @@ class TestSpanRelations:
     def test_joint_m1_equals_widely_linear(self):
         x = random_signal(8192, 20)
         rng = np.random.default_rng(21)
-        r = ComplexBasebandSignal(
-            fir_convolve(x, [1.0, 0.2j]).samples
-            + 0.05 * np.conj(x.samples)
-            + 0.001 * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))),
-            FS,
+        r = (
+            fir_convolve(x, [1.0, 0.2j])
+            + 0.05 * np.conj(x)
+            + 0.001 * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
         )
         wl = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=4))
         joint = build_basis(x, CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=1, channel_len=4))
@@ -371,15 +364,14 @@ class TestSpanRelations:
         assert abs(fit_wl.residual_power_dbfs - fit_joint.residual_power_dbfs) < 1e-6
 
     def test_nested_spans_monotone_residuals(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=22), FS)
+        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=22), FS).samples
         rng = np.random.default_rng(23)
         # impaired-ish target: linear + conjugate + envelope cubic + noise
-        r = ComplexBasebandSignal(
-            x.samples
-            + 0.02 * np.conj(x.samples)
-            + 0.05 * x.samples * np.abs(x.samples) ** 2
-            + 0.001 * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))),
-            FS,
+        r = (
+            x
+            + 0.02 * np.conj(x)
+            + 0.05 * x * np.abs(x) ** 2
+            + 0.001 * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
         )
         l = 4
         residuals = []
@@ -578,6 +570,30 @@ class TestRunSweep:
         assert len(reports) == len(powers) * len(DEFAULT_SPECS)
         assert names.count("thermal-noise") == 1
 
+    def test_signal_constructions_do_not_grow_with_powers(self, monkeypatch):
+        # Samples pass between the chain stages as arrays: a signal is
+        # built where the frames enter, not once per stage and power.
+        def constructions(powers):
+            count = [0]
+            post_init = ComplexBasebandSignal.__post_init__
+
+            def counting_post_init(self):
+                count[0] += 1
+                post_init(self)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ComplexBasebandSignal, "__post_init__", counting_post_init)
+                run_sweep(
+                    load_preset("sweep_55db"),
+                    powers,
+                    DEFAULT_SPECS,
+                    OfdmFrameSpec(n_frames=4, seed=47),
+                    seed=48,
+                )
+            return count[0]
+
+        assert constructions([-10.0]) == constructions([-10.0, 6.0, 22.0])
+
     def test_empty_power_list_rejected(self):
         with pytest.raises(ValueError, match="powers must be nonempty"):
             run_sweep(
@@ -633,7 +649,7 @@ class TestRunSweep:
         split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
         assert (fit_len < split) == (max_train is not None)
-        x_train = x.with_samples(x.samples[:fit_len])
+        x_train = x.samples[:fit_len]
         expected = []
         for power in powers:
             power_cfg = cfg.with_tx_power(power)
@@ -641,11 +657,11 @@ class TestRunSweep:
             floor = 10.0 ** (power_cfg.chan.thermal_noise_dbfs / 10.0)
             for spec in specs:
                 fit = ls_estimate(
-                    r.with_samples(r.samples[:fit_len]),
+                    r.samples[:fit_len],
                     build_basis(x_train, spec),
                     spec.channel_len,
                 )
-                residual = cancel(r, build_basis(x, spec), fit).samples
+                residual = cancel(r.samples, build_basis(x.samples, spec), fit)
                 per_frame = [
                     10.0 * math.log10(
                         max(float(np.mean(np.abs(residual[s : s + frame_len]) ** 2)), 1e-300)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,55 @@ class TestPowerGridParsing:
             _parse_powers("1:2:0")
         with pytest.raises(ValueError):
             _parse_powers("1:2")
+
+
+# A NaN or +inf noise floor is not the documented noise-free -inf floor.
+NON_FINITE_NOISE_FLOORS = [
+    ("chan", "thermal_noise_dbfs", math.nan, "thermal_noise_dbfs"),
+    ("chan", "thermal_noise_dbfs", math.inf, "thermal_noise_dbfs"),
+]
+
+# Configurations of finite values whose samples overflow the impairment
+# chain: the amplifier, the DAC, the transmit mixer and the SI channel.
+OVERFLOWING_CONFIGS = [
+    ("pa", "coeffs_odd", [1.0, 0.0, 1e300]),
+    ("dac", "coeffs_i", [1.0, 0.0, 1e308]),
+    ("tx_iq", "gamma", [[1e308, 0.0], [1e308, 0.0]]),
+    ("chan", "h_si", [[1e308, 0.0], [1e308, 0.0]]),
+]
+
+COMMANDS = {
+    "sweep": ["sweep", "--powers", "22", "--frames", "4"],
+    "tone-test": ["tone-test", "--segments", "2"],
+}
+
+
+def _run_with_config(tmp_path, command, section, key, value):
+    data = config_to_dict(load_preset("sweep_55db"))
+    data[section][key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    return main(
+        COMMANDS[command] + ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")]
+    )
+
+
+class TestConfigOverflow:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        ("section", "key", "value"),
+        OVERFLOWING_CONFIGS,
+        ids=[f"{section}-{key}" for section, key, _ in OVERFLOWING_CONFIGS],
+    )
+    def test_overflowing_chain_is_clean_error(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        assert _run_with_config(tmp_path, command, section, key, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "not finite" in err
+        # Nothing computed from the overflowed samples is written.
+        for name in ("suppression.csv", "spectrum.csv", "capture.iq"):
+            assert not (tmp_path / "run" / name).exists()
 
 
 class TestToneTest:
@@ -61,6 +111,18 @@ class TestToneTest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        ("section", "key", "value", "field"), NON_FINITE_NOISE_FLOORS, ids=["nan", "inf"]
+    )
+    def test_non_finite_noise_floor_is_clean_error(
+        self, tmp_path, capsys, section, key, value, field
+    ):
+        assert _run_with_config(tmp_path, "tone-test", section, key, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert field in err
+        assert not (tmp_path / "run").exists()
 
     def test_requires_config_or_preset(self, tmp_path, capsys):
         rc = main(["tone-test", "--out", str(tmp_path)])
@@ -142,17 +204,34 @@ class TestSweep:
         assert labels == [s.label() for s in DEFAULT_SPECS]
 
     @pytest.mark.parametrize(
-        ("section", "key", "value"),
+        ("section", "key", "value", "field"),
         [
-            ("chan", "adc_bits", "14"),
-            ("chan", "adc_bits", 14.5),
-            ("chan", "adc_bits", True),
-            ("pn", "shared_oscillator", "no"),
+            ("chan", "adc_bits", "14", "adc_bits"),
+            ("chan", "adc_bits", 14.5, "adc_bits"),
+            ("chan", "adc_bits", True, "adc_bits"),
+            ("pn", "shared_oscillator", "no", "shared_oscillator"),
+            *NON_FINITE_NOISE_FLOORS,
+            # A -inf floor is a valid noise-free receiver, but a comparison
+            # scores against the floor.
+            ("chan", "thermal_noise_dbfs", -math.inf, "chan.thermal_noise_dbfs"),
+            ("chan", "analog_suppression_db", math.nan, "analog_suppression_db"),
+            ("chan", "adc_full_scale", math.inf, "adc_full_scale"),
+            ("chan", "h_si", [[math.nan, 0.0]], "h_si"),
+            ("pn", "linewidth_hz", math.nan, "linewidth"),
+            ("pn", "linewidth_hz", math.inf, "linewidth"),
+            ("pn", "delay_samples", math.inf, "delay_samples"),
+            ("dac", "coeffs_i", [1.0, 0.0, math.nan], "coeffs_i"),
+            ("pa", "coeffs_odd", [1.0, math.nan], "coeffs"),
         ],
-        ids=["adc_bits-string", "adc_bits-fraction", "adc_bits-bool", "shared_oscillator-string"],
+        ids=[
+            "adc_bits-string", "adc_bits-fraction", "adc_bits-bool", "shared_oscillator-string",
+            "thermal_noise_dbfs-nan", "thermal_noise_dbfs-inf", "thermal_noise_dbfs-minus-inf",
+            "analog_suppression_db-nan", "adc_full_scale-inf", "h_si-nan", "linewidth_hz-nan",
+            "linewidth_hz-inf", "delay_samples-inf", "dac-coeffs_i-nan", "pa-coeffs_odd-nan",
+        ],
     )
     def test_config_value_of_wrong_type_is_clean_error(
-        self, tmp_path, capsys, section, key, value
+        self, tmp_path, capsys, section, key, value, field
     ):
         data = config_to_dict(load_preset("sweep_55db"))
         data[section][key] = value
@@ -164,6 +243,8 @@ class TestSweep:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert field in err
+        assert not (tmp_path / "run" / "suppression.csv").exists()
 
     def test_single_frame_is_clean_error(self, tmp_path, capsys):
         rc = main(
@@ -261,7 +342,15 @@ class TestSpectrumCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("header", ["length=8192\n", "sample_rate_hz=fast\nlength=8192\n"])
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "length=8192\n",
+            "sample_rate_hz=fast\nlength=8192\n",
+            "sample_rate_hz=inf\nlength=8192\n",
+            "sample_rate_hz=1e400\nlength=8192\n",
+        ],
+    )
     def test_bad_header_is_clean_error(self, tmp_path, capsys, header):
         write_iq(gen_tone(TONE_FREQ, 1.0, 8192, SAMPLE_RATE), tmp_path / "tone.iq")
         (tmp_path / "tone.iq.hdr").write_text(header)

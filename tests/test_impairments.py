@@ -39,8 +39,8 @@ FS = 80e6
 F_TONE = FS / 4096 * 64  # coherent on a 4096-bin grid
 
 
-def tone_spectrum(sig, n_fft=4096):
-    return spectrum(sig, n_fft=n_fft)
+def tone_spectrum(samples, n_fft=4096):
+    return spectrum(ComplexBasebandSignal(samples, FS), n_fft=n_fft)
 
 
 def line_dbc(spec, freq, ref_freq=F_TONE):
@@ -68,15 +68,15 @@ def identity_config(**chan_overrides) -> ImpairmentConfig:
 
 class TestDacNonlinearity:
     def test_identity(self):
-        sig = gen_tone(F_TONE, 0.5, 4096, FS)
+        sig = gen_tone(F_TONE, 0.5, 4096, FS).samples
         out = apply_dac(sig, DacNonlinearity.identity())
-        npt.assert_allclose(out.samples, sig.samples, atol=1e-15)
+        npt.assert_allclose(out, sig, atol=1e-15)
 
     def test_matched_odd_order_lines(self):
         # Matched rails with orders up to 3: products land on f, -3f and
         # +-2f; +3f stays empty.
         dac = DacNonlinearity([1.0, 1e-3, 1e-3], [1.0, 1e-3, 1e-3])
-        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS)
+        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS).samples
         spec = tone_spectrum(apply_dac(sig, dac))
         for freq in (-3 * F_TONE, -2 * F_TONE, 2 * F_TONE):
             assert line_dbc(spec, freq) > -90.0
@@ -84,7 +84,7 @@ class TestDacNonlinearity:
 
     def test_matched_even_order_equal_power(self):
         dac = DacNonlinearity([1.0, 1e-3], [1.0, 1e-3])
-        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS)
+        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS).samples
         spec = tone_spectrum(apply_dac(sig, dac))
         plus = measure_line_db(spec, 2 * F_TONE)
         minus = measure_line_db(spec, -2 * F_TONE)
@@ -93,7 +93,7 @@ class TestDacNonlinearity:
 
     def test_linear_rail_mismatch_creates_image(self):
         dac = DacNonlinearity([1.02], [0.98])
-        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS)
+        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS).samples
         spec = tone_spectrum(apply_dac(sig, dac))
         # (a_i - a_q)/2 relative to (a_i + a_q)/2
         expected = 20 * math.log10(0.02 / 1.0)
@@ -108,18 +108,18 @@ class TestDacNonlinearity:
 
 class TestIqImbalance:
     def test_identity(self):
-        sig = gen_tone(F_TONE, 0.5, 512, FS)
+        sig = gen_tone(F_TONE, 0.5, 512, FS).samples
         out = apply_iq(sig, IqImbalance.identity())
-        npt.assert_allclose(out.samples, sig.samples, atol=1e-15)
+        npt.assert_allclose(out, sig, atol=1e-15)
 
     def test_image_level_exact(self):
         iq = IqImbalance([1.0], [0.01])
-        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS)
+        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS).samples
         spec = tone_spectrum(apply_iq(sig, iq))
         assert abs(line_dbc(spec, -F_TONE) - (-40.0)) < 0.1
 
     def test_compensation_drops_image_20_db(self):
-        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS)
+        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS).samples
         raw = tone_spectrum(apply_iq(sig, IqImbalance([1.0], [0.1])))
         comp = tone_spectrum(apply_iq(sig, IqImbalance([1.0], [0.01])))
         drop = line_dbc(raw, -F_TONE) - line_dbc(comp, -F_TONE)
@@ -135,10 +135,10 @@ class TestIqImbalance:
         )
         a = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         b = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-        out_sum = apply_iq(ComplexBasebandSignal(a + b, FS), iq).samples
+        out_sum = apply_iq(a + b, iq)
         out_parts = (
-            apply_iq(ComplexBasebandSignal(a, FS), iq).samples
-            + apply_iq(ComplexBasebandSignal(b, FS), iq).samples
+            apply_iq(a, iq)
+            + apply_iq(b, iq)
         )
         assert np.max(np.abs(out_sum - out_parts)) < 1e-12 * max(np.max(np.abs(out_sum)), 1)
 
@@ -153,40 +153,40 @@ class TestIqImbalance:
 
 class TestPhaseNoise:
     def test_zero_linewidth_identity(self):
-        sig = gen_tone(F_TONE, 1.0, 1024, FS)
-        out = apply_phase_noise(sig, PhaseNoiseSpec(0.0, False, 3), seed=1)
-        npt.assert_allclose(out.samples, sig.samples, atol=1e-12)
+        sig = gen_tone(F_TONE, 1.0, 1024, FS).samples
+        out = apply_phase_noise(sig, PhaseNoiseSpec(0.0, False, 3), seed=1, sample_rate=FS)
+        npt.assert_allclose(out, sig, atol=1e-12)
 
     def test_shared_zero_delay_exact_identity(self):
-        sig = gen_tone(F_TONE, 1.0, 1024, FS)
-        out = apply_phase_noise(sig, PhaseNoiseSpec(5e3, True, 0), seed=1)
-        npt.assert_array_equal(out.samples, sig.samples)
+        sig = gen_tone(F_TONE, 1.0, 1024, FS).samples
+        out = apply_phase_noise(sig, PhaseNoiseSpec(5e3, True, 0), seed=1, sample_rate=FS)
+        npt.assert_array_equal(out, sig)
 
     def test_residual_variance_grows_with_delay(self):
-        sig = gen_tone(F_TONE, 1.0, 200000, FS)
+        sig = gen_tone(F_TONE, 1.0, 200000, FS).samples
         variances = []
         for delay in (1, 4, 16):
-            out = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, delay), seed=5)
-            rot = np.angle(out.samples / sig.samples)
+            out = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, delay), seed=5, sample_rate=FS)
+            rot = np.angle(out / sig)
             variances.append(np.var(rot))
         assert variances[0] < variances[1] < variances[2]
         assert variances[1] / variances[0] == pytest.approx(4.0, rel=0.25)
 
     def test_independent_wider_than_shared(self):
-        sig = gen_tone(F_TONE, 1.0, 4096 * 16, FS)
-        pn_ind = apply_phase_noise(sig, PhaseNoiseSpec(100.0, False, 1), seed=2)
-        pn_sh = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, 1), seed=2)
-        var_ind = np.var(np.angle(pn_ind.samples / sig.samples))
-        var_sh = np.var(np.angle(pn_sh.samples / sig.samples))
+        sig = gen_tone(F_TONE, 1.0, 4096 * 16, FS).samples
+        pn_ind = apply_phase_noise(sig, PhaseNoiseSpec(100.0, False, 1), seed=2, sample_rate=FS)
+        pn_sh = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, 1), seed=2, sample_rate=FS)
+        var_ind = np.var(np.angle(pn_ind / sig))
+        var_sh = np.var(np.angle(pn_sh / sig))
         assert var_ind > 10 * var_sh
 
     def test_deterministic_in_seed(self):
-        sig = gen_tone(F_TONE, 1.0, 512, FS)
-        a = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9)
-        b = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9)
-        c = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=10)
-        npt.assert_array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        sig = gen_tone(F_TONE, 1.0, 512, FS).samples
+        a = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9, sample_rate=FS)
+        b = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9, sample_rate=FS)
+        c = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=10, sample_rate=FS)
+        npt.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -207,13 +207,13 @@ def pa_two_tone_oracle(a1, a2, beta3_prime):
 
 class TestPaNonlinearity:
     def test_identity(self):
-        sig = gen_tone(F_TONE, 0.9, 1024, FS)
+        sig = gen_tone(F_TONE, 0.9, 1024, FS).samples
         out = apply_pa(sig, PaNonlinearity.identity())
-        npt.assert_allclose(out.samples, sig.samples, atol=1e-15)
+        npt.assert_allclose(out, sig, atol=1e-15)
 
     def test_single_tone_only_compresses(self):
         pa = PaNonlinearity([1.0, 0.01])
-        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS)
+        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS).samples
         spec = tone_spectrum(apply_pa(sig, pa))
         carrier = measure_line_db(spec, F_TONE)
         others = np.delete(
@@ -230,7 +230,7 @@ class TestPaNonlinearity:
         a1, a2 = 0.6, 0.4
         n = np.arange(4096 * 8)
         x = a1 * np.exp(2j * np.pi * f1 * n / FS) + a2 * np.exp(2j * np.pi * f2 * n / FS)
-        out = apply_pa(ComplexBasebandSignal(x, FS), pa)
+        out = apply_pa(x, pa)
         spec = tone_spectrum(out)
         im_lo, im_hi = pa_two_tone_oracle(a1, a2, 0.75 * beta3)
         measured_lo = measure_line_db(spec, 2 * f1 - f2)
@@ -245,8 +245,8 @@ class TestPaNonlinearity:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
         rot = np.exp(1j * 0.7)
-        out1 = apply_pa(ComplexBasebandSignal(x, FS), pa).samples
-        out2 = apply_pa(ComplexBasebandSignal(x * rot, FS), pa).samples
+        out1 = apply_pa(x, pa)
+        out2 = apply_pa(x * rot, pa)
         npt.assert_allclose(out2, out1 * rot, atol=1e-12)
 
     def test_baseband_coefficient_mapping(self):
@@ -263,19 +263,19 @@ class TestPaNonlinearity:
 
 class TestChannelAndReceiver:
     def test_transparent_receiver(self):
-        sig = gen_tone(F_TONE, 0.5, 8192, FS)
+        sig = gen_tone(F_TONE, 0.5, 8192, FS).samples
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=24
         )
         out, diag = apply_channel_and_receiver(
             sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 1)
         )
-        err = np.mean(np.abs(out.samples - sig.samples) ** 2) / np.mean(np.abs(sig.samples) ** 2)
+        err = np.mean(np.abs(out - sig) ** 2) / np.mean(np.abs(sig) ** 2)
         assert 10 * np.log10(err) < -120.0
         assert diag.clipped_samples == 0
 
     def test_pure_delay_channel(self):
-        sig = gen_tone(F_TONE, 0.5, 4096, FS)
+        sig = gen_tone(F_TONE, 0.5, 4096, FS).samples
         chan = ChannelAndReceiver(
             h_si=[0.0, 0.0, 1.0],
             analog_suppression_db=20.0,
@@ -285,9 +285,9 @@ class TestChannelAndReceiver:
         out, _ = apply_channel_and_receiver(
             sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 1)
         )
-        expected = np.zeros_like(sig.samples)
-        expected[2:] = sig.samples[:-2] * 0.1
-        err = np.max(np.abs(out.samples - expected))
+        expected = np.zeros_like(sig)
+        expected[2:] = sig[:-2] * 0.1
+        err = np.max(np.abs(out - expected))
         assert err < 1e-5
 
     def test_quantization_floor_tracks_input_level(self):
@@ -300,7 +300,7 @@ class TestChannelAndReceiver:
         )
         floors = []
         for level in (0.01, 0.1):
-            sig = ComplexBasebandSignal(level * x, FS)
+            sig = level * x
             _, diag = apply_channel_and_receiver(
                 sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 3)
             )
@@ -315,7 +315,7 @@ class TestChannelAndReceiver:
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=12
         )
         out, diag = apply_channel_and_receiver(
-            ComplexBasebandSignal(x, FS),
+            x,
             chan,
             IqImbalance.identity(),
             thermal_noise(len(x), chan, 1),
@@ -324,11 +324,23 @@ class TestChannelAndReceiver:
         assert len(out) == 4096
 
     def test_rejects_noise_of_wrong_length(self):
-        sig = gen_tone(F_TONE, 0.5, 4096, FS)
+        sig = gen_tone(F_TONE, 0.5, 4096, FS).samples
         chan = ChannelAndReceiver(h_si=[1.0], analog_suppression_db=0.0)
         with pytest.raises(ValueError, match="noise has 4095 samples, the signal 4096"):
             apply_channel_and_receiver(
                 sig, chan, IqImbalance.identity(), thermal_noise(4095, chan, 1)
+            )
+
+    def test_rejects_overflowing_input(self):
+        # Finite samples whose power overflows the gain ranging: the
+        # digitized output is not finite and must not leave the receiver.
+        x = np.full(64, 1e200 + 0j)
+        chan = ChannelAndReceiver(
+            h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf")
+        )
+        with pytest.raises(ValueError, match="digitized received signal is not finite"):
+            apply_channel_and_receiver(
+                x, chan, IqImbalance.identity(), thermal_noise(len(x), chan, 1)
             )
 
     def test_rejects_invalid(self):
@@ -379,7 +391,7 @@ class TestSimulateReceived:
         r2, diag2 = amplify_and_receive(
             transmit_front_end(sig, cfg, seed=6), cfg, thermal_noise(len(sig), cfg.chan, 6)
         )
-        assert r.samples.tobytes() == r2.samples.tobytes()
+        assert r.samples.tobytes() == r2.tobytes()
         assert diag.noise.tobytes() == diag2.noise.tobytes()
         assert diag.quant_error.tobytes() == diag2.quant_error.tobytes()
         assert diag.clipped_samples == diag2.clipped_samples
@@ -390,7 +402,7 @@ class TestSimulateReceived:
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
         low = transmit_front_end(sig, cfg.with_tx_power(-10.0), seed=6)
         high = transmit_front_end(sig, cfg.with_tx_power(22.0), seed=6)
-        assert low.samples.tobytes() == high.samples.tobytes()
+        assert low.tobytes() == high.tobytes()
 
     def test_tx_power_range_enforced(self):
         cfg = identity_config()
@@ -404,7 +416,7 @@ class TestSimulateReceived:
         readings = {}
         for name in ("fig5_m10dbm", "fig7_20dbm"):
             r, _ = simulate_received(tone, load_preset(name), seed=1)
-            spec = tone_spectrum(r)
+            spec = tone_spectrum(r.samples)
             carrier = measure_line_db(spec, F_TONE)
             readings[name] = {
                 "3f": measure_line_db(spec, 3 * F_TONE) - carrier,
