@@ -22,6 +22,7 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,26 +150,61 @@ class SuppressionReport:
     fit: LsFit = field(compare=False)
 
 
+def _basis_labels(spec: CancellerSpec) -> tuple[str, ...]:
+    """Labels of the model's regressor signals, in :func:`build_basis` order."""
+    if spec.method is CancellerMethod.LINEAR:
+        return ("x",)
+    if spec.method is CancellerMethod.WIDELY_LINEAR:
+        return ("x", "conj(x)")
+    if spec.method is CancellerMethod.NONLINEAR:
+        orders = range(1, spec.n_max + 1, 2)
+        if spec.nonlinear_basis_variant == "power":
+            return tuple(f"x^{n}" for n in orders)
+        return tuple(f"x|x|^{n - 1}" for n in orders)
+    return tuple(f"{rail}(x)^{m}" for m in range(1, spec.m_max + 1) for rail in ("re", "im"))
+
+
 def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
     """Ordered regressor signals of the transmit samples ``s`` for the model."""
     if spec.method is CancellerMethod.LINEAR:
-        return [BasisSignal("x", s)]
-    if spec.method is CancellerMethod.WIDELY_LINEAR:
-        return [BasisSignal("x", s), BasisSignal("conj(x)", np.conj(s))]
-    if spec.method is CancellerMethod.NONLINEAR:
-        bases = []
-        for n in range(1, spec.n_max + 1, 2):
-            if spec.nonlinear_basis_variant == "power":
-                bases.append(BasisSignal(f"x^{n}", s**n))
-            else:
-                bases.append(BasisSignal(f"x|x|^{n - 1}", s * np.abs(s) ** (n - 1)))
-        return bases
-    # joint-dac-iq: real rail powers lifted to complex regressors
-    bases = []
-    for m in range(1, spec.m_max + 1):
-        bases.append(BasisSignal(f"re(x)^{m}", (s.real**m).astype(np.complex128)))
-        bases.append(BasisSignal(f"im(x)^{m}", (s.imag**m).astype(np.complex128)))
-    return bases
+        signals = [s]
+    elif spec.method is CancellerMethod.WIDELY_LINEAR:
+        signals = [s, np.conj(s)]
+    elif spec.method is CancellerMethod.NONLINEAR:
+        orders = range(1, spec.n_max + 1, 2)
+        if spec.nonlinear_basis_variant == "power":
+            signals = [s**n for n in orders]
+        else:
+            signals = [s * np.abs(s) ** (n - 1) for n in orders]
+    else:
+        # joint-dac-iq: real rail powers lifted to complex regressors
+        signals = [
+            (rail**m).astype(np.complex128)
+            for m in range(1, spec.m_max + 1)
+            for rail in (s.real, s.imag)
+        ]
+    return [BasisSignal(label, x) for label, x in zip(_basis_labels(spec), signals)]
+
+
+def _family_root(spec: CancellerSpec, specs: Sequence[CancellerSpec]) -> CancellerSpec:
+    """The spec of ``specs`` whose LS factor ``spec`` is fitted from.
+
+    Two models are the leading columns of a larger one at the same
+    channel length: linear is nonlinear's leading basis (``x^1`` and
+    ``x|x|^0`` are ``x``), and widely-linear spans joint-dac-iq's leading
+    bases ``re(x)``, ``im(x)`` (see :func:`_ls_solve`). A spec with no
+    such root in ``specs`` is its own root.
+    """
+    for root in specs:
+        if root.channel_len == spec.channel_len and (
+            (spec.method, root.method)
+            in (
+                (CancellerMethod.LINEAR, CancellerMethod.NONLINEAR),
+                (CancellerMethod.WIDELY_LINEAR, CancellerMethod.JOINT_DAC_IQ),
+            )
+        ):
+            return root
+    return spec
 
 
 # Training rows added to the triangular factor per QR step of the
@@ -212,27 +248,50 @@ def _ls_fit_columns(
 ) -> list[LsFit]:
     """:func:`ls_estimate` for every column of ``rhs`` from one factorization.
 
-    The training rows of ``[A | rhs]`` are streamed in blocks of
-    ``FIT_BLOCK_ROWS``: each block is stacked under the ``n_params``
-    carried rows ``[R11 | R12]`` of the triangular factor and reduced by
-    QR again, so no full-length regressor ``A`` is ever built. One
-    column-major buffer of ``n_params + FIT_BLOCK_ROWS`` rows serves every
-    step: :func:`_fill_regressor` writes the block's regressor rows below
-    the carried rows column by column, the right-hand sides follow, and
-    the new factor's leading rows are written back to the top. The rows
-    the QR leaves below ``n_params`` are zero in the regressor columns:
-    their energy is residual that no fit explains, and it is added per
-    column. One SVD-based ``lstsq`` of ``R11 h = R12`` at the dense
-    problem's default threshold ``rcond = eps * max(n, n_params)`` gives
-    the rank, singular values and minimum-norm solution of the dense fit.
-    The carried factor keeps exactly ``n_params`` rows, so the regressor
-    columns round the same whatever the number of right-hand sides, and
-    fit k equals the fit of column k alone up to rounding.
+    Factor once (:func:`_ls_factor`), then solve a prefix of the factor's
+    columns (:func:`_ls_solve`); the full model is the prefix of itself.
+    The blocked QR may round the factor's regressor columns differently
+    with the number of right-hand sides (it does for some widely-linear
+    blocks with OpenBLAS), so fit k equals the fit of column k alone
+    within 1e-12 relative, not bit for bit.
 
     Well-posed fits give the dense SVD solve's coefficients within 1e-14
     relative. A rank-deficient fit (the joint-dac-iq fit on 10 frames) rounds its
     near-null directions differently, which moves its held-out figures by
     up to 1e-4 dB and leaves its rank unchanged.
+    """
+    labels = tuple(basis.label for basis in bases)
+    return _ls_solve(_ls_factor(rhs, bases, channel_len), labels, channel_len)
+
+
+class _LsFactor(NamedTuple):
+    """The triangular factor of a fit's training rows ``[A | rhs]``.
+
+    ``r`` holds the ``n_params`` carried rows ``[R11 | R12]``; ``dropped``
+    is, per right-hand side, the energy of the rows below them, which no
+    fit explains.
+    """
+
+    r: np.ndarray
+    dropped: np.ndarray
+    training_len: int
+
+
+def _ls_factor(
+    rhs: np.ndarray, bases: list[BasisSignal], channel_len: int
+) -> _LsFactor:
+    """Reduce the training rows of ``[A | rhs]`` to their triangular factor.
+
+    The rows are streamed in blocks of ``FIT_BLOCK_ROWS``: each block is
+    stacked under the ``n_params`` carried rows ``[R11 | R12]`` and
+    reduced by QR again, so no full-length regressor ``A`` is ever built.
+    One column-major buffer of ``n_params + FIT_BLOCK_ROWS`` rows serves
+    every step: :func:`_fill_regressor` writes the block's regressor rows
+    below the carried rows column by column, the right-hand sides follow,
+    and the new factor's leading rows are written back to the top. The
+    rows the QR leaves below ``n_params`` are zero in the regressor
+    columns: their energy is residual that no fit explains, and it is
+    added up per column.
     """
     n, n_rhs = rhs.shape
     n_params = len(bases) * channel_len
@@ -260,21 +319,51 @@ def _ls_fit_columns(
         carried = min(len(r), n_params)
         buf[:carried] = r[:carried]
         dropped += np.sum(np.abs(r[n_params:, n_params:]) ** 2, axis=0)
+    return _LsFactor(r[:n_params], dropped, n)
 
-    r11, r12 = r[:n_params, :n_params], r[:n_params, n_params:]
+
+def _ls_solve(
+    factor: _LsFactor, labels: tuple[str, ...], channel_len: int, rails: bool = False
+) -> list[LsFit]:
+    """Fit every right-hand side on the factor's leading ``q`` columns.
+
+    ``q = len(labels) * channel_len``. The leading ``q x q`` block of
+    ``R11`` is the triangular factor of the regressor's leading ``q``
+    columns, and ``R12[:q]`` is their share of the right-hand sides. So
+    one SVD-based ``lstsq`` of ``R11[:q, :q] h = R12[:q]`` at the dense
+    problem's default threshold ``rcond = eps * max(n, q)`` gives the
+    rank, singular values and minimum-norm solution of the dense fit of
+    those columns alone, and the training residual of column k is
+    ``|R12[:q, k] - R11[:q, :q] h|² + |R12[q:, k]|² + dropped_k``.
+
+    With ``rails`` the leading columns are joint-dac-iq's ``re(x)``,
+    ``im(x)`` bases and ``labels`` are widely-linear's ``x``, ``conj(x)``,
+    which span the same columns. The rail fit ``g`` maps per tap to
+    ``h_x = (g_re - i g_im) / 2`` and ``h_conj(x) = (g_re + i g_im) / 2``:
+    √2 times a unitary map, so the rank, condition number, residual and
+    minimum norm are the widely-linear fit's own.
+    """
+    n = factor.training_len
+    n_params = len(factor.r)
+    q = len(labels) * channel_len
+    r11, r12 = factor.r[:q, :q], factor.r[:q, n_params:]
     coeffs, _, rank, singular = np.linalg.lstsq(
-        r11, r12, rcond=np.finfo(np.float64).eps * max(n, n_params)
+        r11, r12, rcond=np.finfo(np.float64).eps * max(n, q)
     )
-
     cond = float(singular[0] / singular[-1]) if singular[-1] > 0 else float("inf")
-    labels = tuple(basis.label for basis in bases)
+    unexplained = np.sum(np.abs(factor.r[q:, n_params:]) ** 2, axis=0) + factor.dropped
     fits = []
-    for k, energy in enumerate(dropped):
+    for k, energy in enumerate(unexplained):
         # Column by column: a matrix product rounds each column differently
         # with the number of columns, and a residual at rounding level (an
         # exact fit) would then depend on how many powers share the fit.
-        h = coeffs[:, k]
-        resid_power = (float(np.sum(np.abs(r12[:, k] - r11 @ h) ** 2)) + energy) / n
+        g = coeffs[:, k]
+        resid_power = (float(np.sum(np.abs(r12[:, k] - r11 @ g) ** 2)) + energy) / n
+        if rails:
+            g_re, g_im = g[:channel_len], g[channel_len:]
+            h = np.concatenate([(g_re - 1j * g_im) / 2, (g_re + 1j * g_im) / 2])
+        else:
+            h = g
         fits.append(
             LsFit(
                 labels=labels,
@@ -347,9 +436,11 @@ def run_sweep(
 
     The transmit frames are generated once, scaled to the nominal DAC
     drive and shared by every power, so the transmit front end runs once
-    and each canceller is fitted at all powers with one factorization.
-    Reports come in (power, spec) order and match :func:`run_comparison`
-    at each power up to rounding.
+    and each canceller family is fitted at all powers with one
+    factorization: linear is read off nonlinear's, widely-linear off
+    joint-dac-iq's (see :func:`_family_root`). Reports come in (power,
+    spec) order and match :func:`run_comparison` at each power up to
+    rounding.
     """
     x = gen_ofdm_frames(frames, SAMPLE_RATE)
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
@@ -368,8 +459,11 @@ def _compare(
 
     Only ``cfg.tx_power_dbm`` varies across ``powers``, so the transmit
     front end runs and the thermal noise is drawn once, and only the
-    amplifier and receiver run per power. Each spec is fitted at every
-    power with one LS factorization. Reports come in (power, spec) order.
+    amplifier and receiver run per power. Each family is fitted at every
+    power with one LS factorization of its root (:func:`_family_root`),
+    and each member's fits are solved from the leading columns of the
+    root's triangular factor (:func:`_ls_solve`). Reports come in (power,
+    spec) order.
     Neither the fit nor the scoring builds a full-length regressor matrix:
     the fit walks the rows in blocks, the scoring the held-out frames.
     """
@@ -417,12 +511,18 @@ def _compare(
         del r, diag, extra
     del front, noise
 
-    # Fit: one factorization per spec, every power a right-hand side. The
-    # fit reads only the training prefix of each basis.
-    fits = [
-        _ls_fit_columns(train, build_basis(x.samples[:fit_len], spec), spec.channel_len)
-        for spec in specs
-    ]
+    # Fit: one factorization per family root, every power a right-hand
+    # side, and each spec's fits read off its root's leading columns. The
+    # fit reads only the training prefix of each root's bases.
+    roots = [_family_root(spec, specs) for spec in specs]
+    factors = {
+        root: _ls_factor(train, build_basis(x.samples[:fit_len], root), root.channel_len)
+        for root in dict.fromkeys(roots)
+    }
+    fits = []
+    for spec, root in zip(specs, roots):
+        rails = root.method is CancellerMethod.JOINT_DAC_IQ and spec.method is not root.method
+        fits.append(_ls_solve(factors[root], _basis_labels(spec), spec.channel_len, rails))
 
     # Score: per held-out frame, the residual of every power at once is
     # the received block minus the frame's reconstruction at every power,

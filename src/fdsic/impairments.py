@@ -392,9 +392,12 @@ def transmit_front_end(
     can run it once and feed it to :func:`amplify_and_receive` at every
     power.
     """
-    v = apply_dac(x.samples, cfg.dac)
-    v = apply_iq(v, cfg.tx_iq)
-    return apply_phase_noise(v, cfg.pn, seed, x.sample_rate)
+    # Overflow shows as non-finite samples, which the receiver rejects
+    # (see amplify_and_receive).
+    with np.errstate(all="ignore"):
+        v = apply_dac(x.samples, cfg.dac)
+        v = apply_iq(v, cfg.tx_iq)
+        return apply_phase_noise(v, cfg.pn, seed, x.sample_rate)
 
 
 def amplify_and_receive(
@@ -408,10 +411,13 @@ def amplify_and_receive(
     power either. Returns the received samples and the receiver diagnostics.
     """
     drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-    v = apply_pa(v * drive, cfg.pa)
-    # Refer the amplifier output to the antenna: full drive <-> max power.
-    v = v * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
-    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, noise)
+    # Overflow shows as non-finite samples, which the receiver rejects
+    # with one error instead of a floating-point warning per stage.
+    with np.errstate(all="ignore"):
+        v = apply_pa(v * drive, cfg.pa)
+        # Refer the amplifier output to the antenna: full drive <-> max power.
+        v = v * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+        return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, noise)
 
 
 def simulate_received(
@@ -470,30 +476,49 @@ def config_to_dict(cfg: ImpairmentConfig) -> dict:
     }
 
 
+def _config_section(data: dict, name: str, build):
+    """``build(data[name])``, with any error it raises naming the section."""
+    section = data[name]
+    try:
+        return build(section)
+    except KeyError as exc:
+        raise KeyError(f"{name}.{exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
+def _iq_from_dict(d: dict) -> IqImbalance:
+    return IqImbalance(_complex_array(d["gamma"]), _complex_array(d["delta"]))
+
+
 def config_from_dict(data: dict) -> ImpairmentConfig:
     try:
         return ImpairmentConfig(
-            dac=DacNonlinearity(data["dac"]["coeffs_i"], data["dac"]["coeffs_q"]),
-            tx_iq=IqImbalance(
-                _complex_array(data["tx_iq"]["gamma"]),
-                _complex_array(data["tx_iq"]["delta"]),
+            dac=_config_section(
+                data, "dac", lambda d: DacNonlinearity(d["coeffs_i"], d["coeffs_q"])
             ),
-            rx_iq=IqImbalance(
-                _complex_array(data["rx_iq"]["gamma"]),
-                _complex_array(data["rx_iq"]["delta"]),
+            tx_iq=_config_section(data, "tx_iq", _iq_from_dict),
+            rx_iq=_config_section(data, "rx_iq", _iq_from_dict),
+            pn=_config_section(
+                data,
+                "pn",
+                lambda d: PhaseNoiseSpec(
+                    linewidth=d["linewidth_hz"],
+                    shared_oscillator=d["shared_oscillator"],
+                    delay_samples=d["delay_samples"],
+                ),
             ),
-            pn=PhaseNoiseSpec(
-                linewidth=data["pn"]["linewidth_hz"],
-                shared_oscillator=data["pn"]["shared_oscillator"],
-                delay_samples=data["pn"]["delay_samples"],
-            ),
-            pa=PaNonlinearity(data["pa"]["coeffs_odd"]),
-            chan=ChannelAndReceiver(
-                h_si=_complex_array(data["chan"]["h_si"]),
-                analog_suppression_db=data["chan"]["analog_suppression_db"],
-                thermal_noise_dbfs=data["chan"]["thermal_noise_dbfs"],
-                adc_bits=data["chan"]["adc_bits"],
-                adc_full_scale=data["chan"]["adc_full_scale"],
+            pa=_config_section(data, "pa", lambda d: PaNonlinearity(d["coeffs_odd"])),
+            chan=_config_section(
+                data,
+                "chan",
+                lambda d: ChannelAndReceiver(
+                    h_si=_complex_array(d["h_si"]),
+                    analog_suppression_db=d["analog_suppression_db"],
+                    thermal_noise_dbfs=d["thermal_noise_dbfs"],
+                    adc_bits=d["adc_bits"],
+                    adc_full_scale=d["adc_full_scale"],
+                ),
             ),
             tx_power_dbm=data["tx_power_dbm"],
         )

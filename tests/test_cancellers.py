@@ -17,6 +17,7 @@ from fdsic.cancellers import (
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
+    _family_root,
     _fill_regressor,
     _ls_fit_columns,
     build_basis,
@@ -617,9 +618,10 @@ class TestRunSweep:
         split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
         usable = frames.n_frames * frame_len
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
-        # All fits first, then each spec's scoring bases: the held-out rows
+        # All fits first, one build per family root (nonlinear and
+        # joint-dac-iq), then each spec's scoring bases: the held-out rows
         # plus the taps - 1 samples of history before them.
-        assert lengths == [fit_len] * len(DEFAULT_SPECS) + [
+        assert lengths == [fit_len] * 2 + [
             usable - split + spec.channel_len - 1 for spec in DEFAULT_SPECS
         ]
 
@@ -685,3 +687,81 @@ class TestRunSweep:
             got_h, ref_h = rep.fit.coefficients, fit.coefficients
             assert np.max(np.abs(got_h - ref_h)) / np.max(np.abs(ref_h)) < 1e-12
             assert rep.fit.residual_power_dbfs == pytest.approx(fit.residual_power_dbfs, abs=1e-9)
+
+
+class TestFamilyFit:
+    """Linear and widely-linear are read off the nonlinear and joint-dac-iq factors."""
+
+    @pytest.mark.parametrize(
+        "preset, n_frames, seed",
+        [("sweep_40db", 100, 45), ("sweep_55db", 10, 0)],
+        ids=["sweep_40db-100-frames", "sweep_55db-10-frames"],
+    )
+    def test_member_equals_its_own_fit(self, preset, n_frames, seed):
+        cfg = load_preset(preset)
+        frames = OfdmFrameSpec(n_frames=n_frames, seed=seed)
+        powers = [-10.0, 22.0]
+        reports = run_sweep(cfg, powers, DEFAULT_SPECS, frames, seed)
+
+        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = x.with_samples(x.samples * REF_DRIVE_RMS)
+        split = round(n_frames * TRAIN_FRACTION) * (len(x) // n_frames)
+        fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
+        train = np.stack(
+            [simulate_received(x, cfg.with_tx_power(p), seed)[0].samples[:fit_len] for p in powers],
+            axis=1,
+        )
+        members = [spec for spec in DEFAULT_SPECS if _family_root(spec, DEFAULT_SPECS) != spec]
+        assert [spec.method for spec in members] == [
+            CancellerMethod.LINEAR,
+            CancellerMethod.WIDELY_LINEAR,
+        ]
+        by_method = {}
+        for spec in members:
+            own = _ls_fit_columns(train, build_basis(x.samples[:fit_len], spec), spec.channel_len)
+            got = [rep.fit for rep in reports if rep.method == spec.label()]
+            assert len(got) == len(own) == len(powers)
+            for fit, ref in zip(got, own):
+                assert fit.labels == ref.labels
+                got_h, ref_h = fit.coefficients, ref.coefficients
+                assert np.max(np.abs(got_h - ref_h)) / np.max(np.abs(ref_h)) < 1e-12
+                assert fit.rank == ref.rank
+                assert fit.condition_number == pytest.approx(ref.condition_number, rel=1e-9)
+                assert fit.residual_power_dbfs == pytest.approx(ref.residual_power_dbfs, abs=1e-9)
+            by_method[spec.method] = got[0]
+        if preset == "sweep_55db":
+            # The joint root is rank-deficient on 10 frames, its widely-linear
+            # member is not.
+            joint = next(rep.fit for rep in reports if rep.method.startswith("joint"))
+            assert joint.rank < joint.n_params
+            wl = by_method[CancellerMethod.WIDELY_LINEAR]
+            assert wl.rank == wl.n_params
+
+    @pytest.mark.parametrize(
+        "specs, factorizations",
+        [
+            (DEFAULT_SPECS, 2),
+            ((DEFAULT_SPECS[0], DEFAULT_SPECS[3]), 2),
+            ((DEFAULT_SPECS[2],), 1),
+            ((dataclasses.replace(DEFAULT_SPECS[2], channel_len=16), DEFAULT_SPECS[3]), 2),
+        ],
+        ids=["default", "linear-joint", "widely-linear", "widely-linear-16-taps-joint"],
+    )
+    def test_qr_calls_per_family_root(self, monkeypatch, specs, factorizations):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        frames = OfdmFrameSpec(n_frames=10, seed=46)
+        reports = run_sweep(load_preset("sweep_55db"), [22.0], specs, frames, seed=47)
+        assert [rep.method for rep in reports] == [spec.label() for spec in specs]
+
+        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        split = round(frames.n_frames * TRAIN_FRACTION) * (len(x) // frames.n_frames)
+        fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
+        blocks = -(-fit_len // cancellers.FIT_BLOCK_ROWS)
+        assert len(calls) == factorizations * blocks

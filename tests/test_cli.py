@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdsic
 from fdsic.cancellers import DEFAULT_SPECS
 from fdsic.cli import _parse_powers, main
 from fdsic.impairments import config_to_dict
@@ -75,6 +80,33 @@ class TestConfigOverflow:
         # Nothing computed from the overflowed samples is written.
         for name in ("suppression.csv", "spectrum.csv", "capture.iq"):
             assert not (tmp_path / "run" / name).exists()
+
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_overflow_prints_only_the_error_line(self, tmp_path, command):
+        # pytest captures warnings, so only a separate process shows what
+        # reaches stderr: no floating-point warning ahead of the error.
+        data = config_to_dict(load_preset("sweep_55db"))
+        data["pa"]["coeffs_odd"] = [1.0, 0.0, 1e300]
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        src = str(Path(fdsic.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "fdsic.cli", *COMMANDS[command],
+             "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "run")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ") and "not finite" in done.stderr
+
+
+class TestConfigSection:
+    @pytest.mark.parametrize("section", ["tx_iq", "rx_iq"])
+    def test_non_finite_iq_tap_names_its_mixer(self, tmp_path, capsys, section):
+        assert _run_with_config(tmp_path, "sweep", section, "gamma", [[math.nan, 0.0]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}: gamma must be finite")
+        assert len(err.splitlines()) == 1
 
 
 class TestToneTest:
