@@ -165,7 +165,12 @@ def _basis_labels(spec: CancellerSpec) -> tuple[str, ...]:
 
 
 def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
-    """Ordered regressor signals of the transmit samples ``s`` for the model."""
+    """Ordered regressor signals of the transmit samples ``s`` for the model.
+
+    joint-dac-iq's rail powers stay real (float64); every other model's
+    bases are complex. :func:`_ls_factor` packs a fit whose bases are all
+    real two training rows to a complex row.
+    """
     if spec.method is CancellerMethod.LINEAR:
         signals = [s]
     elif spec.method is CancellerMethod.WIDELY_LINEAR:
@@ -177,12 +182,7 @@ def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
         else:
             signals = [s * np.abs(s) ** (n - 1) for n in orders]
     else:
-        # joint-dac-iq: real rail powers lifted to complex regressors
-        signals = [
-            (rail**m).astype(np.complex128)
-            for m in range(1, spec.m_max + 1)
-            for rail in (s.real, s.imag)
-        ]
+        signals = [rail**m for m in range(1, spec.m_max + 1) for rail in (s.real, s.imag)]
     return [BasisSignal(label, x) for label, x in zip(_basis_labels(spec), signals)]
 
 
@@ -220,14 +220,16 @@ def _fill_regressor(
 
     Column ``b * taps + l`` of row n is ``basis_b[n - l]``, zero before
     sample 0. ``out`` is the caller's column-major ``(stop - start) x
-    len(bases) * taps`` buffer, so the fit and the scoring reuse one buffer
-    for every block; each column is one contiguous copy of a basis window.
+    len(bases) * taps`` buffer, or the real or imaginary part of one, so the
+    fit reuses one buffer for every block; each column is one copy of a
+    basis window. The zero history has the basis's dtype, so real bases
+    stay real until they are written.
     """
     first = start - taps + 1
     for b, basis in enumerate(bases):
         seg = basis.samples[max(first, 0) : stop]
         if first < 0:
-            seg = np.concatenate([np.zeros(-first, dtype=np.complex128), seg])
+            seg = np.concatenate([np.zeros(-first, dtype=seg.dtype), seg])
         for lag in range(taps):
             out[:, b * taps + lag] = seg[taps - 1 - lag : taps - 1 - lag + stop - start]
 
@@ -255,10 +257,12 @@ def _ls_fit_columns(
     blocks with OpenBLAS), so fit k equals the fit of column k alone
     within 1e-12 relative, not bit for bit.
 
-    Well-posed fits give the dense SVD solve's coefficients within 1e-14
-    relative. A rank-deficient fit (the joint-dac-iq fit on 10 frames) rounds its
+    Real bases (joint-dac-iq's rails) are factored two training rows to a
+    complex row (see :func:`_ls_factor`). Well-posed fits give the dense
+    SVD solve's coefficients within 1e-14 relative, packed or not. A
+    rank-deficient fit (the joint-dac-iq fit on 10 frames) rounds its
     near-null directions differently, which moves its held-out figures by
-    up to 1e-4 dB and leaves its rank unchanged.
+    up to 3e-5 dB from the dense solve's and leaves its rank unchanged.
     """
     labels = tuple(basis.label for basis in bases)
     return _ls_solve(_ls_factor(rhs, bases, channel_len), labels, channel_len)
@@ -268,13 +272,16 @@ class _LsFactor(NamedTuple):
     """The triangular factor of a fit's training rows ``[A | rhs]``.
 
     ``r`` holds the ``n_params`` carried rows ``[R11 | R12]``; ``dropped``
-    is, per right-hand side, the energy of the rows below them, which no
-    fit explains.
+    is, per column of ``R12``, the energy of the rows below them, which no
+    fit explains. A ``packed`` factor is of real bases: two training rows
+    share each complex row of ``[R11 | R12]``, and ``R12`` holds the real
+    parts of the right-hand sides, then their imaginary parts.
     """
 
     r: np.ndarray
     dropped: np.ndarray
     training_len: int
+    packed: bool
 
 
 def _ls_factor(
@@ -282,16 +289,25 @@ def _ls_factor(
 ) -> _LsFactor:
     """Reduce the training rows of ``[A | rhs]`` to their triangular factor.
 
-    The rows are streamed in blocks of ``FIT_BLOCK_ROWS``: each block is
-    stacked under the ``n_params`` carried rows ``[R11 | R12]`` and
-    reduced by QR again, so no full-length regressor ``A`` is ever built.
-    One column-major buffer of ``n_params + FIT_BLOCK_ROWS`` rows serves
-    every step: :func:`_fill_regressor` writes the block's regressor rows
-    below the carried rows column by column, the right-hand sides follow,
-    and the new factor's leading rows are written back to the top. The
-    rows the QR leaves below ``n_params`` are zero in the regressor
-    columns: their energy is residual that no fit explains, and it is
-    added up per column.
+    The rows are streamed in blocks: each block is stacked under the
+    ``n_params`` carried rows ``[R11 | R12]`` and reduced by QR again, so
+    no full-length regressor ``A`` is ever built. One column-major buffer
+    of ``n_params + FIT_BLOCK_ROWS`` complex rows serves every step:
+    :func:`_fill_regressor` writes the block's regressor rows below the
+    carried rows column by column, the right-hand sides follow, and the
+    new factor's leading rows are written back to the top. The rows the
+    QR leaves below ``n_params`` are zero in the regressor columns: their
+    energy is residual that no fit explains, and it is added up per column.
+
+    When every basis is real (joint-dac-iq), each step takes
+    ``2 * FIT_BLOCK_ROWS`` rows: the first half of the block goes to the
+    buffer's real part and the second half to its imaginary part (zero
+    padded when the block is odd), and each right-hand side ``b`` becomes
+    the two columns ``Re b`` and ``Im b``. For real coefficients ``g`` the
+    packed rows ``C = A_1 + i A_2`` keep the residual, ``|C g - (d_1 + i
+    d_2)|² = |A_1 g - d_1|² + |A_2 g - d_2|²``, so the complex fit
+    ``h = g_re + i g_im`` is solved from the packed factor with half the
+    rows through the QR (see :func:`_ls_solve`).
     """
     n, n_rhs = rhs.shape
     n_params = len(bases) * channel_len
@@ -303,23 +319,36 @@ def _ls_factor(
         if basis.samples.size < n:
             raise ValueError(f"basis {basis.label!r} shorter than received signal")
 
+    packed = not any(np.iscomplexobj(basis.samples) for basis in bases)
+    per_row = 2 if packed else 1
+    step = per_row * FIT_BLOCK_ROWS
     buf = np.empty(
-        (n_params + min(FIT_BLOCK_ROWS, n), n_params + n_rhs),
+        (n_params + min(FIT_BLOCK_ROWS, -(-n // per_row)), n_params + per_row * n_rhs),
         dtype=np.complex128,
         order="F",
     )
     carried = 0
-    dropped = np.zeros(n_rhs)
-    for start in range(0, n, FIT_BLOCK_ROWS):
-        stop = min(start + FIT_BLOCK_ROWS, n)
-        rows = carried + stop - start
-        _fill_regressor(buf[carried:rows, :n_params], bases, start, stop, channel_len)
-        buf[carried:rows, n_params:] = rhs[start:stop]
+    dropped = np.zeros(per_row * n_rhs)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        if packed:
+            mid = stop - (stop - start) // 2
+            rows = carried + mid - start
+            for part, lo, hi in ((buf.real, start, mid), (buf.imag, mid, stop)):
+                block = part[carried:rows]
+                block[hi - lo :] = 0.0
+                _fill_regressor(block[: hi - lo, :n_params], bases, lo, hi, channel_len)
+                block[: hi - lo, n_params : n_params + n_rhs] = rhs[lo:hi].real
+                block[: hi - lo, n_params + n_rhs :] = rhs[lo:hi].imag
+        else:
+            rows = carried + stop - start
+            _fill_regressor(buf[carried:rows, :n_params], bases, start, stop, channel_len)
+            buf[carried:rows, n_params:] = rhs[start:stop]
         r = np.linalg.qr(buf[:rows], mode="r")
         carried = min(len(r), n_params)
         buf[:carried] = r[:carried]
         dropped += np.sum(np.abs(r[n_params:, n_params:]) ** 2, axis=0)
-    return _LsFactor(r[:n_params], dropped, n)
+    return _LsFactor(r[:n_params], dropped, n, packed)
 
 
 def _ls_solve(
@@ -342,16 +371,30 @@ def _ls_solve(
     ``h_x = (g_re - i g_im) / 2`` and ``h_conj(x) = (g_re + i g_im) / 2``:
     √2 times a unitary map, so the rank, condition number, residual and
     minimum norm are the widely-linear fit's own.
+
+    A ``packed`` factor (see :func:`_ls_factor`) is unpacked first: for
+    real ``g``, ``|R11 g - R12|² = |[Re R11; Im R11] g - [Re R12; Im R12]|²``,
+    and ``[Re R11; Im R11]`` (``2q x q``, real) has the singular values of
+    the real regressor. The halves of a right-hand side, ``Re b`` and
+    ``Im b``, are joined back into one complex column, so the one
+    ``lstsq`` gives ``h = g_re + i g_im`` directly, and a column's
+    residual adds the energy of both halves.
     """
     n = factor.training_len
     n_params = len(factor.r)
     q = len(labels) * channel_len
     r11, r12 = factor.r[:q, :q], factor.r[:q, n_params:]
+    unexplained = np.sum(np.abs(factor.r[q:, n_params:]) ** 2, axis=0) + factor.dropped
+    if factor.packed:
+        n_rhs = r12.shape[1] // 2
+        r11 = np.concatenate([r11.real, r11.imag])
+        r12 = np.concatenate([r12.real, r12.imag])
+        r12 = r12[:, :n_rhs] + 1j * r12[:, n_rhs:]
+        unexplained = unexplained[:n_rhs] + unexplained[n_rhs:]
     coeffs, _, rank, singular = np.linalg.lstsq(
         r11, r12, rcond=np.finfo(np.float64).eps * max(n, q)
     )
     cond = float(singular[0] / singular[-1]) if singular[-1] > 0 else float("inf")
-    unexplained = np.sum(np.abs(factor.r[q:, n_params:]) ** 2, axis=0) + factor.dropped
     fits = []
     for k, energy in enumerate(unexplained):
         # Column by column: a matrix product rounds each column differently
@@ -543,7 +586,7 @@ def _compare(
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
         g = _block_operator(h, len(bases), taps)
         n_blocks = -(-frame_len // taps)
-        history = np.zeros((n_blocks + 1) * taps, dtype=np.complex128)
+        history = np.zeros((n_blocks + 1) * taps, dtype=bases[0].samples.dtype)
         blocks = history.reshape(n_blocks + 1, taps)
         pairs = np.empty((n_blocks, 2 * taps * len(bases)), dtype=np.complex128)
         db = np.empty((len(cfgs), len(offsets)))

@@ -333,6 +333,9 @@ def thermal_noise(n: int, chan: ChannelAndReceiver, seed: int) -> np.ndarray:
     )
 
 
+# Overflow shows as non-finite samples, which the receiver rejects with one
+# error instead of a floating-point warning per operation.
+@np.errstate(all="ignore")
 def apply_channel_and_receiver(
     x: np.ndarray,
     chan: ChannelAndReceiver,
@@ -417,7 +420,7 @@ def amplify_and_receive(
         v = apply_pa(v * drive, cfg.pa)
         # Refer the amplifier output to the antenna: full drive <-> max power.
         v = v * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
-        return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, noise)
+    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, noise)
 
 
 def simulate_received(

@@ -1,5 +1,6 @@
 """Tests for basis construction and least-squares cancellation."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from fdsic.cancellers import (
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
+    _basis_labels,
     _family_root,
     _fill_regressor,
     _ls_fit_columns,
@@ -227,7 +229,23 @@ class TestFillRegressor:
 class TestStreamedFit:
     """The block-streamed QR fit against a dense SVD solve of the whole matrix."""
 
-    @pytest.mark.parametrize("n", [1000, 8192, 9000])
+    @staticmethod
+    def assert_matches_dense_lstsq(bases, n, taps):
+        a = dense_regressor(bases, n, taps)
+        rng = np.random.default_rng(51)
+        truth = rng.standard_normal((a.shape[1], 3)) + 1j * rng.standard_normal((a.shape[1], 3))
+        rhs = a @ truth + 0.01 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+
+        ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
+        fits = _ls_fit_columns(rhs, bases, taps)
+        for k, fit in enumerate(fits):
+            h = fit.coefficients
+            assert np.max(np.abs(h - ref[:, k])) / np.max(np.abs(ref[:, k])) < 1e-12
+            assert fit.rank == ref_rank
+            direct = 10 * np.log10(np.mean(np.abs(rhs[:, k] - a @ h) ** 2))
+            assert fit.residual_power_dbfs == pytest.approx(direct, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1000, 8192, 9000, 9001])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -237,23 +255,42 @@ class TestStreamedFit:
         ids=lambda spec: spec.method.value,
     )
     def test_matches_dense_lstsq(self, n, spec):
-        # 1000 rows fit in one block, 8192 in two whole ones, 9000 leave a
-        # remainder block.
-        x = random_signal(n, 50)
-        bases = build_basis(x, spec)
-        a = dense_regressor(bases, n, spec.channel_len)
-        rng = np.random.default_rng(51)
-        truth = rng.standard_normal((a.shape[1], 3)) + 1j * rng.standard_normal((a.shape[1], 3))
-        rhs = a @ truth + 0.01 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+        # 1000 rows fit in one block, 8192 in two whole ones (one packed
+        # joint-dac-iq step), 9000 leave a remainder block, and 9001 an odd
+        # one, whose last packed row has a zero imaginary half.
+        bases = build_basis(random_signal(n, 50), spec)
+        self.assert_matches_dense_lstsq(bases, n, spec.channel_len)
 
-        ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-        fits = _ls_fit_columns(rhs, bases, spec.channel_len)
-        for k, fit in enumerate(fits):
-            h = fit.coefficients
-            assert np.max(np.abs(h - ref[:, k])) / np.max(np.abs(ref[:, k])) < 1e-12
-            assert fit.rank == ref_rank
-            direct = 10 * np.log10(np.mean(np.abs(rhs[:, k] - a @ h) ** 2))
-            assert fit.residual_power_dbfs == pytest.approx(direct, abs=1e-9)
+    def test_mixed_real_and_complex_bases_take_the_complex_path(self):
+        # One complex basis among real ones: packing needs every regressor
+        # column real, so this fit takes the complex path.
+        x = random_signal(9001, 56)
+        bases = build_basis(x, CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=2))
+        bases.append(BasisSignal("x", x))
+        assert not cancellers._ls_factor(x[:, np.newaxis], bases, 8).packed
+        self.assert_matches_dense_lstsq(bases, 9001, 8)
+
+    def test_joint_rails_are_real_and_packed_two_rows_per_complex_row(self, monkeypatch):
+        n, spec = 9001, CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3)
+        bases = build_basis(random_signal(n, 57), spec)
+        assert all(basis.samples.dtype == np.float64 for basis in bases)
+
+        calls = []
+        qr = np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            calls.append((a.shape, a.dtype))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        n_params = len(bases) * spec.channel_len
+        factor = cancellers._ls_factor(random_signal(n, 58)[:, np.newaxis], bases, spec.channel_len)
+        assert factor.packed
+        assert len(calls) == -(-n // (2 * cancellers.FIT_BLOCK_ROWS))
+        for (rows, cols), dtype in calls:
+            assert dtype == np.complex128
+            assert rows <= n_params + cancellers.FIT_BLOCK_ROWS
+            assert cols == n_params + 2
 
     def test_duplicate_basis_rank_matches_dense(self):
         x = random_signal(9000, 52)
@@ -738,16 +775,19 @@ class TestFamilyFit:
             assert wl.rank == wl.n_params
 
     @pytest.mark.parametrize(
-        "specs, factorizations",
+        "specs, roots",
         [
-            (DEFAULT_SPECS, 2),
-            ((DEFAULT_SPECS[0], DEFAULT_SPECS[3]), 2),
-            ((DEFAULT_SPECS[2],), 1),
-            ((dataclasses.replace(DEFAULT_SPECS[2], channel_len=16), DEFAULT_SPECS[3]), 2),
+            (DEFAULT_SPECS, (DEFAULT_SPECS[1], DEFAULT_SPECS[3])),
+            ((DEFAULT_SPECS[0], DEFAULT_SPECS[3]), (DEFAULT_SPECS[0], DEFAULT_SPECS[3])),
+            ((DEFAULT_SPECS[2],), (DEFAULT_SPECS[2],)),
+            (
+                (dataclasses.replace(DEFAULT_SPECS[2], channel_len=16), DEFAULT_SPECS[3]),
+                (dataclasses.replace(DEFAULT_SPECS[2], channel_len=16), DEFAULT_SPECS[3]),
+            ),
         ],
         ids=["default", "linear-joint", "widely-linear", "widely-linear-16-taps-joint"],
     )
-    def test_qr_calls_per_family_root(self, monkeypatch, specs, factorizations):
+    def test_qr_calls_per_family_root(self, monkeypatch, specs, roots):
         calls = []
         qr = np.linalg.qr
 
@@ -763,5 +803,12 @@ class TestFamilyFit:
         x = gen_ofdm_frames(frames, SAMPLE_RATE)
         split = round(frames.n_frames * TRAIN_FRACTION) * (len(x) // frames.n_frames)
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
-        blocks = -(-fit_len // cancellers.FIT_BLOCK_ROWS)
-        assert len(calls) == factorizations * blocks
+        # A root's calls are told apart by their width: its columns plus one
+        # right-hand side, which a joint-dac-iq root packs as two columns
+        # (Re, Im) over steps of twice the rows.
+        expected = {}
+        for root in roots:
+            per_row = 2 if root.method is CancellerMethod.JOINT_DAC_IQ else 1
+            width = len(_basis_labels(root)) * root.channel_len + per_row
+            expected[width] = -(-fit_len // (per_row * cancellers.FIT_BLOCK_ROWS))
+        assert collections.Counter(shape[1] for shape in calls) == expected

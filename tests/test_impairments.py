@@ -331,9 +331,11 @@ class TestChannelAndReceiver:
                 sig, chan, IqImbalance.identity(), thermal_noise(4095, chan, 1)
             )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_overflowing_input(self):
         # Finite samples whose power overflows the gain ranging: the
-        # digitized output is not finite and must not leave the receiver.
+        # digitized output is not finite and must not leave the receiver,
+        # and the stage says so with its error alone, no numpy warning.
         x = np.full(64, 1e200 + 0j)
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf")
