@@ -575,7 +575,11 @@ def _compare(
     # history exists). Output block i (samples [i*taps, (i+1)*taps) of the
     # frame) reads only history blocks i and i + 1 of each basis, so the
     # reconstruction is one product of those block pairs, side by side in
-    # ``pairs``, with the spec's block operator (see _block_operator).
+    # ``pairs``, with the spec's block operator (see _block_operator). Real
+    # bases (joint-dac-iq's rail powers) keep ``pairs`` real and multiply
+    # it by the operator viewed as float64, which interleaves the real and
+    # imaginary part of each column, so the product is one real product
+    # whose rows read back as complex.
     noise_floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
     offsets = range(0, usable - split, frame_len)
     per_frame_db = []
@@ -584,11 +588,12 @@ def _compare(
         first = split - taps + 1
         bases = build_basis(x.samples[first:usable], spec)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
-        g = _block_operator(h, len(bases), taps)
+        dtype = bases[0].samples.dtype
+        g = _block_operator(h, len(bases), taps).view(dtype)
         n_blocks = -(-frame_len // taps)
-        history = np.zeros((n_blocks + 1) * taps, dtype=bases[0].samples.dtype)
+        history = np.zeros((n_blocks + 1) * taps, dtype=dtype)
         blocks = history.reshape(n_blocks + 1, taps)
-        pairs = np.empty((n_blocks, 2 * taps * len(bases)), dtype=np.complex128)
+        pairs = np.empty((n_blocks, 2 * taps * len(bases)), dtype=dtype)
         db = np.empty((len(cfgs), len(offsets)))
         for i, offset in enumerate(offsets):
             for b, basis in enumerate(bases):
@@ -597,7 +602,8 @@ def _compare(
                 ]
                 pairs[:, 2 * b * taps : (2 * b + 1) * taps] = blocks[:-1]
                 pairs[:, (2 * b + 1) * taps : (2 * b + 2) * taps] = blocks[1:]
-            estimate = (pairs @ g).reshape(n_blocks * taps, len(cfgs))[:frame_len]
+            estimate = (pairs @ g).view(np.complex128)
+            estimate = estimate.reshape(n_blocks * taps, len(cfgs))[:frame_len]
             residual = held[offset : offset + frame_len] - estimate
             power = np.mean(np.abs(residual) ** 2, axis=0)
             db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floor)

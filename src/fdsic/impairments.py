@@ -14,9 +14,10 @@ transmit power either: ``thermal_noise`` draws it, and
 ``amplify_and_receive`` takes the drawn array, so a power sweep draws it
 once and adds the same noise at every power.
 
-The stages take and return plain sample arrays; only
-``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for its
-sample rate) and only ``simulate_received`` returns one. Every number of
+The stages take and return plain sample arrays. Each returns a new array
+and never modifies its inputs; it works in place only on arrays it made.
+Only ``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for
+its sample rate) and only ``simulate_received`` returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
 (no noise). Finite values can still overflow the chain, so the receiver
 rejects a digitized output that is not finite.
@@ -261,21 +262,37 @@ class ImpairmentConfig:
         )
 
 
+def _horner(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] * values^m as a new real array, evaluated in place."""
+    acc = np.zeros(values.shape)
+    for c in coeffs[::-1]:
+        acc *= values
+        acc += c
+    return acc
+
+
 def apply_dac(x: np.ndarray, dac: DacNonlinearity) -> np.ndarray:
-    """Per-rail polynomial: sum_m a1_m Re{x}^m + j sum_m a2_m Im{x}^m."""
+    """Per-rail polynomial: sum_m a1_m Re{x}^m + j sum_m a2_m Im{x}^m.
 
-    def rail(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(values)
-        for a in coeffs[::-1]:
-            acc = acc * values + a
-        return acc * values
-
-    return rail(x.real, dac.coeffs_i) + 1j * rail(x.imag, dac.coeffs_q)
+    Returns a new array and leaves ``x`` unchanged.
+    """
+    rail_i = _horner(x.real, dac.coeffs_i)
+    rail_i *= x.real
+    rail_q = _horner(x.imag, dac.coeffs_q)
+    rail_q *= x.imag
+    # rail_i + 1j * rail_q, the sum written over the product.
+    out = np.multiply(1j, rail_q)
+    return np.add(rail_i, out, out=out)
 
 
 def apply_iq(x: np.ndarray, iq: IqImbalance) -> np.ndarray:
-    """Widely-linear filter gamma * x + delta * conj(x)."""
-    return fir_convolve(x, iq.gamma) + fir_convolve(np.conj(x), iq.delta)
+    """Widely-linear filter gamma * x + delta * conj(x).
+
+    Returns a new array and leaves ``x`` unchanged.
+    """
+    out = fir_convolve(x, iq.gamma)
+    out += fir_convolve(np.conj(x), iq.delta)
+    return out
 
 
 def apply_phase_noise(
@@ -284,6 +301,7 @@ def apply_phase_noise(
     """Rotate each sample by exp(j(phi_tx[n] - phi_rx[n - delay])).
 
     ``sample_rate`` in Hz sets the phase step per sample for the linewidth.
+    Returns a new array and leaves ``x`` unchanged.
     """
     n = len(x)
     dt = pn.delay_samples
@@ -300,12 +318,13 @@ def apply_phase_noise(
 
 
 def apply_pa(x: np.ndarray, pa: PaNonlinearity) -> np.ndarray:
-    """Odd-order envelope polynomial y = sum_n beta'_n x |x|^(n-1)."""
-    env2 = np.abs(x) ** 2
-    gain = np.zeros_like(env2)
-    for bp in pa.baseband_coeffs()[::-1]:
-        gain = gain * env2 + bp
-    return gain * x
+    """Odd-order envelope polynomial y = sum_n beta'_n x |x|^(n-1).
+
+    Returns a new array and leaves ``x`` unchanged.
+    """
+    env2 = np.abs(x)
+    np.square(env2, out=env2)
+    return _horner(env2, pa.baseband_coeffs()) * x
 
 
 @dataclass(frozen=True)
@@ -346,16 +365,21 @@ def apply_channel_and_receiver(
 
     ``noise`` is the receiver noise added ahead of the converter, one
     sample per sample of ``x``: :func:`thermal_noise` of ``len(x)``.
-    Raises ``ValueError`` when the digitized output is not finite: a
-    configuration of finite values that overflows the chain ends here.
+    Returns a new array and leaves ``x`` and ``noise`` unchanged. Raises
+    ``ValueError`` when the digitized output is not finite: a configuration
+    of finite values that overflows the chain ends here.
     """
     if len(noise) != len(x):
         raise ValueError(f"noise has {len(noise)} samples, the signal {len(x)}")
     attenuated = x * 10.0 ** (-chan.analog_suppression_db / 20.0)
-    through = fir_convolve(attenuated, chan.h_si)
-    analog = apply_iq(through, rx_iq) + noise
+    analog = apply_iq(fir_convolve(attenuated, chan.h_si), rx_iq)
+    del attenuated
+    analog += noise
 
-    rms = math.sqrt(float(np.mean(np.abs(analog) ** 2)))
+    # One real scratch buffer serves the rms and both rails' quantization.
+    scratch = np.abs(analog)
+    np.square(scratch, out=scratch)
+    rms = math.sqrt(float(np.mean(scratch)))
     if rms == 0.0:
         scale = 1.0
     else:
@@ -364,14 +388,25 @@ def apply_channel_and_receiver(
     step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
     top = 2 ** (chan.adc_bits - 1) - 1
 
-    def quantize(rail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.floor(rail * scale / step)
-        clipped = (idx > top) | (idx < -top - 1)
-        return (np.clip(idx, -top - 1, top) + 0.5) * step / scale, clipped
+    def quantize(rail: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write (clip(floor(rail * scale / step)) + 0.5) * step / scale to
+        ``out``; return the mask of the samples that clipped."""
+        idx = np.multiply(rail, scale, out=scratch)
+        idx /= step
+        np.floor(idx, out=idx)
+        clipped = idx > top
+        clipped |= idx < -top - 1
+        np.clip(idx, -top - 1, top, out=idx)
+        idx += 0.5
+        idx *= step
+        np.divide(idx, scale, out=out)
+        return clipped
 
-    q_i, clip_i = quantize(analog.real)
-    q_q, clip_q = quantize(analog.imag)
-    digitized = q_i + 1j * q_q
+    # Every level (k + 0.5) * step / scale is nonzero, so writing the rails
+    # straight into the output gives the same values as q_i + 1j * q_q.
+    digitized = np.empty_like(analog)
+    clipped = quantize(analog.real, digitized.real)
+    clipped |= quantize(analog.imag, digitized.imag)
     if not np.all(np.isfinite(digitized.view(np.float64))):
         raise ValueError(
             "the digitized received signal is not finite: "
@@ -380,7 +415,7 @@ def apply_channel_and_receiver(
     diag = ReceiverDiagnostics(
         noise=noise,
         quant_error=digitized - analog,
-        clipped_samples=int(np.count_nonzero(clip_i | clip_q)),
+        clipped_samples=int(np.count_nonzero(clipped)),
         agc_scale=scale,
     )
     return digitized, diag

@@ -37,7 +37,7 @@ class ComplexBasebandSignal:
     sample_rate: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = np.asarray(self.samples, dtype=np.complex128, order="C")
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a nonempty 1-D sequence")
         if not (0 < self.sample_rate < math.inf):
@@ -159,17 +159,22 @@ def gen_ofdm_frames(spec: OfdmFrameSpec, sample_rate: float) -> ComplexBasebandS
 def fir_convolve(x: np.ndarray, taps) -> np.ndarray:
     """Linear convolution of the samples ``x``, trimmed to their length.
 
-    Alignment: output sample 0 corresponds to input sample 0 filtered by
-    taps[0] (i.e. the filter is causal and the leading transient is kept).
+    Returns a new array and leaves ``x`` unchanged. Alignment: output
+    sample 0 corresponds to input sample 0 filtered by taps[0] (i.e. the
+    filter is causal and the leading transient is kept).
     """
     taps = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
     if taps.size < 1 or taps.ndim != 1:
         raise ValueError("taps must be a nonempty 1-D sequence")
     # Shift and add, one vector pass per tap: the filters here are short,
-    # and np.convolve makes one dot-product call per output sample.
+    # and np.convolve makes one dot-product call per output sample. Every
+    # tap's product goes through one scratch buffer.
     out = x * taps[0]
+    if taps.size > 1:
+        scratch = np.empty_like(out)
     for k in range(1, taps.size):
-        out[k:] += x[:-k] * taps[k]
+        product = np.multiply(x[:-k], taps[k], out=scratch[k:])
+        out[k:] += product
     return out
 
 
@@ -199,12 +204,13 @@ _HDR_SUFFIX = ".hdr"
 
 
 def write_iq(signal: ComplexBasebandSignal, path) -> Path:
-    """Write samples as interleaved little-endian float64 I/Q plus header."""
+    """Write samples as interleaved little-endian float64 I/Q plus header.
+
+    A little-endian complex128 buffer already holds that layout, so the
+    samples are written from their own buffer.
+    """
     path = Path(path)
-    interleaved = np.empty(2 * len(signal), dtype="<f8")
-    interleaved[0::2] = signal.samples.real
-    interleaved[1::2] = signal.samples.imag
-    path.write_bytes(interleaved.tobytes())
+    path.write_bytes(signal.samples.astype("<c16", copy=False))
     header = (
         "format=iq-float64-le-interleaved\n"
         f"sample_rate_hz={signal.sample_rate!r}\n"

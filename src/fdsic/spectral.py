@@ -10,7 +10,6 @@ read back the exact line power ("windowing loss compensated").
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,11 +176,14 @@ def band_power_fraction(spec: Spectrum, f_lo: float, f_hi: float) -> float:
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> Path:
-    """Export a spectrum as CSV with columns freq_hz, power_db."""
+    """Export a spectrum as CSV with columns freq_hz, power_db.
+
+    Rows end in ``\\r\\n`` and values carry six decimals, as
+    :class:`csv.writer` writes them; the file is formatted in one pass and
+    written at once.
+    """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "power_db"])
-        for f, p in zip(spec.bin_freqs, spec.power_db):
-            writer.writerow([f"{f:.6f}", f"{p:.6f}"])
+    values = np.column_stack([spec.bin_freqs, spec.power_db]).ravel().tolist()
+    rows = ("%.6f,%.6f\r\n" * spec.bin_freqs.size) % tuple(values)
+    path.write_bytes(("freq_hz,power_db\r\n" + rows).encode("ascii"))
     return path

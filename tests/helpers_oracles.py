@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own code paths: brute-force
 numerics stand in for closed forms, dense normal equations stand in for
-the orthogonal-factorization solver, and a per-basis convolution
-stands in for the blocked scoring of the held-out frames.
+the orthogonal-factorization solver, a per-basis convolution stands
+in for the blocked scoring of the held-out frames, and plain
+out-of-place formulas and :class:`csv.writer` stand in for the impairment
+stages that work on scratch buffers and for the one-pass file writers.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -80,3 +83,75 @@ def cancel(r, bases, fit):
         h = fit.coefficients[i * taps : (i + 1) * taps]
         estimate += np.convolve(basis.samples[:n], h)[:n]
     return r - estimate
+
+
+# --- file writers and impairment stages: the bits the library must keep ---
+
+
+def spectrum_csv_oracle(spec, path) -> None:
+    """Spectrum CSV written row by row with :class:`csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["freq_hz", "power_db"])
+        for f, p in zip(spec.bin_freqs, spec.power_db):
+            writer.writerow([f"{f:.6f}", f"{p:.6f}"])
+
+
+def iq_bytes_oracle(samples: np.ndarray) -> bytes:
+    """Samples as explicitly interleaved little-endian float64 (I, Q) pairs."""
+    interleaved = np.empty(2 * samples.size, dtype="<f8")
+    interleaved[0::2] = samples.real
+    interleaved[1::2] = samples.imag
+    return interleaved.tobytes()
+
+
+def fir_convolve_oracle(x: np.ndarray, taps) -> np.ndarray:
+    """Shift-and-add FIR with a fresh product array per tap."""
+    taps = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+    out = x * taps[0]
+    for k in range(1, taps.size):
+        out[k:] += x[:-k] * taps[k]
+    return out
+
+
+def apply_iq_oracle(x: np.ndarray, iq) -> np.ndarray:
+    return fir_convolve_oracle(x, iq.gamma) + fir_convolve_oracle(np.conj(x), iq.delta)
+
+
+def apply_dac_oracle(x: np.ndarray, dac) -> np.ndarray:
+    def rail(values, coeffs):
+        acc = np.zeros_like(values)
+        for a in coeffs[::-1]:
+            acc = acc * values + a
+        return acc * values
+
+    return rail(x.real, dac.coeffs_i) + 1j * rail(x.imag, dac.coeffs_q)
+
+
+def apply_pa_oracle(x: np.ndarray, pa) -> np.ndarray:
+    env2 = np.abs(x) ** 2
+    gain = np.zeros_like(env2)
+    for bp in pa.baseband_coeffs()[::-1]:
+        gain = gain * env2 + bp
+    return gain * x
+
+
+def channel_and_receiver_oracle(x: np.ndarray, chan, rx_iq, noise, headroom_db: float):
+    """(digitized, quant_error, clipped_samples, agc_scale) of the receiver."""
+    attenuated = x * 10.0 ** (-chan.analog_suppression_db / 20.0)
+    through = fir_convolve_oracle(attenuated, chan.h_si)
+    analog = apply_iq_oracle(through, rx_iq) + noise
+    rms = math.sqrt(float(np.mean(np.abs(analog) ** 2)))
+    scale = 1.0 if rms == 0.0 else chan.adc_full_scale / (rms * 10.0 ** (headroom_db / 20.0))
+    step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
+    top = 2 ** (chan.adc_bits - 1) - 1
+
+    def quantize(rail):
+        idx = np.floor(rail * scale / step)
+        clipped = (idx > top) | (idx < -top - 1)
+        return (np.clip(idx, -top - 1, top) + 0.5) * step / scale, clipped
+
+    q_i, clip_i = quantize(analog.real)
+    q_q, clip_q = quantize(analog.imag)
+    digitized = q_i + 1j * q_q
+    return digitized, digitized - analog, int(np.count_nonzero(clip_i | clip_q)), scale

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracles import (
+    apply_dac_oracle,
+    apply_iq_oracle,
+    apply_pa_oracle,
+    channel_and_receiver_oracle,
+)
 from fdsic.impairments import (
+    ADC_HEADROOM_DB,
     ChannelAndReceiver,
     DacNonlinearity,
     ImpairmentConfig,
@@ -464,3 +471,69 @@ class TestConfigSerialization:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
             load_preset("fig99")
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bits, so signed zeros count."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def stage_input(n: int, seed: int, rms: float = 0.3) -> np.ndarray:
+    """Complex Gaussian samples with signed zeros on either rail."""
+    rng = np.random.default_rng(seed)
+    x = rms / math.sqrt(2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x[[0, 7, 8, 9]] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    return x
+
+
+class TestStagesMatchOutOfPlaceFormulas:
+    """Each stage writes through scratch buffers; its output must keep the
+    bits of the plain out-of-place formula, and its inputs must not change."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("stage", ["dac", "tx_iq", "rx_iq", "pa"])
+    def test_stage_bits(self, preset, stage):
+        cfg = load_preset(preset)
+        run, oracle, params = {
+            "dac": (apply_dac, apply_dac_oracle, cfg.dac),
+            "tx_iq": (apply_iq, apply_iq_oracle, cfg.tx_iq),
+            "rx_iq": (apply_iq, apply_iq_oracle, cfg.rx_iq),
+            "pa": (apply_pa, apply_pa_oracle, cfg.pa),
+        }[stage]
+        x = stage_input(4096, seed=len(preset))
+        before = x.copy()
+        out = run(x, params)
+        assert same_bits(out, oracle(x, params))
+        assert same_bits(x, before)
+        assert not np.shares_memory(out, x)
+
+    def test_dac_and_pa_with_zero_coefficients(self):
+        # Zero middle coefficients make the Horner steps produce signed zeros.
+        dac = DacNonlinearity([1.0, 0.0, -0.2, 0.0], [0.9, 0.0, 0.0, 0.05])
+        pa = PaNonlinearity([1.0, 0.0, -0.3])
+        x = stage_input(2048, seed=3)
+        assert same_bits(apply_dac(x, dac), apply_dac_oracle(x, dac))
+        assert same_bits(apply_pa(x, pa), apply_pa_oracle(x, pa))
+
+    @pytest.mark.parametrize("clips", [False, True], ids=["in-range", "clipping"])
+    def test_channel_and_receiver_bits(self, clips):
+        cfg = load_preset("fig5_m10dbm")
+        x = stage_input(8192, seed=5, rms=3.0)
+        if clips:
+            # Sparse peaks far above the rms overload the gain-ranged ADC.
+            x[::512] *= 200.0
+        noise = thermal_noise(len(x), cfg.chan, 2)
+        x_before, noise_before = x.copy(), noise.copy()
+        digitized, diag = apply_channel_and_receiver(x, cfg.chan, cfg.rx_iq, noise)
+        ref_digitized, ref_error, ref_clipped, ref_scale = channel_and_receiver_oracle(
+            x, cfg.chan, cfg.rx_iq, noise, ADC_HEADROOM_DB
+        )
+        assert same_bits(digitized, ref_digitized)
+        assert same_bits(diag.quant_error, ref_error)
+        assert diag.clipped_samples == ref_clipped
+        assert (diag.clipped_samples > 0) == clips
+        assert diag.agc_scale == ref_scale
+        assert same_bits(x, x_before)
+        assert same_bits(noise, noise_before)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracles import fir_convolve_oracle, iq_bytes_oracle
 from fdsic.signals import (
     ComplexBasebandSignal,
     OfdmFrameSpec,
@@ -190,6 +191,15 @@ class TestFirConvolve:
         with pytest.raises(ValueError):
             fir_convolve(gen_tone(1e6, 1.0, 16, FS).samples, [])
 
+    @pytest.mark.parametrize("n_taps", [1, 2, 4])
+    def test_same_bits_as_out_of_place_products(self, n_taps):
+        rng = np.random.default_rng(n_taps)
+        x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        x[[3, 50, 51]] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+        out = fir_convolve(x, taps)
+        assert np.array_equal(out.view(np.uint64), fir_convolve_oracle(x, taps).view(np.uint64))
+
 
 class TestPowerMetrics:
     def test_tone_papr_zero(self):
@@ -221,6 +231,16 @@ class TestIqFile:
         assert "sample_rate_hz=80000000.0" in header
         assert "length=64" in header
         assert path.stat().st_size == 64 * 16
+
+    def test_bytes_are_the_explicit_interleave(self, tmp_path):
+        rng = np.random.default_rng(4)
+        wide = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        wide[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), 1e300 - 1e-300j, -5e-324 + 1j]
+        # A strided view as well: the signal stores it contiguously.
+        for samples in (wide, wide[::2]):
+            sig = ComplexBasebandSignal(samples, FS)
+            path = write_iq(sig, tmp_path / "x.iq")
+            assert path.read_bytes() == iq_bytes_oracle(sig.samples)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "orphan.iq"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers_oracles import spectrum_csv_oracle
 from fdsic.signals import ComplexBasebandSignal, gen_tone
 from fdsic.spectral import (
     Spectrum,
@@ -129,6 +130,20 @@ class TestCsvExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "freq_hz,power_db"
         assert len(lines) == 1 + 1024
+
+    def test_same_bytes_as_csv_writer(self, tmp_path):
+        # Signed zeros, negative frequencies, values that round to -0 and
+        # large values, plus a real spectrum.
+        odd = Spectrum(
+            np.array([-4.0e7, -1.5, -1e-9, -0.0, 2.5e-7, 3.999999999e7]),
+            np.array([-0.0, -300.0, 12345678.9, -4e-7, 0.0, 1e300]),
+            1.0,
+        )
+        real = spectrum(gen_tone(1e6, 1.0, 4096, FS), n_fft=1024)
+        for k, spec in enumerate((odd, real)):
+            ours = write_spectrum_csv(spec, tmp_path / f"ours{k}.csv").read_bytes()
+            spectrum_csv_oracle(spec, tmp_path / f"oracle{k}.csv")
+            assert ours == (tmp_path / f"oracle{k}.csv").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         sig = gen_tone(1e6, 1.0, 4096, FS)
