@@ -207,9 +207,10 @@ def _family_root(spec: CancellerSpec, specs: Sequence[CancellerSpec]) -> Cancell
     return spec
 
 
-# Training rows added to the triangular factor per QR step of the
-# streamed LS fit: enough rows to keep LAPACK efficient, while the largest
-# block (joint-dac-iq, 192 columns) stays near 14 MB.
+# Training rows added to the triangular factor per QR step of the streamed
+# LS fit. At 1024 a one-power 10-frame sweep would peak at ≈ 53 MB, not ≈ 80,
+# but the ill-posed 10-frame joint-dac-iq fits would round so differently that
+# sweeps no longer match their single-power runs within 1e-9 dB.
 FIT_BLOCK_ROWS = 4096
 
 
@@ -478,12 +479,10 @@ def run_sweep(
     """Run the canceller comparison at each transmit power.
 
     The transmit frames are generated once, scaled to the nominal DAC
-    drive and shared by every power, so the transmit front end runs once
-    and each canceller family is fitted at all powers with one
-    factorization: linear is read off nonlinear's, widely-linear off
-    joint-dac-iq's (see :func:`_family_root`). Reports come in (power,
-    spec) order and match :func:`run_comparison` at each power up to
-    rounding.
+    drive and shared by every power, so the front end runs once and each
+    canceller family is factored once (see :func:`_receive` and
+    :func:`_fit_and_score`). Reports come in (power, spec) order and match
+    :func:`run_comparison` at each power up to rounding.
     """
     x = gen_ofdm_frames(frames, SAMPLE_RATE)
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
@@ -498,18 +497,7 @@ def _compare(
     seed: int,
     n_frames: int,
 ) -> list[SuppressionReport]:
-    """:func:`run_comparison` of ``cfg`` at every transmit power in ``powers``.
-
-    Only ``cfg.tx_power_dbm`` varies across ``powers``, so the transmit
-    front end runs and the thermal noise is drawn once, and only the
-    amplifier and receiver run per power. Each family is fitted at every
-    power with one LS factorization of its root (:func:`_family_root`),
-    and each member's fits are solved from the leading columns of the
-    root's triangular factor (:func:`_ls_solve`). Reports come in (power,
-    spec) order.
-    Neither the fit nor the scoring builds a full-length regressor matrix:
-    the fit walks the rows in blocks, the scoring the held-out frames.
-    """
+    """:func:`run_comparison` at every power of ``powers``, in (power, spec) order."""
     if not specs:
         raise ValueError("specs must be nonempty")
     if not powers:
@@ -529,19 +517,41 @@ def _compare(
     frame_len = len(x) // n_frames
     if frame_len < 1:
         raise ValueError("signal shorter than the number of frames")
-    n_train_frames = round(n_frames * TRAIN_FRACTION)
-    n_train_frames = min(max(n_train_frames, 1), n_frames - 1)
+    n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
     split = n_train_frames * frame_len
     usable = n_frames * frame_len
-    fit_len = min(split, MAX_TRAIN_SAMPLES)
 
-    # Simulate: run the front end and draw the noise once, then the
-    # amplifier and receiver at each power. Keep only the received rows the
-    # fit reads (``train``, rows [0, fit_len)) and those the scoring reads
-    # (``held``, rows [split, usable)), one column per power, plus the
-    # apparent floor.
-    front = transmit_front_end(x, cfg, seed)
-    noise = thermal_noise(len(x), cfg.chan, seed)
+    train, held, floors = _receive(x, cfgs, seed, split, usable)
+    fits, per_frame_db = _fit_and_score(
+        x.samples[:usable], train, held, specs, frame_len, cfg.chan.thermal_noise_dbfs
+    )
+    return [
+        SuppressionReport(
+            method=spec.label(),
+            tx_power_dbm=power_cfg.tx_power_dbm,
+            residual_above_noise_db=float(np.mean(db[k])),
+            residual_above_noise_std_db=float(np.std(db[k])),
+            apparent_noise_floor_dbfs=floors[k],
+            fit=spec_fits[k],
+        )
+        for k, power_cfg in enumerate(cfgs)
+        for spec, spec_fits, db in zip(specs, fits, per_frame_db)
+    ]
+
+
+def _receive(
+    x: ComplexBasebandSignal, cfgs: list[ImpairmentConfig], seed: int, split: int, usable: int
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Simulate the rows of ``x`` that the fit and the scoring read.
+
+    The configs differ only in transmit power: the front end runs and the
+    noise is drawn once. Returns the training rows [0, min(split,
+    MAX_TRAIN_SAMPLES)) and held rows [split, usable), a column per config,
+    and per config the held rows' noise plus quantization error in dBFS.
+    """
+    fit_len = min(split, MAX_TRAIN_SAMPLES)
+    front = transmit_front_end(x, cfgs[0], seed)
+    noise = thermal_noise(len(x), cfgs[0].chan, seed)
     train = np.empty((fit_len, len(cfgs)), dtype=np.complex128, order="F")
     held = np.empty((usable - split, len(cfgs)), dtype=np.complex128, order="F")
     floors = []
@@ -552,14 +562,35 @@ def _compare(
         extra = diag.noise[split:usable] + diag.quant_error[split:usable]
         floors.append(10.0 * math.log10(float(np.mean(np.abs(extra) ** 2))))
         del r, diag, extra
-    del front, noise
+    return train, held, floors
 
-    # Fit: one factorization per family root, every power a right-hand
-    # side, and each spec's fits read off its root's leading columns. The
-    # fit reads only the training prefix of each root's bases.
+
+def _fit_and_score(
+    s: np.ndarray,
+    train: np.ndarray,
+    held: np.ndarray,
+    specs: Sequence[CancellerSpec],
+    frame_len: int,
+    noise_dbfs: float,
+) -> tuple[list[list[LsFit]], list[np.ndarray]]:
+    """Fit each spec to the received columns and score the held-out frames.
+
+    One column per power, ``train`` holds the rows received for the first
+    ``len(train)`` transmit samples ``s`` and ``held`` those for the last
+    ``len(held)``, whole frames of ``frame_len`` after the training rows.
+    Each family root is factored once (:func:`_family_root`). Returns per
+    spec its fits and a (power, frame) array of held-out residual power in
+    dB above ``noise_dbfs``. The scoring bases cover the held rows and the
+    taps - 1 samples before them. Output block i (frame samples [i*taps,
+    (i+1)*taps)) reads only history blocks i and i + 1 of each basis, so a
+    frame's reconstruction at every power is one product of those block
+    pairs (``pairs``) with the spec's :func:`_block_operator`. Real bases
+    keep ``pairs`` real and multiply it by the operator viewed as float64,
+    one real product whose rows read back as complex.
+    """
     roots = [_family_root(spec, specs) for spec in specs]
     factors = {
-        root: _ls_factor(train, build_basis(x.samples[:fit_len], root), root.channel_len)
+        root: _ls_factor(train, build_basis(s[: len(train)], root), root.channel_len)
         for root in dict.fromkeys(roots)
     }
     fits = []
@@ -567,59 +598,30 @@ def _compare(
         rails = root.method is CancellerMethod.JOINT_DAC_IQ and spec.method is not root.method
         fits.append(_ls_solve(factors[root], _basis_labels(spec), spec.channel_len, rails))
 
-    # Score: per held-out frame, the residual of every power at once is
-    # the received block minus the frame's reconstruction at every power,
-    # so no full-length cancellation signal is formed. The scoring bases
-    # cover only the held-out rows and the taps - 1 samples of history
-    # before them (the fit has already checked split >= 4 * taps, so that
-    # history exists). Output block i (samples [i*taps, (i+1)*taps) of the
-    # frame) reads only history blocks i and i + 1 of each basis, so the
-    # reconstruction is one product of those block pairs, side by side in
-    # ``pairs``, with the spec's block operator (see _block_operator). Real
-    # bases (joint-dac-iq's rail powers) keep ``pairs`` real and multiply
-    # it by the operator viewed as float64, which interleaves the real and
-    # imaginary part of each column, so the product is one real product
-    # whose rows read back as complex.
-    noise_floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
-    offsets = range(0, usable - split, frame_len)
+    noise_floor = 10.0 ** (noise_dbfs / 10.0)
+    offsets = range(0, len(held), frame_len)
     per_frame_db = []
     for spec, spec_fits in zip(specs, fits):
         taps = spec.channel_len
-        first = split - taps + 1
-        bases = build_basis(x.samples[first:usable], spec)
+        bases = build_basis(s[len(s) - len(held) - taps + 1 :], spec)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
         dtype = bases[0].samples.dtype
         g = _block_operator(h, len(bases), taps).view(dtype)
         n_blocks = -(-frame_len // taps)
+        window = frame_len + taps - 1
         history = np.zeros((n_blocks + 1) * taps, dtype=dtype)
         blocks = history.reshape(n_blocks + 1, taps)
         pairs = np.empty((n_blocks, 2 * taps * len(bases)), dtype=dtype)
-        db = np.empty((len(cfgs), len(offsets)))
+        db = np.empty((held.shape[1], len(offsets)))
         for i, offset in enumerate(offsets):
             for b, basis in enumerate(bases):
-                history[: frame_len + taps - 1] = basis.samples[
-                    offset : offset + frame_len + taps - 1
-                ]
+                history[:window] = basis.samples[offset : offset + window]
                 pairs[:, 2 * b * taps : (2 * b + 1) * taps] = blocks[:-1]
                 pairs[:, (2 * b + 1) * taps : (2 * b + 2) * taps] = blocks[1:]
             estimate = (pairs @ g).view(np.complex128)
-            estimate = estimate.reshape(n_blocks * taps, len(cfgs))[:frame_len]
+            estimate = estimate.reshape(n_blocks * taps, held.shape[1])[:frame_len]
             residual = held[offset : offset + frame_len] - estimate
             power = np.mean(np.abs(residual) ** 2, axis=0)
             db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floor)
         per_frame_db.append(db)
-
-    reports = []
-    for k, power_cfg in enumerate(cfgs):
-        for spec, spec_fits, db in zip(specs, fits, per_frame_db):
-            reports.append(
-                SuppressionReport(
-                    method=spec.label(),
-                    tx_power_dbm=power_cfg.tx_power_dbm,
-                    residual_above_noise_db=float(np.mean(db[k])),
-                    residual_above_noise_std_db=float(np.std(db[k])),
-                    apparent_noise_floor_dbfs=floors[k],
-                    fit=spec_fits[k],
-                )
-            )
-    return reports
+    return fits, per_frame_db

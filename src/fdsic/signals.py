@@ -249,9 +249,7 @@ def read_iq(path) -> ComplexBasebandSignal:
             f"got {fields['sample_rate_hz']!r}"
         )
     length = number("length", int)
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if raw.size != 2 * length:
-        raise ValueError(
-            f"IQ payload holds {raw.size // 2} samples but header says {length}"
-        )
-    return ComplexBasebandSignal(raw[0::2] + 1j * raw[1::2], sample_rate)
+    size = path.stat().st_size
+    if size != 16 * length:
+        raise ValueError(f"IQ payload holds {size // 16} samples but header says {length}")
+    return ComplexBasebandSignal(np.fromfile(path, dtype="<c16"), sample_rate)

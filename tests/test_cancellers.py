@@ -726,6 +726,64 @@ class TestRunSweep:
             assert rep.fit.residual_power_dbfs == pytest.approx(fit.residual_power_dbfs, abs=1e-9)
 
 
+class TestFitAndScore:
+    """The fit-and-score step on a synthetic transmit/receive pair."""
+
+    def test_fir_pair_fits_its_taps_and_scores_at_the_floor(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the fit-and-score step ran the simulator")
+
+        for name in ("transmit_front_end", "thermal_noise", "amplify_and_receive"):
+            monkeypatch.setattr(cancellers, name, unreachable)
+
+        # Unit-power white tx through a known 4-tap FIR per column (two
+        # columns, as two powers would be), plus complex noise at the floor.
+        frame_len, n_frames, n_train = 2048, 16, 8
+        noise_dbfs = -40.0
+        sigma = 10.0 ** (noise_dbfs / 20.0)
+        tx = random_signal(frame_len * n_frames, 50)
+        rng = np.random.default_rng(51)
+        taps = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        noise = sigma / np.sqrt(2) * (
+            rng.standard_normal((len(tx), 2)) + 1j * rng.standard_normal((len(tx), 2))
+        )
+        rx = np.stack([fir_convolve(tx, taps[:, k]) for k in range(2)], axis=1) + noise
+        split = n_train * frame_len
+        specs = (
+            CancellerSpec(CancellerMethod.LINEAR, channel_len=8),
+            CancellerSpec(
+                CancellerMethod.NONLINEAR,
+                channel_len=8,
+                n_max=3,
+                nonlinear_basis_variant="envelope",
+            ),
+        )
+        fits, per_frame_db = cancellers._fit_and_score(
+            tx, rx[:split], rx[split:], specs, frame_len, noise_dbfs
+        )
+
+        assert [len(spec_fits) for spec_fits in fits] == [2, 2]
+        assert [db.shape for db in per_frame_db] == [(2, n_frames - n_train)] * 2
+        # Each tap estimate errs by noise of power sigma^2 / split (white
+        # unit-power tx); |error| exceeds 6 times its rms with probability
+        # exp(-36). The 4 taps past the channel are zero.
+        tap_rms = sigma / math.sqrt(split)
+        for k, fit in enumerate(fits[0]):
+            assert fit.labels == ("x",)
+            assert fit.rank == fit.n_params == 8
+            expected = np.concatenate([taps[:, k], np.zeros(4)])
+            assert np.max(np.abs(fit.coefficients - expected)) < 6 * tap_rms
+        # The held-out figure is noise alone, up to the fit's excess of about
+        # n_params / split, and the mean over the held rows of |noise|^2 has
+        # a relative spread of 1/sqrt(rows), 10 / ln(10) / sqrt(rows) in dB.
+        held_rows = len(tx) - split
+        for spec, spec_fits, db in zip(specs, fits, per_frame_db):
+            excess_db = 10.0 * math.log10(1.0 + spec_fits[0].n_params / split)
+            spread_db = 10.0 / math.log(10.0) / math.sqrt(held_rows)
+            for mean_db in np.mean(db, axis=1):
+                assert abs(mean_db - excess_db) < 6 * spread_db
+
+
 class TestFamilyFit:
     """Linear and widely-linear are read off the nonlinear and joint-dac-iq factors."""
 

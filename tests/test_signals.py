@@ -223,6 +223,13 @@ class TestIqFile:
         assert back.sample_rate == sig.sample_rate
         assert np.array_equal(back.samples, sig.samples)
 
+    def test_roundtrip_keeps_every_bit(self, tmp_path):
+        # A signed zero on either rail, and a subnormal, come back as written.
+        samples = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0), 5e-324 - 2.5j]
+        sig = ComplexBasebandSignal(np.array(samples), FS)
+        back = read_iq(write_iq(sig, tmp_path / "zeros.iq"))
+        assert np.array_equal(back.samples.view(np.uint64), sig.samples.view(np.uint64))
+
     def test_header_contents(self, tmp_path):
         sig = gen_tone(1e6, 1.0, 64, FS)
         path = tmp_path / "tone.iq"
@@ -254,4 +261,11 @@ class TestIqFile:
         write_iq(sig, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="header"):
+            read_iq(path)
+
+    def test_partial_sample_rejected(self, tmp_path):
+        sig = gen_tone(1e6, 1.0, 64, FS)
+        path = write_iq(sig, tmp_path / "bad.iq")
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="header says 64"):
             read_iq(path)
