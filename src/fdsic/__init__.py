@@ -26,7 +26,6 @@ from .cancellers import (
     SuppressionReport,
     build_basis,
     ls_estimate,
-    run_comparison,
     run_sweep,
 )
 from .impairments import (

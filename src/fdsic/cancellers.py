@@ -444,29 +444,11 @@ def _block_operator(h: np.ndarray, n_bases: int, taps: int) -> np.ndarray:
 
 
 # Fitting more training rows than this buys no measurable accuracy for the
-# sweep scenarios but dominates runtime, so run_comparison caps the fit.
+# sweep scenarios but dominates runtime, so run_sweep caps the fit.
 MAX_TRAIN_SAMPLES = 65536
 
 # Share of the frames that trains the fits; the rest is held out for scoring.
 TRAIN_FRACTION = 0.5
-
-
-def run_comparison(
-    x: ComplexBasebandSignal,
-    cfg: ImpairmentConfig,
-    specs: Sequence[CancellerSpec],
-    seed: int,
-    n_frames: int = 100,
-) -> list[SuppressionReport]:
-    """Simulate, fit each canceller on the training split, and score the rest.
-
-    The signal is treated as ``n_frames`` equal-length frames; the first
-    ``TRAIN_FRACTION`` of frames trains the fits (at most
-    ``MAX_TRAIN_SAMPLES`` rows) and the remainder is held out.
-    Residual-above-noise statistics are aggregated across the held-out
-    frames (mean and one-standard-deviation spread).
-    """
-    return _compare(x, cfg, [cfg.tx_power_dbm], specs, seed, n_frames)
 
 
 def run_sweep(
@@ -476,32 +458,23 @@ def run_sweep(
     frames: OfdmFrameSpec,
     seed: int,
 ) -> list[SuppressionReport]:
-    """Run the canceller comparison at each transmit power.
+    """Simulate, fit each canceller on the training frames, and score the rest.
 
     The transmit frames are generated once, scaled to the nominal DAC
     drive and shared by every power, so the front end runs once and each
     canceller family is factored once (see :func:`_receive` and
-    :func:`_fit_and_score`). Reports come in (power, spec) order and match
-    :func:`run_comparison` at each power up to rounding.
+    :func:`_fit_and_score`). The first ``TRAIN_FRACTION`` of frames trains
+    the fits (at most ``MAX_TRAIN_SAMPLES`` rows) and the remainder is
+    held out. Residual-above-noise statistics are aggregated across the
+    held-out frames (mean and one-standard-deviation spread). Reports come
+    in (power, spec) order and match a one-power sweep at each power up to
+    rounding.
     """
-    x = gen_ofdm_frames(frames, SAMPLE_RATE)
-    x = x.with_samples(x.samples * REF_DRIVE_RMS)
-    return _compare(x, cfg, powers, specs, seed, n_frames=frames.n_frames)
-
-
-def _compare(
-    x: ComplexBasebandSignal,
-    cfg: ImpairmentConfig,
-    powers: Sequence[float],
-    specs: Sequence[CancellerSpec],
-    seed: int,
-    n_frames: int,
-) -> list[SuppressionReport]:
-    """:func:`run_comparison` at every power of ``powers``, in (power, spec) order."""
     if not specs:
         raise ValueError("specs must be nonempty")
     if not powers:
         raise ValueError("powers must be nonempty")
+    n_frames = frames.n_frames
     if n_frames < 2:
         raise ValueError(
             f"a comparison needs at least 2 frames (one to train, one held out), "
@@ -513,17 +486,16 @@ def _compare(
             f"chan.thermal_noise_dbfs must be finite, got {cfg.chan.thermal_noise_dbfs}"
         )
     cfgs = [cfg.with_tx_power(power) for power in powers]
+    x = gen_ofdm_frames(frames, SAMPLE_RATE)
+    x = x.with_samples(x.samples * REF_DRIVE_RMS)
 
     frame_len = len(x) // n_frames
-    if frame_len < 1:
-        raise ValueError("signal shorter than the number of frames")
     n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
     split = n_train_frames * frame_len
-    usable = n_frames * frame_len
 
-    train, held, floors = _receive(x, cfgs, seed, split, usable)
+    train, held, floors = _receive(x, cfgs, seed, split)
     fits, per_frame_db = _fit_and_score(
-        x.samples[:usable], train, held, specs, frame_len, cfg.chan.thermal_noise_dbfs
+        x.samples, train, held, specs, frame_len, cfg.chan.thermal_noise_dbfs
     )
     return [
         SuppressionReport(
@@ -540,26 +512,26 @@ def _compare(
 
 
 def _receive(
-    x: ComplexBasebandSignal, cfgs: list[ImpairmentConfig], seed: int, split: int, usable: int
+    x: ComplexBasebandSignal, cfgs: list[ImpairmentConfig], seed: int, split: int
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Simulate the rows of ``x`` that the fit and the scoring read.
 
     The configs differ only in transmit power: the front end runs and the
     noise is drawn once. Returns the training rows [0, min(split,
-    MAX_TRAIN_SAMPLES)) and held rows [split, usable), a column per config,
+    MAX_TRAIN_SAMPLES)) and held rows [split, len(x)), a column per config,
     and per config the held rows' noise plus quantization error in dBFS.
     """
     fit_len = min(split, MAX_TRAIN_SAMPLES)
     front = transmit_front_end(x, cfgs[0], seed)
     noise = thermal_noise(len(x), cfgs[0].chan, seed)
     train = np.empty((fit_len, len(cfgs)), dtype=np.complex128, order="F")
-    held = np.empty((usable - split, len(cfgs)), dtype=np.complex128, order="F")
+    held = np.empty((len(x) - split, len(cfgs)), dtype=np.complex128, order="F")
     floors = []
     for k, power_cfg in enumerate(cfgs):
         r, diag = amplify_and_receive(front, power_cfg, noise)
         train[:, k] = r[:fit_len]
-        held[:, k] = r[split:usable]
-        extra = diag.noise[split:usable] + diag.quant_error[split:usable]
+        held[:, k] = r[split:]
+        extra = diag.noise[split:] + diag.quant_error[split:]
         floors.append(10.0 * math.log10(float(np.mean(np.abs(extra) ** 2))))
         del r, diag, extra
     return train, held, floors

@@ -312,6 +312,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: ran out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

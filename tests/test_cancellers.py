@@ -24,7 +24,6 @@ from fdsic.cancellers import (
     _ls_fit_columns,
     build_basis,
     ls_estimate,
-    run_comparison,
     run_sweep,
 )
 from fdsic.impairments import (
@@ -443,34 +442,32 @@ def _clean_config(tx_power=0.0):
     )
 
 
-class TestRunComparison:
+class TestRunSweep:
     def test_all_methods_reach_floor_without_impairments(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=20, seed=30), FS)
-        x = x.with_samples(0.2 * x.samples)
-        reports = run_comparison(x, _clean_config(), DEFAULT_SPECS, seed=31, n_frames=20)
+        reports = run_sweep(
+            _clean_config(), [0.0], DEFAULT_SPECS, OfdmFrameSpec(n_frames=20, seed=30), seed=31
+        )
         assert len(reports) == 4
         for rep in reports:
             assert abs(rep.residual_above_noise_db) <= 0.5
 
     def test_rejects_empty_specs(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=32), FS)
         with pytest.raises(ValueError, match="nonempty"):
-            run_comparison(x, _clean_config(), [], seed=1, n_frames=4)
+            run_sweep(_clean_config(), [0.0], [], OfdmFrameSpec(n_frames=4, seed=32), seed=1)
 
     def test_rejects_single_frame(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=1, seed=32), FS)
         with pytest.raises(ValueError, match="at least 2 frames.*got 1"):
-            run_comparison(x, _clean_config(), DEFAULT_SPECS, seed=1, n_frames=1)
+            run_sweep(
+                _clean_config(), [0.0], DEFAULT_SPECS, OfdmFrameSpec(n_frames=1, seed=32), seed=1
+            )
 
     def test_reports_carry_power_and_floor(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=8, seed=33), FS)
-        x = x.with_samples(0.2 * x.samples)
-        reports = run_comparison(
-            x,
-            _clean_config(tx_power=-5.0),
+        reports = run_sweep(
+            _clean_config(),
+            [-5.0],
             [CancellerSpec(CancellerMethod.LINEAR)],
+            OfdmFrameSpec(n_frames=8, seed=33),
             seed=34,
-            n_frames=8,
         )
         rep = reports[0]
         assert rep.tx_power_dbm == -5.0
@@ -479,11 +476,9 @@ class TestRunComparison:
         assert rep.residual_above_noise_std_db >= 0.0
 
     def test_reports_of_identical_runs_compare_equal(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=43), FS)
-        x = x.with_samples(0.2 * x.samples)
         spec = [CancellerSpec(CancellerMethod.LINEAR)]
         first, second = (
-            run_comparison(x, _clean_config(), spec, seed=44, n_frames=4)[0]
+            run_sweep(_clean_config(), [0.0], spec, OfdmFrameSpec(n_frames=4, seed=43), seed=44)[0]
             for _ in range(2)
         )
         assert first.fit is not second.fit
@@ -493,12 +488,9 @@ class TestRunComparison:
     def test_reports_carry_fit_diagnostics(self):
         # Ten frames leave the joint-dac-iq fit numerically rank-deficient.
         frames = OfdmFrameSpec(n_frames=10, seed=41)
-        x = gen_ofdm_frames(frames, SAMPLE_RATE)
-        x = x.with_samples(x.samples * REF_DRIVE_RMS)
-        cfg = load_preset("sweep_55db").with_tx_power(22.0)
+        cfg = load_preset("sweep_55db")
         reports = {
-            rep.method: rep
-            for rep in run_comparison(x, cfg, DEFAULT_SPECS, seed=42, n_frames=10)
+            rep.method: rep for rep in run_sweep(cfg, [22.0], DEFAULT_SPECS, frames, seed=42)
         }
         linear = reports["linear"]
         joint = reports["joint-dac-iq(m_max=3)"]
@@ -514,21 +506,15 @@ class TestRunComparison:
             # power; it cannot lie below the thermal floor by much.
             assert rep.fit.residual_power_dbfs > cfg.chan.thermal_noise_dbfs - 3.0
 
-
-class TestRunSweep:
     def test_matches_per_power_comparison_loop(self):
         cfg = load_preset("sweep_55db")
         frames = OfdmFrameSpec(n_frames=10, seed=35)
         powers = [-10.0, 22.0]
         got = run_sweep(cfg, powers, DEFAULT_SPECS, frames, seed=36)
 
-        x = gen_ofdm_frames(frames, SAMPLE_RATE)
-        x = x.with_samples(x.samples * REF_DRIVE_RMS)
         expected = []
         for power in powers:
-            expected += run_comparison(
-                x, cfg.with_tx_power(power), DEFAULT_SPECS, seed=36, n_frames=10
-            )
+            expected += run_sweep(cfg, [power], DEFAULT_SPECS, frames, seed=36)
         # One multi-column solve rounds differently from one solve per
         # power, so the dB figures agree to rounding, not bit for bit.
         assert len(got) == len(expected)

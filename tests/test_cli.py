@@ -156,6 +156,21 @@ class TestToneTest:
         assert field in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 116. TiB", ""])
+    def test_memory_error_is_clean_error(self, tmp_path, capsys, monkeypatch, message):
+        # An --n-fft too large to allocate fails inside gen_tone; the stand-in
+        # raises the same error without allocating anything.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("fdsic.cli.gen_tone", out_of_memory)
+        rc = main(["tone-test", "--preset", "fig5_m10dbm", "--n-fft", "1000000000000",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ran out of memory") and len(err.splitlines()) == 1
+        assert message in err
+
     def test_requires_config_or_preset(self, tmp_path, capsys):
         rc = main(["tone-test", "--out", str(tmp_path)])
         assert rc == 1

@@ -17,8 +17,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("scripts/*.py")])
 
-# Every script that finishes in under two seconds. Demo 04 runs a full
-# power sweep (about 4 s on 2 vCPUs); run_sweep has its own tests.
+# Every script that finishes in under two seconds. Demo 04 and the sweep
+# of scripts/calibrate.py take about 3 s each on 2 vCPUs; CI's console
+# smoke step runs them.
 SMOKE_RUNS = [
     ("demos/01_suppression_budget.py",),
     ("demos/02_one_tone_impairment_signatures.py",),
