@@ -13,7 +13,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .spectral import Spectrum, floor_estimate_db, measure_line_db
+from .spectral import LINE_HALFWIDTH_BINS, Spectrum, floor_estimate_db, measure_line_db
+
+# An even order passes when its two lines agree within this many dB.
+EQUAL_POWER_TOL_DB = 1.0
+
+# A line reading within this many dB of the lobe-summed floor is at the floor.
+FLOOR_MARGIN_DB = 8.0
 
 
 @dataclass(frozen=True)
@@ -56,30 +62,23 @@ def verify_harmonics(
     f: float,
     m_max: int,
     margin_db: float = 20.0,
-    equal_power_tol_db: float = 1.0,
-    floor_margin_db: float = 8.0,
 ) -> list[HarmonicCheck]:
     """Check predicted harmonic lines of a tone test against a spectrum.
 
     Odd orders pass when the predicted line exceeds its sign-flipped
     counterpart by ``margin_db`` or the counterpart sits at the floor;
     even orders pass when both lines are present and agree within
-    ``equal_power_tol_db``. The tone must be coherently placed (its
+    ``EQUAL_POWER_TOL_DB``. The tone must be coherently placed (its
     frequency on the spectrum bin grid) and nonzero, every predicted line
     up to ``m_max`` must lie inside the sampled band ``|freq| < fs/2``
-    (its counterpart, the sign-flipped line, then does too), and the
-    margins must be finite; otherwise no order is checked and
+    (its counterpart, the sign-flipped line, then does too), and
+    ``margin_db`` must be finite; otherwise no order is checked and
     ``ValueError`` is raised.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    for name, value in (
-        ("margin_db", margin_db),
-        ("equal_power_tol_db", equal_power_tol_db),
-        ("floor_margin_db", floor_margin_db),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(margin_db):
+        raise ValueError(f"margin_db must be finite, got {margin_db}")
     if not (math.isfinite(f) and f != 0.0):
         raise ValueError(f"tone frequency must be finite and nonzero, got {f} Hz")
     spacing = spec.bin_spacing
@@ -106,8 +105,8 @@ def verify_harmonics(
     floor_db = floor_estimate_db(spec)
     # A 'line' reading is floor-level when its lobe integral is within the
     # lobe-summed floor plus a small margin.
-    lobe_bins = 2 * 3 + 1
-    floor_line_db = floor_db + 10.0 * math.log10(lobe_bins) + floor_margin_db
+    lobe_bins = 2 * LINE_HALFWIDTH_BINS + 1
+    floor_line_db = floor_db + 10.0 * math.log10(lobe_bins) + FLOOR_MARGIN_DB
 
     checks = []
     for prediction in predictions:
@@ -119,7 +118,7 @@ def verify_harmonics(
         if prediction.equal_power:
             present = [db + carrier_db > floor_line_db for db in measured]
             if all(present):
-                passed = abs(measured[0] - measured[1]) <= equal_power_tol_db
+                passed = abs(measured[0] - measured[1]) <= EQUAL_POWER_TOL_DB
             else:
                 # both lines at the floor is consistent (no distortion at
                 # this order); a single-sided line is not

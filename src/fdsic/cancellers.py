@@ -150,20 +150,6 @@ class SuppressionReport:
     fit: LsFit = field(compare=False)
 
 
-def _basis_labels(spec: CancellerSpec) -> tuple[str, ...]:
-    """Labels of the model's regressor signals, in :func:`build_basis` order."""
-    if spec.method is CancellerMethod.LINEAR:
-        return ("x",)
-    if spec.method is CancellerMethod.WIDELY_LINEAR:
-        return ("x", "conj(x)")
-    if spec.method is CancellerMethod.NONLINEAR:
-        orders = range(1, spec.n_max + 1, 2)
-        if spec.nonlinear_basis_variant == "power":
-            return tuple(f"x^{n}" for n in orders)
-        return tuple(f"x|x|^{n - 1}" for n in orders)
-    return tuple(f"{rail}(x)^{m}" for m in range(1, spec.m_max + 1) for rail in ("re", "im"))
-
-
 def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
     """Ordered regressor signals of the transmit samples ``s`` for the model.
 
@@ -172,18 +158,22 @@ def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
     real two training rows to a complex row.
     """
     if spec.method is CancellerMethod.LINEAR:
-        signals = [s]
+        pairs = [("x", s)]
     elif spec.method is CancellerMethod.WIDELY_LINEAR:
-        signals = [s, np.conj(s)]
+        pairs = [("x", s), ("conj(x)", np.conj(s))]
     elif spec.method is CancellerMethod.NONLINEAR:
         orders = range(1, spec.n_max + 1, 2)
         if spec.nonlinear_basis_variant == "power":
-            signals = [s**n for n in orders]
+            pairs = [(f"x^{n}", s**n) for n in orders]
         else:
-            signals = [s * np.abs(s) ** (n - 1) for n in orders]
+            pairs = [(f"x|x|^{n - 1}", s * np.abs(s) ** (n - 1)) for n in orders]
     else:
-        signals = [rail**m for m in range(1, spec.m_max + 1) for rail in (s.real, s.imag)]
-    return [BasisSignal(label, x) for label, x in zip(_basis_labels(spec), signals)]
+        pairs = [
+            (f"{name}(x)^{m}", rail**m)
+            for m in range(1, spec.m_max + 1)
+            for name, rail in (("re", s.real), ("im", s.imag))
+        ]
+    return [BasisSignal(label, x) for label, x in pairs]
 
 
 def _family_root(spec: CancellerSpec, specs: Sequence[CancellerSpec]) -> CancellerSpec:
@@ -239,34 +229,12 @@ def ls_estimate(r: np.ndarray, bases: list[BasisSignal], channel_len: int) -> Ls
     """Jointly fit one FIR channel per basis to the received samples ``r``.
 
     The training rows are reduced block by block to a square triangular
-    factor by QR, which an SVD then solves; a rank-deficient regressor
-    falls back to the minimum-norm solution, and the fit's ``rank`` is
-    then below its ``n_params``. See :func:`_ls_fit_columns`.
+    factor by QR (:func:`_ls_factor`), which an SVD then solves
+    (:func:`_ls_solve`); a rank-deficient regressor falls back to the
+    minimum-norm solution, and the fit's ``rank`` is then below its
+    ``n_params``.
     """
-    return _ls_fit_columns(r[:, np.newaxis], bases, channel_len)[0]
-
-
-def _ls_fit_columns(
-    rhs: np.ndarray, bases: list[BasisSignal], channel_len: int
-) -> list[LsFit]:
-    """:func:`ls_estimate` for every column of ``rhs`` from one factorization.
-
-    Factor once (:func:`_ls_factor`), then solve a prefix of the factor's
-    columns (:func:`_ls_solve`); the full model is the prefix of itself.
-    The blocked QR may round the factor's regressor columns differently
-    with the number of right-hand sides (it does for some widely-linear
-    blocks with OpenBLAS), so fit k equals the fit of column k alone
-    within 1e-12 relative, not bit for bit.
-
-    Real bases (joint-dac-iq's rails) are factored two training rows to a
-    complex row (see :func:`_ls_factor`). Well-posed fits give the dense
-    SVD solve's coefficients within 1e-14 relative, packed or not. A
-    rank-deficient fit (the joint-dac-iq fit on 10 frames) rounds its
-    near-null directions differently, which moves its held-out figures by
-    up to 3e-5 dB from the dense solve's and leaves its rank unchanged.
-    """
-    labels = tuple(basis.label for basis in bases)
-    return _ls_solve(_ls_factor(rhs, bases, channel_len), labels, channel_len)
+    return _ls_solve(_ls_factor(r[:, np.newaxis], bases, channel_len), bases, channel_len)[0]
 
 
 class _LsFactor(NamedTuple):
@@ -353,13 +321,14 @@ def _ls_factor(
 
 
 def _ls_solve(
-    factor: _LsFactor, labels: tuple[str, ...], channel_len: int, rails: bool = False
+    factor: _LsFactor, bases: list[BasisSignal], channel_len: int, rails: bool = False
 ) -> list[LsFit]:
     """Fit every right-hand side on the factor's leading ``q`` columns.
 
-    ``q = len(labels) * channel_len``. The leading ``q x q`` block of
-    ``R11`` is the triangular factor of the regressor's leading ``q``
-    columns, and ``R12[:q]`` is their share of the right-hand sides. So
+    ``q = len(bases) * channel_len``, and the fits carry the labels of
+    ``bases``. The leading ``q x q`` block of ``R11`` is the triangular
+    factor of the regressor's leading ``q`` columns, and ``R12[:q]`` is
+    their share of the right-hand sides. So
     one SVD-based ``lstsq`` of ``R11[:q, :q] h = R12[:q]`` at the dense
     problem's default threshold ``rcond = eps * max(n, q)`` gives the
     rank, singular values and minimum-norm solution of the dense fit of
@@ -367,7 +336,7 @@ def _ls_solve(
     ``|R12[:q, k] - R11[:q, :q] h|² + |R12[q:, k]|² + dropped_k``.
 
     With ``rails`` the leading columns are joint-dac-iq's ``re(x)``,
-    ``im(x)`` bases and ``labels`` are widely-linear's ``x``, ``conj(x)``,
+    ``im(x)`` bases and ``bases`` are widely-linear's ``x``, ``conj(x)``,
     which span the same columns. The rail fit ``g`` maps per tap to
     ``h_x = (g_re - i g_im) / 2`` and ``h_conj(x) = (g_re + i g_im) / 2``:
     √2 times a unitary map, so the rank, condition number, residual and
@@ -380,10 +349,20 @@ def _ls_solve(
     ``Im b``, are joined back into one complex column, so the one
     ``lstsq`` gives ``h = g_re + i g_im`` directly, and a column's
     residual adds the energy of both halves.
+
+    The blocked QR may round the factor's regressor columns differently
+    with the number of right-hand sides (it does for some widely-linear
+    blocks with OpenBLAS), so fit k equals the fit of column k alone
+    within 1e-12 relative, not bit for bit. Well-posed fits give the
+    dense SVD solve's coefficients within 1e-14 relative, packed or not. A
+    rank-deficient fit (the joint-dac-iq fit on 10 frames) rounds its
+    near-null directions differently, which moves its held-out figures by
+    up to 3e-5 dB from the dense solve's and leaves its rank unchanged.
     """
     n = factor.training_len
     n_params = len(factor.r)
-    q = len(labels) * channel_len
+    q = len(bases) * channel_len
+    labels = tuple(basis.label for basis in bases)
     r11, r12 = factor.r[:q, :q], factor.r[:q, n_params:]
     unexplained = np.sum(np.abs(factor.r[q:, n_params:]) ** 2, axis=0) + factor.dropped
     if factor.packed:
@@ -565,17 +544,15 @@ def _fit_and_score(
         root: _ls_factor(train, build_basis(s[: len(train)], root), root.channel_len)
         for root in dict.fromkeys(roots)
     }
-    fits = []
-    for spec, root in zip(specs, roots):
-        rails = root.method is CancellerMethod.JOINT_DAC_IQ and spec.method is not root.method
-        fits.append(_ls_solve(factors[root], _basis_labels(spec), spec.channel_len, rails))
-
     noise_floor = 10.0 ** (noise_dbfs / 10.0)
     offsets = range(0, len(held), frame_len)
+    fits = []
     per_frame_db = []
-    for spec, spec_fits in zip(specs, fits):
+    for spec, root in zip(specs, roots):
         taps = spec.channel_len
         bases = build_basis(s[len(s) - len(held) - taps + 1 :], spec)
+        rails = root.method is CancellerMethod.JOINT_DAC_IQ and spec.method is not root.method
+        spec_fits = _ls_solve(factors[root], bases, taps, rails)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
         dtype = bases[0].samples.dtype
         g = _block_operator(h, len(bases), taps).view(dtype)
@@ -595,5 +572,6 @@ def _fit_and_score(
             residual = held[offset : offset + frame_len] - estimate
             power = np.mean(np.abs(residual) ** 2, axis=0)
             db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floor)
+        fits.append(spec_fits)
         per_frame_db.append(db)
     return fits, per_frame_db

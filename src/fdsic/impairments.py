@@ -20,7 +20,8 @@ Only ``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for
 its sample rate) and only ``simulate_received`` returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
 (no noise). Finite values can still overflow the chain, so the receiver
-rejects a digitized output that is not finite.
+rejects a digitized output that is not finite: one error, in place of
+the floating-point warnings that the chain functions silence.
 """
 
 from __future__ import annotations
@@ -352,8 +353,6 @@ def thermal_noise(n: int, chan: ChannelAndReceiver, seed: int) -> np.ndarray:
     )
 
 
-# Overflow shows as non-finite samples, which the receiver rejects with one
-# error instead of a floating-point warning per operation.
 @np.errstate(all="ignore")
 def apply_channel_and_receiver(
     x: np.ndarray,
@@ -421,6 +420,7 @@ def apply_channel_and_receiver(
     return digitized, diag
 
 
+@np.errstate(all="ignore")
 def transmit_front_end(
     x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
 ) -> np.ndarray:
@@ -430,12 +430,9 @@ def transmit_front_end(
     can run it once and feed it to :func:`amplify_and_receive` at every
     power.
     """
-    # Overflow shows as non-finite samples, which the receiver rejects
-    # (see amplify_and_receive).
-    with np.errstate(all="ignore"):
-        v = apply_dac(x.samples, cfg.dac)
-        v = apply_iq(v, cfg.tx_iq)
-        return apply_phase_noise(v, cfg.pn, seed, x.sample_rate)
+    v = apply_dac(x.samples, cfg.dac)
+    v = apply_iq(v, cfg.tx_iq)
+    return apply_phase_noise(v, cfg.pn, seed, x.sample_rate)
 
 
 def amplify_and_receive(
@@ -449,8 +446,9 @@ def amplify_and_receive(
     power either. Returns the received samples and the receiver diagnostics.
     """
     drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-    # Overflow shows as non-finite samples, which the receiver rejects
-    # with one error instead of a floating-point warning per stage.
+    # Not the decorator: numpy's errstate decorator holds its call's
+    # arguments, so it would keep simulate_received's front-end output
+    # alive through the receiver.
     with np.errstate(all="ignore"):
         v = apply_pa(v * drive, cfg.pa)
         # Refer the amplifier output to the antenna: full drive <-> max power.

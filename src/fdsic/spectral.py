@@ -24,6 +24,9 @@ FLOOR_DB = -300.0
 # Half-width (in bins) of the window main lobe integrated by measure_line_db.
 LINE_HALFWIDTH_BINS = 3
 
+# Half-width (in bins) of the window skirt_peak_dbc searches around a tone.
+SKIRT_SEARCH_BINS = 32
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -123,38 +126,34 @@ def spectrum(
     return Spectrum(freqs, power_db, enbw_bins * signal.sample_rate / n_fft)
 
 
-def measure_line_db(spec: Spectrum, freq: float, halfwidth: int = LINE_HALFWIDTH_BINS) -> float:
+def measure_line_db(spec: Spectrum, freq: float) -> float:
     """Power of the spectral line nearest ``freq``, in dBFS.
 
-    Sums the linear power over the window main lobe (+-``halfwidth``
-    bins), which for a coherently placed tone recovers the exact tone
-    power under the Parseval normalization.
+    Sums the linear power over the window main lobe
+    (+-``LINE_HALFWIDTH_BINS`` bins), which for a coherently placed tone
+    recovers the exact tone power under the Parseval normalization.
     """
     k = spec.nearest_bin(freq)
-    lo = max(0, k - halfwidth)
-    hi = min(len(spec.power_db), k + halfwidth + 1)
+    lo = max(0, k - LINE_HALFWIDTH_BINS)
+    hi = min(len(spec.power_db), k + LINE_HALFWIDTH_BINS + 1)
     p = float(np.sum(spec.power_linear()[lo:hi]))
     return 10.0 * math.log10(max(p, 10.0 ** (FLOOR_DB / 10.0)))
 
 
-def skirt_peak_dbc(
-    spec: Spectrum,
-    tone_freq: float,
-    search_bins: int = 32,
-    exclude_bins: int = LINE_HALFWIDTH_BINS,
-) -> float:
+def skirt_peak_dbc(spec: Spectrum, tone_freq: float) -> float:
     """Strongest bin near a tone, excluding the tone's own main lobe.
 
-    Returns the peak bin power within +-``search_bins`` of the tone,
-    relative to the tone line power (dBc). This is the quantity used to
-    quantify an oscillator phase-noise skirt around a carrier.
+    Returns the peak bin power within +-``SKIRT_SEARCH_BINS`` of the tone,
+    outside its +-``LINE_HALFWIDTH_BINS`` main lobe, relative to the tone
+    line power (dBc). This is the quantity used to quantify an oscillator
+    phase-noise skirt around a carrier.
     """
     k = spec.nearest_bin(tone_freq)
-    lo = max(0, k - search_bins)
-    hi = min(len(spec.power_db), k + search_bins + 1)
+    lo = max(0, k - SKIRT_SEARCH_BINS)
+    hi = min(len(spec.power_db), k + SKIRT_SEARCH_BINS + 1)
     mask = np.ones(hi - lo, dtype=bool)
-    ex_lo = max(lo, k - exclude_bins) - lo
-    ex_hi = min(hi, k + exclude_bins + 1) - lo
+    ex_lo = max(lo, k - LINE_HALFWIDTH_BINS) - lo
+    ex_hi = min(hi, k + LINE_HALFWIDTH_BINS + 1) - lo
     mask[ex_lo:ex_hi] = False
     if not np.any(mask):
         raise ValueError("search window contains no bins outside the line lobe")

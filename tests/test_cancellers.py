@@ -18,10 +18,10 @@ from fdsic.cancellers import (
     BasisSignal,
     CancellerMethod,
     CancellerSpec,
-    _basis_labels,
     _family_root,
     _fill_regressor,
-    _ls_fit_columns,
+    _ls_factor,
+    _ls_solve,
     build_basis,
     ls_estimate,
     run_sweep,
@@ -170,7 +170,7 @@ class TestBatchedFit:
 
     @staticmethod
     def assert_matches_per_column(rhs, bases, taps):
-        fits = _ls_fit_columns(rhs, bases, taps)
+        fits = _ls_solve(_ls_factor(rhs, bases, taps), bases, taps)
         assert len(fits) == rhs.shape[1]
         for column, fit in zip(rhs.T, fits):
             ref = ls_estimate(column.copy(), bases, taps)
@@ -236,7 +236,7 @@ class TestStreamedFit:
         rhs = a @ truth + 0.01 * (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
 
         ref, _, ref_rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-        fits = _ls_fit_columns(rhs, bases, taps)
+        fits = _ls_solve(_ls_factor(rhs, bases, taps), bases, taps)
         for k, fit in enumerate(fits):
             h = fit.coefficients
             assert np.max(np.abs(h - ref[:, k])) / np.max(np.abs(ref[:, k])) < 1e-12
@@ -296,7 +296,7 @@ class TestStreamedFit:
         bases = [BasisSignal("x", x), BasisSignal("x_copy", x.copy())]
         rhs = fir_convolve(x, [1.0, 0.3j])[:, np.newaxis]
         _, _, ref_rank, _ = np.linalg.lstsq(dense_regressor(bases, 9000, 4), rhs, rcond=None)
-        fit = _ls_fit_columns(rhs, bases, 4)[0]
+        fit = _ls_solve(_ls_factor(rhs, bases, 4), bases, 4)[0]
         assert fit.rank == ref_rank < fit.n_params
 
     def test_peak_memory_below_a_third_of_dense_regressor(self):
@@ -307,7 +307,7 @@ class TestStreamedFit:
         dense_bytes = n * len(bases) * spec.channel_len * 16  # 201 MB
         tracemalloc.start()
         try:
-            _ls_fit_columns(rhs, bases, spec.channel_len)
+            _ls_solve(_ls_factor(rhs, bases, spec.channel_len), bases, spec.channel_len)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -774,15 +774,34 @@ class TestFamilyFit:
     """Linear and widely-linear are read off the nonlinear and joint-dac-iq factors."""
 
     @pytest.mark.parametrize(
-        "preset, n_frames, seed",
-        [("sweep_40db", 100, 45), ("sweep_55db", 10, 0)],
-        ids=["sweep_40db-100-frames", "sweep_55db-10-frames"],
+        "preset, n_frames, seed, specs, member_methods",
+        [
+            (
+                "sweep_40db", 100, 45, DEFAULT_SPECS,
+                [CancellerMethod.LINEAR, CancellerMethod.WIDELY_LINEAR],
+            ),
+            (
+                "sweep_55db", 10, 0, DEFAULT_SPECS,
+                [CancellerMethod.LINEAR, CancellerMethod.WIDELY_LINEAR],
+            ),
+            (
+                "sweep_40db", 10, 45,
+                (
+                    CancellerSpec(CancellerMethod.LINEAR),
+                    CancellerSpec(
+                        CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="power"
+                    ),
+                ),
+                [CancellerMethod.LINEAR],
+            ),
+        ],
+        ids=["sweep_40db-100-frames", "sweep_55db-10-frames", "sweep_40db-10-frames-power-root"],
     )
-    def test_member_equals_its_own_fit(self, preset, n_frames, seed):
+    def test_member_equals_its_own_fit(self, preset, n_frames, seed, specs, member_methods):
         cfg = load_preset(preset)
         frames = OfdmFrameSpec(n_frames=n_frames, seed=seed)
         powers = [-10.0, 22.0]
-        reports = run_sweep(cfg, powers, DEFAULT_SPECS, frames, seed)
+        reports = run_sweep(cfg, powers, specs, frames, seed)
 
         x = gen_ofdm_frames(frames, SAMPLE_RATE)
         x = x.with_samples(x.samples * REF_DRIVE_RMS)
@@ -792,14 +811,12 @@ class TestFamilyFit:
             [simulate_received(x, cfg.with_tx_power(p), seed)[0].samples[:fit_len] for p in powers],
             axis=1,
         )
-        members = [spec for spec in DEFAULT_SPECS if _family_root(spec, DEFAULT_SPECS) != spec]
-        assert [spec.method for spec in members] == [
-            CancellerMethod.LINEAR,
-            CancellerMethod.WIDELY_LINEAR,
-        ]
+        members = [spec for spec in specs if _family_root(spec, specs) != spec]
+        assert [spec.method for spec in members] == member_methods
         by_method = {}
         for spec in members:
-            own = _ls_fit_columns(train, build_basis(x.samples[:fit_len], spec), spec.channel_len)
+            bases = build_basis(x.samples[:fit_len], spec)
+            own = _ls_solve(_ls_factor(train, bases, spec.channel_len), bases, spec.channel_len)
             got = [rep.fit for rep in reports if rep.method == spec.label()]
             assert len(got) == len(own) == len(powers)
             for fit, ref in zip(got, own):
@@ -853,6 +870,6 @@ class TestFamilyFit:
         expected = {}
         for root in roots:
             per_row = 2 if root.method is CancellerMethod.JOINT_DAC_IQ else 1
-            width = len(_basis_labels(root)) * root.channel_len + per_row
+            width = len(build_basis(x.samples[:1], root)) * root.channel_len + per_row
             expected[width] = -(-fit_len // (per_row * cancellers.FIT_BLOCK_ROWS))
         assert collections.Counter(shape[1] for shape in calls) == expected

@@ -250,6 +250,21 @@ class TestSweep:
             labels = [row["method"] for row in csv.DictReader(fh)]
         assert labels == [s.label() for s in DEFAULT_SPECS]
 
+    def test_power_nonlinear_variant_labels(self, tmp_path):
+        # Linear is fitted off the power-variant nonlinear root. Only labels
+        # are checked: that root's fit does not reach the floor here.
+        rc = main(
+            ["sweep", "--preset", "sweep_55db", "--methods", "linear,nonlinear",
+             "--nonlinear-variant", "power", "--frames", "4", "--powers", "22",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        with (tmp_path / "suppression.csv").open() as fh:
+            labels = [row["method"] for row in csv.DictReader(fh)]
+        assert labels == ["linear", "nonlinear(n_max=5,power)"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["args"]["nonlinear_variant"] == "power"
+
     @pytest.mark.parametrize(
         ("section", "key", "value", "field"),
         [
