@@ -13,11 +13,9 @@ energy lands in the received spectrum:
 The predict/verify pair automates reading such a spectrum.
 """
 
-import numpy as np
-
 from fdsic import gen_tone, predict_harmonics, simulate_received, spectrum, verify_harmonics
 from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
-from fdsic.spectral import measure_line_db
+from fdsic.spectral import floor_estimate_db, measure_line_db
 
 print(__doc__)
 
@@ -39,7 +37,7 @@ for name in ("fig5_m10dbm", "fig7_20dbm"):
     for mult in (-3, -2, -1, 2, 3, 5):
         level = measure_line_db(spec, mult * TONE_FREQ) - carrier
         print(f"  {mult:+d}f: {level:7.1f} dBc")
-    floor = float(np.median(spec.power_db)) - carrier
+    floor = floor_estimate_db(spec) - carrier
     print(f"  median per-bin floor: {floor:7.1f} dBc")
     checks = verify_harmonics(spec, TONE_FREQ, m_max=3)
     verdict = ", ".join(f"m={c.order}:{'ok' if c.passed else 'FAIL'}" for c in checks)

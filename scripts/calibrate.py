@@ -30,6 +30,7 @@ from fdsic import (
 from fdsic.impairments import PhaseNoiseSpec
 from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ
 from fdsic.signals import OfdmFrameSpec
+from fdsic.spectral import floor_estimate_db
 
 
 def tone_signature(preset_name: str, seed: int = 1):
@@ -42,7 +43,7 @@ def tone_signature(preset_name: str, seed: int = 1):
     for mult in (-3, -2, -1, 1, 2, 3, 5):
         level = measure_line_db(spec, mult * TONE_FREQ) - carrier
         print(f"  line {mult:+d}f: {level:8.1f} dBc")
-    floor = float(np.median(spec.power_db)) - carrier
+    floor = floor_estimate_db(spec) - carrier
     print(f"  per-bin floor: {floor:8.1f} dBc, clipped={diag.clipped_samples}")
 
 

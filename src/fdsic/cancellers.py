@@ -33,7 +33,6 @@ from .impairments import (
     thermal_noise,
     transmit_front_end,
 )
-from .presets import SAMPLE_RATE
 from .signals import ComplexBasebandSignal, OfdmFrameSpec, gen_ofdm_frames
 
 
@@ -465,7 +464,7 @@ def run_sweep(
             f"chan.thermal_noise_dbfs must be finite, got {cfg.chan.thermal_noise_dbfs}"
         )
     cfgs = [cfg.with_tx_power(power) for power in powers]
-    x = gen_ofdm_frames(frames, SAMPLE_RATE)
+    x = gen_ofdm_frames(frames)
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
 
     frame_len = len(x) // n_frames

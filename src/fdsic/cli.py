@@ -31,8 +31,8 @@ from .impairments import (
     load_config,
     simulate_received,
 )
-from .presets import PRESET_NAMES, SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
-from .signals import OfdmFrameSpec, gen_tone, read_iq, write_iq
+from .presets import PRESET_NAMES, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from .signals import SAMPLE_RATE, OfdmFrameSpec, gen_tone, read_iq, write_iq
 from .spectral import spectrum, write_spectrum_csv
 
 
@@ -287,10 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_budget = sub.add_parser("budget", help="front-end suppression budget")
-    p_budget.add_argument("--tx-power", type=float, default=20.0)
-    p_budget.add_argument("--noise-floor", type=float, default=-90.0)
-    p_budget.add_argument("--papr", type=float, default=10.0)
-    p_budget.add_argument("--adc-dynamic-range", type=float, default=70.0)
+    p_budget.add_argument("--tx-power", type=float, default=BudgetInput.tx_power_dbm)
+    p_budget.add_argument("--noise-floor", type=float, default=BudgetInput.noise_floor_dbm)
+    p_budget.add_argument("--papr", type=float, default=BudgetInput.papr_headroom_db)
+    p_budget.add_argument(
+        "--adc-dynamic-range", type=float, default=BudgetInput.adc_dynamic_range_db
+    )
     p_budget.add_argument("--out", type=Path, help="optional output directory for budget.csv")
     p_budget.set_defaults(func=cmd_budget)
 

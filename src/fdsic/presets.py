@@ -20,15 +20,11 @@ from .impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
 )
+from .signals import OFDM_BANDWIDTH, SAMPLE_RATE  # noqa: F401 (SAMPLE_RATE re-exported)
 
 # One-tone tests drive the DAC with this fixed tone amplitude (multi-tone
 # frames are scaled to impairments.REF_DRIVE_RMS instead).
 TONE_AMPLITUDE = 0.5
-
-# Default simulation rate: 8x oversampling of the 10 MHz band keeps 3rd
-# and 5th order products of in-band content alias-free.
-SAMPLE_RATE = 80e6
-OFDM_BANDWIDTH = 10e6
 
 # Default one-tone test frequency (bandwidth / 8), coherent on a 4096-bin
 # grid at the default sample rate.

@@ -20,6 +20,17 @@ import numpy as np
 
 from ._rng import substream
 
+# Simulation rate: 8x oversampling of the 10 MHz band keeps 3rd and 5th
+# order products of in-band content alias-free.
+SAMPLE_RATE = 80e6
+OFDM_BANDWIDTH = 10e6
+
+# Transmit frame format: N_TONES QPSK tones at unit average power, spread
+# uniformly over OFDM_BANDWIDTH and zero-padded to SAMPLE_RATE.
+N_TONES = 512
+_N_FFT = N_TONES * round(SAMPLE_RATE / OFDM_BANDWIDTH)
+_QPSK = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]) / math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class ComplexBasebandSignal:
@@ -58,33 +69,17 @@ class ComplexBasebandSignal:
 
 @dataclass(frozen=True)
 class OfdmFrameSpec:
-    """Parameters of the multi-tone (OFDM-like) frame generator.
+    """How many transmit frames :func:`gen_ofdm_frames` draws, and from which seed.
 
-    ``n_tones`` QAM-modulated tones are spread uniformly over
-    ``bandwidth``; the output is oversampled by zero-padding the tone
-    grid up to the simulation sample rate.
+    The frame format itself is fixed by the module constants.
     """
 
-    n_tones: int = 512
-    bandwidth: float = 10e6
-    constellation_order: int = 4
     n_frames: int = 100
-    cp_length: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_tones < 1 or (self.n_tones & (self.n_tones - 1)) != 0:
-            raise ValueError(f"n_tones must be a power of two, got {self.n_tones}")
-        if self.constellation_order not in (4, 16, 64):
-            raise ValueError(
-                f"constellation_order must be one of 4, 16, 64, got {self.constellation_order}"
-            )
-        if self.cp_length < 0:
-            raise ValueError("cp_length must be >= 0")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if not (self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive")
 
 
 def gen_tone(
@@ -108,52 +103,25 @@ def gen_tone(
     return ComplexBasebandSignal(samples, sample_rate)
 
 
-def _qam_constellation(order: int) -> np.ndarray:
-    """Square QAM constellation normalized to unit average power."""
-    side = int(round(math.sqrt(order)))
-    levels = np.arange(side) * 2.0 - (side - 1)
-    points = (levels[:, None] + 1j * levels[None, :]).ravel()
-    return points / np.sqrt(np.mean(np.abs(points) ** 2))
+def gen_ofdm_frames(spec: OfdmFrameSpec) -> ComplexBasebandSignal:
+    """Concatenated OFDM frames at ``SAMPLE_RATE``, unit average power.
 
-
-def gen_ofdm_frames(spec: OfdmFrameSpec, sample_rate: float) -> ComplexBasebandSignal:
-    """Concatenated QAM-on-tone-grid frames, unit average power.
-
-    The tone grid occupies +-bandwidth/2; oversampling is obtained by
-    zero-padding the grid ('sample_rate' must be an integer multiple of
-    'bandwidth'). Deterministic for a given spec (including its seed).
+    Each frame is one ``_N_FFT``-sample IFFT block: ``N_TONES`` QPSK
+    symbols on the centered tone grid that spans ``OFDM_BANDWIDTH``,
+    zero-padded to the sample rate, so every frame is exactly
+    band-limited. Frames are joined with no cyclic prefix. Deterministic
+    for a given spec (including its seed).
     """
-    if spec.bandwidth > sample_rate:
-        raise ValueError(
-            f"bandwidth {spec.bandwidth} Hz exceeds sample rate {sample_rate} Hz"
-        )
-    oversampling = sample_rate / spec.bandwidth
-    if abs(oversampling - round(oversampling)) > 1e-9:
-        raise ValueError(
-            "sample_rate must be an integer multiple of bandwidth "
-            f"(got ratio {oversampling})"
-        )
-    oversampling = int(round(oversampling))
-    n_fft = spec.n_tones * oversampling
-    constellation = _qam_constellation(spec.constellation_order)
     rng = substream(spec.seed, "ofdm-frames")
-
-    # Centered tone indices; for a single tone this degenerates to DC.
-    tone_idx = np.arange(-(spec.n_tones // 2), (spec.n_tones + 1) // 2)
-    bins = tone_idx % n_fft
-
+    bins = np.arange(-(N_TONES // 2), N_TONES // 2) % _N_FFT
     frames = []
     for _ in range(spec.n_frames):
-        symbols = constellation[rng.integers(0, len(constellation), spec.n_tones)]
-        grid = np.zeros(n_fft, dtype=np.complex128)
-        grid[bins] = symbols
-        body = np.fft.ifft(grid) * n_fft / np.sqrt(spec.n_tones)
-        if spec.cp_length:
-            body = np.concatenate([body[-spec.cp_length:], body])
-        frames.append(body)
+        grid = np.zeros(_N_FFT, dtype=np.complex128)
+        grid[bins] = _QPSK[rng.integers(0, _QPSK.size, N_TONES)]
+        frames.append(np.fft.ifft(grid) * _N_FFT / np.sqrt(N_TONES))
     samples = np.concatenate(frames)
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
-    return ComplexBasebandSignal(samples, sample_rate)
+    return ComplexBasebandSignal(samples, SAMPLE_RATE)
 
 
 def fir_convolve(x: np.ndarray, taps) -> np.ndarray:

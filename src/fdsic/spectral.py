@@ -40,13 +40,10 @@ class Spectrum:
     power_db : np.ndarray
         Power per bin in dBFS, normalized so the linear bin powers sum to
         the signal mean power.
-    resolution_bw : float
-        Equivalent noise bandwidth of one analysis bin in Hz.
     """
 
     bin_freqs: np.ndarray
     power_db: np.ndarray
-    resolution_bw: float
 
     def __post_init__(self):
         freqs = np.asarray(self.bin_freqs, dtype=np.float64)
@@ -66,9 +63,6 @@ class Spectrum:
 
     def power_linear(self) -> np.ndarray:
         return 10.0 ** (self.power_db / 10.0)
-
-    def total_power_db(self) -> float:
-        return 10.0 * math.log10(float(np.sum(self.power_linear())))
 
     def nearest_bin(self, freq: float) -> int:
         return int(np.argmin(np.abs(self.bin_freqs - freq)))
@@ -121,9 +115,8 @@ def spectrum(
     pxx = np.fft.fftshift(pxx)
     freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, d=1.0 / signal.sample_rate))
 
-    enbw_bins = n_fft * win_power / float(np.sum(win)) ** 2
     power_db = 10.0 * np.log10(np.maximum(pxx, 10.0 ** (FLOOR_DB / 10.0)))
-    return Spectrum(freqs, power_db, enbw_bins * signal.sample_rate / n_fft)
+    return Spectrum(freqs, power_db)
 
 
 def measure_line_db(spec: Spectrum, freq: float) -> float:
@@ -164,14 +157,6 @@ def skirt_peak_dbc(spec: Spectrum, tone_freq: float) -> float:
 def floor_estimate_db(spec: Spectrum) -> float:
     """Robust per-bin noise floor estimate (median bin power)."""
     return float(np.median(spec.power_db))
-
-
-def band_power_fraction(spec: Spectrum, f_lo: float, f_hi: float) -> float:
-    """Fraction of total power inside [f_lo, f_hi] (bin centers, inclusive)."""
-    lin = spec.power_linear()
-    half = spec.bin_spacing / 2
-    sel = (spec.bin_freqs >= f_lo - half) & (spec.bin_freqs <= f_hi + half)
-    return float(np.sum(lin[sel]) / np.sum(lin))
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> Path:

@@ -274,7 +274,7 @@ def test_criterion_08_quantization_floor_tracks_power():
         cfg,
         chan=dataclasses.replace(cfg.chan, thermal_noise_dbfs=-140.0, adc_bits=12),
     )
-    x = gen_ofdm_frames(OfdmFrameSpec(seed=0, n_frames=20), SAMPLE_RATE)
+    x = gen_ofdm_frames(OfdmFrameSpec(seed=0, n_frames=20))
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
     floors = {}
     for power in (0.0, 20.0):

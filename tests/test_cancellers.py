@@ -36,10 +36,8 @@ from fdsic.impairments import (
     REF_DRIVE_RMS,
     simulate_received,
 )
-from fdsic.presets import SAMPLE_RATE, load_preset
+from fdsic.presets import load_preset
 from fdsic.signals import ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec
-
-FS = 80e6
 
 
 def random_signal(n, seed):
@@ -401,7 +399,7 @@ class TestSpanRelations:
         assert abs(fit_wl.residual_power_dbfs - fit_joint.residual_power_dbfs) < 1e-6
 
     def test_nested_spans_monotone_residuals(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=22), FS).samples
+        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=22)).samples
         rng = np.random.default_rng(23)
         # impaired-ish target: linear + conjugate + envelope cubic + noise
         r = (
@@ -636,7 +634,7 @@ class TestRunSweep:
         frames = OfdmFrameSpec(n_frames=10, seed=43)
         run_sweep(load_preset("sweep_55db"), [-10.0, 22.0], DEFAULT_SPECS, frames, seed=44)
 
-        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = gen_ofdm_frames(frames)
         frame_len = len(x) // frames.n_frames
         split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
         usable = frames.n_frames * frame_len
@@ -668,7 +666,7 @@ class TestRunSweep:
         powers = [-10.0, 22.0]
         reports = run_sweep(cfg, powers, specs, frames, seed=40)
 
-        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = gen_ofdm_frames(frames)
         x = x.with_samples(x.samples * REF_DRIVE_RMS)
         frame_len = len(x) // frames.n_frames
         split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
@@ -803,7 +801,7 @@ class TestFamilyFit:
         powers = [-10.0, 22.0]
         reports = run_sweep(cfg, powers, specs, frames, seed)
 
-        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = gen_ofdm_frames(frames)
         x = x.with_samples(x.samples * REF_DRIVE_RMS)
         split = round(n_frames * TRAIN_FRACTION) * (len(x) // n_frames)
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
@@ -861,7 +859,7 @@ class TestFamilyFit:
         reports = run_sweep(load_preset("sweep_55db"), [22.0], specs, frames, seed=47)
         assert [rep.method for rep in reports] == [spec.label() for spec in specs]
 
-        x = gen_ofdm_frames(frames, SAMPLE_RATE)
+        x = gen_ofdm_frames(frames)
         split = round(frames.n_frames * TRAIN_FRACTION) * (len(x) // frames.n_frames)
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
         # A root's calls are told apart by their width: its columns plus one

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import fdsic
+from fdsic.analysis import BudgetInput, suppression_budget
 from fdsic.cancellers import DEFAULT_SPECS
 from fdsic.cli import _parse_powers, main
-from fdsic.impairments import config_to_dict
-from fdsic.presets import SAMPLE_RATE, TONE_FREQ, load_preset
+from fdsic.impairments import config_to_dict, save_config
+from fdsic.presets import PRESET_NAMES, SAMPLE_RATE, TONE_FREQ, load_preset
 from fdsic.signals import gen_tone, write_iq
 
 
@@ -107,6 +108,33 @@ class TestConfigSection:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {section}: gamma must be finite")
         assert len(err.splitlines()) == 1
+
+
+def _run_preset_and_saved_copy(tmp_path, name, args):
+    """Run ``args`` with ``--preset name`` and with its saved JSON copy."""
+    save_config(load_preset(name), tmp_path / "cfg.json")
+    preset = tmp_path / "preset"
+    config = tmp_path / "config"
+    assert main(args + ["--preset", name, "--out", str(preset)]) == 0
+    assert main(args + ["--config", str(tmp_path / "cfg.json"), "--out", str(config)]) == 0
+    return preset, config
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_tone_test_outputs_match_preset(self, tmp_path, name):
+        preset, config = _run_preset_and_saved_copy(
+            tmp_path, name, ["tone-test", "--segments", "4"]
+        )
+        for output in ("spectrum.csv", "harmonics.csv", "capture.iq"):
+            assert (config / output).read_bytes() == (preset / output).read_bytes(), output
+
+    @pytest.mark.parametrize("name", ["sweep_40db", "sweep_55db"])
+    def test_sweep_outputs_match_preset(self, tmp_path, name):
+        preset, config = _run_preset_and_saved_copy(tmp_path, name, ["sweep", "--frames", "6"])
+        assert (config / "suppression.csv").read_bytes() == (
+            preset / "suppression.csv"
+        ).read_bytes()
 
 
 class TestToneTest:
@@ -371,8 +399,15 @@ class TestBudget:
         out = capsys.readouterr().out
         assert "50.00" in out
         with (tmp_path / "budget.csv").open() as fh:
-            rows = {row["quantity"]: float(row["value"]) for row in csv.DictReader(fh)}
+            table = list(csv.DictReader(fh))
+        rows = {row["quantity"]: float(row["value"]) for row in table}
         assert rows["required passive+analog suppression (dB)"] == pytest.approx(50.0)
+        # Every row is the library's default budget: the flag defaults are
+        # BudgetInput's.
+        expected = suppression_budget(BudgetInput()).breakdown
+        assert [(row["quantity"], row["value"]) for row in table] == [
+            (label, f"{value:.6f}") for label, value in expected
+        ]
 
     def test_zero_corner_and_linearity(self, capsys):
         assert main(["budget", "--tx-power", "-30"]) == 0

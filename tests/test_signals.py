@@ -19,7 +19,7 @@ from fdsic.signals import (
     read_iq,
     write_iq,
 )
-from fdsic.spectral import band_power_fraction, measure_line_db, spectrum
+from fdsic.spectral import measure_line_db, spectrum
 
 FS = 80e6
 
@@ -89,8 +89,8 @@ class TestGenTone:
 class TestGenOfdmFrames:
     def test_unit_power_and_determinism(self):
         spec = OfdmFrameSpec(n_frames=5, seed=11)
-        a = gen_ofdm_frames(spec, FS)
-        b = gen_ofdm_frames(spec, FS)
+        a = gen_ofdm_frames(spec)
+        b = gen_ofdm_frames(spec)
         assert np.array_equal(a.samples, b.samples)
         assert abs(power_db(a)) < 1e-9
 
@@ -100,45 +100,45 @@ class TestGenOfdmFrames:
         # 11.3 +- 0.5 dB across seeds (extreme-value statistics); the
         # nominal budget figure of ~10 dB refers to the same waveform, so
         # accept the band around both.
-        sig = gen_ofdm_frames(OfdmFrameSpec(seed=seed), FS)
+        sig = gen_ofdm_frames(OfdmFrameSpec(seed=seed))
         assert 8.5 <= papr_db(sig) <= 12.0
 
-    def test_single_tone_frame_constant_envelope(self):
-        sig = gen_ofdm_frames(OfdmFrameSpec(n_tones=1, n_frames=4, seed=3), FS)
-        assert papr_db(sig) < 1e-9
+    def test_frame_format(self):
+        # Every 4096-sample frame at 80 MHz is one IFFT block: QPSK symbols
+        # times one common scale on the 512 centered tone bins (+-5 MHz),
+        # and nothing on any other bin.
+        sig = gen_ofdm_frames(OfdmFrameSpec(n_frames=6, seed=7))
+        assert sig.sample_rate == FS and len(sig) == 6 * 4096
+        grid = np.fft.fft(sig.samples.reshape(6, 4096), axis=1)
+        tone_bins = np.arange(-256, 256) % 4096
+        off_tone = np.ones(4096, dtype=bool)
+        off_tone[tone_bins] = False
+        assert np.all(np.abs(grid[:, off_tone]) <= 1e-9 * np.max(np.abs(grid)))
+        tones = grid[:, tone_bins]
+        symbols = tones / np.mean(np.abs(tones)) * np.sqrt(2)
+        assert np.allclose(np.abs(symbols.real), 1, rtol=0, atol=1e-9)
+        assert np.allclose(np.abs(symbols.imag), 1, rtol=0, atol=1e-9)
 
     def test_occupied_band_power_fraction(self):
-        sig = gen_ofdm_frames(OfdmFrameSpec(seed=5), FS)
+        def in_band_fraction(spec):
+            lin = spec.power_linear()
+            band = np.abs(spec.bin_freqs) <= 5e6 + spec.bin_spacing / 2
+            return np.sum(lin[band]) / np.sum(lin)
+
+        sig = gen_ofdm_frames(OfdmFrameSpec(seed=5))
         # Each frame is periodic on the analysis grid, so a frame-aligned
         # rectangular FFT resolves the exact line spectrum.
         for start in (0, 4096, 50 * 4096):
             frame = ComplexBasebandSignal(sig.samples[start : start + 4096], FS)
             spec = spectrum(frame, n_fft=4096, averaging=1, window="boxcar")
-            assert band_power_fraction(spec, -5e6, 5e6) > 0.999
+            assert in_band_fraction(spec) > 0.999
         # The windowed whole-capture view adds frame-boundary and window
         # leakage but stays strongly band-confined.
-        assert band_power_fraction(spectrum(sig, n_fft=4096), -5e6, 5e6) > 0.995
-
-    def test_rejects_bandwidth_above_rate(self):
-        with pytest.raises(ValueError):
-            gen_ofdm_frames(OfdmFrameSpec(bandwidth=100e6), FS)
-
-    def test_rejects_noninteger_oversampling(self):
-        with pytest.raises(ValueError, match="integer multiple"):
-            gen_ofdm_frames(OfdmFrameSpec(bandwidth=10e6), 75e6)
+        assert in_band_fraction(spectrum(sig, n_fft=4096)) > 0.995
 
     def test_rejects_bad_spec(self):
-        with pytest.raises(ValueError):
-            OfdmFrameSpec(n_tones=500)
-        with pytest.raises(ValueError):
-            OfdmFrameSpec(constellation_order=8)
-        with pytest.raises(ValueError):
-            OfdmFrameSpec(cp_length=-1)
-
-    def test_cyclic_prefix_extends_frames(self):
-        no_cp = gen_ofdm_frames(OfdmFrameSpec(n_frames=2, cp_length=0, seed=1), FS)
-        cp = gen_ofdm_frames(OfdmFrameSpec(n_frames=2, cp_length=64, seed=1), FS)
-        assert len(cp) == len(no_cp) + 2 * 64
+        with pytest.raises(ValueError, match="n_frames"):
+            OfdmFrameSpec(n_frames=0)
 
 
 class TestFirConvolve:
@@ -216,7 +216,7 @@ class TestPowerMetrics:
 
 class TestIqFile:
     def test_roundtrip_exact(self, tmp_path):
-        sig = gen_ofdm_frames(OfdmFrameSpec(n_frames=2, seed=9), FS)
+        sig = gen_ofdm_frames(OfdmFrameSpec(n_frames=2, seed=9))
         path = tmp_path / "capture.iq"
         write_iq(sig, path)
         back = read_iq(path)
