@@ -18,20 +18,21 @@ from fdsic.spectral import write_spectrum_csv
 
 print(__doc__)
 
-workdir = Path(tempfile.mkdtemp(prefix="fdsic-demo-"))
-tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
-received, _ = simulate_received(tone, load_preset("fig5_m10dbm"), seed=7)
+with tempfile.TemporaryDirectory(prefix="fdsic-demo-") as tmp:
+    workdir = Path(tmp)
+    tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
+    received, _ = simulate_received(tone, load_preset("fig5_m10dbm"), seed=7)
 
-iq_path = write_iq(received, workdir / "capture.iq")
-print(f"wrote {iq_path} ({iq_path.stat().st_size} bytes)")
-print((workdir / "capture.iq.hdr").read_text())
+    iq_path = write_iq(received, workdir / "capture.iq")
+    print(f"wrote {iq_path} ({iq_path.stat().st_size} bytes)")
+    print((workdir / "capture.iq.hdr").read_text())
 
-loopback = read_iq(iq_path)
-assert np.array_equal(loopback.samples, received.samples)
-print("read back bit-exact:", len(loopback), "samples at", loopback.sample_rate, "Hz")
+    loopback = read_iq(iq_path)
+    assert np.array_equal(loopback.samples, received.samples)
+    print("read back bit-exact:", len(loopback), "samples at", loopback.sample_rate, "Hz")
 
-csv_path = write_spectrum_csv(spectrum(loopback, n_fft=4096), workdir / "spectrum.csv")
-head = csv_path.read_text().splitlines()
-print(f"\nwrote {csv_path}; first rows:")
-for line in head[:4]:
-    print(" ", line)
+    csv_path = write_spectrum_csv(spectrum(loopback, n_fft=4096), workdir / "spectrum.csv")
+    head = csv_path.read_text().splitlines()
+    print(f"\nwrote {csv_path}; first rows:")
+    for line in head[:4]:
+        print(" ", line)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .impairments import (
     REF_DRIVE_RMS,
@@ -197,9 +198,10 @@ def _family_root(spec: CancellerSpec, specs: Sequence[CancellerSpec]) -> Cancell
 
 
 # Training rows added to the triangular factor per QR step of the streamed
-# LS fit. At 1024 a one-power 10-frame sweep would peak at ≈ 53 MB, not ≈ 80,
-# but the ill-posed 10-frame joint-dac-iq fits would round so differently that
-# sweeps no longer match their single-power runs within 1e-9 dB.
+# LS fit. At 1024 a one-power 10-frame sweep would peak at ≈ 47 MB, not ≈ 54
+# (process RSS, numpy 2.4.6), but the ill-posed 10-frame joint-dac-iq fits
+# would round so differently that sweeps no longer match their single-power
+# runs within 1e-9 dB.
 FIT_BLOCK_ROWS = 4096
 
 
@@ -239,9 +241,10 @@ def ls_estimate(r: np.ndarray, bases: list[BasisSignal], channel_len: int) -> Ls
 class _LsFactor(NamedTuple):
     """The triangular factor of a fit's training rows ``[A | rhs]``.
 
-    ``r`` holds the ``n_params`` carried rows ``[R11 | R12]``; ``dropped``
-    is, per column of ``R12``, the energy of the rows below them, which no
-    fit explains. A ``packed`` factor is of real bases: two training rows
+    ``r`` holds the ``n_params`` rows ``[R11 | R12]`` carried out of the
+    last QR step, zero below the diagonal; ``dropped`` is, per column of
+    ``R12``, the energy of the rows each step left below them, which no fit
+    explains. A ``packed`` factor is of real bases: two training rows
     share each complex row of ``[R11 | R12]``, and ``R12`` holds the real
     parts of the right-hand sides, then their imaginary parts.
     """
@@ -257,15 +260,17 @@ def _ls_factor(
 ) -> _LsFactor:
     """Reduce the training rows of ``[A | rhs]`` to their triangular factor.
 
-    The rows are streamed in blocks: each block is stacked under the
-    ``n_params`` carried rows ``[R11 | R12]`` and reduced by QR again, so
-    no full-length regressor ``A`` is ever built. One column-major buffer
-    of ``n_params + FIT_BLOCK_ROWS`` complex rows serves every step:
-    :func:`_fill_regressor` writes the block's regressor rows below the
-    carried rows column by column, the right-hand sides follow, and the
-    new factor's leading rows are written back to the top. The rows the
-    QR leaves below ``n_params`` are zero in the regressor columns: their
-    energy is residual that no fit explains, and it is added up per column.
+    The rows are streamed in blocks, so no full-length regressor ``A`` is
+    ever built. One column-major buffer of ``n_params + FIT_BLOCK_ROWS``
+    complex rows serves every step: :func:`_fill_regressor` writes the
+    block's regressor rows below the ``n_params`` carried rows ``[R11 |
+    R12]`` column by column, the right-hand sides follow, and
+    :func:`_geqrf` factors the filled rows in place. The step's ``R`` is
+    then in the buffer's upper triangle, so the leading ``n_params`` rows,
+    with their Householder reflectors zeroed, are the next step's carried
+    rows where they lie. The triangle's rows below ``n_params`` are zero in
+    the regressor columns: their energy is residual that no fit explains,
+    and it is added up per column.
 
     When every basis is real (joint-dac-iq), each step takes
     ``2 * FIT_BLOCK_ROWS`` rows: the first half of the block goes to the
@@ -290,11 +295,13 @@ def _ls_factor(
     packed = not any(np.iscomplexobj(basis.samples) for basis in bases)
     per_row = 2 if packed else 1
     step = per_row * FIT_BLOCK_ROWS
+    ncols = n_params + per_row * n_rhs
     buf = np.empty(
-        (n_params + min(FIT_BLOCK_ROWS, -(-n // per_row)), n_params + per_row * n_rhs),
+        (n_params + min(FIT_BLOCK_ROWS, -(-n // per_row)), ncols),
         dtype=np.complex128,
         order="F",
     )
+    tau, work = _geqrf_workspace(buf)
     carried = 0
     dropped = np.zeros(per_row * n_rhs)
     for start in range(0, n, step):
@@ -312,11 +319,43 @@ def _ls_factor(
             rows = carried + stop - start
             _fill_regressor(buf[carried:rows, :n_params], bases, start, stop, channel_len)
             buf[carried:rows, n_params:] = rhs[start:stop]
-        r = np.linalg.qr(buf[:rows], mode="r")
-        carried = min(len(r), n_params)
-        buf[:carried] = r[:carried]
-        dropped += np.sum(np.abs(r[n_params:, n_params:]) ** 2, axis=0)
-    return _LsFactor(r[:n_params], dropped, n, packed)
+        _geqrf(buf, rows, tau, work)
+        buf[:n_params] = np.triu(buf[:n_params])
+        carried = n_params
+        dropped += np.sum(np.abs(np.triu(buf[n_params : min(rows, ncols), n_params:])) ** 2, axis=0)
+    # A C-ordered copy: laid out as np.linalg.qr's R, it makes the sums and
+    # products of _ls_solve round as they did, and it lets the buffer go.
+    return _LsFactor(np.ascontiguousarray(buf[:n_params]), dropped, n, packed)
+
+
+def _geqrf_workspace(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``tau`` and ``work`` arrays of :func:`_geqrf` on ``buf``.
+
+    ``work`` has the length LAPACK's own workspace query asks for, so
+    ``zgeqrf`` runs at its full block size on every step.
+    """
+    tau = np.empty(buf.shape[1], dtype=np.complex128)
+    query = np.empty(1, dtype=np.complex128)
+    lapack_lite.zgeqrf(len(buf), buf.shape[1], buf.T, len(buf), tau, query, -1, 0)
+    return tau, np.empty(int(query[0].real), dtype=np.complex128)
+
+
+def _geqrf(buf: np.ndarray, rows: int, tau: np.ndarray, work: np.ndarray) -> None:
+    """Factor ``buf[:rows]`` by QR in place with LAPACK's ``zgeqrf``.
+
+    ``buf`` is a column-major complex128 array. ``R`` is left in the upper
+    triangle of the leading rows and the Householder reflectors below it.
+    ``lapack_lite`` is the LAPACK that ``np.linalg.qr`` calls, so ``R`` is
+    the one ``np.linalg.qr(buf[:rows], mode="r")`` returns, bit for bit,
+    without its copies. ``buf.T`` is the same memory in C order, as
+    ``lapack_lite`` takes it, and its leading dimension ``len(buf)`` lets a
+    block shorter than the buffer be factored where it lies. ``lapack_lite``
+    checks the layout and dtype; LAPACK checks the sizes before it touches
+    memory and reports a bad one in ``info``.
+    """
+    info = lapack_lite.zgeqrf(rows, buf.shape[1], buf.T, len(buf), tau, work, len(work), 0)["info"]
+    if info:
+        raise ValueError(f"zgeqrf argument {-info} is illegal")
 
 
 def _ls_solve(

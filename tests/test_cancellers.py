@@ -273,13 +273,13 @@ class TestStreamedFit:
         assert all(basis.samples.dtype == np.float64 for basis in bases)
 
         calls = []
-        qr = np.linalg.qr
+        geqrf = cancellers._geqrf
 
-        def recording_qr(a, *args, **kwargs):
-            calls.append((a.shape, a.dtype))
-            return qr(a, *args, **kwargs)
+        def recording_geqrf(buf, rows, *args):
+            calls.append(((rows, buf.shape[1]), buf.dtype))
+            return geqrf(buf, rows, *args)
 
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(cancellers, "_geqrf", recording_geqrf)
         n_params = len(bases) * spec.channel_len
         factor = cancellers._ls_factor(random_signal(n, 58)[:, np.newaxis], bases, spec.channel_len)
         assert factor.packed
@@ -288,6 +288,37 @@ class TestStreamedFit:
             assert dtype == np.complex128
             assert rows <= n_params + cancellers.FIT_BLOCK_ROWS
             assert cols == n_params + 2
+
+    def test_geqrf_r_is_numpy_qr_bit_for_bit(self, monkeypatch):
+        # lapack_lite is the LAPACK numpy.linalg itself calls, so the
+        # in-place factor keeps np.linalg.qr's bits: on a full block, on a
+        # block shorter than the buffer's leading dimension, and on the
+        # packed joint-dac-iq blocks of 9001 rows, whose second block is odd.
+        rng = np.random.default_rng(59)
+        a = rng.standard_normal((4288, 194)) + 1j * rng.standard_normal((4288, 194))
+        blocks = [(np.asfortranarray(a[:4096]), 4096), (np.asfortranarray(a), 1000)]
+        geqrf = cancellers._geqrf
+
+        def recording_geqrf(buf, rows, *args):
+            blocks.append((buf.copy(order="F"), rows))
+            return geqrf(buf, rows, *args)
+
+        monkeypatch.setattr(cancellers, "_geqrf", recording_geqrf)
+        n, spec = 9001, DEFAULT_SPECS[3]
+        bases = build_basis(random_signal(n, 60), spec)
+        assert _ls_factor(random_signal(n, 61)[:, np.newaxis], bases, spec.channel_len).packed
+        monkeypatch.undo()
+
+        assert len(blocks) == 4
+        for buf, rows in blocks:
+            ref = np.linalg.qr(buf[:rows], mode="r")
+            cancellers._geqrf(buf, rows, *cancellers._geqrf_workspace(buf))
+            assert np.array_equal(np.triu(buf[: len(ref)]), ref)
+
+    def test_geqrf_rejects_rows_beyond_the_buffer(self):
+        buf = np.zeros((10, 4), dtype=np.complex128, order="F")
+        with pytest.raises(ValueError, match="argument 4"):
+            cancellers._geqrf(buf, 11, *cancellers._geqrf_workspace(buf))
 
     def test_duplicate_basis_rank_matches_dense(self):
         x = random_signal(9000, 52)
@@ -310,6 +341,26 @@ class TestStreamedFit:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 3
+
+    @pytest.mark.parametrize(
+        "spec", [DEFAULT_SPECS[1], DEFAULT_SPECS[3]], ids=["nonlinear", "joint-dac-iq"]
+    )
+    def test_peak_memory_near_one_block_buffer(self, spec):
+        # Each block is factored where it lies: the fit holds little more
+        # than its one (n_params + FIT_BLOCK_ROWS) x ncols buffer.
+        n, n_rhs = 65536, 3
+        bases = build_basis(random_signal(n, 53), spec)
+        rhs = random_signal(n * n_rhs, 54).reshape(n, n_rhs)
+        n_params = len(bases) * spec.channel_len
+        per_row = 2 if spec.method is CancellerMethod.JOINT_DAC_IQ else 1
+        buffer_bytes = (n_params + cancellers.FIT_BLOCK_ROWS) * (n_params + per_row * n_rhs) * 16
+        tracemalloc.start()
+        try:
+            _ls_factor(rhs, bases, spec.channel_len)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * buffer_bytes
 
 
 class TestCancel:
@@ -848,13 +899,13 @@ class TestFamilyFit:
     )
     def test_qr_calls_per_family_root(self, monkeypatch, specs, roots):
         calls = []
-        qr = np.linalg.qr
+        geqrf = cancellers._geqrf
 
-        def counting_qr(*args, **kwargs):
-            calls.append(args[0].shape)
-            return qr(*args, **kwargs)
+        def counting_geqrf(buf, rows, *args):
+            calls.append((rows, buf.shape[1]))
+            return geqrf(buf, rows, *args)
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(cancellers, "_geqrf", counting_geqrf)
         frames = OfdmFrameSpec(n_frames=10, seed=46)
         reports = run_sweep(load_preset("sweep_55db"), [22.0], specs, frames, seed=47)
         assert [rep.method for rep in reports] == [spec.label() for spec in specs]
