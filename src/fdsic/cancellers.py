@@ -30,7 +30,8 @@ from numpy.linalg import lapack_lite
 from .impairments import (
     REF_DRIVE_RMS,
     ImpairmentConfig,
-    amplify_and_receive,
+    _analog_chain,
+    _digitize,
     thermal_noise,
     transmit_front_end,
 )
@@ -537,20 +538,30 @@ def _receive(
     noise is drawn once. Returns the training rows [0, min(split,
     MAX_TRAIN_SAMPLES)) and held rows [split, len(x)), a column per config,
     and per config the held rows' noise plus quantization error in dBFS.
+    Per config the analog chain streams over every row (see
+    :func:`~fdsic.impairments.amplify_and_receive`, whose rows these are
+    bit for bit), and only the returned rows are digitized, straight into
+    their columns: rows [fit_len, split) feed only the AGC.
     """
+    n = len(x)
     fit_len = min(split, MAX_TRAIN_SAMPLES)
     front = transmit_front_end(x, cfgs[0], seed)
-    noise = thermal_noise(len(x), cfgs[0].chan, seed)
+    noise = thermal_noise(n, cfgs[0].chan, seed)
     train = np.empty((fit_len, len(cfgs)), dtype=np.complex128, order="F")
-    held = np.empty((len(x) - split, len(cfgs)), dtype=np.complex128, order="F")
+    held = np.empty((n - split, len(cfgs)), dtype=np.complex128, order="F")
+    extra = np.empty(n - split)
     floors = []
-    for k, power_cfg in enumerate(cfgs):
-        r, diag = amplify_and_receive(front, power_cfg, noise)
-        train[:, k] = r[:fit_len]
-        held[:, k] = r[split:]
-        extra = diag.noise[split:] + diag.quant_error[split:]
-        floors.append(10.0 * math.log10(float(np.mean(np.abs(extra) ** 2))))
-        del r, diag, extra
+    for k, cfg in enumerate(cfgs):
+        analog, scale = _analog_chain(front, cfg.chan, cfg.rx_iq, noise, cfg.pa, cfg.tx_power_dbm)
+        _digitize(analog[:fit_len], scale, cfg.chan, train[:, k])
+        _digitize(analog[split:], scale, cfg.chan, held[:, k])
+        # noise + (held - analog) over the held rows, on their analog samples.
+        error = np.subtract(held[:, k], analog[split:], out=analog[split:])
+        error += noise[split:]
+        np.abs(error, out=extra)
+        np.square(extra, out=extra)
+        floors.append(10.0 * math.log10(float(np.mean(extra))))
+        del analog, error
     return train, held, floors
 
 

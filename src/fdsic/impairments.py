@@ -16,6 +16,10 @@ once and adds the same noise at every power.
 
 The stages take and return plain sample arrays. Each returns a new array
 and never modifies its inputs; it works in place only on arrays it made.
+The per-power part of the chain, amplifier to ADC input, streams in
+``CHAIN_BLOCK``-sample blocks (``_analog_chain``), and the converter
+(``_digitize``) can digitize any rows of its output: a power sweep
+digitizes only the rows it reads, with the bits of the whole.
 Only ``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for
 its sample rate) and only ``simulate_received`` returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
@@ -353,7 +357,115 @@ def thermal_noise(n: int, chan: ChannelAndReceiver, seed: int) -> np.ndarray:
     )
 
 
+# The per-power chain, amplifier to ADC input, runs in blocks of this many
+# samples: a block's temporaries stay in cache, and no stage makes a
+# full-length copy of the signal.
+CHAIN_BLOCK = 16384
+
+
 @np.errstate(all="ignore")
+def _analog_chain(
+    x: np.ndarray,
+    chan: ChannelAndReceiver,
+    rx_iq: IqImbalance,
+    noise: np.ndarray,
+    pa: PaNonlinearity | None = None,
+    tx_power_dbm: float = MAX_TX_POWER_DBM,
+) -> tuple[np.ndarray, float]:
+    """The ADC input and its AGC scale, streamed in ``CHAIN_BLOCK`` blocks.
+
+    With ``pa``, ``x`` is the :func:`transmit_front_end` output: each
+    block is driven through the amplifier at ``tx_power_dbm`` and referred
+    to the antenna. Without, ``x`` is already antenna-referred. Then come
+    analog suppression, the SI channel, RX IQ imbalance and ``noise``. A
+    block reads the ``len(h_si) - 1`` plus RX IQ taps - 1 input samples
+    before it (none for the first), so each output sample has the bits of
+    the unblocked chain. The scale is set by the mean of ``|analog|^2``
+    over all of ``x``: every sample reaches the AGC, digitized or not.
+    Returns a new analog array and leaves ``x`` and ``noise`` unchanged.
+    """
+    if len(noise) != len(x):
+        raise ValueError(f"noise has {len(noise)} samples, the signal {len(x)}")
+    n = len(x)
+    history = chan.h_si.size + max(rx_iq.gamma.size, rx_iq.delta.size) - 2
+    drive = 10.0 ** ((tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+    suppression = 10.0 ** (-chan.analog_suppression_db / 20.0)
+    analog = np.empty(n, dtype=np.complex128)
+    power = np.empty(n)
+    for start in range(0, n, CHAIN_BLOCK):
+        stop = min(start + CHAIN_BLOCK, n)
+        lo = max(start - history, 0)
+        if pa is None:
+            v = x[lo:stop] * suppression
+        else:
+            v = apply_pa(x[lo:stop] * drive, pa)
+            # Refer the amplifier output to the antenna: full drive <-> max power.
+            v *= 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+            v *= suppression
+        v = apply_iq(fir_convolve(v, chan.h_si), rx_iq)
+        block = np.add(v[start - lo :], noise[start:stop], out=analog[start:stop])
+        np.abs(block, out=power[start:stop])
+    # The whole buffer in one mean: the sum, and so the scale, keeps the
+    # bits of the unblocked chain.
+    np.square(power, out=power)
+    rms = math.sqrt(float(np.mean(power)))
+    if rms == 0.0:
+        return analog, 1.0
+    return analog, chan.adc_full_scale / (rms * 10.0 ** (ADC_HEADROOM_DB / 20.0))
+
+
+@np.errstate(all="ignore")
+def _digitize(
+    analog: np.ndarray, scale: float, chan: ChannelAndReceiver, out: np.ndarray
+) -> np.ndarray:
+    """Quantize ``analog`` at the AGC ``scale`` into ``out``; return the clip mask.
+
+    Each rail becomes (clip(floor(rail * scale / step)) + 0.5) * step /
+    scale. The converter works sample by sample, so any rows of a
+    :func:`_analog_chain` output digitize to the bits of the same rows of
+    the whole. Raises ``ValueError`` when the digitized rows are not
+    finite: a configuration of finite values that overflows the chain
+    leaves a scale of 0 or NaN, and so ends here at any rows.
+    """
+    step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
+    top = 2 ** (chan.adc_bits - 1) - 1
+    # Every level (k + 0.5) * step / scale is nonzero, so writing the rails
+    # straight into the output gives the same values as q_i + 1j * q_q.
+    clipped = np.zeros(len(analog), dtype=bool)
+    idx = np.empty(len(analog))
+    for rail, rail_out in ((analog.real, out.real), (analog.imag, out.imag)):
+        np.multiply(rail, scale, out=idx)
+        idx /= step
+        np.floor(idx, out=idx)
+        clipped |= idx > top
+        clipped |= idx < -top - 1
+        np.clip(idx, -top - 1, top, out=idx)
+        idx += 0.5
+        idx *= step
+        np.divide(idx, scale, out=rail_out)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(
+            "the digitized received signal is not finite: "
+            "the configuration overflows the impairment chain"
+        )
+    return clipped
+
+
+def _digitize_all(
+    analog: np.ndarray, scale: float, chan: ChannelAndReceiver, noise: np.ndarray
+) -> tuple[np.ndarray, ReceiverDiagnostics]:
+    """Digitize every sample; the quantization error overwrites ``analog``."""
+    digitized = np.empty_like(analog)
+    clipped = _digitize(analog, scale, chan, digitized)
+    diag = ReceiverDiagnostics(
+        noise=noise,
+        quant_error=np.subtract(digitized, analog, out=analog),
+        clipped_samples=int(np.count_nonzero(clipped)),
+        agc_scale=scale,
+    )
+    return digitized, diag
+
+
 def apply_channel_and_receiver(
     x: np.ndarray,
     chan: ChannelAndReceiver,
@@ -363,61 +475,15 @@ def apply_channel_and_receiver(
     """Suppression, SI channel, RX IQ imbalance, noise, and gain-ranged ADC.
 
     ``noise`` is the receiver noise added ahead of the converter, one
-    sample per sample of ``x``: :func:`thermal_noise` of ``len(x)``.
-    Returns a new array and leaves ``x`` and ``noise`` unchanged. Raises
-    ``ValueError`` when the digitized output is not finite: a configuration
-    of finite values that overflows the chain ends here.
+    sample per sample of ``x``: :func:`thermal_noise` of ``len(x)``. The
+    analog stages stream in ``CHAIN_BLOCK``-sample blocks
+    (:func:`_analog_chain`), then every sample is digitized. Returns a new
+    array and leaves ``x`` and ``noise`` unchanged. Raises ``ValueError``
+    when the digitized output is not finite: a configuration of finite
+    values that overflows the chain ends here.
     """
-    if len(noise) != len(x):
-        raise ValueError(f"noise has {len(noise)} samples, the signal {len(x)}")
-    attenuated = x * 10.0 ** (-chan.analog_suppression_db / 20.0)
-    analog = apply_iq(fir_convolve(attenuated, chan.h_si), rx_iq)
-    del attenuated
-    analog += noise
-
-    # One real scratch buffer serves the rms and both rails' quantization.
-    scratch = np.abs(analog)
-    np.square(scratch, out=scratch)
-    rms = math.sqrt(float(np.mean(scratch)))
-    if rms == 0.0:
-        scale = 1.0
-    else:
-        scale = chan.adc_full_scale / (rms * 10.0 ** (ADC_HEADROOM_DB / 20.0))
-
-    step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
-    top = 2 ** (chan.adc_bits - 1) - 1
-
-    def quantize(rail: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write (clip(floor(rail * scale / step)) + 0.5) * step / scale to
-        ``out``; return the mask of the samples that clipped."""
-        idx = np.multiply(rail, scale, out=scratch)
-        idx /= step
-        np.floor(idx, out=idx)
-        clipped = idx > top
-        clipped |= idx < -top - 1
-        np.clip(idx, -top - 1, top, out=idx)
-        idx += 0.5
-        idx *= step
-        np.divide(idx, scale, out=out)
-        return clipped
-
-    # Every level (k + 0.5) * step / scale is nonzero, so writing the rails
-    # straight into the output gives the same values as q_i + 1j * q_q.
-    digitized = np.empty_like(analog)
-    clipped = quantize(analog.real, digitized.real)
-    clipped |= quantize(analog.imag, digitized.imag)
-    if not np.all(np.isfinite(digitized.view(np.float64))):
-        raise ValueError(
-            "the digitized received signal is not finite: "
-            "the configuration overflows the impairment chain"
-        )
-    diag = ReceiverDiagnostics(
-        noise=noise,
-        quant_error=digitized - analog,
-        clipped_samples=int(np.count_nonzero(clipped)),
-        agc_scale=scale,
-    )
-    return digitized, diag
+    analog, scale = _analog_chain(x, chan, rx_iq, noise)
+    return _digitize_all(analog, scale, chan, noise)
 
 
 @np.errstate(all="ignore")
@@ -443,17 +509,13 @@ def amplify_and_receive(
     ``v`` is the :func:`transmit_front_end` output; ``cfg.tx_power_dbm``
     sets the amplifier drive. ``noise`` is the receiver noise,
     :func:`thermal_noise` of ``len(v)``, which does not depend on the
-    power either. Returns the received samples and the receiver diagnostics.
+    power either. Everything before the ADC streams in
+    ``CHAIN_BLOCK``-sample blocks (:func:`_analog_chain`), so no stage
+    makes a full-length temporary; then every sample is digitized.
+    Returns the received samples and the receiver diagnostics.
     """
-    drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-    # Not the decorator: numpy's errstate decorator holds its call's
-    # arguments, so it would keep simulate_received's front-end output
-    # alive through the receiver.
-    with np.errstate(all="ignore"):
-        v = apply_pa(v * drive, cfg.pa)
-        # Refer the amplifier output to the antenna: full drive <-> max power.
-        v = v * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
-    return apply_channel_and_receiver(v, cfg.chan, cfg.rx_iq, noise)
+    analog, scale = _analog_chain(v, cfg.chan, cfg.rx_iq, noise, cfg.pa, cfg.tx_power_dbm)
+    return _digitize_all(analog, scale, cfg.chan, noise)
 
 
 def simulate_received(

@@ -34,7 +34,10 @@ from fdsic.impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     REF_DRIVE_RMS,
+    amplify_and_receive,
     simulate_received,
+    thermal_noise,
+    transmit_front_end,
 )
 from fdsic.presets import load_preset
 from fdsic.signals import ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec
@@ -761,6 +764,64 @@ class TestRunSweep:
             assert rep.fit.residual_power_dbfs == pytest.approx(fit.residual_power_dbfs, abs=1e-9)
 
 
+class TestReceive:
+    """The receive step digitizes only the rows the fit and the scoring read."""
+
+    @staticmethod
+    def frames(n_frames, seed):
+        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=n_frames, seed=seed))
+        return x.with_samples(x.samples * REF_DRIVE_RMS)
+
+    def test_rows_are_those_of_amplify_and_receive(self):
+        # 40 frames: the split (81 920) lies past MAX_TRAIN_SAMPLES, so rows
+        # [65 536, 81 920) feed the AGC but are never digitized.
+        cfg = load_preset("sweep_40db")
+        x = self.frames(40, 61)
+        split = 20 * (len(x) // 40)
+        assert split > cancellers.MAX_TRAIN_SAMPLES
+        cfgs = [cfg.with_tx_power(p) for p in (-10.0, 6.0, 22.0)]
+        train, held, floors = cancellers._receive(x, cfgs, 62, split)
+        front = transmit_front_end(x, cfg, 62)
+        noise = thermal_noise(len(x), cfg.chan, 62)
+        assert train.shape == (cancellers.MAX_TRAIN_SAMPLES, 3)
+        for k, power_cfg in enumerate(cfgs):
+            r, diag = amplify_and_receive(front, power_cfg, noise)
+            assert train[:, k].tobytes() == r[: len(train)].tobytes()
+            assert held[:, k].tobytes() == r[split:].tobytes()
+            extra = diag.noise[split:] + diag.quant_error[split:]
+            assert floors[k] == 10.0 * math.log10(float(np.mean(np.abs(extra) ** 2)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_an_undigitized_row_is_an_error(self):
+        # The overflowed sample reaches the AGC alone, and through its scale
+        # every digitized row.
+        cfg = load_preset("sweep_40db")
+        x = self.frames(40, 63)
+        split = 20 * (len(x) // 40)
+        samples = x.samples.copy()
+        samples[cancellers.MAX_TRAIN_SAMPLES + 1000] = 1e200
+        with pytest.raises(ValueError, match="not finite"):
+            cancellers._receive(x.with_samples(samples), [cfg], 64, split)
+
+    def test_peak_memory_above_inputs_and_outputs(self):
+        # sweep_40db at the CLI defaults: 100 frames, the 9 powers -10:22:4.
+        cfg = load_preset("sweep_40db")
+        x = self.frames(100, 65)
+        n = len(x)
+        split = 50 * (n // 100)
+        cfgs = [cfg.with_tx_power(-10.0 + 4.0 * i) for i in range(9)]
+        tracemalloc.start()
+        try:
+            train, held, _ = cancellers._receive(x, cfgs, 66, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full = n * 16
+        # front and noise are full-length complex arrays held throughout.
+        transient = peak - train.nbytes - held.nbytes - 2 * full
+        assert transient <= 2.5 * full
+
+
 class TestFitAndScore:
     """The fit-and-score step on a synthetic transmit/receive pair."""
 
@@ -768,7 +829,7 @@ class TestFitAndScore:
         def unreachable(*args, **kwargs):
             raise AssertionError("the fit-and-score step ran the simulator")
 
-        for name in ("transmit_front_end", "thermal_noise", "amplify_and_receive"):
+        for name in ("transmit_front_end", "thermal_noise", "_analog_chain", "_digitize"):
             monkeypatch.setattr(cancellers, name, unreachable)
 
         # Unit-power white tx through a known 4-tap FIR per column (two

@@ -17,6 +17,9 @@ from helpers_oracles import (
 )
 from fdsic.impairments import (
     ADC_HEADROOM_DB,
+    CHAIN_BLOCK,
+    MAX_TX_POWER_DBM,
+    REF_DRIVE_RMS,
     ChannelAndReceiver,
     DacNonlinearity,
     ImpairmentConfig,
@@ -537,3 +540,68 @@ class TestStagesMatchOutOfPlaceFormulas:
         assert diag.agc_scale == ref_scale
         assert same_bits(x, x_before)
         assert same_bits(noise, noise_before)
+
+
+def long_filter_config(cfg: ImpairmentConfig) -> ImpairmentConfig:
+    """``cfg`` with a 7-tap SI channel and 3-tap RX IQ taps: more history per
+    block than the presets' 4 + 1 taps."""
+    rx_iq = IqImbalance([1.0, 0.05 - 0.02j, -0.01j], [0.03 + 0.01j, 0.0, 0.005])
+    h_si = cfg.chan.h_si[0] * np.array([1.0, 0.4j, -0.2, 0.1 - 0.1j, 0.05, -0.02j, 0.01])
+    chan = dataclasses.replace(cfg.chan, h_si=h_si)
+    return dataclasses.replace(cfg, chan=chan, rx_iq=rx_iq)
+
+
+class TestChainBlockEdges:
+    """The analog chain streams in CHAIN_BLOCK-sample blocks: at lengths
+    around the block edges, every output keeps the bits of the unblocked
+    out-of-place formulas."""
+
+    LENGTHS = [CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1, 2 * CHAIN_BLOCK + 5]
+
+    @staticmethod
+    def config(filters: str) -> ImpairmentConfig:
+        cfg = load_preset("fig7_20dbm")
+        return cfg if filters == "preset" else long_filter_config(cfg)
+
+    @staticmethod
+    def assert_receiver_matches(digitized, diag, x, cfg, noise, clips):
+        ref_digitized, ref_error, ref_clipped, ref_scale = channel_and_receiver_oracle(
+            x, cfg.chan, cfg.rx_iq, noise, ADC_HEADROOM_DB
+        )
+        assert same_bits(digitized, ref_digitized)
+        assert same_bits(diag.quant_error, ref_error)
+        assert diag.clipped_samples == ref_clipped
+        assert (diag.clipped_samples > 0) == clips
+        assert diag.agc_scale == ref_scale
+        assert diag.noise is noise
+
+    @pytest.mark.parametrize("clips", [False, True], ids=["in-range", "clipping"])
+    @pytest.mark.parametrize("filters", ["preset", "long"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_channel_and_receiver(self, n, filters, clips):
+        cfg = self.config(filters)
+        x = stage_input(n, seed=n, rms=3.0)
+        if clips:
+            # Sparse peaks, some on block edges, overload the gain-ranged ADC.
+            x[::512] *= 200.0
+        noise = thermal_noise(n, cfg.chan, 2)
+        x_before = x.copy()
+        digitized, diag = apply_channel_and_receiver(x, cfg.chan, cfg.rx_iq, noise)
+        self.assert_receiver_matches(digitized, diag, x, cfg, noise, clips)
+        assert same_bits(x, x_before)
+
+    @pytest.mark.parametrize("clips", [False, True], ids=["in-range", "clipping"])
+    @pytest.mark.parametrize("filters", ["preset", "long"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_amplify_and_receive(self, n, filters, clips):
+        cfg = self.config(filters)
+        v = stage_input(n, seed=n + 1, rms=REF_DRIVE_RMS)
+        if clips:
+            v[::512] *= 20.0
+        noise = thermal_noise(n, cfg.chan, 3)
+        v_before = v.copy()
+        received, diag = amplify_and_receive(v, cfg, noise)
+        drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+        antenna = apply_pa_oracle(v * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+        self.assert_receiver_matches(received, diag, antenna, cfg, noise, clips)
+        assert same_bits(v, v_before)
