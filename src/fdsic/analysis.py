@@ -173,6 +173,12 @@ class BudgetInput:
         for name in ("tx_power_dbm", "noise_floor_dbm", "papr_headroom_db", "adc_dynamic_range_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.papr_headroom_db < 0.0:
+            raise ValueError(f"papr_headroom_db must be >= 0, got {self.papr_headroom_db}")
+        if self.adc_dynamic_range_db <= 0.0:
+            raise ValueError(
+                f"adc_dynamic_range_db must be positive, got {self.adc_dynamic_range_db}"
+            )
 
 
 @dataclass(frozen=True)

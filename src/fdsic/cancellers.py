@@ -28,10 +28,11 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .impairments import (
+    CHAIN_BLOCK,
     REF_DRIVE_RMS,
+    AdcCodes,
     ImpairmentConfig,
     _analog_chain,
-    _digitize,
     thermal_noise,
     transmit_front_end,
 )
@@ -257,12 +258,14 @@ class _LsFactor(NamedTuple):
 
 
 def _ls_factor(
-    rhs: np.ndarray, bases: list[BasisSignal], channel_len: int
+    rhs: np.ndarray | AdcCodes, bases: list[BasisSignal], channel_len: int
 ) -> _LsFactor:
     """Reduce the training rows of ``[A | rhs]`` to their triangular factor.
 
     The rows are streamed in blocks, so no full-length regressor ``A`` is
-    ever built. One column-major buffer of ``n_params + FIT_BLOCK_ROWS``
+    ever built, and ``rhs`` is read a block of rows at a time (only that
+    block is decoded when ``rhs`` is :class:`~fdsic.impairments.AdcCodes`).
+    One column-major buffer of ``n_params + FIT_BLOCK_ROWS``
     complex rows serves every step: :func:`_fill_regressor` writes the
     block's regressor rows below the ``n_params`` carried rows ``[R11 |
     R12]`` column by column, the right-hand sides follow, and
@@ -314,8 +317,9 @@ def _ls_factor(
                 block = part[carried:rows]
                 block[hi - lo :] = 0.0
                 _fill_regressor(block[: hi - lo, :n_params], bases, lo, hi, channel_len)
-                block[: hi - lo, n_params : n_params + n_rhs] = rhs[lo:hi].real
-                block[: hi - lo, n_params + n_rhs :] = rhs[lo:hi].imag
+                received = rhs[lo:hi]
+                block[: hi - lo, n_params : n_params + n_rhs] = received.real
+                block[: hi - lo, n_params + n_rhs :] = received.imag
         else:
             rows = carried + stop - start
             _fill_regressor(buf[carried:rows, :n_params], bases, start, stop, channel_len)
@@ -531,34 +535,44 @@ def run_sweep(
 
 def _receive(
     x: ComplexBasebandSignal, cfgs: list[ImpairmentConfig], seed: int, split: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+) -> tuple[AdcCodes, AdcCodes, list[float]]:
     """Simulate the rows of ``x`` that the fit and the scoring read.
 
     The configs differ only in transmit power: the front end runs and the
     noise is drawn once. Returns the training rows [0, min(split,
     MAX_TRAIN_SAMPLES)) and held rows [split, len(x)), a column per config,
     and per config the held rows' noise plus quantization error in dBFS.
-    Per config the analog chain streams over every row (see
-    :func:`~fdsic.impairments.amplify_and_receive`, whose rows these are
-    bit for bit), and only the returned rows are digitized, straight into
-    their columns: rows [fit_len, split) feed only the AGC.
+    The rows are kept as the converter's integer codes with each config's
+    AGC scale (:class:`~fdsic.impairments.AdcCodes`), a quarter of the
+    bytes of complex128 at up to 16 bits; a slice of them decodes to the
+    digitized samples. Per config the analog chain streams over every row
+    (see :func:`~fdsic.impairments.amplify_and_receive`, whose rows these
+    decode to bit for bit), and only the returned rows are quantized,
+    straight into their columns: rows [fit_len, split) feed only the AGC.
+    The floor is summed from ``CHAIN_BLOCK`` decoded rows at a time.
     """
     n = len(x)
     fit_len = min(split, MAX_TRAIN_SAMPLES)
+    chan = cfgs[0].chan
     front = transmit_front_end(x, cfgs[0], seed)
-    noise = thermal_noise(n, cfgs[0].chan, seed)
-    train = np.empty((fit_len, len(cfgs)), dtype=np.complex128, order="F")
-    held = np.empty((n - split, len(cfgs)), dtype=np.complex128, order="F")
+    noise = thermal_noise(n, chan, seed)
+    train = AdcCodes.empty(fit_len, len(cfgs), chan)
+    held = AdcCodes.empty(n - split, len(cfgs), chan)
     extra = np.empty(n - split)
     floors = []
     for k, cfg in enumerate(cfgs):
         analog, scale = _analog_chain(front, cfg.chan, cfg.rx_iq, noise, cfg.pa, cfg.tx_power_dbm)
-        _digitize(analog[:fit_len], scale, cfg.chan, train[:, k])
-        _digitize(analog[split:], scale, cfg.chan, held[:, k])
-        # noise + (held - analog) over the held rows, on their analog samples.
-        error = np.subtract(held[:, k], analog[split:], out=analog[split:])
-        error += noise[split:]
-        np.abs(error, out=extra)
+        train.quantize(k, slice(None), analog[:fit_len], scale)
+        # The held rows a block at a time, so each block's codes are read
+        # back from cache: noise + (held - analog), on their analog samples.
+        for lo in range(0, n - split, CHAIN_BLOCK):
+            hi = min(lo + CHAIN_BLOCK, n - split)
+            error = analog[split + lo : split + hi]
+            held.quantize(k, slice(lo, hi), error, scale)
+            np.subtract(held[lo:hi, k], error, out=error)
+            error += noise[split + lo : split + hi]
+            np.abs(error, out=extra[lo:hi])
+        # The whole buffer in one mean: the sum keeps the bits of one pass.
         np.square(extra, out=extra)
         floors.append(10.0 * math.log10(float(np.mean(extra))))
         del analog, error
@@ -567,8 +581,8 @@ def _receive(
 
 def _fit_and_score(
     s: np.ndarray,
-    train: np.ndarray,
-    held: np.ndarray,
+    train: np.ndarray | AdcCodes,
+    held: np.ndarray | AdcCodes,
     specs: Sequence[CancellerSpec],
     frame_len: int,
     noise_dbfs: float,
@@ -578,15 +592,18 @@ def _fit_and_score(
     One column per power, ``train`` holds the rows received for the first
     ``len(train)`` transmit samples ``s`` and ``held`` those for the last
     ``len(held)``, whole frames of ``frame_len`` after the training rows.
+    Either is a complex array or the :class:`~fdsic.impairments.AdcCodes`
+    of :func:`_receive`, of which only the rows being read are decoded:
+    one fit block at a time, and each held-out frame once, for all specs.
     Each family root is factored once (:func:`_family_root`). Returns per
     spec its fits and a (power, frame) array of held-out residual power in
-    dB above ``noise_dbfs``. The scoring bases cover the held rows and the
-    taps - 1 samples before them. Output block i (frame samples [i*taps,
-    (i+1)*taps)) reads only history blocks i and i + 1 of each basis, so a
-    frame's reconstruction at every power is one product of those block
-    pairs (``pairs``) with the spec's :func:`_block_operator`. Real bases
-    keep ``pairs`` real and multiply it by the operator viewed as float64,
-    one real product whose rows read back as complex.
+    dB above ``noise_dbfs``. A frame is scored on the bases of its own
+    samples and the taps - 1 before them. Output block i (frame samples
+    [i*taps, (i+1)*taps)) reads only history blocks i and i + 1 of each
+    basis, so a frame's reconstruction at every power is one product of
+    those block pairs (``pairs``) with the spec's :func:`_block_operator`.
+    Real bases keep ``pairs`` real and multiply it by the operator viewed
+    as float64, one real product whose rows read back as complex.
     """
     roots = [_family_root(spec, specs) for spec in specs]
     factors = {
@@ -596,31 +613,35 @@ def _fit_and_score(
     noise_floor = 10.0 ** (noise_dbfs / 10.0)
     offsets = range(0, len(held), frame_len)
     fits = []
-    per_frame_db = []
+    scorers = []
     for spec, root in zip(specs, roots):
         taps = spec.channel_len
-        bases = build_basis(s[len(s) - len(held) - taps + 1 :], spec)
+        # The bases of one sample: the model's labels, count and dtype.
+        probe = build_basis(s[:1], spec)
         rails = root.method is CancellerMethod.JOINT_DAC_IQ and spec.method is not root.method
-        spec_fits = _ls_solve(factors[root], bases, taps, rails)
+        spec_fits = _ls_solve(factors[root], probe, taps, rails)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
-        dtype = bases[0].samples.dtype
-        g = _block_operator(h, len(bases), taps).view(dtype)
+        dtype = probe[0].samples.dtype
         n_blocks = -(-frame_len // taps)
-        window = frame_len + taps - 1
         history = np.zeros((n_blocks + 1) * taps, dtype=dtype)
-        blocks = history.reshape(n_blocks + 1, taps)
-        pairs = np.empty((n_blocks, 2 * taps * len(bases)), dtype=dtype)
-        db = np.empty((held.shape[1], len(offsets)))
-        for i, offset in enumerate(offsets):
-            for b, basis in enumerate(bases):
-                history[:window] = basis.samples[offset : offset + window]
+        pairs = np.empty((n_blocks, 2 * taps * len(probe)), dtype=dtype)
+        g = _block_operator(h, len(probe), taps).view(dtype)
+        fits.append(spec_fits)
+        scorers.append((spec, g, history, pairs))
+    per_frame_db = [np.empty((held.shape[1], len(offsets))) for _ in specs]
+    for i, offset in enumerate(offsets):
+        received = held[offset : offset + frame_len]
+        first = len(s) - len(held) + offset
+        for (spec, g, history, pairs), db in zip(scorers, per_frame_db):
+            taps = spec.channel_len
+            blocks = history.reshape(-1, taps)
+            for b, basis in enumerate(build_basis(s[first - taps + 1 : first + frame_len], spec)):
+                history[: frame_len + taps - 1] = basis.samples
                 pairs[:, 2 * b * taps : (2 * b + 1) * taps] = blocks[:-1]
                 pairs[:, (2 * b + 1) * taps : (2 * b + 2) * taps] = blocks[1:]
             estimate = (pairs @ g).view(np.complex128)
-            estimate = estimate.reshape(n_blocks * taps, held.shape[1])[:frame_len]
-            residual = held[offset : offset + frame_len] - estimate
+            estimate = estimate.reshape(len(pairs) * taps, held.shape[1])[:frame_len]
+            residual = received - estimate
             power = np.mean(np.abs(residual) ** 2, axis=0)
             db[:, i] = 10.0 * np.log10(np.maximum(power, 1e-300) / noise_floor)
-        fits.append(spec_fits)
-        per_frame_db.append(db)
     return fits, per_frame_db

@@ -81,10 +81,13 @@ def _parse_powers(text: str) -> list[float]:
 
 
 def _resolve_config(args) -> tuple[ImpairmentConfig, dict]:
-    if getattr(args, "preset", None):
+    """The configuration of exactly one of ``--preset`` and ``--config``."""
+    if args.preset and args.config:
+        raise ValueError("--preset and --config are mutually exclusive; give one")
+    if args.preset:
         cfg = load_preset(args.preset)
         source = {"preset": args.preset}
-    elif getattr(args, "config", None):
+    elif args.config:
         cfg = load_config(args.config)
         source = {"config_path": str(args.config)}
     else:

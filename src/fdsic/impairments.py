@@ -18,8 +18,13 @@ The stages take and return plain sample arrays. Each returns a new array
 and never modifies its inputs; it works in place only on arrays it made.
 The per-power part of the chain, amplifier to ADC input, streams in
 ``CHAIN_BLOCK``-sample blocks (``_analog_chain``), and the converter
-(``_digitize``) can digitize any rows of its output: a power sweep
-digitizes only the rows it reads, with the bits of the whole.
+can digitize any rows of its output with the bits of the whole. It works
+in two steps: ``_quantize`` writes each rail's clipped integer code
+(int16 up to 16 bits, else int32) and ``_decode`` turns codes back into
+antenna-referred samples; ``_digitize`` is the one then the other. A
+power sweep quantizes only the rows it reads and keeps them as codes
+(:class:`AdcCodes`, a quarter of the bytes of complex128 at up to 16
+bits), decoding a slice of rows when it reads them.
 Only ``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for
 its sample rate) and only ``simulate_received`` returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
@@ -414,49 +419,143 @@ def _analog_chain(
     return analog, chan.adc_full_scale / (rms * 10.0 ** (ADC_HEADROOM_DB / 20.0))
 
 
-@np.errstate(all="ignore")
-def _digitize(
-    analog: np.ndarray, scale: float, chan: ChannelAndReceiver, out: np.ndarray
-) -> np.ndarray:
-    """Quantize ``analog`` at the AGC ``scale`` into ``out``; return the clip mask.
+def _adc_grid(chan: ChannelAndReceiver) -> tuple[float, int]:
+    """The converter's code step at unit scale and its top code."""
+    return 2.0 * chan.adc_full_scale / 2**chan.adc_bits, 2 ** (chan.adc_bits - 1) - 1
 
-    Each rail becomes (clip(floor(rail * scale / step)) + 0.5) * step /
-    scale. The converter works sample by sample, so any rows of a
-    :func:`_analog_chain` output digitize to the bits of the same rows of
-    the whole. Raises ``ValueError`` when the digitized rows are not
-    finite: a configuration of finite values that overflows the chain
-    leaves a scale of 0 or NaN, and so ends here at any rows.
+
+def _code_dtype(chan: ChannelAndReceiver) -> type:
+    """The narrowest integer type that holds every code of ``chan``'s ADC."""
+    return np.int16 if chan.adc_bits <= 16 else np.int32
+
+
+@np.errstate(all="ignore")
+def _quantize(
+    analog: np.ndarray, scale: float, chan: ChannelAndReceiver, codes: np.ndarray
+) -> np.ndarray:
+    """Write the ADC codes of ``analog`` at the AGC ``scale``; return the clip mask.
+
+    Row n of ``codes`` (``len(analog) x 2``, of :func:`_code_dtype`) gets
+    clip(floor(rail * scale / step)) of the in-phase and quadrature rails
+    of sample n. The converter works sample by sample, so any rows of a
+    :func:`_analog_chain` output quantize to the codes of the same rows of
+    the whole. Raises ``ValueError`` when a code would decode
+    (:func:`_decode`) to a value that is not finite: a configuration of
+    finite values that overflows the chain leaves a scale of 0 or NaN, and
+    so ends here at any rows. The check comes before a code is cast to an
+    integer, and it reads the extreme codes only: the decoded level is
+    monotone in the code, and NaN stays NaN through both steps.
     """
-    step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
-    top = 2 ** (chan.adc_bits - 1) - 1
-    # Every level (k + 0.5) * step / scale is nonzero, so writing the rails
-    # straight into the output gives the same values as q_i + 1j * q_q.
+    step, top = _adc_grid(chan)
     clipped = np.zeros(len(analog), dtype=bool)
     idx = np.empty(len(analog))
-    for rail, rail_out in ((analog.real, out.real), (analog.imag, out.imag)):
+    for r, rail in enumerate((analog.real, analog.imag)):
         np.multiply(rail, scale, out=idx)
         idx /= step
         np.floor(idx, out=idx)
         clipped |= idx > top
         clipped |= idx < -top - 1
         np.clip(idx, -top - 1, top, out=idx)
-        idx += 0.5
-        idx *= step
-        np.divide(idx, scale, out=rail_out)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(
-            "the digitized received signal is not finite: "
-            "the configuration overflows the impairment chain"
-        )
+        if idx.size and not np.all(
+            np.isfinite(((np.array([idx.min(), idx.max()]) + 0.5) * step) / scale)
+        ):
+            raise ValueError(
+                "the digitized received signal is not finite: "
+                "the configuration overflows the impairment chain"
+            )
+        codes[:, r] = idx
     return clipped
+
+
+def _decode(
+    codes: np.ndarray, scale: float | np.ndarray, chan: ChannelAndReceiver
+) -> np.ndarray:
+    """The complex samples ``((code + 0.5) * step) / scale`` of ADC ``codes``.
+
+    ``codes`` is ``rows x 2`` (in-phase, quadrature) with one AGC
+    ``scale``, or ``columns x rows x 2`` with one scale per column. The
+    operations and their order are the float converter's, so the result
+    has its bits. Returns a new C-ordered complex128 array of ``codes``'
+    shape without the rail axis; each loop runs along a column's rows.
+    """
+    step, _ = _adc_grid(chan)
+    out = np.empty(codes.shape[:-1], dtype=np.complex128)
+    levels = out.view(np.float64).reshape(codes.shape)
+    np.add(codes, 0.5, out=levels)
+    levels *= step
+    levels /= np.reshape(scale, np.shape(scale) + (1, 1))
+    return out
+
+
+def _digitize(
+    analog: np.ndarray, scale: float, chan: ChannelAndReceiver
+) -> tuple[np.ndarray, np.ndarray]:
+    """The digitized samples of ``analog`` at the AGC ``scale``, and the clip mask.
+
+    Each rail becomes (clip(floor(rail * scale / step)) + 0.5) * step /
+    scale: :func:`_quantize`, then :func:`_decode`. Raises ``ValueError``
+    as :func:`_quantize` does. A power sweep does not hold its rows as
+    these samples: it keeps the codes (:class:`AdcCodes`), a quarter of
+    the bytes at up to 16 bits, and decodes a slice of rows as it reads it.
+    """
+    codes = np.empty((len(analog), 2), dtype=_code_dtype(chan))
+    clipped = _quantize(analog, scale, chan, codes)
+    return _decode(codes, scale, chan), clipped
+
+
+@dataclass(frozen=True)
+class AdcCodes:
+    """Digitized rows kept as the converter's codes, one column per config.
+
+    ``codes`` is ``columns x rows x 2`` (in-phase, quadrature) of
+    :func:`_code_dtype`, so each column's codes lie together, and
+    ``scales`` holds each column's AGC scale. Indexed as a ``rows x
+    columns`` array, it decodes (:func:`_decode`) to the complex samples
+    :func:`_digitize` gives, bit for bit: ``[a:b]`` is a column-major
+    ``(b - a) x columns`` array and ``[a:b, k]`` column k's samples, so a
+    reader of complex rows reads these unchanged.
+    """
+
+    codes: np.ndarray
+    scales: np.ndarray
+    chan: ChannelAndReceiver
+
+    @classmethod
+    def empty(cls, rows: int, columns: int, chan: ChannelAndReceiver) -> "AdcCodes":
+        """Room for ``rows`` rows of ``columns`` columns, to :meth:`quantize` into."""
+        return cls(
+            np.empty((columns, rows, 2), dtype=_code_dtype(chan)), np.empty(columns), chan
+        )
+
+    def quantize(self, column: int, rows: slice, analog: np.ndarray, scale: float) -> None:
+        """Write ``rows`` of ``column``: ``analog`` at the AGC ``scale``.
+
+        Every call on a column passes the same scale.
+        """
+        self.scales[column] = scale
+        _quantize(analog, scale, self.chan, self.codes[column, rows])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codes.shape[1], self.codes.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes + self.scales.nbytes
+
+    def __len__(self) -> int:
+        return self.codes.shape[1]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, columns = key if isinstance(key, tuple) else (key, slice(None))
+        return _decode(self.codes[columns, rows], self.scales[columns], self.chan).T
 
 
 def _digitize_all(
     analog: np.ndarray, scale: float, chan: ChannelAndReceiver, noise: np.ndarray
 ) -> tuple[np.ndarray, ReceiverDiagnostics]:
     """Digitize every sample; the quantization error overwrites ``analog``."""
-    digitized = np.empty_like(analog)
-    clipped = _digitize(analog, scale, chan, digitized)
+    digitized, clipped = _digitize(analog, scale, chan)
     diag = ReceiverDiagnostics(
         noise=noise,
         quant_error=np.subtract(digitized, analog, out=analog),

@@ -223,3 +223,13 @@ class TestSuppressionBudget:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             BudgetInput(tx_power_dbm=float("nan"))
+
+    def test_rejects_negative_headroom_and_non_positive_dynamic_range(self):
+        # Either would let the tolerable interference exceed the noise floor
+        # plus the converter's range: --papr -1000 read 980 dBm.
+        with pytest.raises(ValueError, match="papr_headroom_db must be >= 0"):
+            BudgetInput(papr_headroom_db=-1e-9)
+        for value in (0.0, -70.0):
+            with pytest.raises(ValueError, match="adc_dynamic_range_db must be positive"):
+                BudgetInput(adc_dynamic_range_db=value)
+        assert suppression_budget(BudgetInput(papr_headroom_db=0.0)).required_suppression_db == 40.0

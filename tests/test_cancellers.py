@@ -694,10 +694,13 @@ class TestRunSweep:
         usable = frames.n_frames * frame_len
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
         # All fits first, one build per family root (nonlinear and
-        # joint-dac-iq), then each spec's scoring bases: the held-out rows
-        # plus the taps - 1 samples of history before them.
-        assert lengths == [fit_len] * 2 + [
-            usable - split + spec.channel_len - 1 for spec in DEFAULT_SPECS
+        # joint-dac-iq), then one sample per spec for its labels, then per
+        # held-out frame each spec's scoring bases: the frame plus the
+        # taps - 1 samples of history before it.
+        assert lengths == [fit_len] * 2 + [1] * len(DEFAULT_SPECS) + [
+            frame_len + spec.channel_len - 1
+            for _ in range(split, usable, frame_len)
+            for spec in DEFAULT_SPECS
         ]
 
     @pytest.mark.parametrize(
@@ -784,12 +787,34 @@ class TestReceive:
         front = transmit_front_end(x, cfg, 62)
         noise = thermal_noise(len(x), cfg.chan, 62)
         assert train.shape == (cancellers.MAX_TRAIN_SAMPLES, 3)
+        assert train.codes.dtype == held.codes.dtype == np.int16
+        self.assert_rows_match(train, held, floors, front, cfgs, noise, split)
+
+    @staticmethod
+    def assert_rows_match(train, held, floors, front, cfgs, noise, split):
+        # The rows decode to amplify_and_receive's, bit for bit.
         for k, power_cfg in enumerate(cfgs):
             r, diag = amplify_and_receive(front, power_cfg, noise)
             assert train[:, k].tobytes() == r[: len(train)].tobytes()
             assert held[:, k].tobytes() == r[split:].tobytes()
             extra = diag.noise[split:] + diag.quant_error[split:]
             assert floors[k] == 10.0 * math.log10(float(np.mean(np.abs(extra) ** 2)))
+
+    def test_rows_at_20_bits_are_int32_codes(self):
+        # Above 16 bits a code needs 32: the rows still decode to the bits
+        # of amplify_and_receive's.
+        base = load_preset("sweep_40db")
+        cfg = dataclasses.replace(base, chan=dataclasses.replace(base.chan, adc_bits=20))
+        x = self.frames(10, 67)
+        split = 5 * (len(x) // 10)
+        cfgs = [cfg.with_tx_power(p) for p in (-10.0, 22.0)]
+        train, held, floors = cancellers._receive(x, cfgs, 68, split)
+        assert train.codes.dtype == held.codes.dtype == np.int32
+        # The gain ranging reaches codes beyond int16 at 20 bits.
+        assert np.max(np.abs(held.codes)) > np.iinfo(np.int16).max
+        front = transmit_front_end(x, cfg, 68)
+        noise = thermal_noise(len(x), cfg.chan, 68)
+        self.assert_rows_match(train, held, floors, front, cfgs, noise, split)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_an_undigitized_row_is_an_error(self):
@@ -821,6 +846,43 @@ class TestReceive:
         transient = peak - train.nbytes - held.nbytes - 2 * full
         assert transient <= 2.5 * full
 
+    @staticmethod
+    def sweep40_rows(seed):
+        """x, _receive's rows and the frame length of a 9-power sweep_40db sweep."""
+        x = TestReceive.frames(100, seed)
+        cfgs = [load_preset("sweep_40db").with_tx_power(-10.0 + 4.0 * i) for i in range(9)]
+        return x, cfgs, 50 * (len(x) // 100), len(x) // 100
+
+    def test_peak_memory_with_rows_as_codes(self):
+        # The 65 536 training and 204 800 held rows of 9 powers are 9.7 MB
+        # of int16 codes (38.9 MB as complex128), next to the 13.1 MB front
+        # end and noise and one power's chain at a time.
+        x, cfgs, split, _ = self.sweep40_rows(65)
+        tracemalloc.start()
+        try:
+            cancellers._receive(x, cfgs, 66, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 42e6
+
+    def test_fit_and_score_peak_memory_on_codes(self):
+        # The peak is the joint-dac-iq root's fit: its block buffer,
+        # (192 + 4096) x (192 + 2 * 9) complex (14.4 MB), and its 65 536-row
+        # real bases (3.1 MB). Rows are decoded a fit block or a held-out
+        # frame at a time: all held rows at once would add 29.5 MB, and every
+        # spec's full-length scoring bases 29.5 MB.
+        x, cfgs, split, frame_len = self.sweep40_rows(69)
+        train, held, _ = cancellers._receive(x, cfgs, 70, split)
+        noise_dbfs = cfgs[0].chan.thermal_noise_dbfs
+        tracemalloc.start()
+        try:
+            cancellers._fit_and_score(x.samples, train, held, DEFAULT_SPECS, frame_len, noise_dbfs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 22e6
+
 
 class TestFitAndScore:
     """The fit-and-score step on a synthetic transmit/receive pair."""
@@ -829,8 +891,9 @@ class TestFitAndScore:
         def unreachable(*args, **kwargs):
             raise AssertionError("the fit-and-score step ran the simulator")
 
-        for name in ("transmit_front_end", "thermal_noise", "_analog_chain", "_digitize"):
+        for name in ("transmit_front_end", "thermal_noise", "_analog_chain"):
             monkeypatch.setattr(cancellers, name, unreachable)
+        monkeypatch.setattr(impairments, "_quantize", unreachable)
 
         # Unit-power white tx through a known 4-tap FIR per column (two
         # columns, as two powers would be), plus complex noise at the floor.

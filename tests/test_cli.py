@@ -204,6 +204,20 @@ class TestToneTest:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_preset_with_config_is_clean_error(self, tmp_path, capsys, command):
+        # Neither source silently wins, even when the config path is missing.
+        rc = main(
+            COMMANDS[command]
+            + ["--preset", "sweep_55db", "--config", str(tmp_path / "missing.json"),
+               "--out", str(tmp_path / "run")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "--preset and --config" in err
+        assert not (tmp_path / "run").exists()
+
     def test_disabled_impairments_single_line(self, tmp_path):
         # A config file with every impairment switched off produces a
         # clean single-line spectrum.
@@ -413,6 +427,20 @@ class TestBudget:
         assert main(["budget", "--tx-power", "-30"]) == 0
         out = capsys.readouterr().out
         assert "0.00" in out
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--papr", "-1000", "papr_headroom_db"),
+         ("--adc-dynamic-range", "0", "adc_dynamic_range_db"),
+         ("--adc-dynamic-range", "-5", "adc_dynamic_range_db")],
+    )
+    def test_unphysical_budget_input_is_clean_error(self, tmp_path, capsys, flag, value, name):
+        assert main(["budget", flag, value, "--out", str(tmp_path / "run")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
 
 
 class TestSpectrumCommand:

@@ -40,6 +40,10 @@ from fdsic.impairments import (
     simulate_received,
     thermal_noise,
     transmit_front_end,
+    _code_dtype,
+    _decode,
+    _digitize,
+    _quantize,
 )
 from fdsic.presets import PRESET_NAMES, load_preset
 from fdsic.signals import ComplexBasebandSignal, gen_tone, power_db
@@ -549,6 +553,74 @@ def long_filter_config(cfg: ImpairmentConfig) -> ImpairmentConfig:
     h_si = cfg.chan.h_si[0] * np.array([1.0, 0.4j, -0.2, 0.1 - 0.1j, 0.05, -0.02j, 0.01])
     chan = dataclasses.replace(cfg.chan, h_si=h_si)
     return dataclasses.replace(cfg, chan=chan, rx_iq=rx_iq)
+
+
+class TestConverterCodes:
+    """The converter in two steps: integer codes, then decoded samples with
+    the bits of the float converter."""
+
+    @staticmethod
+    def float_converter(analog, scale, chan):
+        """(codes of each rail, digitized samples, clip mask), all in float64."""
+        step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
+        top = 2 ** (chan.adc_bits - 1) - 1
+        rails = []
+        clipped = np.zeros(len(analog), dtype=bool)
+        for rail in (analog.real, analog.imag):
+            idx = np.floor(rail * scale / step)
+            clipped |= (idx > top) | (idx < -top - 1)
+            rails.append(np.clip(idx, -top - 1, top))
+        digitized = np.empty(len(analog), dtype=np.complex128)
+        digitized.real = (rails[0] + 0.5) * step / scale
+        digitized.imag = (rails[1] + 0.5) * step / scale
+        return rails, digitized, clipped
+
+    @pytest.mark.parametrize("bits", [4, 14, 16, 17, 24])
+    def test_decoded_codes_are_the_float_converter(self, bits):
+        chan = ChannelAndReceiver(h_si=[1.0], adc_bits=bits)
+        scale = 0.37
+        analog = stage_input(4096, seed=bits, rms=0.3 / scale)
+        # Hot samples on either sign of each rail clip at both ends; the
+        # full-scale edges sit on either side of the last code.
+        analog[100:104] = [40.0 + 1j, -40.0 - 1j, 1.0 + 40j, -1.0 - 40j]
+        edge = chan.adc_full_scale / scale
+        analog[200:204] = [edge, -edge, 1j * np.nextafter(edge, 0.0), -1j * np.nextafter(edge, 0.0)]
+        rails, digitized, clipped = self.float_converter(analog, scale, chan)
+
+        codes = np.empty((len(analog), 2), dtype=_code_dtype(chan))
+        assert codes.dtype == (np.int16 if bits <= 16 else np.int32)
+        assert np.array_equal(_quantize(analog, scale, chan, codes), clipped)
+        for r in range(2):
+            assert np.array_equal(codes[:, r], rails[r])
+            assert codes[:, r].min() == -(2 ** (bits - 1))
+            assert codes[:, r].max() == 2 ** (bits - 1) - 1
+        assert same_bits(_decode(codes, scale, chan), digitized)
+        got, got_clipped = _digitize(analog, scale, chan)
+        assert same_bits(got, digitized)
+        assert np.array_equal(got_clipped, clipped)
+
+    def test_decode_takes_one_scale_per_column(self):
+        chan = ChannelAndReceiver(h_si=[1.0], adc_bits=14)
+        analog = stage_input(1000, seed=9).reshape(500, 2)
+        scales = np.array([0.8, 3.0])
+        codes = np.empty((2, 500, 2), dtype=np.int16)
+        for k in range(2):
+            _quantize(analog[:, k], scales[k], chan, codes[k])
+        decoded = _decode(codes, scales, chan)
+        for k in range(2):
+            assert same_bits(decoded[k], self.float_converter(analog[:, k], scales[k], chan)[1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [0.0, math.nan, 1e-320], ids=["zero", "nan", "subnormal"])
+    def test_scale_that_decodes_to_non_finite_is_an_error_before_any_code(self, scale):
+        chan = ChannelAndReceiver(h_si=[1.0], adc_bits=14)
+        analog = stage_input(256, seed=4)
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(self.float_converter(analog, scale, chan)[1]))
+        codes = np.full((256, 2), 7, dtype=np.int16)
+        with pytest.raises(ValueError, match="digitized received signal is not finite"):
+            _quantize(analog, scale, chan, codes)
+        assert np.all(codes == 7)
 
 
 class TestChainBlockEdges:
