@@ -11,8 +11,11 @@ received self-interference and subtract their reconstruction:
                    converter distortion and IQ imbalance in one model
 
 Residual power is reported as distance from the thermal noise floor on
-held-out frames (smaller is better). A short grid keeps this demo quick;
-the CLI `fdsic sweep` runs the full one.
+held-out frames (smaller is better). Each power's receiver summary
+follows: the AGC scale the gain ranging chose, how many samples clipped
+the converter, and the apparent floor that noise and quantization leave.
+A short grid keeps this demo quick; the CLI `fdsic sweep` runs the full
+one.
 """
 
 from fdsic import DEFAULT_SPECS, load_preset, run_sweep
@@ -35,6 +38,13 @@ for preset in ("sweep_40db", "sweep_55db"):
             for rep in reports[i * n : (i + 1) * n]
         )
         print(f"{power:7.0f} {cells}")
+    print(f"{'P(dBm)':>7s} {'AGC scale':>10s} {'clipped':>8s} {'floor(dBFS)':>12s}")
+    for i, power in enumerate(powers):
+        rx = reports[i * n].receiver
+        print(
+            f"{power:7.0f} {rx.agc_scale:10.3f} {rx.clipped_samples:8d} "
+            f"{rx.apparent_floor_dbfs:12.2f}"
+        )
     print()
 
 print(

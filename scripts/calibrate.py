@@ -87,7 +87,7 @@ def sweep_behavior(preset_name: str, powers, seed: int = 7):
         row = [f"{p:7.1f}"]
         for rep in reports[i * n : (i + 1) * n]:
             row.append(f"{rep.residual_above_noise_db:22.2f}+-{rep.residual_above_noise_std_db:4.2f}")
-        row.append(f"{reports[i * n].apparent_noise_floor_dbfs:8.1f}")
+        row.append(f"{reports[i * n].receiver.apparent_floor_dbfs:8.1f}")
         print("  " + "  ".join(row))
     print(f"  [{time.time() - t0:.1f}s]")
 

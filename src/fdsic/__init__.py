@@ -37,7 +37,6 @@ from .impairments import (
     PhaseNoiseSpec,
     ReceiverDiagnostics,
     amplify_and_receive,
-    apply_channel_and_receiver,
     apply_dac,
     apply_iq,
     apply_pa,

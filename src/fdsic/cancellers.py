@@ -28,11 +28,13 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .impairments import (
-    CHAIN_BLOCK,
     REF_DRIVE_RMS,
     AdcCodes,
     ImpairmentConfig,
+    ReceiverDiagnostics,
     _analog_chain,
+    _quantize,
+    _receive_rows,
     thermal_noise,
     transmit_front_end,
 )
@@ -139,6 +141,10 @@ class LsFit:
 class SuppressionReport:
     """Held-out residual power relative to the thermal noise floor.
 
+    ``receiver`` is the receiver's summary at this report's transmit power,
+    shared by every canceller at that power: clipped samples over the rows
+    the sweep digitizes, the AGC scale, and the apparent floor (noise plus
+    quantization error) over the held-out rows the figures are scored on.
     ``fit`` is the LS fit the figures come from: the fit of this report's
     own transmit power and canceller. It takes no part in comparing or
     hashing reports, which its coefficient array would make ambiguous.
@@ -148,7 +154,7 @@ class SuppressionReport:
     tx_power_dbm: float
     residual_above_noise_db: float
     residual_above_noise_std_db: float
-    apparent_noise_floor_dbfs: float
+    receiver: ReceiverDiagnostics
     fit: LsFit = field(compare=False)
 
 
@@ -488,9 +494,10 @@ def run_sweep(
     :func:`_fit_and_score`). The first ``TRAIN_FRACTION`` of frames trains
     the fits (at most ``MAX_TRAIN_SAMPLES`` rows) and the remainder is
     held out. Residual-above-noise statistics are aggregated across the
-    held-out frames (mean and one-standard-deviation spread). Reports come
-    in (power, spec) order and match a one-power sweep at each power up to
-    rounding.
+    held-out frames (mean and one-standard-deviation spread). Each report
+    carries its power's receiver summary (``receiver``), one object shared
+    by every spec at that power. Reports come in (power, spec) order and
+    match a one-power sweep at each power up to rounding.
     """
     if not specs:
         raise ValueError("specs must be nonempty")
@@ -515,7 +522,7 @@ def run_sweep(
     n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
     split = n_train_frames * frame_len
 
-    train, held, floors = _receive(x, cfgs, seed, split)
+    train, held, receivers = _receive(x, cfgs, seed, split)
     fits, per_frame_db = _fit_and_score(
         x.samples, train, held, specs, frame_len, cfg.chan.thermal_noise_dbfs
     )
@@ -525,7 +532,7 @@ def run_sweep(
             tx_power_dbm=power_cfg.tx_power_dbm,
             residual_above_noise_db=float(np.mean(db[k])),
             residual_above_noise_std_db=float(np.std(db[k])),
-            apparent_noise_floor_dbfs=floors[k],
+            receiver=receivers[k],
             fit=spec_fits[k],
         )
         for k, power_cfg in enumerate(cfgs)
@@ -535,21 +542,22 @@ def run_sweep(
 
 def _receive(
     x: ComplexBasebandSignal, cfgs: list[ImpairmentConfig], seed: int, split: int
-) -> tuple[AdcCodes, AdcCodes, list[float]]:
+) -> tuple[AdcCodes, AdcCodes, list[ReceiverDiagnostics]]:
     """Simulate the rows of ``x`` that the fit and the scoring read.
 
     The configs differ only in transmit power: the front end runs and the
     noise is drawn once. Returns the training rows [0, min(split,
     MAX_TRAIN_SAMPLES)) and held rows [split, len(x)), a column per config,
-    and per config the held rows' noise plus quantization error in dBFS.
-    The rows are kept as the converter's integer codes with each config's
-    AGC scale (:class:`~fdsic.impairments.AdcCodes`), a quarter of the
-    bytes of complex128 at up to 16 bits; a slice of them decodes to the
-    digitized samples. Per config the analog chain streams over every row
-    (see :func:`~fdsic.impairments.amplify_and_receive`, whose rows these
-    decode to bit for bit), and only the returned rows are quantized,
-    straight into their columns: rows [fit_len, split) feed only the AGC.
-    The floor is summed from ``CHAIN_BLOCK`` decoded rows at a time.
+    and per config the receiver's summary: clipped samples over both sets
+    of rows, the AGC scale, and the held rows' noise plus quantization
+    error in dBFS. The rows are kept as the converter's integer codes with
+    each config's AGC scale (:class:`~fdsic.impairments.AdcCodes`), a
+    quarter of the bytes of complex128 at up to 16 bits; a slice of them
+    decodes to the digitized samples. Per config the analog chain streams
+    over every row (see :func:`~fdsic.impairments.amplify_and_receive`,
+    whose rows and AGC scale these are, bit for bit), and only the
+    returned rows are quantized, straight into their columns: rows
+    [fit_len, split) feed only the AGC.
     """
     n = len(x)
     fit_len = min(split, MAX_TRAIN_SAMPLES)
@@ -558,25 +566,16 @@ def _receive(
     noise = thermal_noise(n, chan, seed)
     train = AdcCodes.empty(fit_len, len(cfgs), chan)
     held = AdcCodes.empty(n - split, len(cfgs), chan)
-    extra = np.empty(n - split)
-    floors = []
+    receivers = []
     for k, cfg in enumerate(cfgs):
-        analog, scale = _analog_chain(front, cfg.chan, cfg.rx_iq, noise, cfg.pa, cfg.tx_power_dbm)
-        train.quantize(k, slice(None), analog[:fit_len], scale)
-        # The held rows a block at a time, so each block's codes are read
-        # back from cache: noise + (held - analog), on their analog samples.
-        for lo in range(0, n - split, CHAIN_BLOCK):
-            hi = min(lo + CHAIN_BLOCK, n - split)
-            error = analog[split + lo : split + hi]
-            held.quantize(k, slice(lo, hi), error, scale)
-            np.subtract(held[lo:hi, k], error, out=error)
-            error += noise[split + lo : split + hi]
-            np.abs(error, out=extra[lo:hi])
-        # The whole buffer in one mean: the sum keeps the bits of one pass.
-        np.square(extra, out=extra)
-        floors.append(10.0 * math.log10(float(np.mean(extra))))
-        del analog, error
-    return train, held, floors
+        analog, scale = _analog_chain(front, cfg, noise)
+        train.scales[k] = held.scales[k] = scale
+        clipped = np.count_nonzero(_quantize(analog[:fit_len], scale, chan, train.codes[k]))
+        receivers.append(
+            _receive_rows(analog[split:], scale, chan, noise[split:], held.codes[k], clipped)
+        )
+        del analog
+    return train, held, receivers
 
 
 def _fit_and_score(

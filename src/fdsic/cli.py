@@ -182,7 +182,7 @@ def cmd_sweep(args) -> int:
                     rep.method,
                     f"{rep.residual_above_noise_db:.6f}",
                     f"{rep.residual_above_noise_std_db:.6f}",
-                    f"{rep.apparent_noise_floor_dbfs:.6f}",
+                    f"{rep.receiver.apparent_floor_dbfs:.6f}",
                 ]
             )
     _write_manifest(

@@ -21,10 +21,14 @@ The per-power part of the chain, amplifier to ADC input, streams in
 can digitize any rows of its output with the bits of the whole. It works
 in two steps: ``_quantize`` writes each rail's clipped integer code
 (int16 up to 16 bits, else int32) and ``_decode`` turns codes back into
-antenna-referred samples; ``_digitize`` is the one then the other. A
-power sweep quantizes only the rows it reads and keeps them as codes
-(:class:`AdcCodes`, a quarter of the bytes of complex128 at up to 16
-bits), decoding a slice of rows when it reads them.
+antenna-referred samples. ``_receive_rows`` digitizes rows a block at a
+time, through their codes, and summarizes what the receiver saw over
+them (:class:`ReceiverDiagnostics`: clipped samples, AGC scale and the
+apparent floor that noise and quantization leave). ``amplify_and_receive``
+runs it over every row; a power sweep runs it over only the rows it
+reads and keeps them as codes (:class:`AdcCodes`, a quarter of the bytes
+of complex128 at up to 16 bits), decoding a slice of rows when it reads
+them.
 Only ``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for
 its sample rate) and only ``simulate_received`` returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
@@ -311,12 +315,18 @@ def apply_phase_noise(
     """Rotate each sample by exp(j(phi_tx[n] - phi_rx[n - delay])).
 
     ``sample_rate`` in Hz sets the phase step per sample for the linewidth.
-    Returns a new array and leaves ``x`` unchanged.
+    Returns a new array and leaves ``x`` unchanged. Raises ``ValueError``
+    for a shared oscillator whose delay is longer than the signal, before
+    any draw: its walk would need ``len(x) + delay`` steps.
     """
     n = len(x)
     dt = pn.delay_samples
     sigma = math.sqrt(2.0 * math.pi * pn.linewidth / sample_rate)
     if pn.shared_oscillator:
+        if dt > n:
+            raise ValueError(
+                f"delay_samples ({dt}) must not exceed the signal length ({n} samples)"
+            )
         # One walk covering [-dt, n); residual rotation phi[k] - phi[k-dt].
         path = np.cumsum(substream(seed, "phase-noise-shared").normal(0.0, sigma, n + dt))
         rotation = path[dt:] - path[:n]
@@ -339,27 +349,35 @@ def apply_pa(x: np.ndarray, pa: PaNonlinearity) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReceiverDiagnostics:
-    """Per-run receiver internals for floor and clipping analysis."""
+    """What the receiver reports over the rows it digitized.
 
-    noise: np.ndarray
-    quant_error: np.ndarray
+    ``clipped_samples`` counts the samples whose in-phase or quadrature
+    code clipped, ``agc_scale`` is the gain ranging's scale (set by every
+    row of the ADC input) and ``apparent_floor_dbfs`` is the mean power of
+    noise plus quantization error in dBFS: the floor left under the
+    self-interference by the receiver itself.
+    """
+
     clipped_samples: int
     agc_scale: float
+    apparent_floor_dbfs: float
 
 
 def thermal_noise(n: int, chan: ChannelAndReceiver, seed: int) -> np.ndarray:
     """``n`` samples of the receiver's complex Gaussian thermal noise.
 
     The power is ``chan.thermal_noise_dbfs`` (zeros when it is ``-inf``),
-    drawn from the seed's ``thermal-noise`` substream.
+    drawn from the seed's ``thermal-noise`` substream: the in-phase rails,
+    then the quadrature rails.
     """
     if not math.isfinite(chan.thermal_noise_dbfs):
         return np.zeros(n, dtype=np.complex128)
-    noise_rms = 10.0 ** (chan.thermal_noise_dbfs / 20.0)
     rng = substream(seed, "thermal-noise")
-    return (noise_rms / math.sqrt(2.0)) * (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    )
+    noise = np.empty(n, dtype=np.complex128)
+    noise.real = rng.standard_normal(n)
+    noise.imag = rng.standard_normal(n)
+    noise *= 10.0 ** (chan.thermal_noise_dbfs / 20.0) / math.sqrt(2.0)
+    return noise
 
 
 # The per-power chain, amplifier to ADC input, runs in blocks of this many
@@ -370,43 +388,36 @@ CHAIN_BLOCK = 16384
 
 @np.errstate(all="ignore")
 def _analog_chain(
-    x: np.ndarray,
-    chan: ChannelAndReceiver,
-    rx_iq: IqImbalance,
-    noise: np.ndarray,
-    pa: PaNonlinearity | None = None,
-    tx_power_dbm: float = MAX_TX_POWER_DBM,
+    x: np.ndarray, cfg: ImpairmentConfig, noise: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """The ADC input and its AGC scale, streamed in ``CHAIN_BLOCK`` blocks.
 
-    With ``pa``, ``x`` is the :func:`transmit_front_end` output: each
-    block is driven through the amplifier at ``tx_power_dbm`` and referred
-    to the antenna. Without, ``x`` is already antenna-referred. Then come
-    analog suppression, the SI channel, RX IQ imbalance and ``noise``. A
-    block reads the ``len(h_si) - 1`` plus RX IQ taps - 1 input samples
-    before it (none for the first), so each output sample has the bits of
-    the unblocked chain. The scale is set by the mean of ``|analog|^2``
-    over all of ``x``: every sample reaches the AGC, digitized or not.
-    Returns a new analog array and leaves ``x`` and ``noise`` unchanged.
+    ``x`` is the :func:`transmit_front_end` output: each block is driven
+    through the amplifier at ``cfg.tx_power_dbm``, referred to the
+    antenna, and passed through analog suppression, the SI channel, RX IQ
+    imbalance and ``noise``. A block reads the ``len(h_si) - 1`` plus RX
+    IQ taps - 1 input samples before it (none for the first), so each
+    output sample has the bits of the unblocked chain. The scale is set by
+    the mean of ``|analog|^2`` over all of ``x``: every sample reaches the
+    AGC, digitized or not. Returns a new analog array and leaves ``x`` and
+    ``noise`` unchanged.
     """
     if len(noise) != len(x):
         raise ValueError(f"noise has {len(noise)} samples, the signal {len(x)}")
+    chan, rx_iq = cfg.chan, cfg.rx_iq
     n = len(x)
     history = chan.h_si.size + max(rx_iq.gamma.size, rx_iq.delta.size) - 2
-    drive = 10.0 ** ((tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+    drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
     suppression = 10.0 ** (-chan.analog_suppression_db / 20.0)
     analog = np.empty(n, dtype=np.complex128)
     power = np.empty(n)
     for start in range(0, n, CHAIN_BLOCK):
         stop = min(start + CHAIN_BLOCK, n)
         lo = max(start - history, 0)
-        if pa is None:
-            v = x[lo:stop] * suppression
-        else:
-            v = apply_pa(x[lo:stop] * drive, pa)
-            # Refer the amplifier output to the antenna: full drive <-> max power.
-            v *= 10.0 ** (MAX_TX_POWER_DBM / 20.0)
-            v *= suppression
+        v = apply_pa(x[lo:stop] * drive, cfg.pa)
+        # Refer the amplifier output to the antenna: full drive <-> max power.
+        v *= 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+        v *= suppression
         v = apply_iq(fir_convolve(v, chan.h_si), rx_iq)
         block = np.add(v[start - lo :], noise[start:stop], out=analog[start:stop])
         np.abs(block, out=power[start:stop])
@@ -487,22 +498,6 @@ def _decode(
     return out
 
 
-def _digitize(
-    analog: np.ndarray, scale: float, chan: ChannelAndReceiver
-) -> tuple[np.ndarray, np.ndarray]:
-    """The digitized samples of ``analog`` at the AGC ``scale``, and the clip mask.
-
-    Each rail becomes (clip(floor(rail * scale / step)) + 0.5) * step /
-    scale: :func:`_quantize`, then :func:`_decode`. Raises ``ValueError``
-    as :func:`_quantize` does. A power sweep does not hold its rows as
-    these samples: it keeps the codes (:class:`AdcCodes`), a quarter of
-    the bytes at up to 16 bits, and decodes a slice of rows as it reads it.
-    """
-    codes = np.empty((len(analog), 2), dtype=_code_dtype(chan))
-    clipped = _quantize(analog, scale, chan, codes)
-    return _decode(codes, scale, chan), clipped
-
-
 @dataclass(frozen=True)
 class AdcCodes:
     """Digitized rows kept as the converter's codes, one column per config.
@@ -511,7 +506,7 @@ class AdcCodes:
     :func:`_code_dtype`, so each column's codes lie together, and
     ``scales`` holds each column's AGC scale. Indexed as a ``rows x
     columns`` array, it decodes (:func:`_decode`) to the complex samples
-    :func:`_digitize` gives, bit for bit: ``[a:b]`` is a column-major
+    of the float converter, bit for bit: ``[a:b]`` is a column-major
     ``(b - a) x columns`` array and ``[a:b, k]`` column k's samples, so a
     reader of complex rows reads these unchanged.
     """
@@ -522,18 +517,10 @@ class AdcCodes:
 
     @classmethod
     def empty(cls, rows: int, columns: int, chan: ChannelAndReceiver) -> "AdcCodes":
-        """Room for ``rows`` rows of ``columns`` columns, to :meth:`quantize` into."""
+        """Room for ``rows`` rows of ``columns`` columns, to quantize into."""
         return cls(
             np.empty((columns, rows, 2), dtype=_code_dtype(chan)), np.empty(columns), chan
         )
-
-    def quantize(self, column: int, rows: slice, analog: np.ndarray, scale: float) -> None:
-        """Write ``rows`` of ``column``: ``analog`` at the AGC ``scale``.
-
-        Every call on a column passes the same scale.
-        """
-        self.scales[column] = scale
-        _quantize(analog, scale, self.chan, self.codes[column, rows])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -551,38 +538,41 @@ class AdcCodes:
         return _decode(self.codes[columns, rows], self.scales[columns], self.chan).T
 
 
-def _digitize_all(
-    analog: np.ndarray, scale: float, chan: ChannelAndReceiver, noise: np.ndarray
-) -> tuple[np.ndarray, ReceiverDiagnostics]:
-    """Digitize every sample; the quantization error overwrites ``analog``."""
-    digitized, clipped = _digitize(analog, scale, chan)
-    diag = ReceiverDiagnostics(
-        noise=noise,
-        quant_error=np.subtract(digitized, analog, out=analog),
-        clipped_samples=int(np.count_nonzero(clipped)),
-        agc_scale=scale,
-    )
-    return digitized, diag
-
-
-def apply_channel_and_receiver(
-    x: np.ndarray,
+@np.errstate(all="ignore")
+def _receive_rows(
+    analog: np.ndarray,
+    scale: float,
     chan: ChannelAndReceiver,
-    rx_iq: IqImbalance,
     noise: np.ndarray,
-) -> tuple[np.ndarray, ReceiverDiagnostics]:
-    """Suppression, SI channel, RX IQ imbalance, noise, and gain-ranged ADC.
+    codes: np.ndarray,
+    clipped: int = 0,
+) -> ReceiverDiagnostics:
+    """Digitize rows of the ADC input in place and summarize the receiver over them.
 
-    ``noise`` is the receiver noise added ahead of the converter, one
-    sample per sample of ``x``: :func:`thermal_noise` of ``len(x)``. The
-    analog stages stream in ``CHAIN_BLOCK``-sample blocks
-    (:func:`_analog_chain`), then every sample is digitized. Returns a new
-    array and leaves ``x`` and ``noise`` unchanged. Raises ``ValueError``
-    when the digitized output is not finite: a configuration of finite
-    values that overflows the chain ends here.
+    ``analog`` holds rows of :func:`_analog_chain`'s output at its AGC
+    ``scale`` and ``noise`` the noise in those rows. A ``CHAIN_BLOCK`` of
+    rows at a time is quantized (:func:`_quantize`) into the same rows of
+    ``codes`` and decoded back (:func:`_decode`), so no full-length
+    complex temporary is made; on return ``analog`` holds the digitized
+    samples. The apparent floor is the mean of
+    ``|noise + (digitized - analog)|^2`` over the rows; ``clipped`` counts
+    samples clipped on rows quantized elsewhere at the same scale, to
+    which these rows' clips are added. Leaves ``noise`` unchanged and
+    raises ``ValueError`` as :func:`_quantize` does.
     """
-    analog, scale = _analog_chain(x, chan, rx_iq, noise)
-    return _digitize_all(analog, scale, chan, noise)
+    extra = np.empty(len(analog))
+    for lo in range(0, len(analog), CHAIN_BLOCK):
+        hi = min(lo + CHAIN_BLOCK, len(analog))
+        rows = analog[lo:hi]
+        clipped += np.count_nonzero(_quantize(rows, scale, chan, codes[lo:hi]))
+        digitized = _decode(codes[lo:hi], scale, chan)
+        np.subtract(digitized, rows, out=rows)
+        rows += noise[lo:hi]
+        np.abs(rows, out=extra[lo:hi])
+        rows[...] = digitized
+    # The whole buffer in one mean: the sum keeps the bits of one pass.
+    np.square(extra, out=extra)
+    return ReceiverDiagnostics(int(clipped), scale, 10.0 * math.log10(float(np.mean(extra))))
 
 
 @np.errstate(all="ignore")
@@ -610,11 +600,16 @@ def amplify_and_receive(
     :func:`thermal_noise` of ``len(v)``, which does not depend on the
     power either. Everything before the ADC streams in
     ``CHAIN_BLOCK``-sample blocks (:func:`_analog_chain`), so no stage
-    makes a full-length temporary; then every sample is digitized.
-    Returns the received samples and the receiver diagnostics.
+    makes a full-length temporary; then every sample is digitized in
+    place (:func:`_receive_rows`). Returns the received samples and the
+    receiver's summary over every row. Raises ``ValueError`` when the
+    digitized output is not finite: a configuration of finite values that
+    overflows the chain ends here.
     """
-    analog, scale = _analog_chain(v, cfg.chan, cfg.rx_iq, noise, cfg.pa, cfg.tx_power_dbm)
-    return _digitize_all(analog, scale, cfg.chan, noise)
+    received, scale = _analog_chain(v, cfg, noise)
+    codes = np.empty((len(v), 2), dtype=_code_dtype(cfg.chan))
+    diag = _receive_rows(received, scale, cfg.chan, noise, codes)
+    return received, diag
 
 
 def simulate_received(
@@ -623,8 +618,8 @@ def simulate_received(
     """Run the full impairment chain on a digital baseband signal.
 
     Returns the received self-interference signal (in antenna-referred
-    units where mean power in dB reads as dBm) and the receiver
-    diagnostics: noise, quantization error, clipping and AGC scale.
+    units where mean power in dB reads as dBm) and the receiver's summary
+    over every sample: clipping, AGC scale and apparent floor.
     """
     noise = thermal_noise(len(x), cfg.chan, seed)
     received, diag = amplify_and_receive(transmit_front_end(x, cfg, seed), cfg, noise)

@@ -166,9 +166,10 @@ def papr_db(signal: ComplexBasebandSignal) -> float:
 # --- binary IQ file interface -------------------------------------------
 #
 # Format: little-endian float64 pairs (I, Q) interleaved, plus a sidecar
-# text header "<path>.hdr" carrying the sample rate and length.
+# text header "<path>.hdr" carrying the format, sample rate and length.
 
 _HDR_SUFFIX = ".hdr"
+_IQ_FORMAT = "iq-float64-le-interleaved"
 
 
 def write_iq(signal: ComplexBasebandSignal, path) -> Path:
@@ -180,7 +181,7 @@ def write_iq(signal: ComplexBasebandSignal, path) -> Path:
     path = Path(path)
     path.write_bytes(signal.samples.astype("<c16", copy=False))
     header = (
-        "format=iq-float64-le-interleaved\n"
+        f"format={_IQ_FORMAT}\n"
         f"sample_rate_hz={signal.sample_rate!r}\n"
         f"length={len(signal)}\n"
     )
@@ -189,7 +190,11 @@ def write_iq(signal: ComplexBasebandSignal, path) -> Path:
 
 
 def read_iq(path) -> ComplexBasebandSignal:
-    """Read a signal written by :func:`write_iq`."""
+    """Read a signal written by :func:`write_iq`.
+
+    The sidecar must name the format :func:`write_iq` writes; a header
+    with no ``format`` key, or any other format, is a ``ValueError``.
+    """
     path = Path(path)
     header_path = Path(str(path) + _HDR_SUFFIX)
     if not header_path.exists():
@@ -215,6 +220,13 @@ def read_iq(path) -> ComplexBasebandSignal:
         raise ValueError(
             f"header {header_path} field 'sample_rate_hz' must be finite and positive, "
             f"got {fields['sample_rate_hz']!r}"
+        )
+    if "format" not in fields:
+        raise ValueError(f"header {header_path} is missing key 'format'")
+    if fields["format"] != _IQ_FORMAT:
+        raise ValueError(
+            f"header {header_path} field 'format' must be {_IQ_FORMAT!r}, "
+            f"got {fields['format']!r}"
         )
     length = number("length", int)
     size = path.stat().st_size

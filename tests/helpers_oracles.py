@@ -137,7 +137,11 @@ def apply_pa_oracle(x: np.ndarray, pa) -> np.ndarray:
 
 
 def channel_and_receiver_oracle(x: np.ndarray, chan, rx_iq, noise, headroom_db: float):
-    """(digitized, quant_error, clipped_samples, agc_scale) of the receiver."""
+    """(digitized, quant_error, clip mask, agc_scale) of the receiver.
+
+    The clip mask is True for each sample with a clipped rail, so a count
+    over any rows is ``np.count_nonzero(mask[rows])``.
+    """
     attenuated = x * 10.0 ** (-chan.analog_suppression_db / 20.0)
     through = fir_convolve_oracle(attenuated, chan.h_si)
     analog = apply_iq_oracle(through, rx_iq) + noise
@@ -154,4 +158,4 @@ def channel_and_receiver_oracle(x: np.ndarray, chan, rx_iq, noise, headroom_db: 
     q_i, clip_i = quantize(analog.real)
     q_q, clip_q = quantize(analog.imag)
     digitized = q_i + 1j * q_q
-    return digitized, digitized - analog, int(np.count_nonzero(clip_i | clip_q)), scale
+    return digitized, digitized - analog, clip_i | clip_q, scale

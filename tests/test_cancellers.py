@@ -9,7 +9,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers_oracles import cancel, dense_regressor, normal_equations_fit
+from helpers_oracles import (
+    apply_pa_oracle,
+    cancel,
+    channel_and_receiver_oracle,
+    dense_regressor,
+    normal_equations_fit,
+)
 
 from fdsic import cancellers, impairments
 from fdsic.cancellers import (
@@ -27,6 +33,8 @@ from fdsic.cancellers import (
     run_sweep,
 )
 from fdsic.impairments import (
+    ADC_HEADROOM_DB,
+    MAX_TX_POWER_DBM,
     ChannelAndReceiver,
     DacNonlinearity,
     ImpairmentConfig,
@@ -524,7 +532,7 @@ class TestRunSweep:
         rep = reports[0]
         assert rep.tx_power_dbm == -5.0
         assert rep.method == "linear"
-        assert rep.apparent_noise_floor_dbfs == pytest.approx(-90.0, abs=1.0)
+        assert rep.receiver.apparent_floor_dbfs == pytest.approx(-90.0, abs=1.0)
         assert rep.residual_above_noise_std_db >= 0.0
 
     def test_reports_of_identical_runs_compare_equal(self):
@@ -572,12 +580,11 @@ class TestRunSweep:
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert (g.method, g.tx_power_dbm) == (e.method, e.tx_power_dbm)
-            for field in (
-                "residual_above_noise_db",
-                "residual_above_noise_std_db",
-                "apparent_noise_floor_dbfs",
-            ):
+            for field in ("residual_above_noise_db", "residual_above_noise_std_db"):
                 assert getattr(g, field) == pytest.approx(getattr(e, field), abs=1e-9)
+            assert g.receiver.apparent_floor_dbfs == pytest.approx(
+                e.receiver.apparent_floor_dbfs, abs=1e-9
+            )
         assert [rep.tx_power_dbm for rep in got] == [-10.0] * 4 + [22.0] * 4
 
     def test_one_lstsq_call_per_canceller(self, monkeypatch):
@@ -783,22 +790,70 @@ class TestReceive:
         split = 20 * (len(x) // 40)
         assert split > cancellers.MAX_TRAIN_SAMPLES
         cfgs = [cfg.with_tx_power(p) for p in (-10.0, 6.0, 22.0)]
-        train, held, floors = cancellers._receive(x, cfgs, 62, split)
+        train, held, receivers = cancellers._receive(x, cfgs, 62, split)
         front = transmit_front_end(x, cfg, 62)
         noise = thermal_noise(len(x), cfg.chan, 62)
         assert train.shape == (cancellers.MAX_TRAIN_SAMPLES, 3)
         assert train.codes.dtype == held.codes.dtype == np.int16
-        self.assert_rows_match(train, held, floors, front, cfgs, noise, split)
+        self.assert_rows_match(train, held, receivers, front, cfgs, noise, split)
 
     @staticmethod
-    def assert_rows_match(train, held, floors, front, cfgs, noise, split):
+    def assert_summary_matches(receiver, front, cfg, noise, split):
+        """``receiver`` is the sweep's summary at ``cfg``'s power.
+
+        Its AGC scale is amplify_and_receive's, bit for bit; its floor is the
+        oracle's over the held rows [split, len), and its clip count the
+        oracle's over the training and held rows, which the sweep digitizes.
+        Returns the clip count.
+        """
+        _, diag = amplify_and_receive(front, cfg, noise)
+        assert receiver.agc_scale == diag.agc_scale
+        drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+        antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+        _, error, clipped, _ = channel_and_receiver_oracle(
+            antenna, cfg.chan, cfg.rx_iq, noise, ADC_HEADROOM_DB
+        )
+        extra = noise[split:] + error[split:]
+        assert receiver.apparent_floor_dbfs == 10.0 * math.log10(
+            float(np.mean(np.abs(extra) ** 2))
+        )
+        fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
+        assert receiver.clipped_samples == (
+            np.count_nonzero(clipped[:fit_len]) + np.count_nonzero(clipped[split:])
+        )
+        return receiver.clipped_samples
+
+    @staticmethod
+    def assert_rows_match(train, held, receivers, front, cfgs, noise, split):
         # The rows decode to amplify_and_receive's, bit for bit.
         for k, power_cfg in enumerate(cfgs):
-            r, diag = amplify_and_receive(front, power_cfg, noise)
+            r, _ = amplify_and_receive(front, power_cfg, noise)
             assert train[:, k].tobytes() == r[: len(train)].tobytes()
             assert held[:, k].tobytes() == r[split:].tobytes()
-            extra = diag.noise[split:] + diag.quant_error[split:]
-            assert floors[k] == 10.0 * math.log10(float(np.mean(np.abs(extra) ** 2)))
+            TestReceive.assert_summary_matches(receivers[k], front, power_cfg, noise, split)
+
+    @pytest.mark.parametrize("bits", [14, 20])
+    def test_sweep_reports_carry_each_powers_receiver_summary(self, bits):
+        # A PA whose fifth-order term expands the peaks overloads the
+        # gain-ranged ADC at 22 dBm; at -10 dBm the linear term dominates.
+        base = load_preset("sweep_40db")
+        cfg = dataclasses.replace(
+            base,
+            pa=PaNonlinearity([1.0, 0.0, 0.5]),
+            chan=dataclasses.replace(base.chan, adc_bits=bits),
+        )
+        powers = [-10.0, 22.0]
+        spec = CancellerSpec(CancellerMethod.LINEAR)
+        reports = run_sweep(cfg, powers, [spec], OfdmFrameSpec(n_frames=40, seed=71), seed=72)
+        x = self.frames(40, 71)
+        split = 20 * (len(x) // 40)
+        front = transmit_front_end(x, cfg, 72)
+        noise = thermal_noise(len(x), cfg.chan, 72)
+        clips = [
+            self.assert_summary_matches(rep.receiver, front, cfg.with_tx_power(power), noise, split)
+            for rep, power in zip(reports, powers)
+        ]
+        assert clips[1] > 0
 
     def test_rows_at_20_bits_are_int32_codes(self):
         # Above 16 bits a code needs 32: the rows still decode to the bits
@@ -808,13 +863,13 @@ class TestReceive:
         x = self.frames(10, 67)
         split = 5 * (len(x) // 10)
         cfgs = [cfg.with_tx_power(p) for p in (-10.0, 22.0)]
-        train, held, floors = cancellers._receive(x, cfgs, 68, split)
+        train, held, receivers = cancellers._receive(x, cfgs, 68, split)
         assert train.codes.dtype == held.codes.dtype == np.int32
         # The gain ranging reaches codes beyond int16 at 20 bits.
         assert np.max(np.abs(held.codes)) > np.iinfo(np.int16).max
         front = transmit_front_end(x, cfg, 68)
         noise = thermal_noise(len(x), cfg.chan, 68)
-        self.assert_rows_match(train, held, floors, front, cfgs, noise, split)
+        self.assert_rows_match(train, held, receivers, front, cfgs, noise, split)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_an_undigitized_row_is_an_error(self):

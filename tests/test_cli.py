@@ -110,6 +110,16 @@ class TestConfigSection:
         assert len(err.splitlines()) == 1
 
 
+class TestPhaseNoiseDelay:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_delay_longer_than_signal_is_clean_error(self, tmp_path, capsys, command):
+        # 20 000 samples outlast both commands' signals (8192 and 16 384).
+        assert _run_with_config(tmp_path, command, "pn", "delay_samples", 20000) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delay_samples (20000) must not exceed")
+        assert len(err.splitlines()) == 1
+
+
 def _run_preset_and_saved_copy(tmp_path, name, args):
     """Run ``args`` with ``--preset name`` and with its saved JSON copy."""
     save_config(load_preset(name), tmp_path / "cfg.json")
@@ -466,6 +476,24 @@ class TestSpectrumCommand:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "format=iq-float32-le-interleaved\nsample_rate_hz=80000000.0\nlength=8192\n",
+            "sample_rate_hz=80000000.0\nlength=8192\n",
+        ],
+        ids=["float32", "no-format"],
+    )
+    def test_format_other_than_float64_is_clean_error(self, tmp_path, capsys, header):
+        write_iq(gen_tone(TONE_FREQ, 1.0, 8192, SAMPLE_RATE), tmp_path / "tone.iq")
+        (tmp_path / "tone.iq.hdr").write_text(header)
+        rc = main(["spectrum", "--input", str(tmp_path / "tone.iq"), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "'format'" in err
+        assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize(
         "header",

@@ -255,6 +255,20 @@ class TestIqFile:
         with pytest.raises(FileNotFoundError):
             read_iq(path)
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("format=iq-float32-le-interleaved\n", "field 'format' must be"),
+            ("", "missing key 'format'"),
+        ],
+        ids=["float32", "missing"],
+    )
+    def test_format_other_than_float64_rejected(self, tmp_path, line, message):
+        path = write_iq(gen_tone(1e6, 1.0, 64, FS), tmp_path / "x.iq")
+        (tmp_path / "x.iq.hdr").write_text(f"{line}sample_rate_hz=80000000.0\nlength=64\n")
+        with pytest.raises(ValueError, match=message):
+            read_iq(path)
+
     def test_length_mismatch_rejected(self, tmp_path):
         sig = gen_tone(1e6, 1.0, 64, FS)
         path = tmp_path / "bad.iq"
