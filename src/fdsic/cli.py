@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -34,13 +35,6 @@ from .impairments import (
 from .presets import PRESET_NAMES, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from .signals import SAMPLE_RATE, OfdmFrameSpec, gen_tone, read_iq, write_iq
 from .spectral import spectrum, write_spectrum_csv
-
-
-# The order parameters of the default canceller set seed the sweep flags.
-_DEFAULT_NONLINEAR, _DEFAULT_JOINT = (
-    next(s for s in DEFAULT_SPECS if s.method is m)
-    for m in (CancellerMethod.NONLINEAR, CancellerMethod.JOINT_DAC_IQ)
-)
 
 
 def _parse_powers(text: str) -> list[float]:
@@ -96,25 +90,18 @@ def _resolve_config(args) -> tuple[ImpairmentConfig, dict]:
 
 
 def _canceller_specs(args) -> list[CancellerSpec]:
-    specs = []
-    for name in args.methods.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        method = CancellerMethod.parse(name)
-        if method is CancellerMethod.NONLINEAR:
-            specs.append(
-                CancellerSpec(
-                    method,
-                    channel_len=args.channel_len,
-                    n_max=args.n_max,
-                    nonlinear_basis_variant=args.nonlinear_variant,
-                )
-            )
-        elif method is CancellerMethod.JOINT_DAC_IQ:
-            specs.append(CancellerSpec(method, channel_len=args.channel_len, m_max=args.m_max))
-        else:
-            specs.append(CancellerSpec(method, channel_len=args.channel_len))
+    # The order flags each method takes; every method takes --channel-len.
+    orders = {
+        CancellerMethod.NONLINEAR: {
+            "n_max": args.n_max, "nonlinear_basis_variant": args.nonlinear_variant,
+        },
+        CancellerMethod.JOINT_DAC_IQ: {"m_max": args.m_max},
+    }
+    names = (name.strip() for name in args.methods.split(","))
+    specs = [
+        CancellerSpec(method, channel_len=args.channel_len, **orders.get(method, {}))
+        for method in map(CancellerMethod.parse, filter(None, names))
+    ]
     if not specs:
         raise ValueError("method list is empty")
     return specs
@@ -198,14 +185,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    report = suppression_budget(
-        BudgetInput(
-            tx_power_dbm=args.tx_power,
-            noise_floor_dbm=args.noise_floor,
-            papr_headroom_db=args.papr,
-            adc_dynamic_range_db=args.adc_dynamic_range,
-        )
-    )
+    inputs = BudgetInput(args.tx_power, args.noise_floor, args.papr, args.adc_dynamic_range)
+    report = suppression_budget(inputs)
     width = max(len(label) for label, _ in report.breakdown)
     for label, value in report.breakdown:
         print(f"{label:<{width}} : {value:8.2f}")
@@ -217,17 +198,7 @@ def cmd_budget(args) -> int:
             writer.writerow(["quantity", "value"])
             for label, value in report.breakdown:
                 writer.writerow([label, f"{value:.6f}"])
-        _write_manifest(
-            out_dir,
-            "budget",
-            {
-                "tx_power_dbm": args.tx_power,
-                "noise_floor_dbm": args.noise_floor,
-                "papr_headroom_db": args.papr,
-                "adc_dynamic_range_db": args.adc_dynamic_range,
-            },
-            None,
-        )
+        _write_manifest(out_dir, "budget", dataclasses.asdict(inputs), None)
     return 0
 
 
@@ -278,14 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(s.method.value for s in DEFAULT_SPECS),
         help="comma-separated canceller list",
     )
-    p_sweep.add_argument("--frames", type=int, default=100)
-    p_sweep.add_argument("--channel-len", type=int, default=DEFAULT_SPECS[0].channel_len)
-    p_sweep.add_argument("--n-max", type=int, default=_DEFAULT_NONLINEAR.n_max)
-    p_sweep.add_argument("--m-max", type=int, default=_DEFAULT_JOINT.m_max)
+    p_sweep.add_argument("--frames", type=int, default=OfdmFrameSpec.n_frames)
+    # The default canceller set seeds the channel-length and order flags.
+    defaults = {spec.method: spec for spec in DEFAULT_SPECS}
+    p_sweep.add_argument(
+        "--channel-len", type=int, default=defaults[CancellerMethod.LINEAR].channel_len
+    )
+    p_sweep.add_argument("--n-max", type=int, default=defaults[CancellerMethod.NONLINEAR].n_max)
+    p_sweep.add_argument("--m-max", type=int, default=defaults[CancellerMethod.JOINT_DAC_IQ].m_max)
     p_sweep.add_argument(
         "--nonlinear-variant",
         choices=("power", "envelope"),
-        default=_DEFAULT_NONLINEAR.nonlinear_basis_variant,
+        default=defaults[CancellerMethod.NONLINEAR].nonlinear_basis_variant,
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -107,10 +107,6 @@ class DacNonlinearity:
         object.__setattr__(self, "coeffs_i", ci)
         object.__setattr__(self, "coeffs_q", cq)
 
-    @property
-    def m_max(self) -> int:
-        return self.coeffs_i.size
-
     @classmethod
     def identity(cls) -> "DacNonlinearity":
         return cls(np.array([1.0]), np.array([1.0]))
@@ -193,10 +189,6 @@ class PaNonlinearity:
         if c[0] <= 0.0:
             raise ValueError("linear PA gain beta_1 must be positive")
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n_max(self) -> int:
-        return 2 * self.coeffs.size - 1
 
     def baseband_coeffs(self) -> np.ndarray:
         """Effective envelope coefficients beta'_n per odd order n."""

@@ -159,3 +159,41 @@ def channel_and_receiver_oracle(x: np.ndarray, chan, rx_iq, noise, headroom_db: 
     q_q, clip_q = quantize(analog.imag)
     digitized = q_i + 1j * q_q
     return digitized, digitized - analog, clip_i | clip_q, scale
+
+
+# --- closed-form models: the channels a fit must recover ---
+
+
+def _add_taps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of two FIR tap sequences, the shorter zero padded."""
+    out = np.zeros(max(a.size, b.size), dtype=np.complex128)
+    out[: a.size] += a
+    out[: b.size] += b
+    return out
+
+
+def joint_dac_iq_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
+    """Closed-form composite channels of joint-dac-iq's bases, ``taps`` each.
+
+    Exact with the amplifier at identity and no phase noise, where the
+    received signal is linear in the rail powers ``re(x)^m``, ``im(x)^m``
+    of the DAC input ``x`` (frames at ``drive_rms``). With the antenna
+    gain ``c = drive * 10^(22/20) * 10^(-suppression/20) = 10^((P -
+    suppression)/20) / drive_rms``, the TX mixer maps DAC order m's rails
+    to ``t_re = a_i,m (gamma_T + delta_T)`` and ``t_im = j a_q,m (gamma_T -
+    delta_T)``; with ``w = c h_si * t`` the basis's channel is ``gamma_R *
+    w + delta_R * conj(w)``, zero padded to ``taps``. The channels come
+    back to back in the basis order of the fit (re, im per order).
+    """
+    c = 10.0 ** ((cfg.tx_power_dbm - cfg.chan.analog_suppression_db) / 20.0) / drive_rms
+    plus = _add_taps(cfg.tx_iq.gamma, cfg.tx_iq.delta)
+    minus = _add_taps(cfg.tx_iq.gamma, -cfg.tx_iq.delta)
+    channels = []
+    for a_i, a_q in zip(cfg.dac.coeffs_i, cfg.dac.coeffs_q):
+        for t in (a_i * plus, 1j * a_q * minus):
+            w = c * np.convolve(cfg.chan.h_si, t)
+            h = _add_taps(np.convolve(cfg.rx_iq.gamma, w), np.convolve(cfg.rx_iq.delta, np.conj(w)))
+            if h.size > taps:
+                raise ValueError(f"composite channel has {h.size} taps, the fit {taps}")
+            channels.append(np.pad(h, (0, taps - h.size)))
+    return np.concatenate(channels)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracles import passband_harmonic_oracle
+
 from fdsic.analysis import (
     BudgetInput,
     predict_harmonics,
@@ -19,41 +21,6 @@ from fdsic.impairments import DacNonlinearity, apply_dac, simulate_received
 from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.signals import gen_tone
 from fdsic.spectral import spectrum
-
-
-def passband_harmonic_oracle(m: int):
-    """Brute-force rail-polynomial harmonic locations.
-
-    Numerically raise the sampled rails of a tone to the m-th power, mix
-    onto a carrier, downconvert, low-pass, FFT, and read off which tone
-    multiples carry energy. Entirely independent of the closed-form
-    predictor.
-
-    Returns (frequencies in units of the tone frequency, powers in dB).
-    """
-    n = 1 << 16
-    fs = float(n)  # 1 Hz bins
-    f0 = 32.0
-    fc = 8192.0
-    t = np.arange(n) / fs
-    rail_i = np.cos(2 * np.pi * f0 * t) ** m
-    rail_q = np.sin(2 * np.pi * f0 * t) ** m
-    passband = rail_i * np.cos(2 * np.pi * fc * t) - rail_q * np.sin(2 * np.pi * fc * t)
-    analytic = passband * np.exp(-2j * np.pi * fc * t) * 2.0
-    spec = np.fft.fft(analytic) / n
-    freqs = np.fft.fftfreq(n, 1 / fs)
-    # low-pass: keep |f| below fc (rejects the 2*fc image)
-    keep = np.abs(freqs) < fc / 2
-    spec, freqs = spec[keep], freqs[keep]
-    power = np.abs(spec) ** 2
-    lines = []
-    for k in range(-m, m + 1):
-        if k == 0:
-            continue
-        idx = np.argmin(np.abs(freqs - k * f0))
-        if power[idx] > 1e-12:
-            lines.append((k, 10 * math.log10(power[idx])))
-    return lines
 
 
 class TestPredictHarmonics:

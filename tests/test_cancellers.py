@@ -14,6 +14,7 @@ from helpers_oracles import (
     cancel,
     channel_and_receiver_oracle,
     dense_regressor,
+    joint_dac_iq_channels,
     normal_equations_fit,
 )
 
@@ -1101,3 +1102,48 @@ class TestFamilyFit:
             width = len(build_basis(x.samples[:1], root)) * root.channel_len + per_row
             expected[width] = -(-fit_len // (per_row * cancellers.FIT_BLOCK_ROWS))
         assert collections.Counter(shape[1] for shape in calls) == expected
+
+
+def _joint_world(preset: str, **chan) -> ImpairmentConfig:
+    """A preset at 22 dBm where joint-dac-iq is exact: identity PA, no phase noise."""
+    cfg = load_preset(preset)
+    return dataclasses.replace(
+        cfg,
+        pa=PaNonlinearity.identity(),
+        pn=dataclasses.replace(cfg.pn, linewidth=0.0),
+        chan=dataclasses.replace(cfg.chan, **chan),
+        tx_power_dbm=MAX_TX_POWER_DBM,
+    )
+
+
+class TestCompositeChannels:
+    """The joint-dac-iq fit recovers the closed-form channels of its own model."""
+
+    SPEC = CancellerSpec(CancellerMethod.JOINT_DAC_IQ, channel_len=8, m_max=3)
+
+    def fit_and_truth(self, cfg, frames):
+        (rep,) = run_sweep(cfg, [cfg.tx_power_dbm], [self.SPEC], frames, frames.seed)
+        truth = joint_dac_iq_channels(cfg, self.SPEC.channel_len, REF_DRIVE_RMS)
+        return rep.fit, truth
+
+    @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noise_free_fit_recovers_channels(self, preset, seed):
+        cfg = _joint_world(preset, thermal_noise_dbfs=-200.0, adc_bits=24)
+        fit, truth = self.fit_and_truth(cfg, OfdmFrameSpec(n_frames=16, seed=seed))
+        assert np.linalg.norm(fit.coefficients - truth) / np.linalg.norm(truth) <= 1e-4
+
+    @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_error_within_the_fits_own_error_bars(self, preset, seed):
+        # With real bases and complex noise of power sigma^2, the real and
+        # imaginary parts of the error are each N(0, sigma^2/2 (A^T A)^-1),
+        # so the normalised error is chi-squared with 2p degrees of freedom.
+        frames = OfdmFrameSpec(n_frames=8, seed=seed)
+        fit, truth = self.fit_and_truth(_joint_world(preset), frames)
+        n = fit.training_len
+        s = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
+        a = dense_regressor(build_basis(s[:n], self.SPEC), n, self.SPEC.channel_len).real
+        e = fit.coefficients - truth
+        sigma2 = 10.0 ** (fit.residual_power_dbfs / 10.0)
+        assert np.real(e.conj() @ (a.T @ a) @ e) / (sigma2 / 2) <= 2 * (2 * fit.n_params)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -317,6 +318,22 @@ class TestSweep:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["args"]["nonlinear_variant"] == "power"
 
+    def test_order_flags_apply_per_method(self, tmp_path):
+        # --n-max and --nonlinear-variant reach only nonlinear's label and
+        # --m-max only joint-dac-iq's; blanks around names are dropped and
+        # the list's order is kept.
+        rc = main(
+            ["sweep", "--preset", "sweep_55db", "--methods", " linear, joint-dac-iq ,nonlinear",
+             "--m-max", "2", "--n-max", "3", "--nonlinear-variant", "power",
+             "--channel-len", "8", "--frames", "4", "--powers", "22", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        with (tmp_path / "suppression.csv").open() as fh:
+            labels = [row["method"] for row in csv.DictReader(fh)]
+        assert labels == ["linear", "joint-dac-iq(m_max=2)", "nonlinear(n_max=3,power)"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["args"]["channel_len"] == 8
+
     @pytest.mark.parametrize(
         ("section", "key", "value", "field"),
         [
@@ -432,6 +449,12 @@ class TestBudget:
         assert [(row["quantity"], row["value"]) for row in table] == [
             (label, f"{value:.6f}") for label, value in expected
         ]
+
+    def test_manifest_echoes_budget_input(self, tmp_path):
+        assert main(["budget", "--tx-power", "-30", "--papr", "7", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "budget"
+        assert manifest["args"] == dataclasses.asdict(BudgetInput(-30, -90, 7, 70))
 
     def test_zero_corner_and_linearity(self, capsys):
         assert main(["budget", "--tx-power", "-30"]) == 0
