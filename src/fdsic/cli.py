@@ -89,22 +89,33 @@ def _resolve_config(args) -> tuple[ImpairmentConfig, dict]:
     return cfg, source
 
 
+# The spec fields each method takes besides ``channel_len``, which every
+# method takes, each with the parsed flag that sets it.
+_ORDER_FLAGS = {
+    CancellerMethod.NONLINEAR: {"n_max": "n_max", "nonlinear_basis_variant": "nonlinear_variant"},
+    CancellerMethod.JOINT_DAC_IQ: {"m_max": "m_max"},
+}
+
+
 def _canceller_specs(args) -> list[CancellerSpec]:
-    # The order flags each method takes; every method takes --channel-len.
-    orders = {
-        CancellerMethod.NONLINEAR: {
-            "n_max": args.n_max, "nonlinear_basis_variant": args.nonlinear_variant,
-        },
-        CancellerMethod.JOINT_DAC_IQ: {"m_max": args.m_max},
-    }
     names = (name.strip() for name in args.methods.split(","))
     specs = [
-        CancellerSpec(method, channel_len=args.channel_len, **orders.get(method, {}))
+        CancellerSpec(
+            method,
+            channel_len=args.channel_len,
+            **{field: getattr(args, flag) for field, flag in _ORDER_FLAGS.get(method, {}).items()},
+        )
         for method in map(CancellerMethod.parse, filter(None, names))
     ]
     if not specs:
         raise ValueError("method list is empty")
     return specs
+
+
+def _spec_record(spec: CancellerSpec) -> dict:
+    """The manifest's record of ``spec``: its label and the fields its method takes."""
+    fields = ["channel_len", *_ORDER_FLAGS.get(spec.method, {})]
+    return {"label": spec.label(), **{name: getattr(spec, name) for name in fields}}
 
 
 def _write_manifest(out_dir: Path, command: str, args_echo: dict, cfg: ImpairmentConfig | None):
@@ -176,8 +187,7 @@ def cmd_sweep(args) -> int:
         out_dir,
         "sweep",
         {**source, "powers": powers, "methods": args.methods, "seed": args.seed,
-         "frames": args.frames, "channel_len": args.channel_len, "n_max": args.n_max,
-         "m_max": args.m_max, "nonlinear_variant": args.nonlinear_variant},
+         "frames": args.frames, "cancellers": [_spec_record(spec) for spec in specs]},
         cfg,
     )
     print(f"sweep: {len(powers)} powers x {len(specs)} methods -> {csv_path}")

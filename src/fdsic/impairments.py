@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from numbers import Integral
 from pathlib import Path
@@ -263,9 +263,7 @@ class ImpairmentConfig:
             )
 
     def with_tx_power(self, tx_power_dbm: float) -> "ImpairmentConfig":
-        return ImpairmentConfig(
-            self.dac, self.tx_iq, self.rx_iq, self.pn, self.pa, self.chan, tx_power_dbm
-        )
+        return replace(self, tx_power_dbm=tx_power_dbm)
 
 
 def _horner(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -621,95 +619,93 @@ def simulate_received(
 # --- configuration file round trip ----------------------------------------
 
 
-def _complex_list(arr: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(arr, dtype=np.complex128)]
+def _reals(arr: np.ndarray) -> list:
+    return [float(v) for v in arr]
+
+
+def _taps(arr: np.ndarray) -> list:
+    return [[float(c.real), float(c.imag)] for c in arr]
 
 
 def _complex_array(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
 
 
-def config_to_dict(cfg: ImpairmentConfig) -> dict:
+# The configuration file format. Each section holds the ImpairmentConfig
+# field of its name, of the class given; each of its keys holds one field
+# of that class, written to JSON by the function next to it. Taps
+# (``_taps``) are [re, im] pairs, read back as complex; every other value
+# is read as it is, for the class to check. ``_TOP_LEVEL`` holds
+# ImpairmentConfig's own fields, outside any section.
+_IQ_KEYS = {"gamma": ("gamma", _taps), "delta": ("delta", _taps)}
+_SECTIONS = {
+    "dac": (DacNonlinearity, {"coeffs_i": ("coeffs_i", _reals), "coeffs_q": ("coeffs_q", _reals)}),
+    "tx_iq": (IqImbalance, _IQ_KEYS),
+    "rx_iq": (IqImbalance, _IQ_KEYS),
+    "pn": (PhaseNoiseSpec, {
+        "linewidth_hz": ("linewidth", float),
+        "shared_oscillator": ("shared_oscillator", bool),
+        "delay_samples": ("delay_samples", int),
+    }),
+    "pa": (PaNonlinearity, {"coeffs_odd": ("coeffs", _reals)}),
+    "chan": (ChannelAndReceiver, {
+        "h_si": ("h_si", _taps),
+        "analog_suppression_db": ("analog_suppression_db", float),
+        "thermal_noise_dbfs": ("thermal_noise_dbfs", float),
+        "adc_bits": ("adc_bits", int),
+        "adc_full_scale": ("adc_full_scale", float),
+    }),
+}
+_TOP_LEVEL = {"tx_power_dbm": ("tx_power_dbm", float)}
+
+
+def _to_dict(obj, keys: dict) -> dict:
+    return {key: write(getattr(obj, field)) for key, (field, write) in keys.items()}
+
+
+def _fields(values: dict, keys: dict) -> dict:
+    """The constructor arguments in ``values``, the part of a file ``keys`` describes."""
     return {
-        "dac": {
-            "coeffs_i": [float(v) for v in cfg.dac.coeffs_i],
-            "coeffs_q": [float(v) for v in cfg.dac.coeffs_q],
-        },
-        "tx_iq": {
-            "gamma": _complex_list(cfg.tx_iq.gamma),
-            "delta": _complex_list(cfg.tx_iq.delta),
-        },
-        "rx_iq": {
-            "gamma": _complex_list(cfg.rx_iq.gamma),
-            "delta": _complex_list(cfg.rx_iq.delta),
-        },
-        "pn": {
-            "linewidth_hz": float(cfg.pn.linewidth),
-            "shared_oscillator": bool(cfg.pn.shared_oscillator),
-            "delay_samples": int(cfg.pn.delay_samples),
-        },
-        "pa": {"coeffs_odd": [float(v) for v in cfg.pa.coeffs]},
-        "chan": {
-            "h_si": _complex_list(cfg.chan.h_si),
-            "analog_suppression_db": float(cfg.chan.analog_suppression_db),
-            "thermal_noise_dbfs": float(cfg.chan.thermal_noise_dbfs),
-            "adc_bits": int(cfg.chan.adc_bits),
-            "adc_full_scale": float(cfg.chan.adc_full_scale),
-        },
-        "tx_power_dbm": float(cfg.tx_power_dbm),
+        field: _complex_array(values[key]) if write is _taps else values[key]
+        for key, (field, write) in keys.items()
     }
 
 
-def _config_section(data: dict, name: str, build):
-    """``build(data[name])``, with any error it raises naming the section."""
+def config_to_dict(cfg: ImpairmentConfig) -> dict:
+    sections = {name: _to_dict(getattr(cfg, name), keys) for name, (_, keys) in _SECTIONS.items()}
+    return {**sections, **_to_dict(cfg, _TOP_LEVEL)}
+
+
+def _config_section(data: dict, name: str):
+    """Section ``name`` of ``data`` as its class, with any error naming the section."""
+    cls, keys = _SECTIONS[name]
     section = data[name]
     try:
-        return build(section)
+        return cls(**_fields(section, keys))
     except KeyError as exc:
         raise KeyError(f"{name}.{exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _iq_from_dict(d: dict) -> IqImbalance:
-    return IqImbalance(_complex_array(d["gamma"]), _complex_array(d["delta"]))
-
-
 def config_from_dict(data: dict) -> ImpairmentConfig:
+    """The configuration ``data`` describes; a key the format lacks is an error."""
     try:
-        return ImpairmentConfig(
-            dac=_config_section(
-                data, "dac", lambda d: DacNonlinearity(d["coeffs_i"], d["coeffs_q"])
-            ),
-            tx_iq=_config_section(data, "tx_iq", _iq_from_dict),
-            rx_iq=_config_section(data, "rx_iq", _iq_from_dict),
-            pn=_config_section(
-                data,
-                "pn",
-                lambda d: PhaseNoiseSpec(
-                    linewidth=d["linewidth_hz"],
-                    shared_oscillator=d["shared_oscillator"],
-                    delay_samples=d["delay_samples"],
-                ),
-            ),
-            pa=_config_section(data, "pa", lambda d: PaNonlinearity(d["coeffs_odd"])),
-            chan=_config_section(
-                data,
-                "chan",
-                lambda d: ChannelAndReceiver(
-                    h_si=_complex_array(d["h_si"]),
-                    analog_suppression_db=d["analog_suppression_db"],
-                    thermal_noise_dbfs=d["thermal_noise_dbfs"],
-                    adc_bits=d["adc_bits"],
-                    adc_full_scale=d["adc_full_scale"],
-                ),
-            ),
-            tx_power_dbm=data["tx_power_dbm"],
+        cfg = ImpairmentConfig(
+            **{name: _config_section(data, name) for name in _SECTIONS},
+            **_fields(data, _TOP_LEVEL),
         )
     except KeyError as exc:
         raise ValueError(f"configuration is missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"configuration value has the wrong type: {exc}") from exc
+    # Built, ``data`` and each of its sections are dicts.
+    unknown = [name for name in data if name not in _SECTIONS and name not in _TOP_LEVEL]
+    for name, (_, keys) in _SECTIONS.items():
+        unknown += [f"{name}.{key}" for key in data[name] if key not in keys]
+    if unknown:
+        raise ValueError(f"configuration has unknown key {unknown[0]!r}")
+    return cfg
 
 
 def save_config(cfg: ImpairmentConfig, path) -> Path:

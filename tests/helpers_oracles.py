@@ -172,20 +172,35 @@ def _add_taps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _si_gain(cfg, drive_rms: float) -> float:
+    """The flat gain from frames at ``drive_rms`` to the antenna-referred SI.
+
+    ``drive * 10^(22/20) * 10^(-suppression/20) = 10^((P - suppression)/20)
+    / drive_rms``.
+    """
+    return 10.0 ** ((cfg.tx_power_dbm - cfg.chan.analog_suppression_db) / 20.0) / drive_rms
+
+
+def _fit_taps(h: np.ndarray, taps: int) -> np.ndarray:
+    """``h`` zero padded to a fit's ``taps``, which must hold it."""
+    if h.size > taps:
+        raise ValueError(f"composite channel has {h.size} taps, the fit {taps}")
+    return np.pad(h, (0, taps - h.size))
+
+
 def joint_dac_iq_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
     """Closed-form composite channels of joint-dac-iq's bases, ``taps`` each.
 
     Exact with the amplifier at identity and no phase noise, where the
     received signal is linear in the rail powers ``re(x)^m``, ``im(x)^m``
     of the DAC input ``x`` (frames at ``drive_rms``). With the antenna
-    gain ``c = drive * 10^(22/20) * 10^(-suppression/20) = 10^((P -
-    suppression)/20) / drive_rms``, the TX mixer maps DAC order m's rails
+    gain ``c`` (:func:`_si_gain`), the TX mixer maps DAC order m's rails
     to ``t_re = a_i,m (gamma_T + delta_T)`` and ``t_im = j a_q,m (gamma_T -
     delta_T)``; with ``w = c h_si * t`` the basis's channel is ``gamma_R *
     w + delta_R * conj(w)``, zero padded to ``taps``. The channels come
     back to back in the basis order of the fit (re, im per order).
     """
-    c = 10.0 ** ((cfg.tx_power_dbm - cfg.chan.analog_suppression_db) / 20.0) / drive_rms
+    c = _si_gain(cfg, drive_rms)
     plus = _add_taps(cfg.tx_iq.gamma, cfg.tx_iq.delta)
     minus = _add_taps(cfg.tx_iq.gamma, -cfg.tx_iq.delta)
     channels = []
@@ -193,7 +208,30 @@ def joint_dac_iq_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
         for t in (a_i * plus, 1j * a_q * minus):
             w = c * np.convolve(cfg.chan.h_si, t)
             h = _add_taps(np.convolve(cfg.rx_iq.gamma, w), np.convolve(cfg.rx_iq.delta, np.conj(w)))
-            if h.size > taps:
-                raise ValueError(f"composite channel has {h.size} taps, the fit {taps}")
-            channels.append(np.pad(h, (0, taps - h.size)))
+            channels.append(_fit_taps(h, taps))
     return np.concatenate(channels)
+
+
+def widely_linear_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
+    """Closed-form channels of widely-linear's bases ``x``, ``conj(x)``, ``taps`` each.
+
+    Exact with the DAC and the amplifier at identity and no phase noise,
+    where the received signal is widely linear in the DAC input ``x``
+    (frames at ``drive_rms``). With the antenna gain ``c``
+    (:func:`_si_gain`), the TX mixer and the SI channel give ``x`` the
+    channel ``w_x = c h_si * gamma_T`` and ``conj(x)`` the channel ``w_c =
+    c h_si * delta_T``. The RX mixer's image term conjugates both, so the
+    channel of ``x`` is ``gamma_R * w_x + delta_R * conj(w_c)`` and that of
+    ``conj(x)`` is ``gamma_R * w_c + delta_R * conj(w_x)``, each zero
+    padded to ``taps`` and back to back in the basis order of the fit.
+    """
+    c = _si_gain(cfg, drive_rms)
+    w_x = c * np.convolve(cfg.chan.h_si, cfg.tx_iq.gamma)
+    w_c = c * np.convolve(cfg.chan.h_si, cfg.tx_iq.delta)
+    return np.concatenate([
+        _fit_taps(
+            _add_taps(np.convolve(cfg.rx_iq.gamma, w), np.convolve(cfg.rx_iq.delta, np.conj(image))),
+            taps,
+        )
+        for w, image in ((w_x, w_c), (w_c, w_x))
+    ])

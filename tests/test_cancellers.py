@@ -16,6 +16,7 @@ from helpers_oracles import (
     dense_regressor,
     joint_dac_iq_channels,
     normal_equations_fit,
+    widely_linear_channels,
 )
 
 from fdsic import cancellers, impairments
@@ -1147,3 +1148,48 @@ class TestCompositeChannels:
         e = fit.coefficients - truth
         sigma2 = 10.0 ** (fit.residual_power_dbfs / 10.0)
         assert np.real(e.conj() @ (a.T @ a) @ e) / (sigma2 / 2) <= 2 * (2 * fit.n_params)
+
+
+def _widely_linear_world(preset: str, **chan) -> ImpairmentConfig:
+    """A preset at 22 dBm where widely-linear is exact: identity DAC and PA, no phase noise."""
+    return dataclasses.replace(_joint_world(preset, **chan), dac=DacNonlinearity.identity())
+
+
+class TestWidelyLinearChannels:
+    """The widely-linear fit recovers its closed-form channels, fitted as
+    its own root and read off joint-dac-iq's factor (``_ls_solve``'s rails)."""
+
+    SPEC = CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=8)
+    ROOTS = {
+        "own-root": SPEC,
+        "joint-root": CancellerSpec(CancellerMethod.JOINT_DAC_IQ, channel_len=8, m_max=3),
+    }
+
+    def fit_and_truth(self, cfg, frames, root):
+        specs = list(dict.fromkeys([self.SPEC, self.ROOTS[root]]))
+        assert _family_root(self.SPEC, specs) == self.ROOTS[root]
+        rep = run_sweep(cfg, [cfg.tx_power_dbm], specs, frames, frames.seed)[0]
+        return rep.fit, widely_linear_channels(cfg, self.SPEC.channel_len, REF_DRIVE_RMS)
+
+    @pytest.mark.parametrize("root", sorted(ROOTS))
+    @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
+    def test_noise_free_fit_recovers_channels(self, preset, root):
+        cfg = _widely_linear_world(preset, thermal_noise_dbfs=-200.0, adc_bits=24)
+        fit, truth = self.fit_and_truth(cfg, OfdmFrameSpec(n_frames=16, seed=0), root)
+        assert np.linalg.norm(fit.coefficients - truth) / np.linalg.norm(truth) <= 1e-4
+
+    @pytest.mark.parametrize("root", sorted(ROOTS))
+    @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_error_within_the_fits_own_error_bars(self, preset, root, seed):
+        # Complex bases and circular noise of power sigma^2: the error is
+        # CN(0, sigma^2 (A^H A)^-1), so e^H (A^H A) e / (sigma^2 / 2) is
+        # chi-squared with 2p degrees of freedom.
+        frames = OfdmFrameSpec(n_frames=8, seed=seed)
+        fit, truth = self.fit_and_truth(_widely_linear_world(preset), frames, root)
+        n = fit.training_len
+        s = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
+        a = dense_regressor(build_basis(s[:n], self.SPEC), n, self.SPEC.channel_len)
+        e = fit.coefficients - truth
+        sigma2 = 10.0 ** (fit.residual_power_dbfs / 10.0)
+        assert np.real(e.conj() @ (a.conj().T @ a) @ e) / (sigma2 / 2) <= 2 * (2 * fit.n_params)

@@ -111,6 +111,23 @@ class TestConfigSection:
         assert len(err.splitlines()) == 1
 
 
+class TestUnknownConfigKey:
+    def test_unknown_keys_are_one_error_line(self, tmp_path, capsys):
+        # A typo next to the real key would otherwise run at the real one.
+        data = config_to_dict(load_preset("sweep_55db"))
+        data["chan"]["adc_bit"] = 20
+        data["pn"]["seed"] = 3
+        data["rx_iq_typo"] = data["rx_iq"]
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        rc = main(COMMANDS["sweep"] + ["--config", str(tmp_path / "cfg.json"),
+                                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "unknown key" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestPhaseNoiseDelay:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_delay_longer_than_signal_is_clean_error(self, tmp_path, capsys, command):
@@ -316,7 +333,7 @@ class TestSweep:
             labels = [row["method"] for row in csv.DictReader(fh)]
         assert labels == ["linear", "nonlinear(n_max=5,power)"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["args"]["nonlinear_variant"] == "power"
+        assert manifest["args"]["cancellers"][1]["nonlinear_basis_variant"] == "power"
 
     def test_order_flags_apply_per_method(self, tmp_path):
         # --n-max and --nonlinear-variant reach only nonlinear's label and
@@ -332,7 +349,19 @@ class TestSweep:
             labels = [row["method"] for row in csv.DictReader(fh)]
         assert labels == ["linear", "joint-dac-iq(m_max=2)", "nonlinear(n_max=3,power)"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["args"]["channel_len"] == 8
+        assert [rec["channel_len"] for rec in manifest["args"]["cancellers"]] == [8, 8, 8]
+
+    def test_manifest_records_only_the_fields_each_canceller_takes(self, tmp_path):
+        # Order flags that no selected method takes are not echoed.
+        rc = main(
+            ["sweep", "--preset", "sweep_55db", "--methods", "linear", "--n-max", "4",
+             "--m-max", "0", "--channel-len", "16", "--frames", "4", "--powers", "22",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        args = json.loads((tmp_path / "manifest.json").read_text())["args"]
+        assert args["cancellers"] == [{"label": "linear", "channel_len": 16}]
+        assert not {"n_max", "m_max", "nonlinear_variant", "channel_len"} & args.keys()
 
     @pytest.mark.parametrize(
         ("section", "key", "value", "field"),

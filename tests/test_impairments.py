@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -40,6 +42,8 @@ from fdsic.impairments import (
     simulate_received,
     thermal_noise,
     transmit_front_end,
+    _SECTIONS,
+    _TOP_LEVEL,
     _code_dtype,
     _decode,
     _quantize,
@@ -501,6 +505,27 @@ class TestConfigSerialization:
         del data["pa"]
         with pytest.raises(ValueError, match="pa"):
             config_from_dict(data)
+
+    def test_unknown_section_named_in_error(self):
+        data = config_to_dict(load_preset("sweep_55db"))
+        data["rx_iq_typo"] = data["rx_iq"]
+        with pytest.raises(ValueError, match="unknown key 'rx_iq_typo'"):
+            config_from_dict(data)
+
+    def test_unknown_key_named_in_error(self):
+        # Next to the key it misspells, so the configuration is complete.
+        data = config_to_dict(load_preset("sweep_55db"))
+        data["chan"]["adc_bit"] = 20
+        with pytest.raises(ValueError, match=r"unknown key 'chan\.adc_bit'"):
+            config_from_dict(data)
+
+    def test_readme_lists_every_file_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Configuration files")[1].split("\n## ")[0]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
+        keys = [f"{name}.{key}" for name, (_, section) in _SECTIONS.items() for key in section]
+        assert sorted(listed) == sorted(keys + list(_TOP_LEVEL))
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_loads_and_roundtrips(self, name):
