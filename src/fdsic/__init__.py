@@ -36,12 +36,12 @@ from .impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     ReceiverDiagnostics,
-    amplify_and_receive,
     apply_dac,
     apply_iq,
     apply_pa,
     apply_phase_noise,
     load_config,
+    receive,
     save_config,
     simulate_received,
     thermal_noise,

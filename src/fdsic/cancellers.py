@@ -32,13 +32,11 @@ from .impairments import (
     AdcCodes,
     ImpairmentConfig,
     ReceiverDiagnostics,
-    _analog_chain,
-    _quantize,
-    _receive_rows,
+    receive,
     thermal_noise,
     transmit_front_end,
 )
-from .signals import ComplexBasebandSignal, OfdmFrameSpec, gen_ofdm_frames
+from .signals import OfdmFrameSpec, gen_ofdm_frames
 
 
 class CancellerMethod(str, enum.Enum):
@@ -209,7 +207,10 @@ def _family_root(spec: CancellerSpec, specs: Sequence[CancellerSpec]) -> Cancell
 # LS fit. At 1024 a one-power 10-frame sweep would peak at ≈ 47 MB, not ≈ 54
 # (process RSS, numpy 2.4.6), but the ill-posed 10-frame joint-dac-iq fits
 # would round so differently that sweeps no longer match their single-power
-# runs within 1e-9 dB.
+# runs within 1e-9 dB. At 2048 the QR of a 9-power sweep_40db sweep took a
+# median ≈ 10 % less time (0-20 % over 3 alternating runs of 3 sweeps, 2 vCPU),
+# but the rank-deficient 10-frame joint-dac-iq fits of a sweep then differ
+# from their single-power fits by 2e-12 relative, against 1e-12 allowed.
 FIT_BLOCK_ROWS = 4096
 
 
@@ -489,15 +490,16 @@ def run_sweep(
     """Simulate, fit each canceller on the training frames, and score the rest.
 
     The transmit frames are generated once, scaled to the nominal DAC
-    drive and shared by every power, so the front end runs once and each
-    canceller family is factored once (see :func:`_receive` and
-    :func:`_fit_and_score`). The first ``TRAIN_FRACTION`` of frames trains
-    the fits (at most ``MAX_TRAIN_SAMPLES`` rows) and the remainder is
-    held out. Residual-above-noise statistics are aggregated across the
-    held-out frames (mean and one-standard-deviation spread). Each report
-    carries its power's receiver summary (``receiver``), one object shared
-    by every spec at that power. Reports come in (power, spec) order and
-    match a one-power sweep at each power up to rounding.
+    drive and shared by every power, so the front end runs and the noise
+    is drawn once, and each canceller family is factored once (see
+    :func:`~fdsic.impairments.receive` and :func:`_fit_and_score`). The
+    first ``TRAIN_FRACTION`` of frames trains the fits (at most
+    ``MAX_TRAIN_SAMPLES`` rows, the only training rows digitized) and the
+    remainder is held out. Residual-above-noise statistics are aggregated
+    across the held-out frames (mean and one-standard-deviation spread).
+    Each report carries its power's receiver summary (``receiver``), one
+    object shared by every spec at that power. Reports come in (power,
+    spec) order and match a one-power sweep at each power up to rounding.
     """
     if not specs:
         raise ValueError("specs must be nonempty")
@@ -522,7 +524,11 @@ def run_sweep(
     n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
     split = n_train_frames * frame_len
 
-    train, held, receivers = _receive(x, cfgs, seed, split)
+    front = transmit_front_end(x, cfg, seed)
+    noise = thermal_noise(len(x), cfg.chan, seed)
+    train, held, receivers = receive(front, cfgs, noise, min(split, MAX_TRAIN_SAMPLES), split)
+    # Only the digitized rows reach the fit: let the full-length arrays go.
+    del front, noise
     fits, per_frame_db = _fit_and_score(
         x.samples, train, held, specs, frame_len, cfg.chan.thermal_noise_dbfs
     )
@@ -540,44 +546,6 @@ def run_sweep(
     ]
 
 
-def _receive(
-    x: ComplexBasebandSignal, cfgs: list[ImpairmentConfig], seed: int, split: int
-) -> tuple[AdcCodes, AdcCodes, list[ReceiverDiagnostics]]:
-    """Simulate the rows of ``x`` that the fit and the scoring read.
-
-    The configs differ only in transmit power: the front end runs and the
-    noise is drawn once. Returns the training rows [0, min(split,
-    MAX_TRAIN_SAMPLES)) and held rows [split, len(x)), a column per config,
-    and per config the receiver's summary: clipped samples over both sets
-    of rows, the AGC scale, and the held rows' noise plus quantization
-    error in dBFS. The rows are kept as the converter's integer codes with
-    each config's AGC scale (:class:`~fdsic.impairments.AdcCodes`), a
-    quarter of the bytes of complex128 at up to 16 bits; a slice of them
-    decodes to the digitized samples. Per config the analog chain streams
-    over every row (see :func:`~fdsic.impairments.amplify_and_receive`,
-    whose rows and AGC scale these are, bit for bit), and only the
-    returned rows are quantized, straight into their columns: rows
-    [fit_len, split) feed only the AGC.
-    """
-    n = len(x)
-    fit_len = min(split, MAX_TRAIN_SAMPLES)
-    chan = cfgs[0].chan
-    front = transmit_front_end(x, cfgs[0], seed)
-    noise = thermal_noise(n, chan, seed)
-    train = AdcCodes.empty(fit_len, len(cfgs), chan)
-    held = AdcCodes.empty(n - split, len(cfgs), chan)
-    receivers = []
-    for k, cfg in enumerate(cfgs):
-        analog, scale = _analog_chain(front, cfg, noise)
-        train.scales[k] = held.scales[k] = scale
-        clipped = np.count_nonzero(_quantize(analog[:fit_len], scale, chan, train.codes[k]))
-        receivers.append(
-            _receive_rows(analog[split:], scale, chan, noise[split:], held.codes[k], clipped)
-        )
-        del analog
-    return train, held, receivers
-
-
 def _fit_and_score(
     s: np.ndarray,
     train: np.ndarray | AdcCodes,
@@ -592,8 +560,9 @@ def _fit_and_score(
     ``len(train)`` transmit samples ``s`` and ``held`` those for the last
     ``len(held)``, whole frames of ``frame_len`` after the training rows.
     Either is a complex array or the :class:`~fdsic.impairments.AdcCodes`
-    of :func:`_receive`, of which only the rows being read are decoded:
-    one fit block at a time, and each held-out frame once, for all specs.
+    of :func:`~fdsic.impairments.receive`, of which only the rows being
+    read are decoded: one fit block at a time, and each held-out frame
+    once, for all specs.
     Each family root is factored once (:func:`_family_root`). Returns per
     spec its fits and a (power, frame) array of held-out residual power in
     dB above ``noise_dbfs``. A frame is scored on the bases of its own

@@ -7,28 +7,28 @@ suppression, thermal noise, and a gain-ranged quantizing receiver.
 
 Stage order is fixed: DAC -> TX IQ -> phase noise -> PA -> channel ->
 RX IQ -> noise -> ADC. The transmit power enters only at the PA drive, so
-the chain splits there into ``transmit_front_end`` and
-``amplify_and_receive``. All randomness derives from an explicit seed via
-named substreams. The receiver's thermal noise does not depend on the
-transmit power either: ``thermal_noise`` draws it, and
-``amplify_and_receive`` takes the drawn array, so a power sweep draws it
-once and adds the same noise at every power.
+the chain splits there into ``transmit_front_end`` and ``receive``. All
+randomness derives from an explicit seed via named substreams. The
+receiver's thermal noise does not depend on the transmit power either:
+``thermal_noise`` draws it, and ``receive`` takes the drawn array, so a
+power sweep runs the front end and draws the noise once, then runs
+``receive`` once for all its powers.
 
 The stages take and return plain sample arrays. Each returns a new array
 and never modifies its inputs; it works in place only on arrays it made.
-The per-power part of the chain, amplifier to ADC input, streams in
-``CHAIN_BLOCK``-sample blocks (``_analog_chain``), and the converter
-can digitize any rows of its output with the bits of the whole. It works
-in two steps: ``_quantize`` writes each rail's clipped integer code
-(int16 up to 16 bits, else int32) and ``_decode`` turns codes back into
-antenna-referred samples. ``_receive_rows`` digitizes rows a block at a
-time, through their codes, and summarizes what the receiver saw over
-them (:class:`ReceiverDiagnostics`: clipped samples, AGC scale and the
-apparent floor that noise and quantization leave). ``amplify_and_receive``
-runs it over every row; a power sweep runs it over only the rows it
-reads and keeps them as codes (:class:`AdcCodes`, a quarter of the bytes
-of complex128 at up to 16 bits), decoding a slice of rows when it reads
-them.
+``receive`` is the one place the per-power part of the chain runs, for
+``simulate_received`` and for the power sweep alike. Per power, the
+amplifier to the ADC input streams in ``CHAIN_BLOCK``-sample blocks
+(``_analog_chain``), and the converter digitizes only the rows asked for,
+with the bits of the whole: ``_quantize`` writes each rail's clipped
+integer code (int16 up to 16 bits, else int32) and ``_decode`` turns codes
+back into antenna-referred samples. The rows are kept as codes
+(:class:`AdcCodes`, a quarter of the bytes of complex128 at up to 16
+bits), and a slice of them decodes when it is read. With the rows comes
+a summary of what the receiver saw over them (:class:`ReceiverDiagnostics`:
+clipped samples, AGC scale and the apparent floor that noise and
+quantization leave). ``simulate_received`` digitizes every row and
+decodes them all.
 Only ``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for
 its sample rate) and only ``simulate_received`` returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from math import comb
 from numbers import Integral
@@ -529,77 +530,75 @@ class AdcCodes:
 
 
 @np.errstate(all="ignore")
-def _receive_rows(
-    analog: np.ndarray,
-    scale: float,
-    chan: ChannelAndReceiver,
-    noise: np.ndarray,
-    codes: np.ndarray,
-    clipped: int = 0,
-) -> ReceiverDiagnostics:
-    """Digitize rows of the ADC input in place and summarize the receiver over them.
-
-    ``analog`` holds rows of :func:`_analog_chain`'s output at its AGC
-    ``scale`` and ``noise`` the noise in those rows. A ``CHAIN_BLOCK`` of
-    rows at a time is quantized (:func:`_quantize`) into the same rows of
-    ``codes`` and decoded back (:func:`_decode`), so no full-length
-    complex temporary is made; on return ``analog`` holds the digitized
-    samples. The apparent floor is the mean of
-    ``|noise + (digitized - analog)|^2`` over the rows; ``clipped`` counts
-    samples clipped on rows quantized elsewhere at the same scale, to
-    which these rows' clips are added. Leaves ``noise`` unchanged and
-    raises ``ValueError`` as :func:`_quantize` does.
-    """
-    extra = np.empty(len(analog))
-    for lo in range(0, len(analog), CHAIN_BLOCK):
-        hi = min(lo + CHAIN_BLOCK, len(analog))
-        rows = analog[lo:hi]
-        clipped += np.count_nonzero(_quantize(rows, scale, chan, codes[lo:hi]))
-        digitized = _decode(codes[lo:hi], scale, chan)
-        np.subtract(digitized, rows, out=rows)
-        rows += noise[lo:hi]
-        np.abs(rows, out=extra[lo:hi])
-        rows[...] = digitized
-    # The whole buffer in one mean: the sum keeps the bits of one pass.
-    np.square(extra, out=extra)
-    return ReceiverDiagnostics(int(clipped), scale, 10.0 * math.log10(float(np.mean(extra))))
-
-
-@np.errstate(all="ignore")
 def transmit_front_end(
     x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
 ) -> np.ndarray:
     """DAC -> TX IQ -> phase noise: the stages before the power enters.
 
     The output does not depend on ``cfg.tx_power_dbm``, so a power sweep
-    can run it once and feed it to :func:`amplify_and_receive` at every
-    power.
+    can run it once and feed it to :func:`receive` at every power.
     """
     v = apply_dac(x.samples, cfg.dac)
     v = apply_iq(v, cfg.tx_iq)
     return apply_phase_noise(v, cfg.pn, seed, x.sample_rate)
 
 
-def amplify_and_receive(
-    v: np.ndarray, cfg: ImpairmentConfig, noise: np.ndarray
-) -> tuple[np.ndarray, ReceiverDiagnostics]:
-    """Drive -> PA -> antenna reference -> channel and receiver.
+@np.errstate(all="ignore")
+def receive(
+    front: np.ndarray,
+    cfgs: Sequence[ImpairmentConfig],
+    noise: np.ndarray,
+    fit_len: int,
+    split: int,
+) -> tuple[AdcCodes, AdcCodes, list[ReceiverDiagnostics]]:
+    """Drive -> PA -> antenna reference -> channel and receiver, at each power.
 
-    ``v`` is the :func:`transmit_front_end` output; ``cfg.tx_power_dbm``
-    sets the amplifier drive. ``noise`` is the receiver noise,
-    :func:`thermal_noise` of ``len(v)``, which does not depend on the
-    power either. Everything before the ADC streams in
-    ``CHAIN_BLOCK``-sample blocks (:func:`_analog_chain`), so no stage
-    makes a full-length temporary; then every sample is digitized in
-    place (:func:`_receive_rows`). Returns the received samples and the
-    receiver's summary over every row. Raises ``ValueError`` when the
-    digitized output is not finite: a configuration of finite values that
-    overflows the chain ends here.
+    ``front`` is the :func:`transmit_front_end` output and ``noise`` the
+    receiver noise, :func:`thermal_noise` of ``len(front)``; neither
+    depends on the power, and both are left unchanged. The configs differ
+    only in ``tx_power_dbm``, which sets the amplifier drive, and share one
+    ADC. Per config the analog chain streams over every row
+    (:func:`_analog_chain`), so every row reaches the AGC, but only rows
+    ``[0, fit_len)`` and ``[split, n)`` are quantized (:func:`_quantize`),
+    straight into the config's column of the two returned
+    :class:`AdcCodes`. Returns those two sets of rows and per
+    config the receiver's summary: clipped samples over both sets of rows,
+    the AGC scale, and the mean of ``|noise + (digitized - analog)|^2``
+    over rows ``[split, n)`` in dBFS. ``receive(front, [cfg], noise, 0,
+    0)`` digitizes every row. Raises ``ValueError`` when the digitized
+    output is not finite: a configuration of finite values that overflows
+    the chain ends here.
     """
-    received, scale = _analog_chain(v, cfg, noise)
-    codes = np.empty((len(v), 2), dtype=_code_dtype(cfg.chan))
-    diag = _receive_rows(received, scale, cfg.chan, noise, codes)
-    return received, diag
+    n = len(front)
+    if not 0 <= fit_len <= split < n:
+        raise ValueError(f"need 0 <= fit_len ({fit_len}) <= split ({split}) < {n} rows")
+    chan = cfgs[0].chan
+    if any(_adc_grid(cfg.chan) != _adc_grid(chan) for cfg in cfgs):
+        raise ValueError("the configs must share one ADC")
+    train = AdcCodes.empty(fit_len, len(cfgs), chan)
+    held = AdcCodes.empty(n - split, len(cfgs), chan)
+    extra = np.empty(n - split)
+    receivers = []
+    for k, cfg in enumerate(cfgs):
+        analog, scale = _analog_chain(front, cfg, noise)
+        train.scales[k] = held.scales[k] = scale
+        clipped = np.count_nonzero(_quantize(analog[:fit_len], scale, chan, train.codes[k]))
+        # Each held row becomes noise + (digitized - analog) in place, a
+        # block at a time, so no full-length complex temporary is made.
+        for lo in range(0, n - split, CHAIN_BLOCK):
+            block = slice(lo, min(lo + CHAIN_BLOCK, n - split))
+            rows = slice(split + block.start, split + block.stop)
+            codes = held.codes[k, block]
+            clipped += np.count_nonzero(_quantize(analog[rows], scale, chan, codes))
+            np.subtract(_decode(codes, scale, chan), analog[rows], out=analog[rows])
+            analog[rows] += noise[rows]
+            np.abs(analog[rows], out=extra[block])
+        del analog
+        # The whole buffer in one mean: the sum keeps the bits of one pass.
+        np.square(extra, out=extra)
+        floor = 10.0 * math.log10(float(np.mean(extra)))
+        receivers.append(ReceiverDiagnostics(int(clipped), scale, floor))
+    return train, held, receivers
 
 
 def simulate_received(
@@ -611,9 +610,10 @@ def simulate_received(
     units where mean power in dB reads as dBm) and the receiver's summary
     over every sample: clipping, AGC scale and apparent floor.
     """
+    front = transmit_front_end(x, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
-    received, diag = amplify_and_receive(transmit_front_end(x, cfg, seed), cfg, noise)
-    return x.with_samples(received), diag
+    _, received, (diag,) = receive(front, [cfg], noise, 0, 0)
+    return x.with_samples(received[:, 0]), diag
 
 
 # --- configuration file round trip ----------------------------------------
@@ -663,12 +663,27 @@ def _to_dict(obj, keys: dict) -> dict:
     return {key: write(getattr(obj, field)) for key, (field, write) in keys.items()}
 
 
+def _holds_boolean(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, (list, tuple)) and any(map(_holds_boolean, value))
+    )
+
+
 def _fields(values: dict, keys: dict) -> dict:
-    """The constructor arguments in ``values``, the part of a file ``keys`` describes."""
-    return {
-        field: _complex_array(values[key]) if write is _taps else values[key]
-        for key, (field, write) in keys.items()
-    }
+    """The constructor arguments in ``values``, the part of a file ``keys`` describes.
+
+    JSON's ``true`` and ``false`` are Python's ``True`` and ``False``, which
+    count as 1 and 0: only a key written as a boolean may hold one.
+    """
+    fields = {}
+    for key, (field, write) in keys.items():
+        value = values[key]
+        if write is not bool and _holds_boolean(value):
+            raise ValueError(
+                f"{key} must be numeric, not true or false, got {json.dumps(value)}"
+            )
+        fields[field] = _complex_array(value) if write is _taps else value
+    return fields
 
 
 def config_to_dict(cfg: ImpairmentConfig) -> dict:

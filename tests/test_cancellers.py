@@ -1,9 +1,11 @@
 """Tests for basis construction and least-squares cancellation."""
 
+import ast
 import collections
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -44,7 +46,7 @@ from fdsic.impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     REF_DRIVE_RMS,
-    amplify_and_receive,
+    receive,
     simulate_received,
     thermal_noise,
     transmit_front_end,
@@ -784,7 +786,21 @@ class TestReceive:
         x = gen_ofdm_frames(OfdmFrameSpec(n_frames=n_frames, seed=seed))
         return x.with_samples(x.samples * REF_DRIVE_RMS)
 
-    def test_rows_are_those_of_amplify_and_receive(self):
+    @staticmethod
+    def sweep_rows(x, cfgs, seed, split):
+        """The receive step of a sweep of ``x`` at ``cfgs``: its front end,
+        one noise draw, and :func:`receive` of the rows the sweep reads."""
+        front = transmit_front_end(x, cfgs[0], seed)
+        noise = thermal_noise(len(x), cfgs[0].chan, seed)
+        return receive(front, cfgs, noise, min(split, cancellers.MAX_TRAIN_SAMPLES), split)
+
+    @staticmethod
+    def every_row(front, cfg, noise):
+        """:func:`receive` at one power over every row: decoded rows and summary."""
+        _, received, (diag,) = receive(front, [cfg], noise, 0, 0)
+        return received[:, 0], diag
+
+    def test_rows_are_those_of_every_row_receive(self):
         # 40 frames: the split (81 920) lies past MAX_TRAIN_SAMPLES, so rows
         # [65 536, 81 920) feed the AGC but are never digitized.
         cfg = load_preset("sweep_40db")
@@ -792,7 +808,7 @@ class TestReceive:
         split = 20 * (len(x) // 40)
         assert split > cancellers.MAX_TRAIN_SAMPLES
         cfgs = [cfg.with_tx_power(p) for p in (-10.0, 6.0, 22.0)]
-        train, held, receivers = cancellers._receive(x, cfgs, 62, split)
+        train, held, receivers = TestReceive.sweep_rows(x, cfgs, 62, split)
         front = transmit_front_end(x, cfg, 62)
         noise = thermal_noise(len(x), cfg.chan, 62)
         assert train.shape == (cancellers.MAX_TRAIN_SAMPLES, 3)
@@ -803,12 +819,12 @@ class TestReceive:
     def assert_summary_matches(receiver, front, cfg, noise, split):
         """``receiver`` is the sweep's summary at ``cfg``'s power.
 
-        Its AGC scale is amplify_and_receive's, bit for bit; its floor is the
+        Its AGC scale is an every-row receive's, bit for bit; its floor is the
         oracle's over the held rows [split, len), and its clip count the
         oracle's over the training and held rows, which the sweep digitizes.
         Returns the clip count.
         """
-        _, diag = amplify_and_receive(front, cfg, noise)
+        _, diag = TestReceive.every_row(front, cfg, noise)
         assert receiver.agc_scale == diag.agc_scale
         drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
         antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
@@ -827,9 +843,9 @@ class TestReceive:
 
     @staticmethod
     def assert_rows_match(train, held, receivers, front, cfgs, noise, split):
-        # The rows decode to amplify_and_receive's, bit for bit.
+        # The rows decode to an every-row receive's, bit for bit.
         for k, power_cfg in enumerate(cfgs):
-            r, _ = amplify_and_receive(front, power_cfg, noise)
+            r, _ = TestReceive.every_row(front, power_cfg, noise)
             assert train[:, k].tobytes() == r[: len(train)].tobytes()
             assert held[:, k].tobytes() == r[split:].tobytes()
             TestReceive.assert_summary_matches(receivers[k], front, power_cfg, noise, split)
@@ -859,13 +875,13 @@ class TestReceive:
 
     def test_rows_at_20_bits_are_int32_codes(self):
         # Above 16 bits a code needs 32: the rows still decode to the bits
-        # of amplify_and_receive's.
+        # of an every-row receive's.
         base = load_preset("sweep_40db")
         cfg = dataclasses.replace(base, chan=dataclasses.replace(base.chan, adc_bits=20))
         x = self.frames(10, 67)
         split = 5 * (len(x) // 10)
         cfgs = [cfg.with_tx_power(p) for p in (-10.0, 22.0)]
-        train, held, receivers = cancellers._receive(x, cfgs, 68, split)
+        train, held, receivers = TestReceive.sweep_rows(x, cfgs, 68, split)
         assert train.codes.dtype == held.codes.dtype == np.int32
         # The gain ranging reaches codes beyond int16 at 20 bits.
         assert np.max(np.abs(held.codes)) > np.iinfo(np.int16).max
@@ -883,7 +899,7 @@ class TestReceive:
         samples = x.samples.copy()
         samples[cancellers.MAX_TRAIN_SAMPLES + 1000] = 1e200
         with pytest.raises(ValueError, match="not finite"):
-            cancellers._receive(x.with_samples(samples), [cfg], 64, split)
+            TestReceive.sweep_rows(x.with_samples(samples), [cfg], 64, split)
 
     def test_peak_memory_above_inputs_and_outputs(self):
         # sweep_40db at the CLI defaults: 100 frames, the 9 powers -10:22:4.
@@ -894,7 +910,7 @@ class TestReceive:
         cfgs = [cfg.with_tx_power(-10.0 + 4.0 * i) for i in range(9)]
         tracemalloc.start()
         try:
-            train, held, _ = cancellers._receive(x, cfgs, 66, split)
+            train, held, _ = TestReceive.sweep_rows(x, cfgs, 66, split)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -905,7 +921,7 @@ class TestReceive:
 
     @staticmethod
     def sweep40_rows(seed):
-        """x, _receive's rows and the frame length of a 9-power sweep_40db sweep."""
+        """x, the configs, the split and the frame length of a 9-power sweep_40db sweep."""
         x = TestReceive.frames(100, seed)
         cfgs = [load_preset("sweep_40db").with_tx_power(-10.0 + 4.0 * i) for i in range(9)]
         return x, cfgs, 50 * (len(x) // 100), len(x) // 100
@@ -917,7 +933,7 @@ class TestReceive:
         x, cfgs, split, _ = self.sweep40_rows(65)
         tracemalloc.start()
         try:
-            cancellers._receive(x, cfgs, 66, split)
+            TestReceive.sweep_rows(x, cfgs, 66, split)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -930,7 +946,7 @@ class TestReceive:
         # frame at a time: all held rows at once would add 29.5 MB, and every
         # spec's full-length scoring bases 29.5 MB.
         x, cfgs, split, frame_len = self.sweep40_rows(69)
-        train, held, _ = cancellers._receive(x, cfgs, 70, split)
+        train, held, _ = TestReceive.sweep_rows(x, cfgs, 70, split)
         noise_dbfs = cfgs[0].chan.thermal_noise_dbfs
         tracemalloc.start()
         try:
@@ -941,6 +957,20 @@ class TestReceive:
         assert peak < 22e6
 
 
+def test_imports_no_private_impairments_name():
+    # The receive chain's internals stay inside impairments: the sweep
+    # reaches them only through its public receive step.
+    tree = ast.parse(Path(cancellers.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "impairments"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 class TestFitAndScore:
     """The fit-and-score step on a synthetic transmit/receive pair."""
 
@@ -948,9 +978,10 @@ class TestFitAndScore:
         def unreachable(*args, **kwargs):
             raise AssertionError("the fit-and-score step ran the simulator")
 
-        for name in ("transmit_front_end", "thermal_noise", "_analog_chain"):
+        for name in ("transmit_front_end", "thermal_noise", "receive"):
             monkeypatch.setattr(cancellers, name, unreachable)
-        monkeypatch.setattr(impairments, "_quantize", unreachable)
+        for name in ("_analog_chain", "_quantize"):
+            monkeypatch.setattr(impairments, name, unreachable)
 
         # Unit-power white tx through a known 4-tap FIR per column (two
         # columns, as two powers would be), plus complex noise at the floor.

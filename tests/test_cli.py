@@ -128,6 +128,39 @@ class TestUnknownConfigKey:
         assert not (tmp_path / "run").exists()
 
 
+class TestBooleanConfigValue:
+    # JSON's false where a number belongs would otherwise run as 0.
+    @pytest.mark.parametrize(
+        ("path", "key"),
+        [
+            ((), "tx_power_dbm"),
+            (("pn",), "delay_samples"),
+            (("pn",), "linewidth_hz"),
+            (("chan",), "analog_suppression_db"),
+            (("chan",), "adc_full_scale"),
+            (("dac", "coeffs_i"), 0),
+            (("chan", "h_si", 1), 0),
+        ],
+        ids=["tx_power_dbm", "pn.delay_samples", "pn.linewidth_hz",
+             "chan.analog_suppression_db", "chan.adc_full_scale", "dac.coeffs_i-element",
+             "chan.h_si-tap-part"],
+    )
+    def test_is_one_error_line(self, tmp_path, capsys, path, key):
+        data = config_to_dict(load_preset("fig5_m10dbm"))
+        values = data
+        for step in path:
+            values = values[step]
+        values[key] = False
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        rc = main(COMMANDS["tone-test"] + ["--config", str(tmp_path / "cfg.json"),
+                                           "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "must be numeric, not true or false" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestPhaseNoiseDelay:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_delay_longer_than_signal_is_clean_error(self, tmp_path, capsys, command):

@@ -30,7 +30,6 @@ from fdsic.impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     ReceiverDiagnostics,
-    amplify_and_receive,
     apply_dac,
     apply_iq,
     apply_pa,
@@ -38,6 +37,7 @@ from fdsic.impairments import (
     config_from_dict,
     config_to_dict,
     load_config,
+    receive,
     save_config,
     simulate_received,
     thermal_noise,
@@ -290,7 +290,7 @@ class TestPaNonlinearity:
 def receive_at_antenna(x, chan, rx_iq, noise):
     """The channel and receiver alone on antenna-referred ``x``.
 
-    Runs :func:`amplify_and_receive` at full power with an identity PA on
+    Runs :func:`receive_every_row` at full power with an identity PA on
     ``x`` referred back to the amplifier input. Returns the received
     samples, the receiver summary and the antenna samples the channel got:
     ``x`` up to rounding, and the bits the chain computes.
@@ -301,9 +301,16 @@ def receive_at_antenna(x, chan, rx_iq, noise):
     )
     drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
     v = x / (drive * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
-    received, diag = amplify_and_receive(v, cfg, noise)
+    received, diag = receive_every_row(v, cfg, noise)
     antenna = apply_pa_oracle(v * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
     return received, diag, antenna
+
+
+def receive_every_row(v, cfg, noise):
+    """:func:`receive` at ``cfg``'s power over every row of the front-end
+    output ``v``: the decoded samples and the receiver summary."""
+    _, received, (diag,) = receive(v, [cfg], noise, 0, 0)
+    return received[:, 0], diag
 
 
 def floor_oracle_dbfs(noise, quant_error):
@@ -382,6 +389,22 @@ class TestChannelAndReceiver:
                 sig, chan, IqImbalance.identity(), thermal_noise(4095, chan, 1)
             )
 
+    # split = 64 would leave no held rows to measure the floor over.
+    @pytest.mark.parametrize(("fit_len", "split"), [(-1, 0), (8, 4), (0, 64), (0, 65)])
+    def test_receive_rejects_rows_out_of_order(self, fit_len, split):
+        cfg = identity_config()
+        v = stage_input(64, seed=1)
+        with pytest.raises(ValueError, match=r"need 0 <= fit_len .* < 64 rows"):
+            receive(v, [cfg], thermal_noise(64, cfg.chan, 1), fit_len, split)
+
+    def test_receive_rejects_configs_with_different_adcs(self):
+        # The rows of every config are kept as codes of one converter.
+        cfg = identity_config()
+        other = dataclasses.replace(cfg, chan=dataclasses.replace(cfg.chan, adc_bits=12))
+        v = stage_input(64, seed=1)
+        with pytest.raises(ValueError, match="share one ADC"):
+            receive(v, [cfg, other], thermal_noise(64, cfg.chan, 1), 0, 0)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_overflowing_input(self):
         # Finite samples whose power overflows the gain ranging: the
@@ -436,12 +459,12 @@ class TestSimulateReceived:
         # Thermal noise at -90 dBFS under a finer quantization error.
         assert diag.apparent_floor_dbfs == pytest.approx(-90.0, abs=1.0)
 
-    def test_is_front_end_then_amplify_and_receive(self):
+    def test_is_front_end_then_receive(self):
         cfg = load_preset("fig5_m10dbm")
         assert cfg.pn.linewidth > 0 and np.any(cfg.tx_iq.delta)
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
         r, diag = simulate_received(sig, cfg, seed=6)
-        r2, diag2 = amplify_and_receive(
+        r2, diag2 = receive_every_row(
             transmit_front_end(sig, cfg, seed=6), cfg, thermal_noise(len(sig), cfg.chan, 6)
         )
         assert r.samples.tobytes() == r2.tobytes()
@@ -483,6 +506,26 @@ class TestSimulateReceived:
         assert low["5f"] <= low["floor_rel"] + 10 * math.log10(7) + 3.0
         # absolute per-bin floor rises with the transmit power
         assert high["floor_abs"] - low["floor_abs"] >= 15.0
+
+
+# Every key of the configuration file that holds numbers, as (section,
+# key); the section of a top-level key is None. Only pn.shared_oscillator
+# holds a boolean.
+NUMERIC_KEYS = [
+    (name, key)
+    for name, (_, keys) in _SECTIONS.items()
+    for key, (_, write) in keys.items()
+    if write is not bool
+] + [(None, key) for key in _TOP_LEVEL]
+
+
+def with_boolean(value, boolean, innermost):
+    """``value`` replaced by ``boolean``, or with ``innermost`` only its
+    first number, however deeply it is listed (a DAC coefficient, the real
+    part of a tap)."""
+    if innermost and isinstance(value, list):
+        return [with_boolean(value[0], boolean, innermost), *value[1:]]
+    return boolean
 
 
 class TestConfigSerialization:
@@ -531,6 +574,21 @@ class TestConfigSerialization:
     def test_every_preset_loads_and_roundtrips(self, name):
         cfg = load_preset(name)
         assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)
+
+    @pytest.mark.parametrize(
+        ("boolean", "innermost"), [(True, False), (False, True)], ids=["true", "false-innermost"]
+    )
+    @pytest.mark.parametrize(
+        ("section", "key"), NUMERIC_KEYS, ids=[f"{s}.{k}" if s else k for s, k in NUMERIC_KEYS]
+    )
+    def test_boolean_for_a_number_named_in_error(self, section, key, boolean, innermost):
+        # JSON's true and false would otherwise be read as 1 and 0.
+        data = config_to_dict(load_preset("sweep_55db"))
+        values = data[section] if section else data
+        values[key] = with_boolean(values[key], boolean, innermost)
+        prefix = f"{section}: " if section else ""
+        with pytest.raises(ValueError, match=f"^{prefix}{key} must be numeric, not true or false"):
+            config_from_dict(data)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -729,14 +787,14 @@ class TestChainBlockEdges:
     @pytest.mark.parametrize("clips", [False, True], ids=["in-range", "clipping"])
     @pytest.mark.parametrize("filters", ["preset", "long"])
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_amplify_and_receive(self, n, filters, clips):
+    def test_receive(self, n, filters, clips):
         cfg = self.config(filters)
         v = stage_input(n, seed=n + 1, rms=REF_DRIVE_RMS)
         if clips:
             v[::512] *= 20.0
         noise = thermal_noise(n, cfg.chan, 3)
         v_before = v.copy()
-        received, diag = amplify_and_receive(v, cfg, noise)
+        received, diag = receive_every_row(v, cfg, noise)
         drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
         antenna = apply_pa_oracle(v * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
         self.assert_receiver_matches(received, diag, antenna, cfg, noise, clips)
