@@ -489,10 +489,11 @@ def run_sweep(
 ) -> list[SuppressionReport]:
     """Simulate, fit each canceller on the training frames, and score the rest.
 
-    The transmit frames are generated once, scaled to the nominal DAC
-    drive and shared by every power, so the front end runs and the noise
-    is drawn once, and each canceller family is factored once (see
-    :func:`~fdsic.impairments.receive` and :func:`_fit_and_score`). The
+    ``cfg`` is the hardware and each of ``powers`` (dBm) one amplifier
+    drive (:func:`~fdsic.impairments.receive`). The transmit frames are
+    generated once, scaled to the nominal DAC drive and shared by every
+    power, so the front end runs and the noise is drawn once, and each
+    canceller family is factored once (see :func:`_fit_and_score`). The
     first ``TRAIN_FRACTION`` of frames trains the fits (at most
     ``MAX_TRAIN_SAMPLES`` rows, the only training rows digitized) and the
     remainder is held out. Residual-above-noise statistics are aggregated
@@ -516,7 +517,6 @@ def run_sweep(
             "a comparison scores residuals against the noise floor, so "
             f"chan.thermal_noise_dbfs must be finite, got {cfg.chan.thermal_noise_dbfs}"
         )
-    cfgs = [cfg.with_tx_power(power) for power in powers]
     x = gen_ofdm_frames(frames)
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
 
@@ -526,7 +526,7 @@ def run_sweep(
 
     front = transmit_front_end(x, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
-    train, held, receivers = receive(front, cfgs, noise, min(split, MAX_TRAIN_SAMPLES), split)
+    train, held, diags = receive(front, cfg, powers, noise, min(split, MAX_TRAIN_SAMPLES), split)
     # Only the digitized rows reach the fit: let the full-length arrays go.
     del front, noise
     fits, per_frame_db = _fit_and_score(
@@ -535,13 +535,13 @@ def run_sweep(
     return [
         SuppressionReport(
             method=spec.label(),
-            tx_power_dbm=power_cfg.tx_power_dbm,
+            tx_power_dbm=power,
             residual_above_noise_db=float(np.mean(db[k])),
             residual_above_noise_std_db=float(np.std(db[k])),
-            receiver=receivers[k],
+            receiver=diags[k],
             fit=spec_fits[k],
         )
-        for k, power_cfg in enumerate(cfgs)
+        for k, power in enumerate(powers)
         for spec, spec_fits, db in zip(specs, fits, per_frame_db)
     ]
 

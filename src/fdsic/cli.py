@@ -7,9 +7,9 @@ sweep       canceller comparison across transmit powers (CSV)
 budget      front-end suppression budget table
 spectrum    averaged spectrum of a recorded IQ file
 
-Every run echoes its fully resolved configuration into
-``manifest.json`` next to the outputs, and identical manifests with the
-same seed produce byte-identical CSV files.
+Every run echoes its fully resolved configuration into ``manifest.json``
+next to the outputs, and identical manifests with the same seed produce
+byte-identical CSV files. A failed run makes no output folder.
 """
 
 from __future__ import annotations
@@ -129,13 +129,13 @@ def _write_manifest(out_dir: Path, command: str, args_echo: dict, cfg: Impairmen
 
 def cmd_tone_test(args) -> int:
     cfg, source = _resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_fft = args.n_fft
     tone = gen_tone(args.freq, TONE_AMPLITUDE, n_fft * args.segments, SAMPLE_RATE)
     received, diag = simulate_received(tone, cfg, args.seed)
     spec = spectrum(received, n_fft=n_fft)
     checks = verify_harmonics(spec, args.freq, m_max=args.m_max, margin_db=args.margin)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(spec, out_dir / "spectrum.csv")
     write_harmonics_csv(checks, out_dir / "harmonics.csv")
     write_iq(received, out_dir / "capture.iq")
@@ -153,14 +153,14 @@ def cmd_tone_test(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, source = _resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     powers = _parse_powers(args.powers)
     specs = _canceller_specs(args)
 
     frames = OfdmFrameSpec(n_frames=args.frames, seed=args.seed)
     rows = run_sweep(cfg, powers, specs, frames, args.seed)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "suppression.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -10,9 +10,9 @@ RX IQ -> noise -> ADC. The transmit power enters only at the PA drive, so
 the chain splits there into ``transmit_front_end`` and ``receive``. All
 randomness derives from an explicit seed via named substreams. The
 receiver's thermal noise does not depend on the transmit power either:
-``thermal_noise`` draws it, and ``receive`` takes the drawn array, so a
-power sweep runs the front end and draws the noise once, then runs
-``receive`` once for all its powers.
+``thermal_noise`` draws it, and ``receive`` takes the drawn array. So a
+power sweep runs the front end and draws the noise once, then calls
+``receive`` once with its configuration and the list of its powers.
 
 The stages take and return plain sample arrays. Each returns a new array
 and never modifies its inputs; it works in place only on arrays it made.
@@ -263,9 +263,6 @@ class ImpairmentConfig:
                 f"got {self.tx_power_dbm}"
             )
 
-    def with_tx_power(self, tx_power_dbm: float) -> "ImpairmentConfig":
-        return replace(self, tx_power_dbm=tx_power_dbm)
-
 
 def _horner(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_m coeffs[m] * values^m as a new real array, evaluated in place."""
@@ -383,14 +380,15 @@ def _analog_chain(
 ) -> tuple[np.ndarray, float]:
     """The ADC input and its AGC scale, streamed in ``CHAIN_BLOCK`` blocks.
 
-    ``x`` is the :func:`transmit_front_end` output: each block is driven
-    through the amplifier at ``cfg.tx_power_dbm``, referred to the
-    antenna, and passed through analog suppression, the SI channel, RX IQ
-    imbalance and ``noise``. A block reads the ``len(h_si) - 1`` plus RX
-    IQ taps - 1 input samples before it (none for the first), so each
-    output sample has the bits of the unblocked chain. The scale is set by
-    the mean of ``|analog|^2`` over all of ``x``: every sample reaches the
-    AGC, digitized or not. Returns a new analog array and leaves ``x`` and
+    ``x`` is the :func:`transmit_front_end` output, and ``cfg`` is set to
+    one power of :func:`receive`: each block is driven through the
+    amplifier at ``cfg.tx_power_dbm``, referred to the antenna, and passed
+    through analog suppression, the SI channel, RX IQ imbalance and
+    ``noise``. A block reads the ``len(h_si) - 1`` plus RX IQ taps - 1
+    input samples before it (none for the first), so each output sample
+    has the bits of the unblocked chain. The scale is set by the mean of
+    ``|analog|^2`` over all of ``x``: every sample reaches the AGC,
+    digitized or not. Returns a new analog array and leaves ``x`` and
     ``noise`` unchanged.
     """
     if len(noise) != len(x):
@@ -546,41 +544,42 @@ def transmit_front_end(
 @np.errstate(all="ignore")
 def receive(
     front: np.ndarray,
-    cfgs: Sequence[ImpairmentConfig],
+    cfg: ImpairmentConfig,
+    powers: Sequence[float],
     noise: np.ndarray,
     fit_len: int,
     split: int,
 ) -> tuple[AdcCodes, AdcCodes, list[ReceiverDiagnostics]]:
     """Drive -> PA -> antenna reference -> channel and receiver, at each power.
 
-    ``front`` is the :func:`transmit_front_end` output and ``noise`` the
-    receiver noise, :func:`thermal_noise` of ``len(front)``; neither
-    depends on the power, and both are left unchanged. The configs differ
-    only in ``tx_power_dbm``, which sets the amplifier drive, and share one
-    ADC. Per config the analog chain streams over every row
+    ``front`` is the :func:`transmit_front_end` output of ``cfg`` and
+    ``noise`` the receiver noise, :func:`thermal_noise` of ``len(front)``;
+    neither depends on the power, and both are left unchanged. Each of
+    ``powers`` (dBm, checked as ``cfg.tx_power_dbm`` is, which is unused)
+    sets the amplifier drive of one column; every other stage is ``cfg``'s.
+    Per power the analog chain streams over every row
     (:func:`_analog_chain`), so every row reaches the AGC, but only rows
     ``[0, fit_len)`` and ``[split, n)`` are quantized (:func:`_quantize`),
-    straight into the config's column of the two returned
-    :class:`AdcCodes`. Returns those two sets of rows and per
-    config the receiver's summary: clipped samples over both sets of rows,
-    the AGC scale, and the mean of ``|noise + (digitized - analog)|^2``
-    over rows ``[split, n)`` in dBFS. ``receive(front, [cfg], noise, 0,
-    0)`` digitizes every row. Raises ``ValueError`` when the digitized
-    output is not finite: a configuration of finite values that overflows
-    the chain ends here.
+    straight into the power's column of the two returned :class:`AdcCodes`.
+    Returns those two sets of rows and per power the receiver's summary:
+    clipped samples over both sets of rows, the AGC scale, and the mean of
+    ``|noise + (digitized - analog)|^2`` over rows ``[split, n)`` in dBFS.
+    ``receive(front, cfg, [cfg.tx_power_dbm], noise, 0, 0)`` digitizes
+    every row. Raises ``ValueError`` when the digitized output is not
+    finite: a configuration of finite values that overflows the chain
+    ends here.
     """
     n = len(front)
     if not 0 <= fit_len <= split < n:
         raise ValueError(f"need 0 <= fit_len ({fit_len}) <= split ({split}) < {n} rows")
-    chan = cfgs[0].chan
-    if any(_adc_grid(cfg.chan) != _adc_grid(chan) for cfg in cfgs):
-        raise ValueError("the configs must share one ADC")
-    train = AdcCodes.empty(fit_len, len(cfgs), chan)
-    held = AdcCodes.empty(n - split, len(cfgs), chan)
+    power_cfgs = [replace(cfg, tx_power_dbm=power) for power in powers]
+    chan = cfg.chan
+    train = AdcCodes.empty(fit_len, len(powers), chan)
+    held = AdcCodes.empty(n - split, len(powers), chan)
     extra = np.empty(n - split)
     receivers = []
-    for k, cfg in enumerate(cfgs):
-        analog, scale = _analog_chain(front, cfg, noise)
+    for k, power_cfg in enumerate(power_cfgs):
+        analog, scale = _analog_chain(front, power_cfg, noise)
         train.scales[k] = held.scales[k] = scale
         clipped = np.count_nonzero(_quantize(analog[:fit_len], scale, chan, train.codes[k]))
         # Each held row becomes noise + (digitized - analog) in place, a
@@ -612,7 +611,7 @@ def simulate_received(
     """
     front = transmit_front_end(x, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
-    _, received, (diag,) = receive(front, [cfg], noise, 0, 0)
+    _, received, (diag,) = receive(front, cfg, [cfg.tx_power_dbm], noise, 0, 0)
     return x.with_samples(received[:, 0]), diag
 
 

@@ -181,6 +181,15 @@ def _si_gain(cfg, drive_rms: float) -> float:
     return 10.0 ** ((cfg.tx_power_dbm - cfg.chan.analog_suppression_db) / 20.0) / drive_rms
 
 
+def _pa_drive(cfg, drive_rms: float) -> float:
+    """The amplifier input's scale ``d`` for frames at ``drive_rms``.
+
+    ``d = 10^((P - 22)/20) / drive_rms``: at 22 dBm frames at ``drive_rms``
+    reach the amplifier at unit RMS.
+    """
+    return 10.0 ** ((cfg.tx_power_dbm - 22.0) / 20.0) / drive_rms
+
+
 def _fit_taps(h: np.ndarray, taps: int) -> np.ndarray:
     """``h`` zero padded to a fit's ``taps``, which must hold it."""
     if h.size > taps:
@@ -234,4 +243,25 @@ def widely_linear_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
             taps,
         )
         for w, image in ((w_x, w_c), (w_c, w_x))
+    ])
+
+
+def nonlinear_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
+    """Closed-form channels of nonlinear's envelope bases ``x|x|^(n-1)``, ``taps`` each.
+
+    Exact with the DAC and both IQ stages at identity and no phase noise,
+    where the received signal is the amplifier's envelope polynomial of the
+    DAC input ``x`` (frames at ``drive_rms``) through the SI channel. The
+    amplifier input is ``d x`` (:func:`_pa_drive`) and the antenna gain
+    ``c`` (:func:`_si_gain`) holds one ``d``, so order n's basis has the
+    channel ``beta'_n d^(n-1) c h_si``, with ``beta'_n`` from
+    ``cfg.pa.baseband_coeffs()``, zero padded to ``taps``. The channels
+    come back to back for each odd order n of the amplifier, so the fit's
+    ``n_max`` is the amplifier's order; with the amplifier at identity
+    they are linear's one channel ``c h_si``.
+    """
+    c, d = _si_gain(cfg, drive_rms), _pa_drive(cfg, drive_rms)
+    return np.concatenate([
+        _fit_taps(beta * d ** (2 * i) * c * cfg.chan.h_si, taps)
+        for i, beta in enumerate(cfg.pa.baseband_coeffs())
     ])

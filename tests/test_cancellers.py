@@ -17,6 +17,7 @@ from helpers_oracles import (
     channel_and_receiver_oracle,
     dense_regressor,
     joint_dac_iq_channels,
+    nonlinear_channels,
     normal_equations_fit,
     widely_linear_channels,
 )
@@ -324,7 +325,7 @@ class TestStreamedFit:
         assert _ls_factor(random_signal(n, 61)[:, np.newaxis], bases, spec.channel_len).packed
         monkeypatch.undo()
 
-        assert len(blocks) == 4
+        assert len(blocks) == 2 + -(-n // (2 * cancellers.FIT_BLOCK_ROWS))
         for buf, rows in blocks:
             ref = np.linalg.qr(buf[:rows], mode="r")
             cancellers._geqrf(buf, rows, *cancellers._geqrf_workspace(buf))
@@ -743,7 +744,7 @@ class TestRunSweep:
         x_train = x.samples[:fit_len]
         expected = []
         for power in powers:
-            power_cfg = cfg.with_tx_power(power)
+            power_cfg = dataclasses.replace(cfg, tx_power_dbm=power)
             r, _ = simulate_received(x, power_cfg, 40)
             floor = 10.0 ** (power_cfg.chan.thermal_noise_dbfs / 10.0)
             for spec in specs:
@@ -787,17 +788,17 @@ class TestReceive:
         return x.with_samples(x.samples * REF_DRIVE_RMS)
 
     @staticmethod
-    def sweep_rows(x, cfgs, seed, split):
-        """The receive step of a sweep of ``x`` at ``cfgs``: its front end,
-        one noise draw, and :func:`receive` of the rows the sweep reads."""
-        front = transmit_front_end(x, cfgs[0], seed)
-        noise = thermal_noise(len(x), cfgs[0].chan, seed)
-        return receive(front, cfgs, noise, min(split, cancellers.MAX_TRAIN_SAMPLES), split)
+    def sweep_rows(x, cfg, powers, seed, split):
+        """The receive step of a sweep of ``x`` at ``cfg`` and ``powers``: its
+        front end, one noise draw, and :func:`receive` of the rows the sweep reads."""
+        front = transmit_front_end(x, cfg, seed)
+        noise = thermal_noise(len(x), cfg.chan, seed)
+        return receive(front, cfg, powers, noise, min(split, cancellers.MAX_TRAIN_SAMPLES), split)
 
     @staticmethod
     def every_row(front, cfg, noise):
         """:func:`receive` at one power over every row: decoded rows and summary."""
-        _, received, (diag,) = receive(front, [cfg], noise, 0, 0)
+        _, received, (diag,) = receive(front, cfg, [cfg.tx_power_dbm], noise, 0, 0)
         return received[:, 0], diag
 
     def test_rows_are_those_of_every_row_receive(self):
@@ -807,13 +808,13 @@ class TestReceive:
         x = self.frames(40, 61)
         split = 20 * (len(x) // 40)
         assert split > cancellers.MAX_TRAIN_SAMPLES
-        cfgs = [cfg.with_tx_power(p) for p in (-10.0, 6.0, 22.0)]
-        train, held, receivers = TestReceive.sweep_rows(x, cfgs, 62, split)
+        powers = [-10.0, 6.0, 22.0]
+        train, held, receivers = TestReceive.sweep_rows(x, cfg, powers, 62, split)
         front = transmit_front_end(x, cfg, 62)
         noise = thermal_noise(len(x), cfg.chan, 62)
         assert train.shape == (cancellers.MAX_TRAIN_SAMPLES, 3)
         assert train.codes.dtype == held.codes.dtype == np.int16
-        self.assert_rows_match(train, held, receivers, front, cfgs, noise, split)
+        self.assert_rows_match(train, held, receivers, front, cfg, powers, noise, split)
 
     @staticmethod
     def assert_summary_matches(receiver, front, cfg, noise, split):
@@ -842,9 +843,10 @@ class TestReceive:
         return receiver.clipped_samples
 
     @staticmethod
-    def assert_rows_match(train, held, receivers, front, cfgs, noise, split):
+    def assert_rows_match(train, held, receivers, front, cfg, powers, noise, split):
         # The rows decode to an every-row receive's, bit for bit.
-        for k, power_cfg in enumerate(cfgs):
+        for k, power in enumerate(powers):
+            power_cfg = dataclasses.replace(cfg, tx_power_dbm=power)
             r, _ = TestReceive.every_row(front, power_cfg, noise)
             assert train[:, k].tobytes() == r[: len(train)].tobytes()
             assert held[:, k].tobytes() == r[split:].tobytes()
@@ -868,7 +870,9 @@ class TestReceive:
         front = transmit_front_end(x, cfg, 72)
         noise = thermal_noise(len(x), cfg.chan, 72)
         clips = [
-            self.assert_summary_matches(rep.receiver, front, cfg.with_tx_power(power), noise, split)
+            self.assert_summary_matches(
+                rep.receiver, front, dataclasses.replace(cfg, tx_power_dbm=power), noise, split
+            )
             for rep, power in zip(reports, powers)
         ]
         assert clips[1] > 0
@@ -880,14 +884,14 @@ class TestReceive:
         cfg = dataclasses.replace(base, chan=dataclasses.replace(base.chan, adc_bits=20))
         x = self.frames(10, 67)
         split = 5 * (len(x) // 10)
-        cfgs = [cfg.with_tx_power(p) for p in (-10.0, 22.0)]
-        train, held, receivers = TestReceive.sweep_rows(x, cfgs, 68, split)
+        powers = [-10.0, 22.0]
+        train, held, receivers = TestReceive.sweep_rows(x, cfg, powers, 68, split)
         assert train.codes.dtype == held.codes.dtype == np.int32
         # The gain ranging reaches codes beyond int16 at 20 bits.
         assert np.max(np.abs(held.codes)) > np.iinfo(np.int16).max
         front = transmit_front_end(x, cfg, 68)
         noise = thermal_noise(len(x), cfg.chan, 68)
-        self.assert_rows_match(train, held, receivers, front, cfgs, noise, split)
+        self.assert_rows_match(train, held, receivers, front, cfg, powers, noise, split)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_an_undigitized_row_is_an_error(self):
@@ -899,7 +903,7 @@ class TestReceive:
         samples = x.samples.copy()
         samples[cancellers.MAX_TRAIN_SAMPLES + 1000] = 1e200
         with pytest.raises(ValueError, match="not finite"):
-            TestReceive.sweep_rows(x.with_samples(samples), [cfg], 64, split)
+            TestReceive.sweep_rows(x.with_samples(samples), cfg, [cfg.tx_power_dbm], 64, split)
 
     def test_peak_memory_above_inputs_and_outputs(self):
         # sweep_40db at the CLI defaults: 100 frames, the 9 powers -10:22:4.
@@ -907,10 +911,10 @@ class TestReceive:
         x = self.frames(100, 65)
         n = len(x)
         split = 50 * (n // 100)
-        cfgs = [cfg.with_tx_power(-10.0 + 4.0 * i) for i in range(9)]
+        powers = [-10.0 + 4.0 * i for i in range(9)]
         tracemalloc.start()
         try:
-            train, held, _ = TestReceive.sweep_rows(x, cfgs, 66, split)
+            train, held, _ = TestReceive.sweep_rows(x, cfg, powers, 66, split)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -921,19 +925,20 @@ class TestReceive:
 
     @staticmethod
     def sweep40_rows(seed):
-        """x, the configs, the split and the frame length of a 9-power sweep_40db sweep."""
+        """x, the config, the powers, the split and the frame length of a
+        9-power sweep_40db sweep."""
         x = TestReceive.frames(100, seed)
-        cfgs = [load_preset("sweep_40db").with_tx_power(-10.0 + 4.0 * i) for i in range(9)]
-        return x, cfgs, 50 * (len(x) // 100), len(x) // 100
+        powers = [-10.0 + 4.0 * i for i in range(9)]
+        return x, load_preset("sweep_40db"), powers, 50 * (len(x) // 100), len(x) // 100
 
     def test_peak_memory_with_rows_as_codes(self):
         # The 65 536 training and 204 800 held rows of 9 powers are 9.7 MB
         # of int16 codes (38.9 MB as complex128), next to the 13.1 MB front
         # end and noise and one power's chain at a time.
-        x, cfgs, split, _ = self.sweep40_rows(65)
+        x, cfg, powers, split, _ = self.sweep40_rows(65)
         tracemalloc.start()
         try:
-            TestReceive.sweep_rows(x, cfgs, 66, split)
+            TestReceive.sweep_rows(x, cfg, powers, 66, split)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -945,9 +950,9 @@ class TestReceive:
         # real bases (3.1 MB). Rows are decoded a fit block or a held-out
         # frame at a time: all held rows at once would add 29.5 MB, and every
         # spec's full-length scoring bases 29.5 MB.
-        x, cfgs, split, frame_len = self.sweep40_rows(69)
-        train, held, _ = TestReceive.sweep_rows(x, cfgs, 70, split)
-        noise_dbfs = cfgs[0].chan.thermal_noise_dbfs
+        x, cfg, powers, split, frame_len = self.sweep40_rows(69)
+        train, held, _ = TestReceive.sweep_rows(x, cfg, powers, 70, split)
+        noise_dbfs = cfg.chan.thermal_noise_dbfs
         tracemalloc.start()
         try:
             cancellers._fit_and_score(x.samples, train, held, DEFAULT_SPECS, frame_len, noise_dbfs)
@@ -1068,9 +1073,9 @@ class TestFamilyFit:
         x = x.with_samples(x.samples * REF_DRIVE_RMS)
         split = round(n_frames * TRAIN_FRACTION) * (len(x) // n_frames)
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
+        power_cfgs = [dataclasses.replace(cfg, tx_power_dbm=p) for p in powers]
         train = np.stack(
-            [simulate_received(x, cfg.with_tx_power(p), seed)[0].samples[:fit_len] for p in powers],
-            axis=1,
+            [simulate_received(x, c, seed)[0].samples[:fit_len] for c in power_cfgs], axis=1
         )
         members = [spec for spec in specs if _family_root(spec, specs) != spec]
         assert [spec.method for spec in members] == member_methods
@@ -1136,91 +1141,81 @@ class TestFamilyFit:
         assert collections.Counter(shape[1] for shape in calls) == expected
 
 
-def _joint_world(preset: str, **chan) -> ImpairmentConfig:
-    """A preset at 22 dBm where joint-dac-iq is exact: identity PA, no phase noise."""
+def _world(preset: str, identities: tuple[str, ...], **chan) -> ImpairmentConfig:
+    """A preset at 22 dBm with no phase noise, the stages ``identities`` names
+    at identity and ``chan`` replacing receiver fields."""
     cfg = load_preset(preset)
     return dataclasses.replace(
         cfg,
-        pa=PaNonlinearity.identity(),
         pn=dataclasses.replace(cfg.pn, linewidth=0.0),
         chan=dataclasses.replace(cfg.chan, **chan),
         tx_power_dbm=MAX_TX_POWER_DBM,
+        **{stage: type(getattr(cfg, stage)).identity() for stage in identities},
     )
 
 
+_JOINT = CancellerSpec(CancellerMethod.JOINT_DAC_IQ, channel_len=8, m_max=3)
+_WIDELY_LINEAR = CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=8)
+_NONLINEAR = CancellerSpec(
+    CancellerMethod.NONLINEAR, channel_len=8, n_max=5, nonlinear_basis_variant="envelope"
+)
+_LINEAR = CancellerSpec(CancellerMethod.LINEAR, channel_len=8)
+
+
 class TestCompositeChannels:
-    """The joint-dac-iq fit recovers the closed-form channels of its own model."""
+    """Each canceller's fit recovers the closed-form channels of its model in
+    the world where the model is exact, fitted as its own family root and,
+    for linear and widely-linear, read off the root's factor (``_ls_solve``)."""
 
-    SPEC = CancellerSpec(CancellerMethod.JOINT_DAC_IQ, channel_len=8, m_max=3)
-
-    def fit_and_truth(self, cfg, frames):
-        (rep,) = run_sweep(cfg, [cfg.tx_power_dbm], [self.SPEC], frames, frames.seed)
-        truth = joint_dac_iq_channels(cfg, self.SPEC.channel_len, REF_DRIVE_RMS)
-        return rep.fit, truth
-
-    @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_noise_free_fit_recovers_channels(self, preset, seed):
-        cfg = _joint_world(preset, thermal_noise_dbfs=-200.0, adc_bits=24)
-        fit, truth = self.fit_and_truth(cfg, OfdmFrameSpec(n_frames=16, seed=seed))
-        assert np.linalg.norm(fit.coefficients - truth) / np.linalg.norm(truth) <= 1e-4
-
-    @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_error_within_the_fits_own_error_bars(self, preset, seed):
-        # With real bases and complex noise of power sigma^2, the real and
-        # imaginary parts of the error are each N(0, sigma^2/2 (A^T A)^-1),
-        # so the normalised error is chi-squared with 2p degrees of freedom.
-        frames = OfdmFrameSpec(n_frames=8, seed=seed)
-        fit, truth = self.fit_and_truth(_joint_world(preset), frames)
-        n = fit.training_len
-        s = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
-        a = dense_regressor(build_basis(s[:n], self.SPEC), n, self.SPEC.channel_len).real
-        e = fit.coefficients - truth
-        sigma2 = 10.0 ** (fit.residual_power_dbfs / 10.0)
-        assert np.real(e.conj() @ (a.T @ a) @ e) / (sigma2 / 2) <= 2 * (2 * fit.n_params)
-
-
-def _widely_linear_world(preset: str, **chan) -> ImpairmentConfig:
-    """A preset at 22 dBm where widely-linear is exact: identity DAC and PA, no phase noise."""
-    return dataclasses.replace(_joint_world(preset, **chan), dac=DacNonlinearity.identity())
-
-
-class TestWidelyLinearChannels:
-    """The widely-linear fit recovers its closed-form channels, fitted as
-    its own root and read off joint-dac-iq's factor (``_ls_solve``'s rails)."""
-
-    SPEC = CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=8)
-    ROOTS = {
-        "own-root": SPEC,
-        "joint-root": CancellerSpec(CancellerMethod.JOINT_DAC_IQ, channel_len=8, m_max=3),
+    # Case: (stages at identity, spec scored, its family root, closed-form
+    # channels of the spec at taps and drive). Phase noise is off in every
+    # world; joint-dac-iq's model is exact with the amplifier at identity,
+    # widely-linear's with the DAC linear too, nonlinear's with the DAC and
+    # both mixers at identity, and linear's with every stage at identity.
+    CASES = {
+        "joint-dac-iq": (("pa",), _JOINT, _JOINT, joint_dac_iq_channels),
+        "widely-linear": (("pa", "dac"), _WIDELY_LINEAR, _WIDELY_LINEAR, widely_linear_channels),
+        "widely-linear-off-joint": (("pa", "dac"), _WIDELY_LINEAR, _JOINT, widely_linear_channels),
+        "nonlinear": (("dac", "tx_iq", "rx_iq"), _NONLINEAR, _NONLINEAR, nonlinear_channels),
+        "linear": (("dac", "tx_iq", "rx_iq", "pa"), _LINEAR, _LINEAR, nonlinear_channels),
+        "linear-off-nonlinear": (
+            ("dac", "tx_iq", "rx_iq", "pa"), _LINEAR, _NONLINEAR, nonlinear_channels
+        ),
     }
 
-    def fit_and_truth(self, cfg, frames, root):
-        specs = list(dict.fromkeys([self.SPEC, self.ROOTS[root]]))
-        assert _family_root(self.SPEC, specs) == self.ROOTS[root]
+    def fit_and_truth(self, case, preset, frames, **chan):
+        identities, spec, root, channels = self.CASES[case]
+        cfg = _world(preset, identities, **chan)
+        specs = list(dict.fromkeys([spec, root]))
+        assert _family_root(spec, specs) == root
         rep = run_sweep(cfg, [cfg.tx_power_dbm], specs, frames, frames.seed)[0]
-        return rep.fit, widely_linear_channels(cfg, self.SPEC.channel_len, REF_DRIVE_RMS)
+        return rep.fit, channels(cfg, spec.channel_len, REF_DRIVE_RMS)
 
-    @pytest.mark.parametrize("root", sorted(ROOTS))
+    @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
-    def test_noise_free_fit_recovers_channels(self, preset, root):
-        cfg = _widely_linear_world(preset, thermal_noise_dbfs=-200.0, adc_bits=24)
-        fit, truth = self.fit_and_truth(cfg, OfdmFrameSpec(n_frames=16, seed=0), root)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noise_free_fit_recovers_channels(self, case, preset, seed):
+        frames = OfdmFrameSpec(n_frames=16, seed=seed)
+        fit, truth = self.fit_and_truth(
+            case, preset, frames, thermal_noise_dbfs=-200.0, adc_bits=24
+        )
         assert np.linalg.norm(fit.coefficients - truth) / np.linalg.norm(truth) <= 1e-4
 
-    @pytest.mark.parametrize("root", sorted(ROOTS))
+    @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_error_within_the_fits_own_error_bars(self, preset, root, seed):
-        # Complex bases and circular noise of power sigma^2: the error is
-        # CN(0, sigma^2 (A^H A)^-1), so e^H (A^H A) e / (sigma^2 / 2) is
-        # chi-squared with 2p degrees of freedom.
+    def test_error_within_the_fits_own_error_bars(self, case, preset, seed):
+        # With complex noise of power sigma^2 the error is CN(0, sigma^2
+        # (A^H A)^-1) for complex bases, and for real bases its real and
+        # imaginary parts are each N(0, sigma^2/2 (A^T A)^-1): either way
+        # e^H (A^H A) e / (sigma^2 / 2) is chi-squared with 2p degrees of
+        # freedom.
         frames = OfdmFrameSpec(n_frames=8, seed=seed)
-        fit, truth = self.fit_and_truth(_widely_linear_world(preset), frames, root)
+        fit, truth = self.fit_and_truth(case, preset, frames)
+        _, spec, _, _ = self.CASES[case]
         n = fit.training_len
         s = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
-        a = dense_regressor(build_basis(s[:n], self.SPEC), n, self.SPEC.channel_len)
+        a = dense_regressor(build_basis(s[:n], spec), n, spec.channel_len)
         e = fit.coefficients - truth
         sigma2 = 10.0 ** (fit.residual_power_dbfs / 10.0)
         assert np.real(e.conj() @ (a.conj().T @ a) @ e) / (sigma2 / 2) <= 2 * (2 * fit.n_params)

@@ -171,6 +171,35 @@ class TestPhaseNoiseDelay:
         assert len(err.splitlines()) == 1
 
 
+class TestFailedRunLeavesNoFolder:
+    # Each command checks its flags and runs the chain before it makes its
+    # output folder. "{config}" is fig5_m10dbm with a shared oscillator
+    # delayed past the end of a 4096-sample tone.
+    RUNS = {
+        "sweep-power-out-of-range": ["sweep", "--preset", "sweep_55db", "--powers", "99"],
+        "sweep-unknown-method": ["sweep", "--preset", "sweep_55db", "--methods", "bogus"],
+        "sweep-single-frame": ["sweep", "--preset", "sweep_55db", "--frames", "1"],
+        "tone-no-segments": ["tone-test", "--preset", "fig5_m10dbm", "--segments", "0"],
+        "tone-off-grid-freq": ["tone-test", "--preset", "fig5_m10dbm", "--freq", "1.255e6"],
+        "tone-delay-past-signal": [
+            "tone-test", "--config", "{config}", "--n-fft", "4096", "--segments", "1"
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_is_one_error_line_and_no_folder(self, tmp_path, capsys, name):
+        cfg = load_preset("fig5_m10dbm")
+        config = save_config(
+            dataclasses.replace(cfg, pn=dataclasses.replace(cfg.pn, delay_samples=5000)),
+            tmp_path / "cfg.json",
+        )
+        argv = [arg.format(config=config) for arg in self.RUNS[name]]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+
 def _run_preset_and_saved_copy(tmp_path, name, args):
     """Run ``args`` with ``--preset name`` and with its saved JSON copy."""
     save_config(load_preset(name), tmp_path / "cfg.json")

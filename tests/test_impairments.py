@@ -309,7 +309,7 @@ def receive_at_antenna(x, chan, rx_iq, noise):
 def receive_every_row(v, cfg, noise):
     """:func:`receive` at ``cfg``'s power over every row of the front-end
     output ``v``: the decoded samples and the receiver summary."""
-    _, received, (diag,) = receive(v, [cfg], noise, 0, 0)
+    _, received, (diag,) = receive(v, cfg, [cfg.tx_power_dbm], noise, 0, 0)
     return received[:, 0], diag
 
 
@@ -395,15 +395,16 @@ class TestChannelAndReceiver:
         cfg = identity_config()
         v = stage_input(64, seed=1)
         with pytest.raises(ValueError, match=r"need 0 <= fit_len .* < 64 rows"):
-            receive(v, [cfg], thermal_noise(64, cfg.chan, 1), fit_len, split)
+            receive(v, cfg, [cfg.tx_power_dbm], thermal_noise(64, cfg.chan, 1), fit_len, split)
 
-    def test_receive_rejects_configs_with_different_adcs(self):
-        # The rows of every config are kept as codes of one converter.
+    @pytest.mark.parametrize("power", [MAX_TX_POWER_DBM + 0.5, -10.5])
+    def test_receive_rejects_power_out_of_range(self, power):
+        # Each power is checked as a configuration's own power is.
         cfg = identity_config()
-        other = dataclasses.replace(cfg, chan=dataclasses.replace(cfg.chan, adc_bits=12))
         v = stage_input(64, seed=1)
-        with pytest.raises(ValueError, match="share one ADC"):
-            receive(v, [cfg, other], thermal_noise(64, cfg.chan, 1), 0, 0)
+        message = rf"tx_power_dbm must lie in \[-10, 22.0\], got {power}"
+        with pytest.raises(ValueError, match=message):
+            receive(v, cfg, [0.0, power], thermal_noise(64, cfg.chan, 1), 0, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_overflowing_input(self):
@@ -475,8 +476,8 @@ class TestSimulateReceived:
     def test_front_end_does_not_depend_on_tx_power(self):
         cfg = load_preset("fig5_m10dbm")
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        low = transmit_front_end(sig, cfg.with_tx_power(-10.0), seed=6)
-        high = transmit_front_end(sig, cfg.with_tx_power(22.0), seed=6)
+        low = transmit_front_end(sig, dataclasses.replace(cfg, tx_power_dbm=-10.0), seed=6)
+        high = transmit_front_end(sig, dataclasses.replace(cfg, tx_power_dbm=22.0), seed=6)
         assert low.tobytes() == high.tobytes()
 
     def test_tx_power_range_enforced(self):

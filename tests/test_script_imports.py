@@ -1,4 +1,5 @@
-"""The demos and scripts import only names the package defines, and run.
+"""The demos, scripts and README's code import only names the package
+defines, and run.
 
 Nothing else runs them, so a renamed or removed library name, or a
 changed return value they unpack, would otherwise only show when someone
@@ -8,6 +9,7 @@ next runs one by hand.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +63,13 @@ def test_script_runs(command, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_blocks_run(capsys):
+    # The quick start calls run_sweep by keyword and reads each report's
+    # fit, so a changed signature or report field fails here.
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert "rank" in capsys.readouterr().out
