@@ -25,7 +25,6 @@ from .cancellers import (
     LsFit,
     SuppressionReport,
     build_basis,
-    ls_estimate,
     run_sweep,
 )
 from .impairments import (
@@ -54,7 +53,6 @@ from .signals import (
     fir_convolve,
     gen_ofdm_frames,
     gen_tone,
-    papr_db,
     power_db,
     read_iq,
     write_iq,

@@ -36,7 +36,7 @@ from .impairments import (
     thermal_noise,
     transmit_front_end,
 )
-from .signals import OfdmFrameSpec, gen_ofdm_frames
+from .signals import OfdmFrameSpec, _require_int, gen_ofdm_frames
 
 
 class CancellerMethod(str, enum.Enum):
@@ -66,6 +66,12 @@ class CancellerSpec:
     nonlinear_basis_variant: str = "power"
 
     def __post_init__(self):
+        if not isinstance(self.method, CancellerMethod):
+            raise ValueError(f"method must be a CancellerMethod, got {self.method!r}")
+        _require_int(self.channel_len, "channel_len")
+        for name in ("n_max", "m_max"):
+            if getattr(self, name) is not None:
+                _require_int(getattr(self, name), name)
         if self.channel_len < 1:
             raise ValueError("channel_len must be >= 1")
         if self.nonlinear_basis_variant not in ("power", "envelope"):
@@ -88,6 +94,15 @@ class CancellerSpec:
                 raise ValueError(
                     f"order parameters are not applicable to {self.method.value}"
                 )
+
+    @property
+    def n_bases(self) -> int:
+        """How many regressor signals :func:`build_basis` makes for this model."""
+        if self.method is CancellerMethod.NONLINEAR:
+            return (self.n_max + 1) // 2
+        if self.method is CancellerMethod.JOINT_DAC_IQ:
+            return 2 * self.m_max
+        return 2 if self.method is CancellerMethod.WIDELY_LINEAR else 1
 
     def label(self) -> str:
         if self.method is CancellerMethod.NONLINEAR:
@@ -235,16 +250,12 @@ def _fill_regressor(
             out[:, b * taps + lag] = seg[taps - 1 - lag : taps - 1 - lag + stop - start]
 
 
-def ls_estimate(r: np.ndarray, bases: list[BasisSignal], channel_len: int) -> LsFit:
-    """Jointly fit one FIR channel per basis to the received samples ``r``.
-
-    The training rows are reduced block by block to a square triangular
-    factor by QR (:func:`_ls_factor`), which an SVD then solves
-    (:func:`_ls_solve`); a rank-deficient regressor falls back to the
-    minimum-norm solution, and the fit's ``rank`` is then below its
-    ``n_params``.
-    """
-    return _ls_solve(_ls_factor(r[:, np.newaxis], bases, channel_len), bases, channel_len)[0]
+def _check_training_len(n: int, n_params: int) -> None:
+    """Reject a fit of ``n_params`` columns on fewer than four rows per column."""
+    if n < 4 * n_params:
+        raise ValueError(
+            f"training length {n} must be >= 4 * (bases * taps) = {4 * n_params}"
+        )
 
 
 class _LsFactor(NamedTuple):
@@ -295,10 +306,7 @@ def _ls_factor(
     """
     n, n_rhs = rhs.shape
     n_params = len(bases) * channel_len
-    if n < 4 * n_params:
-        raise ValueError(
-            f"training length {n} must be >= 4 * (bases * taps) = {4 * n_params}"
-        )
+    _check_training_len(n, n_params)
     for basis in bases:
         if basis.samples.size < n:
             raise ValueError(f"basis {basis.label!r} shorter than received signal")
@@ -523,10 +531,15 @@ def run_sweep(
     frame_len = len(x) // n_frames
     n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
     split = n_train_frames * frame_len
+    n_train = min(split, MAX_TRAIN_SAMPLES)
+    # Every family root is one of specs, so this checks each fit's size
+    # before the chain runs.
+    for spec in specs:
+        _check_training_len(n_train, spec.n_bases * spec.channel_len)
 
     front = transmit_front_end(x, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
-    train, held, diags = receive(front, cfg, powers, noise, min(split, MAX_TRAIN_SAMPLES), split)
+    train, held, diags = receive(front, cfg, powers, noise, n_train, split)
     # Only the digitized rows reach the fit: let the full-length arrays go.
     del front, noise
     fits, per_frame_db = _fit_and_score(

@@ -44,13 +44,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from math import comb
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from ._rng import substream
-from .signals import ComplexBasebandSignal, fir_convolve
+from .signals import ComplexBasebandSignal, _require_int, fir_convolve
 
 # Rated maximum transmitter output power; tx_power_dbm = MAX_TX_POWER_DBM
 # drives the amplifier model at unit RMS for the nominal digital drive.
@@ -130,15 +129,6 @@ class IqImbalance:
             raise ValueError("gamma must not be all-zero")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "delta", d)
-
-    @property
-    def image_rejection_db(self) -> float:
-        """Image-to-signal power ratio 10*log10(|delta|^2/|gamma|^2)."""
-        dp = float(np.sum(np.abs(self.delta) ** 2))
-        gp = float(np.sum(np.abs(self.gamma) ** 2))
-        if dp == 0.0:
-            return float("-inf")
-        return 10.0 * math.log10(dp / gp)
 
     @classmethod
     def identity(cls) -> "IqImbalance":
@@ -233,8 +223,7 @@ class ChannelAndReceiver:
                 "thermal_noise_dbfs must be finite, or -inf for no noise, "
                 f"got {self.thermal_noise_dbfs}"
             )
-        if not isinstance(self.adc_bits, Integral):
-            raise ValueError(f"adc_bits must be an integer, got {self.adc_bits!r}")
+        _require_int(self.adc_bits, "adc_bits")
         if not (4 <= self.adc_bits <= 24):
             raise ValueError("adc_bits must lie in [4, 24]")
         if not (0 < self.adc_full_scale < math.inf):
@@ -514,10 +503,6 @@ class AdcCodes:
     @property
     def shape(self) -> tuple[int, int]:
         return self.codes.shape[1], self.codes.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        return self.codes.nbytes + self.scales.nbytes
 
     def __len__(self) -> int:
         return self.codes.shape[1]

@@ -4,9 +4,8 @@
 with its sample rate: the type of a signal that enters or leaves the
 program. The generators and :func:`read_iq` build one, and its
 constructor checks the samples and the rate; :func:`write_iq`,
-:func:`power_db`, :func:`papr_db` and the spectrum read one. Stages that
-compute on samples, such as :func:`fir_convolve`, take and return plain
-arrays. Amplitudes are dimensionless with full scale at 1.0; powers are
+:func:`power_db` and the spectrum read one. Stages that compute on
+samples, such as :func:`fir_convolve`, take and return plain arrays. Amplitudes are dimensionless with full scale at 1.0; powers are
 reported in dBFS.
 """
 
@@ -14,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,12 @@ class ComplexBasebandSignal:
         return ComplexBasebandSignal(samples, self.sample_rate)
 
 
+def _require_int(value, name: str) -> None:
+    """Reject a ``value`` that is not an integer; a boolean is not one here."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OfdmFrameSpec:
     """How many transmit frames :func:`gen_ofdm_frames` draws, and from which seed.
@@ -78,6 +84,8 @@ class OfdmFrameSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_int(self.n_frames, "n_frames")
+        _require_int(self.seed, "seed")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
 
@@ -152,15 +160,6 @@ def power_db(signal: ComplexBasebandSignal) -> float:
     if p == 0.0:
         return float("-inf")
     return 10.0 * math.log10(p)
-
-
-def papr_db(signal: ComplexBasebandSignal) -> float:
-    """Peak-to-average power ratio 10*log10(max|x|^2 / mean|x|^2) in dB."""
-    p = float(np.mean(np.abs(signal.samples) ** 2))
-    if p == 0.0:
-        return float("-inf")
-    peak = float(np.max(np.abs(signal.samples) ** 2))
-    return 10.0 * math.log10(peak / p)
 
 
 # --- binary IQ file interface -------------------------------------------

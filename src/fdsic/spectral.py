@@ -1,6 +1,6 @@
 """Averaged periodogram spectral analysis.
 
-The estimator is Welch-style: windowed segments with 50% overlap,
+The estimator is Welch-style: Hann-windowed segments with 50% overlap,
 periodograms averaged, bins centered with ``fftshift``. Normalization is
 chosen so that the *sum* of linear bin powers equals the time-domain mean
 power (Parseval consistency). A spectral line therefore spreads its power
@@ -68,25 +68,15 @@ class Spectrum:
         return int(np.argmin(np.abs(self.bin_freqs - freq)))
 
 
-def _window(name: str, n: int) -> np.ndarray:
-    """Periodic (DFT-even) analysis window of length ``n``."""
-    if name == "hann":
-        return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
-    if name == "boxcar":
-        return np.ones(n)
-    raise ValueError(f"window must be 'hann' or 'boxcar', got {name!r}")
-
-
 def spectrum(
     signal: ComplexBasebandSignal,
     n_fft: int = 4096,
     averaging: int | None = None,
-    window: str = "hann",
 ) -> Spectrum:
-    """Welch-averaged power spectrum with 50% segment overlap.
+    """Welch-averaged power spectrum of periodic Hann segments, 50% overlapped.
 
     ``averaging`` selects the number of segments (default: as many as the
-    signal allows); ``window`` is ``"hann"`` or ``"boxcar"``. Normalization is Parseval-consistent: the linear bin
+    signal allows). Normalization is Parseval-consistent: the linear bin
     powers sum to the signal mean power to within the window bias.
     """
     n = len(signal)
@@ -103,7 +93,8 @@ def spectrum(
             f"averaging must be in [1, {max_segments}] for length {n}, got {averaging}"
         )
 
-    win = _window(window, n_fft)
+    # Periodic (DFT-even) Hann window.
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n_fft + 1)))[:-1]
     win_power = float(np.sum(win**2))
     acc = np.zeros(n_fft, dtype=np.float64)
     for k in range(averaging):

@@ -6,12 +6,17 @@ the orthogonal-factorization solver, a per-basis convolution stands
 in for the blocked scoring of the held-out frames, and plain
 out-of-place formulas and :class:`csv.writer` stand in for the impairment
 stages that work on scratch buffers and for the one-pass file writers.
+The one exception is :func:`ls_estimate`, which runs the library's own
+factor and solve on one received signal: with :func:`cancel` it is the
+one-signal reference the sweep's fits are compared with.
 """
 
 import csv
 import math
 
 import numpy as np
+
+from fdsic.cancellers import _ls_factor, _ls_solve
 
 
 def passband_harmonic_oracle(m: int):
@@ -63,6 +68,20 @@ def normal_equations_fit(r_samples: np.ndarray, bases, taps: int) -> np.ndarray:
     gram = a.conj().T @ a
     rhs = a.conj().T @ r_samples
     return np.linalg.solve(gram, rhs)
+
+
+def ls_estimate(r: np.ndarray, bases, channel_len: int):
+    """The :class:`~fdsic.cancellers.LsFit` of one FIR channel per basis to ``r``.
+
+    The library's fit of one received signal: the training rows are
+    reduced block by block to their triangular factor
+    (:func:`~fdsic.cancellers._ls_factor`), which an SVD then solves
+    (:func:`~fdsic.cancellers._ls_solve`). A rank-deficient regressor gets
+    the minimum-norm solution, and the fit's ``rank`` is then below its
+    ``n_params``. With :func:`cancel` it fits and cancels one signal, the
+    minimum-norm reference the sweep's fits are checked against.
+    """
+    return _ls_solve(_ls_factor(r[:, np.newaxis], bases, channel_len), bases, channel_len)[0]
 
 
 def cancel(r, bases, fit):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers_oracles import normal_equations_fit, passband_harmonic_oracle
+from helpers_oracles import ls_estimate, normal_equations_fit, passband_harmonic_oracle
 
 from fdsic.analysis import BudgetInput, predict_harmonics, suppression_budget
 from fdsic.cancellers import (
@@ -19,7 +19,6 @@ from fdsic.cancellers import (
     CancellerMethod,
     CancellerSpec,
     build_basis,
-    ls_estimate,
     run_sweep,
 )
 from fdsic.cli import main as cli_main

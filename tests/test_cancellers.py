@@ -17,6 +17,7 @@ from helpers_oracles import (
     channel_and_receiver_oracle,
     dense_regressor,
     joint_dac_iq_channels,
+    ls_estimate,
     nonlinear_channels,
     normal_equations_fit,
     widely_linear_channels,
@@ -34,7 +35,6 @@ from fdsic.cancellers import (
     _ls_factor,
     _ls_solve,
     build_basis,
-    ls_estimate,
     run_sweep,
 )
 from fdsic.impairments import (
@@ -113,6 +113,44 @@ class TestBuildBasis:
             CancellerSpec(CancellerMethod.JOINT_DAC_IQ)
         with pytest.raises(ValueError):
             CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=2, n_max=3)
+
+    @pytest.mark.parametrize(
+        ("make", "field"),
+        [
+            (lambda: CancellerSpec("linear"), "method"),
+            (lambda: CancellerSpec(CancellerMethod.LINEAR, channel_len=8.5), "channel_len"),
+            (lambda: CancellerSpec(CancellerMethod.LINEAR, channel_len=True), "channel_len"),
+            (lambda: CancellerSpec(CancellerMethod.NONLINEAR, n_max=True), "n_max"),
+            (lambda: CancellerSpec(CancellerMethod.NONLINEAR, n_max=5.0), "n_max"),
+            (lambda: CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=2.5), "m_max"),
+            (lambda: CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=True), "m_max"),
+            (lambda: OfdmFrameSpec(n_frames=2.5), "n_frames"),
+            (lambda: OfdmFrameSpec(n_frames=True), "n_frames"),
+            (lambda: OfdmFrameSpec(seed=1.5), "seed"),
+        ],
+        ids=[
+            "method-string", "channel_len-fraction", "channel_len-bool", "n_max-bool",
+            "n_max-float", "m_max-fraction", "m_max-bool", "n_frames-fraction",
+            "n_frames-bool", "seed-fraction",
+        ],
+    )
+    def test_spec_of_wrong_type_is_rejected_when_built(self, make, field):
+        # A boolean is an int to Python, but no count or order here.
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            make()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *DEFAULT_SPECS,
+            CancellerSpec(CancellerMethod.NONLINEAR, n_max=1),
+            CancellerSpec(CancellerMethod.NONLINEAR, n_max=7),
+            CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=1),
+        ],
+        ids=CancellerSpec.label,
+    )
+    def test_n_bases_counts_build_basis(self, spec):
+        assert spec.n_bases == len(build_basis(random_signal(8, 0), spec))
 
     def test_method_parse(self):
         assert CancellerMethod.parse("Joint_Dac_Iq") is CancellerMethod.JOINT_DAC_IQ
@@ -520,6 +558,28 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="nonempty"):
             run_sweep(_clean_config(), [0.0], [], OfdmFrameSpec(n_frames=4, seed=32), seed=1)
 
+    def test_oversized_model_is_rejected_before_any_basis_is_built(self, monkeypatch):
+        # 300 DAC orders on 2 rails at 32 taps need 76 800 training rows;
+        # the sweep fits on 65 536. Neither the chain nor a basis runs.
+        built = []
+        build = cancellers.build_basis
+
+        def recording_build_basis(x, spec):
+            built.append(len(x))
+            return build(x, spec)
+
+        def no_front_end(*args):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(cancellers, "build_basis", recording_build_basis)
+        monkeypatch.setattr(cancellers, "transmit_front_end", no_front_end)
+        specs = [DEFAULT_SPECS[0], CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=300)]
+        message = "training length 65536 must be >= 4 * (bases * taps) = 76800"
+        with pytest.raises(ValueError) as error:
+            run_sweep(load_preset("sweep_40db"), [22.0], specs, OfdmFrameSpec(n_frames=40), seed=0)
+        assert str(error.value) == message
+        assert built == []
+
     def test_rejects_single_frame(self):
         with pytest.raises(ValueError, match="at least 2 frames.*got 1"):
             run_sweep(
@@ -721,7 +781,7 @@ class TestRunSweep:
         ids=["fit-to-split", "rows-between-fit-and-split", "taps-1", "taps-7", "taps-20"],
     )
     def test_blocked_scoring_matches_cancel_path(self, monkeypatch, max_train, channel_len):
-        # Each report recomputed with the one-signal API: ls_estimate on the
+        # Each report recomputed with the one-signal oracle: ls_estimate on the
         # training prefix, cancel on the full signal, per-frame dB. With a
         # capped fit the received rows [fit_len, split) are read by neither
         # the fit nor the scoring. Of the channel lengths, only 1 and 32
@@ -920,7 +980,8 @@ class TestReceive:
             tracemalloc.stop()
         full = n * 16
         # front and noise are full-length complex arrays held throughout.
-        transient = peak - train.nbytes - held.nbytes - 2 * full
+        kept = sum(rows.codes.nbytes + rows.scales.nbytes for rows in (train, held))
+        transient = peak - kept - 2 * full
         assert transient <= 2.5 * full
 
     @staticmethod

@@ -163,10 +163,6 @@ class TestIqImbalance:
         with pytest.raises(ValueError):
             IqImbalance([0.0], [0.01])
 
-    def test_image_rejection_ratio(self):
-        iq = IqImbalance([1.0], [0.1])
-        assert abs(iq.image_rejection_db - (-20.0)) < 1e-9
-
 
 class TestPhaseNoise:
     def test_zero_linewidth_identity(self):

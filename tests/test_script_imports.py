@@ -1,5 +1,5 @@
 """The demos, scripts and README's code import only names the package
-defines, and run.
+defines, and run; and every name the package exports has a caller.
 
 Nothing else runs them, so a renamed or removed library name, or a
 changed return value they unpack, would otherwise only show when someone
@@ -18,6 +18,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("scripts/*.py")])
+README_PYTHON_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+)
 
 # Every script that finishes in under two seconds. Demo 04 and the sweep
 # of scripts/calibrate.py take about 3 s each on 2 vCPUs; CI's console
@@ -65,11 +68,45 @@ def test_script_runs(command, tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def used_names(source: str, filename: str) -> set[str]:
+    """Every name ``source`` reads, every attribute it reads and every name it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    # A name the package exports is used by the library itself, a demo, a
+    # script, README's code or CI; one that only the tests use belongs in
+    # the tests.
+    package = ROOT / "src" / "fdsic"
+    used = set(re.findall(r"\w+", (ROOT / ".github" / "workflows" / "tests.yml").read_text()))
+    for path in [*sorted(package.glob("*.py")), *SOURCES]:
+        if path.name != "__init__.py":
+            used |= used_names(path.read_text(), str(path))
+    for block in README_PYTHON_BLOCKS:
+        used |= used_names(block, "README.md")
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = [
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exported
+    assert sorted(set(exported) - used) == []
+
+
 def test_readme_python_blocks_run(capsys):
     # The quick start calls run_sweep by keyword and reads each report's
     # fit, so a changed signature or report field fails here.
-    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
-    assert blocks
-    for block in blocks:
+    assert README_PYTHON_BLOCKS
+    for block in README_PYTHON_BLOCKS:
         exec(compile(block, "README.md", "exec"), {})
     assert "rank" in capsys.readouterr().out

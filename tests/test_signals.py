@@ -14,7 +14,6 @@ from fdsic.signals import (
     fir_convolve,
     gen_ofdm_frames,
     gen_tone,
-    papr_db,
     power_db,
     read_iq,
     write_iq,
@@ -100,8 +99,8 @@ class TestGenOfdmFrames:
         # 11.3 +- 0.5 dB across seeds (extreme-value statistics); the
         # nominal budget figure of ~10 dB refers to the same waveform, so
         # accept the band around both.
-        sig = gen_ofdm_frames(OfdmFrameSpec(seed=seed))
-        assert 8.5 <= papr_db(sig) <= 12.0
+        power = np.abs(gen_ofdm_frames(OfdmFrameSpec(seed=seed)).samples) ** 2
+        assert 8.5 <= 10 * np.log10(np.max(power) / np.mean(power)) <= 12.0
 
     def test_frame_format(self):
         # Every 4096-sample frame at 80 MHz is one IFFT block: QPSK symbols
@@ -127,11 +126,12 @@ class TestGenOfdmFrames:
 
         sig = gen_ofdm_frames(OfdmFrameSpec(seed=5))
         # Each frame is periodic on the analysis grid, so a frame-aligned
-        # rectangular FFT resolves the exact line spectrum.
+        # FFT resolves the exact line spectrum.
+        freqs = np.fft.fftfreq(4096, d=1.0 / FS)
+        band = np.abs(freqs) <= 5e6 + FS / 4096 / 2
         for start in (0, 4096, 50 * 4096):
-            frame = ComplexBasebandSignal(sig.samples[start : start + 4096], FS)
-            spec = spectrum(frame, n_fft=4096, averaging=1, window="boxcar")
-            assert in_band_fraction(spec) > 0.999
+            lines = np.abs(np.fft.fft(sig.samples[start : start + 4096])) ** 2
+            assert np.sum(lines[band]) / np.sum(lines) > 0.999
         # The windowed whole-capture view adds frame-boundary and window
         # leakage but stays strongly band-confined.
         assert in_band_fraction(spectrum(sig, n_fft=4096)) > 0.995
@@ -202,16 +202,12 @@ class TestFirConvolve:
 
 
 class TestPowerMetrics:
-    def test_tone_papr_zero(self):
-        assert abs(papr_db(gen_tone(1e6, 1.0, 1024, FS))) < 1e-9
-
     def test_half_amplitude_power(self):
         assert abs(power_db(gen_tone(1e6, 0.5, 1024, FS)) - 20 * math.log10(0.5)) < 1e-9
 
     def test_zero_signal_sentinel(self):
         sig = ComplexBasebandSignal(np.zeros(8, dtype=complex), FS)
         assert power_db(sig) == float("-inf")
-        assert papr_db(sig) == float("-inf")
 
 
 class TestIqFile:
