@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +55,15 @@ class CancellerMethod(str, enum.Enum):
         raise ValueError(f"unknown canceller method {name!r}; valid: {valid}")
 
 
+# The CancellerSpec fields each method takes besides ``channel_len``, which
+# every method takes; a method not listed takes none. The spec rejects an
+# order its method does not list, and the CLI sets and records these fields.
+ORDER_FIELDS = {
+    CancellerMethod.NONLINEAR: ("n_max", "nonlinear_basis_variant"),
+    CancellerMethod.JOINT_DAC_IQ: ("m_max",),
+}
+
+
 @dataclass(frozen=True)
 class CancellerSpec:
     """Which cancellation model to fit, with orders and channel length."""
@@ -72,6 +81,8 @@ class CancellerSpec:
         for name in ("n_max", "m_max"):
             if getattr(self, name) is not None:
                 _require_int(getattr(self, name), name)
+                if name not in ORDER_FIELDS.get(self.method, ()):
+                    raise ValueError(f"{name} is not applicable to the {self.method.value} canceller")
         if self.channel_len < 1:
             raise ValueError("channel_len must be >= 1")
         if self.nonlinear_basis_variant not in ("power", "envelope"):
@@ -79,21 +90,12 @@ class CancellerSpec:
                 f"nonlinear_basis_variant must be 'power' or 'envelope', "
                 f"got {self.nonlinear_basis_variant!r}"
             )
-        if self.method is CancellerMethod.NONLINEAR:
-            if self.n_max is None or self.n_max < 1 or self.n_max % 2 == 0:
-                raise ValueError("nonlinear canceller requires odd n_max >= 1")
-            if self.m_max is not None:
-                raise ValueError("m_max is not applicable to the nonlinear canceller")
-        elif self.method is CancellerMethod.JOINT_DAC_IQ:
-            if self.m_max is None or self.m_max < 1:
-                raise ValueError("joint-dac-iq canceller requires m_max >= 1")
-            if self.n_max is not None:
-                raise ValueError("n_max is not applicable to the joint-dac-iq canceller")
-        else:
-            if self.n_max is not None or self.m_max is not None:
-                raise ValueError(
-                    f"order parameters are not applicable to {self.method.value}"
-                )
+        if self.method is CancellerMethod.NONLINEAR and (
+            self.n_max is None or self.n_max < 1 or self.n_max % 2 == 0
+        ):
+            raise ValueError("nonlinear canceller requires odd n_max >= 1")
+        if self.method is CancellerMethod.JOINT_DAC_IQ and (self.m_max is None or self.m_max < 1):
+            raise ValueError("joint-dac-iq canceller requires m_max >= 1")
 
     @property
     def n_bases(self) -> int:
@@ -378,9 +380,7 @@ def _geqrf(buf: np.ndarray, rows: int, tau: np.ndarray, work: np.ndarray) -> Non
         raise ValueError(f"zgeqrf argument {-info} is illegal")
 
 
-def _ls_solve(
-    factor: _LsFactor, bases: list[BasisSignal], channel_len: int, rails: bool = False
-) -> list[LsFit]:
+def _ls_solve(factor: _LsFactor, bases: list[BasisSignal], channel_len: int) -> list[LsFit]:
     """Fit every right-hand side on the factor's leading ``q`` columns.
 
     ``q = len(bases) * channel_len``, and the fits carry the labels of
@@ -393,7 +393,8 @@ def _ls_solve(
     those columns alone, and the training residual of column k is
     ``|R12[:q, k] - R11[:q, :q] h|² + |R12[q:, k]|² + dropped_k``.
 
-    With ``rails`` the leading columns are joint-dac-iq's ``re(x)``,
+    Complex ``bases`` on a ``packed`` factor are read through the rail
+    map: the factor's leading columns are then joint-dac-iq's ``re(x)``,
     ``im(x)`` bases and ``bases`` are widely-linear's ``x``, ``conj(x)``,
     which span the same columns. The rail fit ``g`` maps per tap to
     ``h_x = (g_re - i g_im) / 2`` and ``h_conj(x) = (g_re + i g_im) / 2``:
@@ -421,6 +422,7 @@ def _ls_solve(
     n_params = len(factor.r)
     q = len(bases) * channel_len
     labels = tuple(basis.label for basis in bases)
+    rails = factor.packed and any(np.iscomplexobj(basis.samples) for basis in bases)
     r11, r12 = factor.r[:q, :q], factor.r[:q, n_params:]
     unexplained = np.sum(np.abs(factor.r[q:, n_params:]) ** 2, axis=0) + factor.dropped
     if factor.packed:
@@ -525,6 +527,8 @@ def run_sweep(
             "a comparison scores residuals against the noise floor, so "
             f"chan.thermal_noise_dbfs must be finite, got {cfg.chan.thermal_noise_dbfs}"
         )
+    for power in powers:
+        replace(cfg, tx_power_dbm=power)  # checks the power before the chain runs
     x = gen_ofdm_frames(frames)
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
 
@@ -599,8 +603,7 @@ def _fit_and_score(
         taps = spec.channel_len
         # The bases of one sample: the model's labels, count and dtype.
         probe = build_basis(s[:1], spec)
-        rails = root.method is CancellerMethod.JOINT_DAC_IQ and spec.method is not root.method
-        spec_fits = _ls_solve(factors[root], probe, taps, rails)
+        spec_fits = _ls_solve(factors[root], probe, taps)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
         dtype = probe[0].samples.dtype
         n_blocks = -(-frame_len // taps)

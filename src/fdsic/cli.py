@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .analysis import BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
-from .cancellers import DEFAULT_SPECS, CancellerMethod, CancellerSpec, run_sweep
+from .cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod, CancellerSpec, run_sweep
 from .impairments import (
     MAX_TX_POWER_DBM,
     MIN_TX_POWER_DBM,
@@ -89,21 +89,15 @@ def _resolve_config(args) -> tuple[ImpairmentConfig, dict]:
     return cfg, source
 
 
-# The spec fields each method takes besides ``channel_len``, which every
-# method takes, each with the parsed flag that sets it.
-_ORDER_FLAGS = {
-    CancellerMethod.NONLINEAR: {"n_max": "n_max", "nonlinear_basis_variant": "nonlinear_variant"},
-    CancellerMethod.JOINT_DAC_IQ: {"m_max": "m_max"},
-}
-
-
 def _canceller_specs(args) -> list[CancellerSpec]:
     names = (name.strip() for name in args.methods.split(","))
+    # Each of a method's ORDER_FIELDS is set by the flag of its name, but this one.
+    flag = {"nonlinear_basis_variant": "nonlinear_variant"}
     specs = [
         CancellerSpec(
             method,
             channel_len=args.channel_len,
-            **{field: getattr(args, flag) for field, flag in _ORDER_FLAGS.get(method, {}).items()},
+            **{name: getattr(args, flag.get(name, name)) for name in ORDER_FIELDS.get(method, ())},
         )
         for method in map(CancellerMethod.parse, filter(None, names))
     ]
@@ -114,7 +108,7 @@ def _canceller_specs(args) -> list[CancellerSpec]:
 
 def _spec_record(spec: CancellerSpec) -> dict:
     """The manifest's record of ``spec``: its label and the fields its method takes."""
-    fields = ["channel_len", *_ORDER_FLAGS.get(spec.method, {})]
+    fields = ["channel_len", *ORDER_FIELDS.get(spec.method, ())]
     return {"label": spec.label(), **{name: getattr(spec, name) for name in fields}}
 
 

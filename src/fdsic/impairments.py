@@ -156,9 +156,9 @@ class PhaseNoiseSpec:
             raise ValueError(
                 f"shared_oscillator must be true or false, got {self.shared_oscillator!r}"
             )
-        if not (0 <= self.delay_samples < math.inf) or int(self.delay_samples) != self.delay_samples:
-            raise ValueError("delay_samples must be a nonnegative integer")
-        object.__setattr__(self, "delay_samples", int(self.delay_samples))
+        _require_int(self.delay_samples, "delay_samples")
+        if self.delay_samples < 0:
+            raise ValueError(f"delay_samples must be >= 0, got {self.delay_samples}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import ComplexBasebandSignal
+from .signals import ComplexBasebandSignal, _require_int
 
 # Lowest representable bin power; keeps power_db finite for silent bins.
 FLOOR_DB = -300.0
@@ -79,6 +79,7 @@ def spectrum(
     signal allows). Normalization is Parseval-consistent: the linear bin
     powers sum to the signal mean power to within the window bias.
     """
+    _require_int(n_fft, "n_fft")
     n = len(signal)
     if n_fft > n:
         raise ValueError(f"n_fft {n_fft} exceeds signal length {n}")
@@ -88,6 +89,7 @@ def spectrum(
     max_segments = 1 + (n - n_fft) // hop
     if averaging is None:
         averaging = max_segments
+    _require_int(averaging, "averaging")
     if not (1 <= averaging <= max_segments):
         raise ValueError(
             f"averaging must be in [1, {max_segments}] for length {n}, got {averaging}"

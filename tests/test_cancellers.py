@@ -26,6 +26,7 @@ from helpers_oracles import (
 from fdsic import cancellers, impairments
 from fdsic.cancellers import (
     DEFAULT_SPECS,
+    ORDER_FIELDS,
     TRAIN_FRACTION,
     BasisSignal,
     CancellerMethod,
@@ -138,6 +139,19 @@ class TestBuildBasis:
         # A boolean is an int to Python, but no count or order here.
         with pytest.raises(ValueError, match=f"^{field} must be a"):
             make()
+
+    @pytest.mark.parametrize("field", ["n_max", "m_max"])
+    @pytest.mark.parametrize("method", list(CancellerMethod), ids=lambda method: method.value)
+    def test_order_is_not_applicable_exactly_where_the_table_omits_it(self, method, field):
+        # Every order the method takes is given a valid value, and so is field.
+        takes = ORDER_FIELDS.get(method, ())
+        orders = {name: 1 for name in ("n_max", "m_max") if name == field or name in takes}
+        if field in takes:
+            assert getattr(CancellerSpec(method, **orders), field) == 1
+        else:
+            message = f"^{field} is not applicable to the {method.value} canceller$"
+            with pytest.raises(ValueError, match=message):
+                CancellerSpec(method, **orders)
 
     @pytest.mark.parametrize(
         "spec",
@@ -579,6 +593,18 @@ class TestRunSweep:
             run_sweep(load_preset("sweep_40db"), [22.0], specs, OfdmFrameSpec(n_frames=40), seed=0)
         assert str(error.value) == message
         assert built == []
+
+    def test_power_out_of_range_is_rejected_before_the_chain_runs(self, monkeypatch):
+        # 99 dBm is past the amplifier's range: no frame is drawn and the
+        # front end does not run before the power is rejected.
+        def not_run(*args):
+            raise AssertionError("the frames were drawn or the chain ran")
+
+        monkeypatch.setattr(cancellers, "gen_ofdm_frames", not_run)
+        monkeypatch.setattr(cancellers, "transmit_front_end", not_run)
+        with pytest.raises(ValueError) as error:
+            run_sweep(load_preset("sweep_40db"), [22.0, 99.0], DEFAULT_SPECS, OfdmFrameSpec(), 0)
+        assert str(error.value) == "tx_power_dbm must lie in [-10, 22.0], got 99.0"
 
     def test_rejects_single_frame(self):
         with pytest.raises(ValueError, match="at least 2 frames.*got 1"):

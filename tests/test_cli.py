@@ -14,7 +14,7 @@ import pytest
 
 import fdsic
 from fdsic.analysis import BudgetInput, suppression_budget
-from fdsic.cancellers import DEFAULT_SPECS
+from fdsic.cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod
 from fdsic.cli import _parse_powers, main
 from fdsic.impairments import config_to_dict, save_config
 from fdsic.presets import PRESET_NAMES, SAMPLE_RATE, TONE_FREQ, load_preset
@@ -413,6 +413,19 @@ class TestSweep:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [rec["channel_len"] for rec in manifest["args"]["cancellers"]] == [8, 8, 8]
 
+    def test_manifest_records_each_method_with_its_order_fields(self, tmp_path):
+        # Each canceller's record holds channel_len and exactly its ORDER_FIELDS.
+        rc = main(
+            ["sweep", "--preset", "sweep_55db", "--methods",
+             ",".join(method.value for method in CancellerMethod), "--frames", "4",
+             "--powers", "22", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        records = json.loads((tmp_path / "manifest.json").read_text())["args"]["cancellers"]
+        assert [set(record) - {"label"} for record in records] == [
+            {"channel_len", *ORDER_FIELDS.get(method, ())} for method in CancellerMethod
+        ]
+
     def test_manifest_records_only_the_fields_each_canceller_takes(self, tmp_path):
         # Order flags that no selected method takes are not echoed.
         rc = main(
@@ -442,6 +455,7 @@ class TestSweep:
             ("pn", "linewidth_hz", math.nan, "linewidth"),
             ("pn", "linewidth_hz", math.inf, "linewidth"),
             ("pn", "delay_samples", math.inf, "delay_samples"),
+            ("pn", "delay_samples", 1.0, "delay_samples"),
             ("dac", "coeffs_i", [1.0, 0.0, math.nan], "coeffs_i"),
             ("pa", "coeffs_odd", [1.0, math.nan], "coeffs"),
         ],
@@ -449,7 +463,8 @@ class TestSweep:
             "adc_bits-string", "adc_bits-fraction", "adc_bits-bool", "shared_oscillator-string",
             "thermal_noise_dbfs-nan", "thermal_noise_dbfs-inf", "thermal_noise_dbfs-minus-inf",
             "analog_suppression_db-nan", "adc_full_scale-inf", "h_si-nan", "linewidth_hz-nan",
-            "linewidth_hz-inf", "delay_samples-inf", "dac-coeffs_i-nan", "pa-coeffs_odd-nan",
+            "linewidth_hz-inf", "delay_samples-inf", "delay_samples-float", "dac-coeffs_i-nan",
+            "pa-coeffs_odd-nan",
         ],
     )
     def test_config_value_of_wrong_type_is_clean_error(

@@ -216,6 +216,12 @@ class TestPhaseNoise:
         with pytest.raises(ValueError):
             PhaseNoiseSpec(1.0, True, -2)
 
+    @pytest.mark.parametrize("delay", [True, 1.0], ids=["bool", "float"])
+    def test_delay_of_wrong_type_is_rejected(self, delay):
+        # A boolean or a float is no sample count, even where it equals one.
+        with pytest.raises(ValueError, match="^delay_samples must be an integer"):
+            PhaseNoiseSpec(1e3, True, delay)
+
 
 def pa_two_tone_oracle(a1, a2, beta3_prime):
     """Closed-form third-order two-tone products.

@@ -62,6 +62,16 @@ class TestSpectrumEstimator:
         with pytest.raises(ValueError, match="averaging"):
             spectrum(sig, n_fft=4096, averaging=2)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "name"),
+        [({"n_fft": 4096.0}, "n_fft"), ({"n_fft": 4096, "averaging": True}, "averaging")],
+        ids=["n_fft-float", "averaging-bool"],
+    )
+    def test_count_of_wrong_type_is_rejected(self, kwargs, name):
+        sig = gen_tone(1e6, 1.0, 8192, FS)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            spectrum(sig, **kwargs)
+
     def test_bin_axis_symmetric_and_increasing(self):
         sig = gen_tone(1e6, 1.0, 8192, FS)
         spec = spectrum(sig, n_fft=4096)
