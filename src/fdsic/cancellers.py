@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.linalg import lapack_lite
 
 from .impairments import (
@@ -36,7 +37,7 @@ from .impairments import (
     thermal_noise,
     transmit_front_end,
 )
-from .signals import OfdmFrameSpec, _require_int, gen_ofdm_frames
+from .signals import FRAME_LEN, OfdmFrameSpec, _require_int, gen_ofdm_frames
 
 
 class CancellerMethod(str, enum.Enum):
@@ -239,17 +240,14 @@ def _fill_regressor(
     Column ``b * taps + l`` of row n is ``basis_b[n - l]``, zero before
     sample 0. ``out`` is the caller's column-major ``(stop - start) x
     len(bases) * taps`` buffer, or the real or imaginary part of one, so the
-    fit reuses one buffer for every block; each column is one copy of a
-    basis window. The zero history has the basis's dtype, so real bases
-    stay real until they are written.
+    fit reuses one buffer for every block; a basis's ``taps`` columns are
+    one copy of a strided view of its window, lags reversed. The zero
+    history has the basis's dtype, so real bases stay real until written.
     """
     first = start - taps + 1
     for b, basis in enumerate(bases):
-        seg = basis.samples[max(first, 0) : stop]
-        if first < 0:
-            seg = np.concatenate([np.zeros(-first, dtype=seg.dtype), seg])
-        for lag in range(taps):
-            out[:, b * taps + lag] = seg[taps - 1 - lag : taps - 1 - lag + stop - start]
+        seg = np.pad(basis.samples[max(first, 0) : stop], (max(-first, 0), 0))
+        out[:, b * taps : (b + 1) * taps] = sliding_window_view(seg, taps)[:, ::-1]
 
 
 def _check_training_len(n: int, n_params: int) -> None:
@@ -322,7 +320,6 @@ def _ls_factor(
         dtype=np.complex128,
         order="F",
     )
-    tau, work = _geqrf_workspace(buf)
     carried = 0
     dropped = np.zeros(per_row * n_rhs)
     for start in range(0, n, step):
@@ -341,7 +338,7 @@ def _ls_factor(
             rows = carried + stop - start
             _fill_regressor(buf[carried:rows, :n_params], bases, start, stop, channel_len)
             buf[carried:rows, n_params:] = rhs[start:stop]
-        _geqrf(buf, rows, tau, work)
+        _geqrf(buf, rows)
         buf[:n_params] = np.triu(buf[:n_params])
         carried = n_params
         dropped += np.sum(np.abs(np.triu(buf[n_params : min(rows, ncols), n_params:])) ** 2, axis=0)
@@ -350,19 +347,7 @@ def _ls_factor(
     return _LsFactor(np.ascontiguousarray(buf[:n_params]), dropped, n, packed)
 
 
-def _geqrf_workspace(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``tau`` and ``work`` arrays of :func:`_geqrf` on ``buf``.
-
-    ``work`` has the length LAPACK's own workspace query asks for, so
-    ``zgeqrf`` runs at its full block size on every step.
-    """
-    tau = np.empty(buf.shape[1], dtype=np.complex128)
-    query = np.empty(1, dtype=np.complex128)
-    lapack_lite.zgeqrf(len(buf), buf.shape[1], buf.T, len(buf), tau, query, -1, 0)
-    return tau, np.empty(int(query[0].real), dtype=np.complex128)
-
-
-def _geqrf(buf: np.ndarray, rows: int, tau: np.ndarray, work: np.ndarray) -> None:
+def _geqrf(buf: np.ndarray, rows: int) -> None:
     """Factor ``buf[:rows]`` by QR in place with LAPACK's ``zgeqrf``.
 
     ``buf`` is a column-major complex128 array. ``R`` is left in the upper
@@ -371,11 +356,17 @@ def _geqrf(buf: np.ndarray, rows: int, tau: np.ndarray, work: np.ndarray) -> Non
     the one ``np.linalg.qr(buf[:rows], mode="r")`` returns, bit for bit,
     without its copies. ``buf.T`` is the same memory in C order, as
     ``lapack_lite`` takes it, and its leading dimension ``len(buf)`` lets a
-    block shorter than the buffer be factored where it lies. ``lapack_lite``
+    block shorter than the buffer be factored where it lies. It sizes its
+    own workspace by LAPACK's query, so ``zgeqrf`` runs at its full block
+    size. ``lapack_lite``
     checks the layout and dtype; LAPACK checks the sizes before it touches
     memory and reports a bad one in ``info``.
     """
-    info = lapack_lite.zgeqrf(rows, buf.shape[1], buf.T, len(buf), tau, work, len(work), 0)["info"]
+    cols = buf.shape[1]
+    tau, work = np.empty(cols, dtype=np.complex128), np.empty(1, dtype=np.complex128)
+    lapack_lite.zgeqrf(len(buf), cols, buf.T, len(buf), tau, work, -1, 0)
+    work = np.empty(int(work[0].real), dtype=np.complex128)
+    info = lapack_lite.zgeqrf(rows, cols, buf.T, len(buf), tau, work, len(work), 0)["info"]
     if info:
         raise ValueError(f"zgeqrf argument {-info} is illegal")
 
@@ -529,25 +520,23 @@ def run_sweep(
         )
     for power in powers:
         replace(cfg, tx_power_dbm=power)  # checks the power before the chain runs
-    x = gen_ofdm_frames(frames)
-    x = x.with_samples(x.samples * REF_DRIVE_RMS)
-
-    frame_len = len(x) // n_frames
     n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
-    split = n_train_frames * frame_len
+    split = n_train_frames * FRAME_LEN
     n_train = min(split, MAX_TRAIN_SAMPLES)
     # Every family root is one of specs, so this checks each fit's size
-    # before the chain runs.
+    # before any frame is drawn.
     for spec in specs:
         _check_training_len(n_train, spec.n_bases * spec.channel_len)
 
+    x = gen_ofdm_frames(frames)
+    x = x.with_samples(x.samples * REF_DRIVE_RMS)
     front = transmit_front_end(x, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
     train, held, diags = receive(front, cfg, powers, noise, n_train, split)
     # Only the digitized rows reach the fit: let the full-length arrays go.
     del front, noise
     fits, per_frame_db = _fit_and_score(
-        x.samples, train, held, specs, frame_len, cfg.chan.thermal_noise_dbfs
+        x.samples, train, held, specs, FRAME_LEN, cfg.chan.thermal_noise_dbfs
     )
     return [
         SuppressionReport(
@@ -584,11 +573,12 @@ def _fit_and_score(
     spec its fits and a (power, frame) array of held-out residual power in
     dB above ``noise_dbfs``. A frame is scored on the bases of its own
     samples and the taps - 1 before them. Output block i (frame samples
-    [i*taps, (i+1)*taps)) reads only history blocks i and i + 1 of each
-    basis, so a frame's reconstruction at every power is one product of
-    those block pairs (``pairs``) with the spec's :func:`_block_operator`.
-    Real bases keep ``pairs`` real and multiply it by the operator viewed
-    as float64, one real product whose rows read back as complex.
+    [i*taps, (i+1)*taps)) reads only blocks i and i + 1 of each basis's
+    window, zero padded to whole blocks, so a frame's reconstruction at
+    every power is one product of those block pairs (``pairs``, strided
+    windows of the padded window) with the spec's :func:`_block_operator`
+    viewed as the dtype of ``pairs``: real bases make one real product
+    whose rows read back as complex. No kept output reads the padding.
     """
     roots = [_family_root(spec, specs) for spec in specs]
     factors = {
@@ -605,25 +595,20 @@ def _fit_and_score(
         probe = build_basis(s[:1], spec)
         spec_fits = _ls_solve(factors[root], probe, taps)
         h = np.stack([fit.coefficients for fit in spec_fits], axis=1)
-        dtype = probe[0].samples.dtype
-        n_blocks = -(-frame_len // taps)
-        history = np.zeros((n_blocks + 1) * taps, dtype=dtype)
-        pairs = np.empty((n_blocks, 2 * taps * len(probe)), dtype=dtype)
-        g = _block_operator(h, len(probe), taps).view(dtype)
         fits.append(spec_fits)
-        scorers.append((spec, g, history, pairs))
+        scorers.append((spec, _block_operator(h, len(probe), taps)))
     per_frame_db = [np.empty((held.shape[1], len(offsets))) for _ in specs]
     for i, offset in enumerate(offsets):
         received = held[offset : offset + frame_len]
         first = len(s) - len(held) + offset
-        for (spec, g, history, pairs), db in zip(scorers, per_frame_db):
+        for (spec, operator), db in zip(scorers, per_frame_db):
             taps = spec.channel_len
-            blocks = history.reshape(-1, taps)
-            for b, basis in enumerate(build_basis(s[first - taps + 1 : first + frame_len], spec)):
-                history[: frame_len + taps - 1] = basis.samples
-                pairs[:, 2 * b * taps : (2 * b + 1) * taps] = blocks[:-1]
-                pairs[:, (2 * b + 1) * taps : (2 * b + 2) * taps] = blocks[1:]
-            estimate = (pairs @ g).view(np.complex128)
+            window = build_basis(s[first - taps + 1 : first + frame_len], spec)
+            pad = (0, -frame_len % taps + 1)
+            pairs = np.hstack(
+                [sliding_window_view(np.pad(b.samples, pad), 2 * taps)[::taps] for b in window]
+            )
+            estimate = (pairs @ operator.view(pairs.dtype)).view(np.complex128)
             estimate = estimate.reshape(len(pairs) * taps, held.shape[1])[:frame_len]
             residual = received - estimate
             power = np.mean(np.abs(residual) ** 2, axis=0)

@@ -666,7 +666,14 @@ def _fields(values: dict, keys: dict) -> dict:
             raise ValueError(
                 f"{key} must be numeric, not true or false, got {json.dumps(value)}"
             )
-        fields[field] = _complex_array(value) if write is _taps else value
+        if write is _taps:
+            try:
+                value = _complex_array(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{key} must be a list of [re, im] pairs, got {json.dumps(value)}"
+                ) from None
+        fields[field] = value
     return fields
 
 
@@ -679,6 +686,10 @@ def _config_section(data: dict, name: str):
     """Section ``name`` of ``data`` as its class, with any error naming the section."""
     cls, keys = _SECTIONS[name]
     section = data[name]
+    if not isinstance(section, dict):
+        raise ValueError(
+            f"configuration section {name!r} must be a JSON object, got {json.dumps(section)}"
+        )
     try:
         return cls(**_fields(section, keys))
     except KeyError as exc:
@@ -689,6 +700,8 @@ def _config_section(data: dict, name: str):
 
 def config_from_dict(data: dict) -> ImpairmentConfig:
     """The configuration ``data`` describes; a key the format lacks is an error."""
+    if not isinstance(data, dict):
+        raise ValueError(f"configuration must be a JSON object, got {type(data).__name__}")
     try:
         cfg = ImpairmentConfig(
             **{name: _config_section(data, name) for name in _SECTIONS},

@@ -25,10 +25,10 @@ from ._rng import substream
 SAMPLE_RATE = 80e6
 OFDM_BANDWIDTH = 10e6
 
-# Transmit frame format: N_TONES QPSK tones at unit average power, spread
-# uniformly over OFDM_BANDWIDTH and zero-padded to SAMPLE_RATE.
+# Transmit frame format: frames of FRAME_LEN samples, each N_TONES QPSK tones at
+# unit average power spread uniformly over OFDM_BANDWIDTH, zero-padded to SAMPLE_RATE.
 N_TONES = 512
-_N_FFT = N_TONES * round(SAMPLE_RATE / OFDM_BANDWIDTH)
+FRAME_LEN = N_TONES * round(SAMPLE_RATE / OFDM_BANDWIDTH)
 _QPSK = np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j]) / math.sqrt(2.0)
 
 
@@ -114,19 +114,19 @@ def gen_tone(
 def gen_ofdm_frames(spec: OfdmFrameSpec) -> ComplexBasebandSignal:
     """Concatenated OFDM frames at ``SAMPLE_RATE``, unit average power.
 
-    Each frame is one ``_N_FFT``-sample IFFT block: ``N_TONES`` QPSK
+    Each frame is one ``FRAME_LEN``-sample IFFT block: ``N_TONES`` QPSK
     symbols on the centered tone grid that spans ``OFDM_BANDWIDTH``,
     zero-padded to the sample rate, so every frame is exactly
     band-limited. Frames are joined with no cyclic prefix. Deterministic
     for a given spec (including its seed).
     """
     rng = substream(spec.seed, "ofdm-frames")
-    bins = np.arange(-(N_TONES // 2), N_TONES // 2) % _N_FFT
+    bins = np.arange(-(N_TONES // 2), N_TONES // 2) % FRAME_LEN
     frames = []
     for _ in range(spec.n_frames):
-        grid = np.zeros(_N_FFT, dtype=np.complex128)
+        grid = np.zeros(FRAME_LEN, dtype=np.complex128)
         grid[bins] = _QPSK[rng.integers(0, _QPSK.size, N_TONES)]
-        frames.append(np.fft.ifft(grid) * _N_FFT / np.sqrt(N_TONES))
+        frames.append(np.fft.ifft(grid) * FRAME_LEN / np.sqrt(N_TONES))
     samples = np.concatenate(frames)
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
     return ComplexBasebandSignal(samples, SAMPLE_RATE)

@@ -116,6 +116,27 @@ class TestBuildBasis:
             CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=2, n_max=3)
 
     @pytest.mark.parametrize(
+        ("make", "message"),
+        [
+            (
+                lambda: CancellerSpec(CancellerMethod.LINEAR, channel_len=0),
+                "channel_len must be >= 1",
+            ),
+            (
+                lambda: CancellerSpec(
+                    CancellerMethod.NONLINEAR, n_max=3, nonlinear_basis_variant="cubic"
+                ),
+                "nonlinear_basis_variant must be 'power' or 'envelope', got 'cubic'",
+            ),
+        ],
+        ids=["channel_len-zero", "variant-unknown"],
+    )
+    def test_out_of_range_spec_names_its_field(self, make, message):
+        with pytest.raises(ValueError) as error:
+            make()
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
         ("make", "field"),
         [
             (lambda: CancellerSpec("linear"), "method"),
@@ -380,13 +401,13 @@ class TestStreamedFit:
         assert len(blocks) == 2 + -(-n // (2 * cancellers.FIT_BLOCK_ROWS))
         for buf, rows in blocks:
             ref = np.linalg.qr(buf[:rows], mode="r")
-            cancellers._geqrf(buf, rows, *cancellers._geqrf_workspace(buf))
+            cancellers._geqrf(buf, rows)
             assert np.array_equal(np.triu(buf[: len(ref)]), ref)
 
     def test_geqrf_rejects_rows_beyond_the_buffer(self):
         buf = np.zeros((10, 4), dtype=np.complex128, order="F")
         with pytest.raises(ValueError, match="argument 4"):
-            cancellers._geqrf(buf, 11, *cancellers._geqrf_workspace(buf))
+            cancellers._geqrf(buf, 11)
 
     def test_duplicate_basis_rank_matches_dense(self):
         x = random_signal(9000, 52)
@@ -593,6 +614,23 @@ class TestRunSweep:
             run_sweep(load_preset("sweep_40db"), [22.0], specs, OfdmFrameSpec(n_frames=40), seed=0)
         assert str(error.value) == message
         assert built == []
+
+    def test_oversized_model_is_rejected_before_any_frame_is_drawn(self, monkeypatch):
+        # The training length follows from the frame count and FRAME_LEN
+        # alone, so the model's size is checked before the frames are drawn.
+        drawn = []
+        draw = cancellers.gen_ofdm_frames
+
+        def recording_gen_ofdm_frames(spec):
+            drawn.append(spec)
+            return draw(spec)
+
+        monkeypatch.setattr(cancellers, "gen_ofdm_frames", recording_gen_ofdm_frames)
+        specs = [CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=300)]
+        with pytest.raises(ValueError) as error:
+            run_sweep(load_preset("sweep_40db"), [22.0], specs, OfdmFrameSpec(), 0)
+        assert str(error.value) == "training length 65536 must be >= 4 * (bases * taps) = 76800"
+        assert drawn == []
 
     def test_power_out_of_range_is_rejected_before_the_chain_runs(self, monkeypatch):
         # 99 dBm is past the amplifier's range: no frame is drawn and the

@@ -161,6 +161,45 @@ class TestBooleanConfigValue:
         assert not (tmp_path / "run").exists()
 
 
+class TestConfigShape:
+    # A file of the wrong shape is one error line that names the problem,
+    # not a Python internal, and leaves no output folder.
+    CASES = {
+        "top-level-list": (
+            lambda d: [d],
+            "configuration must be a JSON object, got list",
+        ),
+        "chan-not-an-object": (
+            lambda d: {**d, "chan": 5},
+            "configuration section 'chan' must be a JSON object, got 5",
+        ),
+        "h_si-not-pairs": (
+            lambda d: {**d, "chan": {**d["chan"], "h_si": [1, 2]}},
+            "chan: h_si must be a list of [re, im] pairs, got [1, 2]",
+        ),
+        "chan-missing-adc_bits": (
+            lambda d: {**d, "chan": {k: v for k, v in d["chan"].items() if k != "adc_bits"}},
+            "configuration is missing key 'chan.adc_bits'",
+        ),
+        "pa-coeffs-an-object": (
+            lambda d: {**d, "pa": {"coeffs_odd": {}}},
+            "configuration value has the wrong type: pa: ",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_is_one_error_line_and_no_folder(self, tmp_path, capsys, name):
+        change, message = self.CASES[name]
+        data = change(config_to_dict(load_preset("fig5_m10dbm")))
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        rc = main(COMMANDS["tone-test"] + ["--config", str(tmp_path / "cfg.json"),
+                                           "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+
 class TestPhaseNoiseDelay:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_delay_longer_than_signal_is_clean_error(self, tmp_path, capsys, command):
@@ -197,6 +236,26 @@ class TestFailedRunLeavesNoFolder:
         assert main(argv + ["--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+
+class TestFlagError:
+    RUNS = {
+        "sweep-empty-grid": (
+            ["sweep", "--preset", "sweep_55db", "--powers", "10:-10:1"],
+            "--powers grid '10:-10:1' is empty",
+        ),
+        "tone-no-orders": (
+            ["tone-test", "--preset", "fig5_m10dbm", "--segments", "2", "--m-max", "0"],
+            "m_max must be >= 1",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_names_the_flag_and_leaves_no_folder(self, tmp_path, capsys, name):
+        argv, message = self.RUNS[name]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
 

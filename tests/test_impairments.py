@@ -122,6 +122,10 @@ class TestDacNonlinearity:
         with pytest.raises(ValueError):
             DacNonlinearity([1.0, 0.1], [1.0])
 
+    def test_rejects_empty_polynomial(self):
+        with pytest.raises(ValueError, match="^DAC polynomial needs at least the linear term$"):
+            DacNonlinearity([], [])
+
 
 class TestIqImbalance:
     def test_identity(self):
@@ -332,6 +336,18 @@ class TestChannelAndReceiver:
         err = np.mean(np.abs(out - sig) ** 2) / np.mean(np.abs(sig) ** 2)
         assert 10 * np.log10(err) < -120.0
         assert diag.clipped_samples == 0
+
+    def test_zero_input_keeps_unit_agc_scale(self):
+        # Nothing reaches the AGC, so it keeps a scale of 1, and every code
+        # is the one just above zero: each rail decodes to half a step.
+        cfg = identity_config(thermal_noise_dbfs=float("-inf"), adc_bits=14)
+        zeros = np.zeros(64, dtype=complex)
+        _, _, (diag,) = receive(zeros, cfg, [0.0], zeros, 0, 0)
+        step = 2.0 * cfg.chan.adc_full_scale / 2**14
+        assert diag.agc_scale == 1.0
+        assert diag.clipped_samples == 0
+        assert diag.apparent_floor_dbfs == pytest.approx(10 * math.log10(2 * (step / 2) ** 2))
+        assert diag.apparent_floor_dbfs == pytest.approx(-81.278, abs=1e-3)
 
     def test_pure_delay_channel(self):
         sig = gen_tone(F_TONE, 0.5, 4096, FS).samples

@@ -57,6 +57,11 @@ class TestSpectrumEstimator:
         with pytest.raises(ValueError, match="exceeds"):
             spectrum(sig, n_fft=1024)
 
+    def test_rejects_nfft_below_two(self):
+        sig = gen_tone(1e6, 1.0, 512, FS)
+        with pytest.raises(ValueError, match="^n_fft must be >= 2$"):
+            spectrum(sig, n_fft=1)
+
     def test_rejects_bad_averaging(self):
         sig = gen_tone(1e6, 1.0, 4096, FS)
         with pytest.raises(ValueError, match="averaging"):
