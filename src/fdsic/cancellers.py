@@ -324,20 +324,17 @@ def _ls_factor(
     dropped = np.zeros(per_row * n_rhs)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        if packed:
-            mid = stop - (stop - start) // 2
-            rows = carried + mid - start
-            for part, lo, hi in ((buf.real, start, mid), (buf.imag, mid, stop)):
-                block = part[carried:rows]
-                block[hi - lo :] = 0.0
-                _fill_regressor(block[: hi - lo, :n_params], bases, lo, hi, channel_len)
-                received = rhs[lo:hi]
-                block[: hi - lo, n_params : n_params + n_rhs] = received.real
-                block[: hi - lo, n_params + n_rhs :] = received.imag
-        else:
-            rows = carried + stop - start
-            _fill_regressor(buf[carried:rows, :n_params], bases, start, stop, channel_len)
-            buf[carried:rows, n_params:] = rhs[start:stop]
+        mid = stop - (stop - start) // 2 if packed else stop
+        parts = ((buf.real, start, mid), (buf.imag, mid, stop)) if packed else ((buf, start, stop),)
+        rows = carried + mid - start
+        for part, lo, hi in parts:
+            block = part[carried:rows]
+            block[hi - lo :] = 0.0
+            _fill_regressor(block[: hi - lo, :n_params], bases, lo, hi, channel_len)
+            received = rhs[lo:hi]
+            block[: hi - lo, n_params:] = (
+                np.hstack([received.real, received.imag]) if packed else received
+            )
         _geqrf(buf, rows)
         buf[:n_params] = np.triu(buf[:n_params])
         carried = n_params

@@ -9,7 +9,10 @@ spectrum    averaged spectrum of a recorded IQ file
 
 Every run echoes its fully resolved configuration into ``manifest.json``
 next to the outputs, and identical manifests with the same seed produce
-byte-identical CSV files. A failed run makes no output folder.
+byte-identical CSV files. Every command ends in :func:`_write_outputs`:
+the manifest and every file's content are computed before ``--out`` is
+made, so a run that fails on its input leaves no folder. An existing
+``--out`` is written into.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .analysis import BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
@@ -112,13 +116,28 @@ def _spec_record(spec: CancellerSpec) -> dict:
     return {"label": spec.label(), **{name: getattr(spec, name) for name in fields}}
 
 
-def _write_manifest(out_dir: Path, command: str, args_echo: dict, cfg: ImpairmentConfig | None):
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _write_outputs(
+    out: Path, command: str, args_echo: dict, cfg: ImpairmentConfig | None, files: dict
+) -> None:
+    """Make ``out`` and write a run's files into it, ``manifest.json`` last.
+
+    Everything a run computes from its inputs, the manifest included, is
+    done before ``out`` is made, so a bad input leaves no folder. Each
+    ``name -> writer`` of ``files`` then writes ``out / name``.
+    """
     manifest = {"command": command, "args": args_echo}
     if cfg is not None:
         manifest["resolved_config"] = config_to_dict(cfg)
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
+    (out / "manifest.json").write_text(text)
 
 
 def cmd_tone_test(args) -> int:
@@ -128,18 +147,15 @@ def cmd_tone_test(args) -> int:
     received, diag = simulate_received(tone, cfg, args.seed)
     spec = spectrum(received, n_fft=n_fft)
     checks = verify_harmonics(spec, args.freq, m_max=args.m_max, margin_db=args.margin)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_spectrum_csv(spec, out_dir / "spectrum.csv")
-    write_harmonics_csv(checks, out_dir / "harmonics.csv")
-    write_iq(received, out_dir / "capture.iq")
-    _write_manifest(
-        out_dir,
-        "tone-test",
+    _write_outputs(
+        args.out, "tone-test",
         {**source, "freq_hz": args.freq, "seed": args.seed, "n_fft": n_fft,
          "segments": args.segments, "m_max": args.m_max, "margin_db": args.margin,
          "clipped_samples": diag.clipped_samples},
         cfg,
+        {"spectrum.csv": partial(write_spectrum_csv, spec),
+         "harmonics.csv": partial(write_harmonics_csv, checks),
+         "capture.iq": partial(write_iq, received)},
     )
     print(f"tone-test: {len(checks)} orders checked, all_pass={all(c.passed for c in checks)}")
     return 0 if all(c.passed for c in checks) or not args.strict else 3
@@ -151,40 +167,21 @@ def cmd_sweep(args) -> int:
     specs = _canceller_specs(args)
 
     frames = OfdmFrameSpec(n_frames=args.frames, seed=args.seed)
-    rows = run_sweep(cfg, powers, specs, frames, args.seed)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "suppression.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "tx_power_dbm",
-                "method",
-                "mean_residual_above_noise_db",
-                "std_db",
-                "apparent_floor_dbfs",
-            ]
-        )
-        for rep in rows:
-            writer.writerow(
-                [
-                    f"{rep.tx_power_dbm:.3f}",
-                    rep.method,
-                    f"{rep.residual_above_noise_db:.6f}",
-                    f"{rep.residual_above_noise_std_db:.6f}",
-                    f"{rep.receiver.apparent_floor_dbfs:.6f}",
-                ]
-            )
-    _write_manifest(
-        out_dir,
-        "sweep",
+    header = ["tx_power_dbm", "method", "mean_residual_above_noise_db", "std_db",
+              "apparent_floor_dbfs"]
+    rows = [
+        [f"{rep.tx_power_dbm:.3f}", rep.method, f"{rep.residual_above_noise_db:.6f}",
+         f"{rep.residual_above_noise_std_db:.6f}", f"{rep.receiver.apparent_floor_dbfs:.6f}"]
+        for rep in run_sweep(cfg, powers, specs, frames, args.seed)
+    ]
+    _write_outputs(
+        args.out, "sweep",
         {**source, "powers": powers, "methods": args.methods, "seed": args.seed,
          "frames": args.frames, "cancellers": [_spec_record(spec) for spec in specs]},
         cfg,
+        {"suppression.csv": partial(_write_csv, header=header, rows=rows)},
     )
-    print(f"sweep: {len(powers)} powers x {len(specs)} methods -> {csv_path}")
+    print(f"sweep: {len(powers)} powers x {len(specs)} methods -> {args.out / 'suppression.csv'}")
     return 0
 
 
@@ -195,30 +192,24 @@ def cmd_budget(args) -> int:
     for label, value in report.breakdown:
         print(f"{label:<{width}} : {value:8.2f}")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with (out_dir / "budget.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "value"])
-            for label, value in report.breakdown:
-                writer.writerow([label, f"{value:.6f}"])
-        _write_manifest(out_dir, "budget", dataclasses.asdict(inputs), None)
+        rows = [[label, f"{value:.6f}"] for label, value in report.breakdown]
+        _write_outputs(
+            args.out, "budget", dataclasses.asdict(inputs), None,
+            {"budget.csv": partial(_write_csv, header=["quantity", "value"], rows=rows)},
+        )
     return 0
 
 
 def cmd_spectrum(args) -> int:
     sig = read_iq(args.input)
     spec = spectrum(sig, n_fft=args.n_fft, averaging=args.averaging)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_spectrum_csv(spec, out_dir / "spectrum.csv")
-    _write_manifest(
-        out_dir,
-        "spectrum",
+    _write_outputs(
+        args.out, "spectrum",
         {"input": str(args.input), "n_fft": args.n_fft, "averaging": args.averaging},
         None,
+        {"spectrum.csv": partial(write_spectrum_csv, spec)},
     )
-    print(f"spectrum: {len(spec.power_db)} bins -> {out_dir / 'spectrum.csv'}")
+    print(f"spectrum: {len(spec.power_db)} bins -> {args.out / 'spectrum.csv'}")
     return 0
 
 

@@ -77,6 +77,13 @@ def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def _as_real_coeffs(coeffs, name: str) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D coefficient sequence, got shape {arr.shape}")
+    return _check_finite(arr, name)
+
+
 def _as_complex_taps(taps, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
     if arr.ndim != 1 or arr.size < 1:
@@ -96,8 +103,8 @@ class DacNonlinearity:
     coeffs_q: np.ndarray
 
     def __post_init__(self):
-        ci = _check_finite(np.atleast_1d(np.asarray(self.coeffs_i, dtype=np.float64)), "coeffs_i")
-        cq = _check_finite(np.atleast_1d(np.asarray(self.coeffs_q, dtype=np.float64)), "coeffs_q")
+        ci = _as_real_coeffs(self.coeffs_i, "coeffs_i")
+        cq = _as_real_coeffs(self.coeffs_q, "coeffs_q")
         if ci.size != cq.size:
             raise ValueError("coeffs_i and coeffs_q must have equal length")
         if ci.size < 1:
@@ -174,7 +181,7 @@ class PaNonlinearity:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = _check_finite(np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64)), "PA coeffs")
+        c = _as_real_coeffs(self.coeffs, "PA coeffs")
         if c.size < 1:
             raise ValueError("PA polynomial needs at least the linear term")
         if c[0] <= 0.0:
@@ -618,9 +625,10 @@ def _complex_array(pairs) -> np.ndarray:
 # The configuration file format. Each section holds the ImpairmentConfig
 # field of its name, of the class given; each of its keys holds one field
 # of that class, written to JSON by the function next to it. Taps
-# (``_taps``) are [re, im] pairs, read back as complex; every other value
-# is read as it is, for the class to check. ``_TOP_LEVEL`` holds
-# ImpairmentConfig's own fields, outside any section.
+# (``_taps``) are [re, im] pairs, read back as complex; a ``float`` key must
+# hold a number and a ``_reals`` key a list of numbers (``_KINDS``); every
+# other value is read as it is, for the class to check. ``_TOP_LEVEL``
+# holds ImpairmentConfig's own fields, outside any section.
 _IQ_KEYS = {"gamma": ("gamma", _taps), "delta": ("delta", _taps)}
 _SECTIONS = {
     "dac": (DacNonlinearity, {"coeffs_i": ("coeffs_i", _reals), "coeffs_q": ("coeffs_q", _reals)}),
@@ -643,6 +651,18 @@ _SECTIONS = {
 _TOP_LEVEL = {"tx_power_dbm": ("tx_power_dbm", float)}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
+# The JSON kind the keys of each writer hold: a test of a value, and its name.
+_KINDS = {float: (_is_number, "a number"), _reals: (_is_numbers, "a list of numbers")}
+
+
 def _to_dict(obj, keys: dict) -> dict:
     return {key: write(getattr(obj, field)) for key, (field, write) in keys.items()}
 
@@ -657,7 +677,8 @@ def _fields(values: dict, keys: dict) -> dict:
     """The constructor arguments in ``values``, the part of a file ``keys`` describes.
 
     JSON's ``true`` and ``false`` are Python's ``True`` and ``False``, which
-    count as 1 and 0: only a key written as a boolean may hold one.
+    count as 1 and 0: only a key written as a boolean may hold one. A value
+    of another JSON kind than its key's (``_KINDS``) is a ``TypeError``.
     """
     fields = {}
     for key, (field, write) in keys.items():
@@ -666,6 +687,10 @@ def _fields(values: dict, keys: dict) -> dict:
             raise ValueError(
                 f"{key} must be numeric, not true or false, got {json.dumps(value)}"
             )
+        if write in _KINDS:
+            is_kind, kind = _KINDS[write]
+            if not is_kind(value):
+                raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
         if write is _taps:
             try:
                 value = _complex_array(value)

@@ -409,6 +409,11 @@ class TestStreamedFit:
         with pytest.raises(ValueError, match="argument 4"):
             cancellers._geqrf(buf, 11)
 
+    def test_basis_shorter_than_rhs_is_rejected(self):
+        rhs = random_signal(64, 53)[:, np.newaxis]
+        with pytest.raises(ValueError, match="^basis 'x' shorter than received signal$"):
+            _ls_factor(rhs, [BasisSignal("x", random_signal(63, 54))], 2)
+
     def test_duplicate_basis_rank_matches_dense(self):
         x = random_signal(9000, 52)
         bases = [BasisSignal("x", x), BasisSignal("x_copy", x.copy())]

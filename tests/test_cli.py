@@ -15,6 +15,7 @@ import pytest
 import fdsic
 from fdsic.analysis import BudgetInput, suppression_budget
 from fdsic.cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod
+from fdsic import cli
 from fdsic.cli import _parse_powers, main
 from fdsic.impairments import config_to_dict, save_config
 from fdsic.presets import PRESET_NAMES, SAMPLE_RATE, TONE_FREQ, load_preset
@@ -185,6 +186,21 @@ class TestConfigShape:
             lambda d: {**d, "pa": {"coeffs_odd": {}}},
             "configuration value has the wrong type: pa: ",
         ),
+        "dac-coeffs-nested": (
+            lambda d: {**d, "dac": {**d["dac"], "coeffs_i": [[1.0], [0.038], [0.38]]}},
+            "configuration value has the wrong type: dac: coeffs_i must be a list of numbers, "
+            "got [[1.0], [0.038], [0.38]]",
+        ),
+        "linewidth_hz-a-string": (
+            lambda d: {**d, "pn": {**d["pn"], "linewidth_hz": "abc"}},
+            "configuration value has the wrong type: pn: linewidth_hz must be a number, "
+            'got "abc"',
+        ),
+        "adc_full_scale-a-list": (
+            lambda d: {**d, "chan": {**d["chan"], "adc_full_scale": [1.0]}},
+            "configuration value has the wrong type: chan: adc_full_scale must be a number, "
+            "got [1.0]",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -198,6 +214,48 @@ class TestConfigShape:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
+
+
+class TestNestedCoefficients:
+    # Nested DAC coefficients are rejected as the file is read, so neither
+    # command writes a file.
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_is_one_error_line_and_no_folder(self, tmp_path, capsys, command):
+        data = config_to_dict(load_preset("fig5_m10dbm"))
+        data["dac"]["coeffs_i"] = [[1.0], [0.038], [0.38]]
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        rc = main(COMMANDS[command] + ["--config", str(tmp_path / "cfg.json"),
+                                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "dac: coeffs_i" in err
+        assert not (tmp_path / "run").exists()
+
+
+class TestWriteOutputs:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_manifest_that_fails_leaves_no_folder(self, tmp_path, capsys, monkeypatch, command):
+        # The manifest is serialized before the folder is made, so a
+        # configuration that does not serialize writes no file at all.
+        def fail(cfg):
+            raise ValueError("cannot serialize")
+
+        monkeypatch.setattr(cli, "config_to_dict", fail)
+        rc = main(COMMANDS[command] + ["--preset", "sweep_55db", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cannot serialize\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_existing_folder_is_written_into(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["budget", "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "budget.csv", "manifest.json", "notes.txt"
+        ]
+        assert (out / "notes.txt").read_text() == "kept\n"
 
 
 class TestPhaseNoiseDelay:

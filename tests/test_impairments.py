@@ -126,6 +126,21 @@ class TestDacNonlinearity:
         with pytest.raises(ValueError, match="^DAC polynomial needs at least the linear term$"):
             DacNonlinearity([], [])
 
+    @pytest.mark.parametrize(
+        ("coeffs_i", "coeffs_q", "message"),
+        [
+            ([[1.0], [0.038], [0.38]], [1.0, 0.038, 0.38],
+             "coeffs_i must be a 1-D coefficient sequence, got shape (3, 1)"),
+            ([1.0, 0.038], [[1.0, 0.038]],
+             "coeffs_q must be a 1-D coefficient sequence, got shape (1, 2)"),
+        ],
+        ids=["coeffs_i-column", "coeffs_q-row"],
+    )
+    def test_rejects_nested_coefficients(self, coeffs_i, coeffs_q, message):
+        # A (3, 1) array would run the chain, then fail to serialize.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DacNonlinearity(coeffs_i, coeffs_q)
+
 
 class TestIqImbalance:
     def test_identity(self):
@@ -291,6 +306,11 @@ class TestPaNonlinearity:
             PaNonlinearity([-1.0])
         with pytest.raises(ValueError):
             PaNonlinearity([])
+
+    def test_rejects_nested_coefficients(self):
+        message = "PA coeffs must be a 1-D coefficient sequence, got shape (2, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PaNonlinearity([[1.0], [-0.05]])
 
 
 def receive_at_antenna(x, chan, rx_iq, noise):
@@ -607,6 +627,22 @@ class TestConfigSerialization:
         values[key] = with_boolean(values[key], boolean, innermost)
         prefix = f"{section}: " if section else ""
         with pytest.raises(ValueError, match=f"^{prefix}{key} must be numeric, not true or false"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        ("section", "key", "value", "message"),
+        [
+            ("pa", "coeffs_odd", {}, "pa: coeffs_odd must be a list of numbers, got {}"),
+            (None, "tx_power_dbm", "22", 'tx_power_dbm must be a number, got "22"'),
+        ],
+        ids=["pa.coeffs_odd-object", "tx_power_dbm-string"],
+    )
+    def test_value_of_wrong_kind_named_in_error(self, section, key, value, message):
+        # The CLI's TestConfigShape has the other kinds, read from a file.
+        data = config_to_dict(load_preset("fig5_m10dbm"))
+        (data[section] if section else data)[key] = value
+        expected = f"configuration value has the wrong type: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             config_from_dict(data)
 
     def test_unknown_preset_rejected(self):

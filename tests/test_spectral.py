@@ -94,6 +94,10 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum(np.array([0.0, 1.0]), np.array([0.0, -np.inf]))
 
+    def test_rejects_mismatched_arrays(self):
+        with pytest.raises(ValueError, match="must be matching 1-D arrays"):
+            Spectrum(np.arange(3.0), np.zeros(4))
+
 
 class TestMeasurements:
     def test_skirt_excludes_line_lobe(self):
@@ -107,6 +111,13 @@ class TestMeasurements:
         skirt = skirt_peak_dbc(spec, 1.25e6)
         # noise sits ~ -60 dBc total, spread over 4096 bins
         assert -100.0 < skirt < -80.0
+
+    def test_skirt_needs_bins_outside_the_line_lobe(self):
+        # Four bins all lie within the tone's +-3-bin main lobe.
+        spec = spectrum(gen_tone(0.0, 1.0, 4, FS), n_fft=4)
+        message = "^search window contains no bins outside the line lobe$"
+        with pytest.raises(ValueError, match=message):
+            skirt_peak_dbc(spec, 0.0)
 
     def test_floor_estimate_tracks_noise(self):
         rng = np.random.default_rng(5)
