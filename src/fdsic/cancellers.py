@@ -8,8 +8,7 @@ subtracted from the received signal.
 Models:
 
 * linear          -- {x}
-* nonlinear       -- odd powers of x, either literal x^n or envelope
-                     terms x|x|^(n-1)
+* nonlinear       -- odd-order envelope terms x|x|^(n-1)
 * widely-linear   -- {x, conj(x)}, capturing mixer IQ imbalance
 * joint-dac-iq    -- {Re{x}^m, Im{x}^m}, capturing per-rail converter
                      distortion and IQ imbalance through composite
@@ -28,6 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.linalg import lapack_lite
 
+from ._rng import _require_int, substream
 from .impairments import (
     REF_DRIVE_RMS,
     AdcCodes,
@@ -37,7 +37,7 @@ from .impairments import (
     thermal_noise,
     transmit_front_end,
 )
-from .signals import FRAME_LEN, OfdmFrameSpec, _require_int, gen_ofdm_frames
+from .signals import FRAME_LEN, OfdmFrameSpec, gen_ofdm_frames
 
 
 class CancellerMethod(str, enum.Enum):
@@ -60,7 +60,7 @@ class CancellerMethod(str, enum.Enum):
 # every method takes; a method not listed takes none. The spec rejects an
 # order its method does not list, and the CLI sets and records these fields.
 ORDER_FIELDS = {
-    CancellerMethod.NONLINEAR: ("n_max", "nonlinear_basis_variant"),
+    CancellerMethod.NONLINEAR: ("n_max",),
     CancellerMethod.JOINT_DAC_IQ: ("m_max",),
 }
 
@@ -73,7 +73,6 @@ class CancellerSpec:
     channel_len: int = 32
     n_max: int | None = None
     m_max: int | None = None
-    nonlinear_basis_variant: str = "power"
 
     def __post_init__(self):
         if not isinstance(self.method, CancellerMethod):
@@ -86,11 +85,6 @@ class CancellerSpec:
                     raise ValueError(f"{name} is not applicable to the {self.method.value} canceller")
         if self.channel_len < 1:
             raise ValueError("channel_len must be >= 1")
-        if self.nonlinear_basis_variant not in ("power", "envelope"):
-            raise ValueError(
-                f"nonlinear_basis_variant must be 'power' or 'envelope', "
-                f"got {self.nonlinear_basis_variant!r}"
-            )
         if self.method is CancellerMethod.NONLINEAR and (
             self.n_max is None or self.n_max < 1 or self.n_max % 2 == 0
         ):
@@ -109,7 +103,7 @@ class CancellerSpec:
 
     def label(self) -> str:
         if self.method is CancellerMethod.NONLINEAR:
-            return f"{self.method.value}(n_max={self.n_max},{self.nonlinear_basis_variant})"
+            return f"{self.method.value}(n_max={self.n_max},envelope)"
         if self.method is CancellerMethod.JOINT_DAC_IQ:
             return f"{self.method.value}(m_max={self.m_max})"
         return self.method.value
@@ -118,7 +112,7 @@ class CancellerSpec:
 # The four cancellers the comparison scores, at the orders it uses.
 DEFAULT_SPECS = (
     CancellerSpec(CancellerMethod.LINEAR),
-    CancellerSpec(CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="envelope"),
+    CancellerSpec(CancellerMethod.NONLINEAR, n_max=5),
     CancellerSpec(CancellerMethod.WIDELY_LINEAR),
     CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
 )
@@ -186,11 +180,7 @@ def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
     elif spec.method is CancellerMethod.WIDELY_LINEAR:
         pairs = [("x", s), ("conj(x)", np.conj(s))]
     elif spec.method is CancellerMethod.NONLINEAR:
-        orders = range(1, spec.n_max + 1, 2)
-        if spec.nonlinear_basis_variant == "power":
-            pairs = [(f"x^{n}", s**n) for n in orders]
-        else:
-            pairs = [(f"x|x|^{n - 1}", s * np.abs(s) ** (n - 1)) for n in orders]
+        pairs = [(f"x|x|^{n - 1}", s * np.abs(s) ** (n - 1)) for n in range(1, spec.n_max + 1, 2)]
     else:
         pairs = [
             (f"{name}(x)^{m}", rail**m)
@@ -204,10 +194,10 @@ def _family_root(spec: CancellerSpec, specs: Sequence[CancellerSpec]) -> Cancell
     """The spec of ``specs`` whose LS factor ``spec`` is fitted from.
 
     Two models are the leading columns of a larger one at the same
-    channel length: linear is nonlinear's leading basis (``x^1`` and
-    ``x|x|^0`` are ``x``), and widely-linear spans joint-dac-iq's leading
-    bases ``re(x)``, ``im(x)`` (see :func:`_ls_solve`). A spec with no
-    such root in ``specs`` is its own root.
+    channel length: linear is nonlinear's leading basis (``x|x|^0`` is
+    ``x``), and widely-linear spans joint-dac-iq's leading bases
+    ``re(x)``, ``im(x)`` (see :func:`_ls_solve`). A spec with no such
+    root in ``specs`` is its own root.
     """
     for root in specs:
         if root.channel_len == spec.channel_len and (
@@ -517,6 +507,7 @@ def run_sweep(
         )
     for power in powers:
         replace(cfg, tx_power_dbm=power)  # checks the power before the chain runs
+    substream(seed)  # checks the seed before any frame is drawn
     n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
     split = n_train_frames * FRAME_LEN
     n_train = min(split, MAX_TRAIN_SAMPLES)

@@ -94,20 +94,22 @@ def _resolve_config(args) -> tuple[ImpairmentConfig, dict]:
 
 
 def _canceller_specs(args) -> list[CancellerSpec]:
+    """One spec per ``--methods`` name, each order field set by the flag of its name."""
     names = (name.strip() for name in args.methods.split(","))
-    # Each of a method's ORDER_FIELDS is set by the flag of its name, but this one.
-    flag = {"nonlinear_basis_variant": "nonlinear_variant"}
-    specs = [
+    methods = list(map(CancellerMethod.parse, filter(None, names)))
+    if not methods:
+        raise ValueError("method list is empty")
+    for k, method in enumerate(methods):
+        if method in methods[:k]:
+            raise ValueError(f"--methods names {method.value!r} more than once")
+    return [
         CancellerSpec(
             method,
             channel_len=args.channel_len,
-            **{name: getattr(args, flag.get(name, name)) for name in ORDER_FIELDS.get(method, ())},
+            **{name: getattr(args, name) for name in ORDER_FIELDS.get(method, ())},
         )
-        for method in map(CancellerMethod.parse, filter(None, names))
+        for method in methods
     ]
-    if not specs:
-        raise ValueError("method list is empty")
-    return specs
 
 
 def _spec_record(spec: CancellerSpec) -> dict:
@@ -252,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--n-max", type=int, default=defaults[CancellerMethod.NONLINEAR].n_max)
     p_sweep.add_argument("--m-max", type=int, default=defaults[CancellerMethod.JOINT_DAC_IQ].m_max)
-    p_sweep.add_argument(
-        "--nonlinear-variant",
-        choices=("power", "envelope"),
-        default=defaults[CancellerMethod.NONLINEAR].nonlinear_basis_variant,
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_budget = sub.add_parser("budget", help="front-end suppression budget")

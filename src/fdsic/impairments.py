@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import substream
-from .signals import ComplexBasebandSignal, _require_int, fir_convolve
+from ._rng import _require_int, substream
+from .signals import ComplexBasebandSignal, fir_convolve
 
 # Rated maximum transmitter output power; tx_power_dbm = MAX_TX_POWER_DBM
 # drives the amplifier model at unit RMS for the nominal digital drive.
@@ -78,14 +78,20 @@ def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def _as_real_coeffs(coeffs, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
+    try:
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a 1-D coefficient sequence, got {coeffs!r}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D coefficient sequence, got shape {arr.shape}")
     return _check_finite(arr, name)
 
 
 def _as_complex_taps(taps, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+    try:
+        arr = np.atleast_1d(np.asarray(taps, dtype=np.complex128))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a nonempty 1-D tap sequence, got {taps!r}") from None
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-D tap sequence")
     return _check_finite(arr, name)

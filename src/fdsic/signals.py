@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import _require_int, substream
 
 # Simulation rate: 8x oversampling of the 10 MHz band keeps 3rd and 5th
 # order products of in-band content alias-free.
@@ -65,12 +64,6 @@ class ComplexBasebandSignal:
     def with_samples(self, samples: np.ndarray) -> "ComplexBasebandSignal":
         """New signal with the same sample rate and different samples."""
         return ComplexBasebandSignal(samples, self.sample_rate)
-
-
-def _require_int(value, name: str) -> None:
-    """Reject a ``value`` that is not an integer; a boolean is not one here."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import ComplexBasebandSignal, _require_int
+from ._rng import _require_int
+from .signals import ComplexBasebandSignal
 
 # Lowest representable bin power; keeps power_db finite for silent bins.
 FLOOR_DB = -300.0

@@ -76,19 +76,22 @@ class TestBuildBasis:
         npt.assert_array_equal(bases[1].samples, np.conj(x))
 
     def test_nonlinear_odd_orders(self):
+        # The leading envelope term is x itself, the linear model's basis.
         x = random_signal(64, 0)
-        bases = build_basis(x, CancellerSpec(CancellerMethod.NONLINEAR, n_max=5))
-        assert [b.label for b in bases] == ["x^1", "x^3", "x^5"]
-        npt.assert_allclose(bases[1].samples, x**3)
+        bases = build_basis(x, CancellerSpec(CancellerMethod.NONLINEAR, n_max=7))
+        assert [b.label for b in bases] == ["x|x|^0", "x|x|^2", "x|x|^4", "x|x|^6"]
+        npt.assert_array_equal(bases[0].samples, x)
 
     def test_nonlinear_envelope_variant(self):
         x = random_signal(64, 0)
-        spec = CancellerSpec(
-            CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="envelope"
-        )
+        spec = CancellerSpec(CancellerMethod.NONLINEAR, n_max=5)
         bases = build_basis(x, spec)
         assert [b.label for b in bases] == ["x|x|^0", "x|x|^2", "x|x|^4"]
         npt.assert_allclose(bases[2].samples, x * np.abs(x) ** 4)
+
+    def test_nonlinear_spec_without_options_is_the_default_one(self):
+        # One basis: a spec built from Python fits the model the CLI fits.
+        assert CancellerSpec(CancellerMethod.NONLINEAR, n_max=5) == DEFAULT_SPECS[1]
 
     def test_joint_enumeration(self):
         x = random_signal(64, 0)
@@ -122,14 +125,8 @@ class TestBuildBasis:
                 lambda: CancellerSpec(CancellerMethod.LINEAR, channel_len=0),
                 "channel_len must be >= 1",
             ),
-            (
-                lambda: CancellerSpec(
-                    CancellerMethod.NONLINEAR, n_max=3, nonlinear_basis_variant="cubic"
-                ),
-                "nonlinear_basis_variant must be 'power' or 'envelope', got 'cubic'",
-            ),
         ],
-        ids=["channel_len-zero", "variant-unknown"],
+        ids=["channel_len-zero"],
     )
     def test_out_of_range_spec_names_its_field(self, make, message):
         with pytest.raises(ValueError) as error:
@@ -649,6 +646,32 @@ class TestRunSweep:
             run_sweep(load_preset("sweep_40db"), [22.0, 99.0], DEFAULT_SPECS, OfdmFrameSpec(), 0)
         assert str(error.value) == "tx_power_dbm must lie in [-10, 22.0], got 99.0"
 
+    @pytest.mark.parametrize(
+        ("seed", "message"),
+        [
+            (-1, "seed must be in [0, 2**64), got -1"),
+            (2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+            (1.5, "seed must be an integer, got 1.5"),
+        ],
+        ids=["negative", "2**64", "fraction"],
+    )
+    def test_bad_seed_is_rejected_before_any_frame_is_drawn(self, monkeypatch, seed, message):
+        def not_run(*args):
+            raise AssertionError("the frames were drawn")
+
+        monkeypatch.setattr(cancellers, "gen_ofdm_frames", not_run)
+        with pytest.raises(ValueError) as error:
+            run_sweep(load_preset("sweep_40db"), [22.0], DEFAULT_SPECS, OfdmFrameSpec(), seed)
+        assert str(error.value) == message
+
+    def test_one_method_at_two_channel_lengths(self):
+        specs = [CancellerSpec(CancellerMethod.LINEAR, channel_len=taps) for taps in (8, 16)]
+        reports = run_sweep(
+            _clean_config(), [0.0], specs, OfdmFrameSpec(n_frames=4, seed=30), seed=31
+        )
+        assert [rep.method for rep in reports] == ["linear", "linear"]
+        assert [rep.fit.n_params for rep in reports] == [8, 16]
+
     def test_rejects_single_frame(self):
         with pytest.raises(ValueError, match="at least 2 frames.*got 1"):
             run_sweep(
@@ -1133,12 +1156,7 @@ class TestFitAndScore:
         split = n_train * frame_len
         specs = (
             CancellerSpec(CancellerMethod.LINEAR, channel_len=8),
-            CancellerSpec(
-                CancellerMethod.NONLINEAR,
-                channel_len=8,
-                n_max=3,
-                nonlinear_basis_variant="envelope",
-            ),
+            CancellerSpec(CancellerMethod.NONLINEAR, channel_len=8, n_max=3),
         )
         fits, per_frame_db = cancellers._fit_and_score(
             tx, rx[:split], rx[split:], specs, frame_len, noise_dbfs
@@ -1180,18 +1198,8 @@ class TestFamilyFit:
                 "sweep_55db", 10, 0, DEFAULT_SPECS,
                 [CancellerMethod.LINEAR, CancellerMethod.WIDELY_LINEAR],
             ),
-            (
-                "sweep_40db", 10, 45,
-                (
-                    CancellerSpec(CancellerMethod.LINEAR),
-                    CancellerSpec(
-                        CancellerMethod.NONLINEAR, n_max=5, nonlinear_basis_variant="power"
-                    ),
-                ),
-                [CancellerMethod.LINEAR],
-            ),
         ],
-        ids=["sweep_40db-100-frames", "sweep_55db-10-frames", "sweep_40db-10-frames-power-root"],
+        ids=["sweep_40db-100-frames", "sweep_55db-10-frames"],
     )
     def test_member_equals_its_own_fit(self, preset, n_frames, seed, specs, member_methods):
         cfg = load_preset(preset)
@@ -1286,9 +1294,7 @@ def _world(preset: str, identities: tuple[str, ...], **chan) -> ImpairmentConfig
 
 _JOINT = CancellerSpec(CancellerMethod.JOINT_DAC_IQ, channel_len=8, m_max=3)
 _WIDELY_LINEAR = CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=8)
-_NONLINEAR = CancellerSpec(
-    CancellerMethod.NONLINEAR, channel_len=8, n_max=5, nonlinear_basis_variant="envelope"
-)
+_NONLINEAR = CancellerSpec(CancellerMethod.NONLINEAR, channel_len=8, n_max=5)
 _LINEAR = CancellerSpec(CancellerMethod.LINEAR, channel_len=8)
 
 

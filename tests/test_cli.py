@@ -307,6 +307,24 @@ class TestFlagError:
             ["tone-test", "--preset", "fig5_m10dbm", "--segments", "2", "--m-max", "0"],
             "m_max must be >= 1",
         ),
+        # Taken modulo 2**64, these seeds would draw the streams of
+        # 2**64 - 1 and of 0.
+        **{
+            f"{command}-seed-{seed}": (
+                [command, "--preset", preset, "--seed", seed],
+                f"seed must be in [0, 2**64), got {seed}",
+            )
+            for command, preset in (("sweep", "sweep_55db"), ("tone-test", "fig5_m10dbm"))
+            for seed in ("-1", "18446744073709551616")
+        },
+        "sweep-method-named-twice": (
+            ["sweep", "--preset", "sweep_55db", "--methods", "linear,linear"],
+            "--methods names 'linear' more than once",
+        ),
+        "sweep-method-spelled-twice": (
+            ["sweep", "--preset", "sweep_55db", "--methods", "nonlinear,linear,NonLinear"],
+            "--methods names 'nonlinear' more than once",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -499,34 +517,46 @@ class TestSweep:
             labels = [row["method"] for row in csv.DictReader(fh)]
         assert labels == [s.label() for s in DEFAULT_SPECS]
 
-    def test_power_nonlinear_variant_labels(self, tmp_path):
-        # Linear is fitted off the power-variant nonlinear root. Only labels
-        # are checked: that root's fit does not reach the floor here.
+    def test_nonlinear_labels_and_manifest_record(self, tmp_path):
+        # Linear is fitted off the nonlinear root, whose record holds
+        # channel_len and n_max alone.
         rc = main(
             ["sweep", "--preset", "sweep_55db", "--methods", "linear,nonlinear",
-             "--nonlinear-variant", "power", "--frames", "4", "--powers", "22",
-             "--out", str(tmp_path)]
+             "--frames", "4", "--powers", "22", "--out", str(tmp_path)]
         )
         assert rc == 0
         with (tmp_path / "suppression.csv").open() as fh:
             labels = [row["method"] for row in csv.DictReader(fh)]
-        assert labels == ["linear", "nonlinear(n_max=5,power)"]
+        assert labels == ["linear", "nonlinear(n_max=5,envelope)"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["args"]["cancellers"][1]["nonlinear_basis_variant"] == "power"
+        assert manifest["args"]["cancellers"][1] == {
+            "label": "nonlinear(n_max=5,envelope)", "channel_len": 32, "n_max": 5
+        }
+
+    def test_nonlinear_variant_flag_is_refused(self, tmp_path, capsys):
+        # The nonlinear canceller has one basis, so no flag chooses it.
+        with pytest.raises(SystemExit) as exit_:
+            main(
+                ["sweep", "--preset", "sweep_55db", "--nonlinear-variant", "envelope",
+                 "--out", str(tmp_path / "run")]
+            )
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --nonlinear-variant" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_order_flags_apply_per_method(self, tmp_path):
-        # --n-max and --nonlinear-variant reach only nonlinear's label and
-        # --m-max only joint-dac-iq's; blanks around names are dropped and
-        # the list's order is kept.
+        # --n-max reaches only nonlinear's label and --m-max only
+        # joint-dac-iq's; blanks around names are dropped and the list's
+        # order is kept.
         rc = main(
             ["sweep", "--preset", "sweep_55db", "--methods", " linear, joint-dac-iq ,nonlinear",
-             "--m-max", "2", "--n-max", "3", "--nonlinear-variant", "power",
+             "--m-max", "2", "--n-max", "3",
              "--channel-len", "8", "--frames", "4", "--powers", "22", "--out", str(tmp_path)]
         )
         assert rc == 0
         with (tmp_path / "suppression.csv").open() as fh:
             labels = [row["method"] for row in csv.DictReader(fh)]
-        assert labels == ["linear", "joint-dac-iq(m_max=2)", "nonlinear(n_max=3,power)"]
+        assert labels == ["linear", "joint-dac-iq(m_max=2)", "nonlinear(n_max=3,envelope)"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [rec["channel_len"] for rec in manifest["args"]["cancellers"]] == [8, 8, 8]
 

@@ -141,6 +141,11 @@ class TestDacNonlinearity:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DacNonlinearity(coeffs_i, coeffs_q)
 
+    def test_rejects_ragged_coefficients(self):
+        message = "coeffs_i must be a 1-D coefficient sequence, got [[1.0], [1.0, 2.0]]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DacNonlinearity([[1.0], [1.0, 2.0]], [1.0, 0.1])
+
 
 class TestIqImbalance:
     def test_identity(self):
@@ -181,6 +186,11 @@ class TestIqImbalance:
     def test_rejects_zero_gamma(self):
         with pytest.raises(ValueError):
             IqImbalance([0.0], [0.01])
+
+    def test_rejects_ragged_taps(self):
+        message = "gamma must be a nonempty 1-D tap sequence, got [[1.0], [1.0, 2.0]]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IqImbalance([[1.0], [1.0, 2.0]], [0.0])
 
 
 class TestPhaseNoise:
@@ -312,6 +322,11 @@ class TestPaNonlinearity:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PaNonlinearity([[1.0], [-0.05]])
 
+    def test_rejects_ragged_coefficients(self):
+        message = "PA coeffs must be a 1-D coefficient sequence, got [[1.0], [2.0, 3.0]]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PaNonlinearity([[1.0], [2.0, 3.0]])
+
 
 def receive_at_antenna(x, chan, rx_iq, noise):
     """The channel and receiver alone on antenna-referred ``x``.
@@ -345,6 +360,11 @@ def floor_oracle_dbfs(noise, quant_error):
 
 
 class TestChannelAndReceiver:
+    def test_rejects_ragged_taps(self):
+        message = "h_si must be a nonempty 1-D tap sequence, got [[1, 2], [3]]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChannelAndReceiver(h_si=[[1, 2], [3]])
+
     def test_transparent_receiver(self):
         sig = gen_tone(F_TONE, 0.5, 8192, FS).samples
         chan = ChannelAndReceiver(

@@ -1,5 +1,6 @@
 """Tests for signal generation, convolution, power metrics, and IQ files."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracles import fir_convolve_oracle, iq_bytes_oracle
+from fdsic._rng import substream
 from fdsic.signals import (
     ComplexBasebandSignal,
     OfdmFrameSpec,
@@ -139,6 +141,26 @@ class TestGenOfdmFrames:
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError, match="n_frames"):
             OfdmFrameSpec(n_frames=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # Taken modulo 2**64, these would draw the streams of 2**64 - 1 and 0.
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            gen_ofdm_frames(OfdmFrameSpec(seed=seed))
+
+
+class TestSubstream:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_and_label_hashes_seed_the_stream(self, seed):
+        label = int.from_bytes(hashlib.sha256(b"thermal-noise").digest()[:8], "little")
+        expected = np.random.default_rng(np.random.SeedSequence([int(seed), label]))
+        drawn = substream(seed, "thermal-noise").standard_normal(4)
+        assert np.array_equal(drawn, expected.standard_normal(4))
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["fraction", "bool", "string"])
+    def test_seed_that_is_not_an_integer_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            substream(seed, "thermal-noise")
 
 
 class TestFirConvolve:
