@@ -14,7 +14,7 @@ The predict/verify pair automates reading such a spectrum.
 """
 
 from fdsic import gen_tone, predict_harmonics, simulate_received, spectrum, verify_harmonics
-from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from fdsic.presets import PRESETS, SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.spectral import floor_estimate_db, measure_line_db
 
 print(__doc__)
@@ -29,11 +29,11 @@ print()
 
 tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
 for name in ("fig5_m10dbm", "fig7_20dbm"):
-    cfg = load_preset(name)
-    received, _ = simulate_received(tone, cfg, seed=1)
+    power = PRESETS[name][0]
+    received, _ = simulate_received(tone, load_preset(name), power, seed=1)
     spec = spectrum(received, n_fft=4096)
     carrier = measure_line_db(spec, TONE_FREQ)
-    print(f"--- scenario {name} (tx {cfg.tx_power_dbm:+.0f} dBm) ---")
+    print(f"--- scenario {name} (tx {power:+.0f} dBm) ---")
     for mult in (-3, -2, -1, 2, 3, 5):
         level = measure_line_db(spec, mult * TONE_FREQ) - carrier
         print(f"  {mult:+d}f: {level:7.1f} dBc")

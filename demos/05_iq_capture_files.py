@@ -21,7 +21,7 @@ print(__doc__)
 with tempfile.TemporaryDirectory(prefix="fdsic-demo-") as tmp:
     workdir = Path(tmp)
     tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
-    received, _ = simulate_received(tone, load_preset("fig5_m10dbm"), seed=7)
+    received, _ = simulate_received(tone, load_preset("fig5_m10dbm"), -10.0, seed=7)
 
     iq_path = write_iq(received, workdir / "capture.iq")
     print(f"wrote {iq_path} ({iq_path.stat().st_size} bytes)")

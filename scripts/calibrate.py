@@ -28,7 +28,7 @@ from fdsic import (
     spectrum,
 )
 from fdsic.impairments import PhaseNoiseSpec
-from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ
+from fdsic.presets import PRESETS, SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ
 from fdsic.signals import OfdmFrameSpec
 from fdsic.spectral import floor_estimate_db
 
@@ -36,7 +36,7 @@ from fdsic.spectral import floor_estimate_db
 def tone_signature(preset_name: str, seed: int = 1):
     cfg = load_preset(preset_name)
     x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33, SAMPLE_RATE)
-    r, diag = simulate_received(x, cfg, seed)
+    r, diag = simulate_received(x, cfg, PRESETS[preset_name][0], seed)
     spec = spectrum(r, n_fft=4096)
     carrier = measure_line_db(spec, TONE_FREQ)
     print(f"--- {preset_name}: tone test, rx power {power_db(r):.1f} dB ---")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +33,7 @@ from .impairments import (
     AdcCodes,
     ImpairmentConfig,
     ReceiverDiagnostics,
+    check_tx_power,
     receive,
     thermal_noise,
     transmit_front_end,
@@ -506,7 +507,7 @@ def run_sweep(
             f"chan.thermal_noise_dbfs must be finite, got {cfg.chan.thermal_noise_dbfs}"
         )
     for power in powers:
-        replace(cfg, tx_power_dbm=power)  # checks the power before the chain runs
+        check_tx_power(power)
     substream(seed)  # checks the seed before any frame is drawn
     n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
     split = n_train_frames * FRAME_LEN

@@ -29,14 +29,14 @@ from pathlib import Path
 from .analysis import BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
 from .cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod, CancellerSpec, run_sweep
 from .impairments import (
-    MAX_TX_POWER_DBM,
     MIN_TX_POWER_DBM,
     ImpairmentConfig,
+    check_tx_power,
     config_to_dict,
     load_config,
     simulate_received,
 )
-from .presets import PRESET_NAMES, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from .presets import PRESET_NAMES, PRESETS, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from .signals import SAMPLE_RATE, OfdmFrameSpec, gen_tone, read_iq, write_iq
 from .spectral import spectrum, write_spectrum_csv
 
@@ -44,10 +44,10 @@ from .spectral import spectrum, write_spectrum_csv
 def _parse_powers(text: str) -> list[float]:
     """Parse a power grid 'a:b:step' (inclusive) or a single value.
 
-    The endpoints must lie in the transmit power range the impairment
-    models accept, and the step must be at least 0.001 dB, the resolution
-    of ``tx_power_dbm`` in suppression.csv (a finer step only writes
-    duplicate rows), so the grid is bounded before it is built.
+    The endpoints must pass :func:`~fdsic.impairments.check_tx_power`, and
+    the step must be at least 0.001 dB, the resolution of ``tx_power_dbm``
+    in suppression.csv (a finer step only writes duplicate rows), so the
+    grid is bounded before it is built.
     """
     parts = text.split(":")
     if len(parts) not in (1, 3):
@@ -58,11 +58,8 @@ def _parse_powers(text: str) -> list[float]:
         raise ValueError(f"--powers must be numbers in dBm, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"--powers must be finite, got {text!r}")
-    if not all(MIN_TX_POWER_DBM <= v <= MAX_TX_POWER_DBM for v in values[:2]):
-        raise ValueError(
-            f"--powers must lie in [{MIN_TX_POWER_DBM:g}, {MAX_TX_POWER_DBM:g}] dBm, "
-            f"got {text!r}"
-        )
+    for value in values[:2]:
+        check_tx_power(value, "--powers")
     if len(values) == 1:
         return values
     start, stop, step = values
@@ -144,14 +141,18 @@ def _write_outputs(
 
 def cmd_tone_test(args) -> int:
     cfg, source = _resolve_config(args)
+    power = args.power
+    if power is None:
+        power = PRESETS[args.preset][0] if args.preset else MIN_TX_POWER_DBM
+    check_tx_power(power, "--power")
     n_fft = args.n_fft
     tone = gen_tone(args.freq, TONE_AMPLITUDE, n_fft * args.segments, SAMPLE_RATE)
-    received, diag = simulate_received(tone, cfg, args.seed)
+    received, diag = simulate_received(tone, cfg, power, args.seed)
     spec = spectrum(received, n_fft=n_fft)
     checks = verify_harmonics(spec, args.freq, m_max=args.m_max, margin_db=args.margin)
     _write_outputs(
         args.out, "tone-test",
-        {**source, "freq_hz": args.freq, "seed": args.seed, "n_fft": n_fft,
+        {**source, "power_dbm": power, "freq_hz": args.freq, "seed": args.seed, "n_fft": n_fft,
          "segments": args.segments, "m_max": args.m_max, "margin_db": args.margin,
          "clipped_samples": diag.clipped_samples},
         cfg,
@@ -230,6 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tone = sub.add_parser("tone-test", help="one-tone impairment signature")
     add_config_args(p_tone)
+    p_tone.add_argument(
+        "--power", type=float,
+        help="transmit power in dBm (default: the preset's; -10 with --config)",
+    )
     p_tone.add_argument("--freq", type=float, default=TONE_FREQ, help="tone frequency in Hz")
     p_tone.add_argument("--n-fft", type=int, default=4096)
     p_tone.add_argument("--segments", type=int, default=16, help="capture length in FFT frames")

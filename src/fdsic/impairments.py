@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 
@@ -51,8 +51,8 @@ import numpy as np
 from ._rng import _require_int, substream
 from .signals import ComplexBasebandSignal, fir_convolve
 
-# Rated maximum transmitter output power; tx_power_dbm = MAX_TX_POWER_DBM
-# drives the amplifier model at unit RMS for the nominal digital drive.
+# Rated maximum transmitter output power: at it the amplifier model sees
+# unit RMS for the nominal digital drive.
 MAX_TX_POWER_DBM = 22.0
 
 # Lowest transmit power the impairment models are calibrated for.
@@ -69,6 +69,14 @@ REF_DRIVE_RMS = 0.2
 # signal reach ~13 dB above the complex RMS, so 12 dB keeps hard clips
 # rare enough that they stay below the quantization error budget.
 ADC_HEADROOM_DB = 12.0
+
+
+def check_tx_power(power: float, name: str = "transmit power") -> None:
+    """Raise ``ValueError`` unless ``power`` (dBm) lies in the calibrated range."""
+    if not (MIN_TX_POWER_DBM <= power <= MAX_TX_POWER_DBM):
+        raise ValueError(
+            f"{name} must lie in [{MIN_TX_POWER_DBM:g}, {MAX_TX_POWER_DBM:g}] dBm, got {power:g}"
+        )
 
 
 def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
@@ -213,17 +221,16 @@ class ChannelAndReceiver:
 
     ``analog_suppression_db`` lumps passive isolation and any active
     analog cancellation into one flat attenuation. The ADC quantizes I
-    and Q uniformly to ``adc_bits`` over +-``adc_full_scale``; receiver
-    gain ranging loads the converter at ADC_HEADROOM_DB below full scale
-    and the output is referred back to the antenna, so the quantization
-    floor tracks the input level.
+    and Q uniformly to ``adc_bits`` over a unit full scale; receiver gain
+    ranging loads the converter at ADC_HEADROOM_DB below it and refers the
+    output back to the antenna, so the quantization floor tracks the input
+    level and no other full scale would move it.
     """
 
     h_si: np.ndarray
     analog_suppression_db: float = 40.0
     thermal_noise_dbfs: float = -90.0
     adc_bits: int = 14
-    adc_full_scale: float = 1.0
 
     def __post_init__(self):
         h = _as_complex_taps(self.h_si, "h_si")
@@ -239,16 +246,13 @@ class ChannelAndReceiver:
         _require_int(self.adc_bits, "adc_bits")
         if not (4 <= self.adc_bits <= 24):
             raise ValueError("adc_bits must lie in [4, 24]")
-        if not (0 < self.adc_full_scale < math.inf):
-            raise ValueError(
-                f"adc_full_scale must be finite and positive, got {self.adc_full_scale}"
-            )
         object.__setattr__(self, "h_si", h)
 
 
 @dataclass(frozen=True)
 class ImpairmentConfig:
-    """Complete transceiver impairment parameterization."""
+    """Complete transceiver hardware parameterization; the transmit power
+    is an argument of the stages it drives, not part of it."""
 
     dac: DacNonlinearity
     tx_iq: IqImbalance
@@ -256,14 +260,6 @@ class ImpairmentConfig:
     pn: PhaseNoiseSpec
     pa: PaNonlinearity
     chan: ChannelAndReceiver
-    tx_power_dbm: float = -10.0
-
-    def __post_init__(self):
-        if not (MIN_TX_POWER_DBM <= self.tx_power_dbm <= MAX_TX_POWER_DBM):
-            raise ValueError(
-                f"tx_power_dbm must lie in [{MIN_TX_POWER_DBM:g}, {MAX_TX_POWER_DBM}], "
-                f"got {self.tx_power_dbm}"
-            )
 
 
 def _horner(values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -378,14 +374,13 @@ CHAIN_BLOCK = 16384
 
 @np.errstate(all="ignore")
 def _analog_chain(
-    x: np.ndarray, cfg: ImpairmentConfig, noise: np.ndarray
+    x: np.ndarray, cfg: ImpairmentConfig, power_dbm: float, noise: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """The ADC input and its AGC scale, streamed in ``CHAIN_BLOCK`` blocks.
 
-    ``x`` is the :func:`transmit_front_end` output, and ``cfg`` is set to
-    one power of :func:`receive`: each block is driven through the
-    amplifier at ``cfg.tx_power_dbm``, referred to the antenna, and passed
-    through analog suppression, the SI channel, RX IQ imbalance and
+    ``x`` is the :func:`transmit_front_end` output: each block is driven
+    through the amplifier at ``power_dbm``, referred to the antenna, and
+    passed through analog suppression, the SI channel, RX IQ imbalance and
     ``noise``. A block reads the ``len(h_si) - 1`` plus RX IQ taps - 1
     input samples before it (none for the first), so each output sample
     has the bits of the unblocked chain. The scale is set by the mean of
@@ -398,7 +393,7 @@ def _analog_chain(
     chan, rx_iq = cfg.chan, cfg.rx_iq
     n = len(x)
     history = chan.h_si.size + max(rx_iq.gamma.size, rx_iq.delta.size) - 2
-    drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+    drive = 10.0 ** ((power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
     suppression = 10.0 ** (-chan.analog_suppression_db / 20.0)
     analog = np.empty(n, dtype=np.complex128)
     power = np.empty(n)
@@ -418,12 +413,12 @@ def _analog_chain(
     rms = math.sqrt(float(np.mean(power)))
     if rms == 0.0:
         return analog, 1.0
-    return analog, chan.adc_full_scale / (rms * 10.0 ** (ADC_HEADROOM_DB / 20.0))
+    return analog, 1.0 / (rms * 10.0 ** (ADC_HEADROOM_DB / 20.0))
 
 
 def _adc_grid(chan: ChannelAndReceiver) -> tuple[float, int]:
     """The converter's code step at unit scale and its top code."""
-    return 2.0 * chan.adc_full_scale / 2**chan.adc_bits, 2 ** (chan.adc_bits - 1) - 1
+    return 2.0 / 2**chan.adc_bits, 2 ** (chan.adc_bits - 1) - 1
 
 
 def _code_dtype(chan: ChannelAndReceiver) -> type:
@@ -531,7 +526,7 @@ def transmit_front_end(
 ) -> np.ndarray:
     """DAC -> TX IQ -> phase noise: the stages before the power enters.
 
-    The output does not depend on ``cfg.tx_power_dbm``, so a power sweep
+    The output does not depend on the transmit power, so a power sweep
     can run it once and feed it to :func:`receive` at every power.
     """
     v = apply_dac(x.samples, cfg.dac)
@@ -553,8 +548,9 @@ def receive(
     ``front`` is the :func:`transmit_front_end` output of ``cfg`` and
     ``noise`` the receiver noise, :func:`thermal_noise` of ``len(front)``;
     neither depends on the power, and both are left unchanged. Each of
-    ``powers`` (dBm, checked as ``cfg.tx_power_dbm`` is, which is unused)
-    sets the amplifier drive of one column; every other stage is ``cfg``'s.
+    ``powers`` (dBm, each checked by :func:`check_tx_power` before the
+    chain runs) sets the amplifier drive of one column; every other stage
+    is ``cfg``'s.
     Per power the analog chain streams over every row
     (:func:`_analog_chain`), so every row reaches the AGC, but only rows
     ``[0, fit_len)`` and ``[split, n)`` are quantized (:func:`_quantize`),
@@ -562,22 +558,22 @@ def receive(
     Returns those two sets of rows and per power the receiver's summary:
     clipped samples over both sets of rows, the AGC scale, and the mean of
     ``|noise + (digitized - analog)|^2`` over rows ``[split, n)`` in dBFS.
-    ``receive(front, cfg, [cfg.tx_power_dbm], noise, 0, 0)`` digitizes
-    every row. Raises ``ValueError`` when the digitized output is not
-    finite: a configuration of finite values that overflows the chain
-    ends here.
+    ``receive(front, cfg, [power], noise, 0, 0)`` digitizes every row.
+    Raises ``ValueError`` when the digitized output is not finite: a
+    configuration of finite values that overflows the chain ends here.
     """
     n = len(front)
     if not 0 <= fit_len <= split < n:
         raise ValueError(f"need 0 <= fit_len ({fit_len}) <= split ({split}) < {n} rows")
-    power_cfgs = [replace(cfg, tx_power_dbm=power) for power in powers]
+    for power in powers:
+        check_tx_power(power)
     chan = cfg.chan
     train = AdcCodes.empty(fit_len, len(powers), chan)
     held = AdcCodes.empty(n - split, len(powers), chan)
     extra = np.empty(n - split)
     receivers = []
-    for k, power_cfg in enumerate(power_cfgs):
-        analog, scale = _analog_chain(front, power_cfg, noise)
+    for k, power in enumerate(powers):
+        analog, scale = _analog_chain(front, cfg, power, noise)
         train.scales[k] = held.scales[k] = scale
         clipped = np.count_nonzero(_quantize(analog[:fit_len], scale, chan, train.codes[k]))
         # Each held row becomes noise + (digitized - analog) in place, a
@@ -599,17 +595,19 @@ def receive(
 
 
 def simulate_received(
-    x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
+    x: ComplexBasebandSignal, cfg: ImpairmentConfig, power_dbm: float, seed: int
 ) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
     """Run the full impairment chain on a digital baseband signal.
 
-    Returns the received self-interference signal (in antenna-referred
-    units where mean power in dB reads as dBm) and the receiver's summary
-    over every sample: clipping, AGC scale and apparent floor.
+    ``power_dbm`` is the transmit power. Returns the received
+    self-interference signal (in antenna-referred units where mean power
+    in dB reads as dBm) and the receiver's summary over every sample:
+    clipping, AGC scale and apparent floor.
     """
+    check_tx_power(power_dbm)  # before the front end runs
     front = transmit_front_end(x, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
-    _, received, (diag,) = receive(front, cfg, [cfg.tx_power_dbm], noise, 0, 0)
+    _, received, (diag,) = receive(front, cfg, [power_dbm], noise, 0, 0)
     return x.with_samples(received[:, 0]), diag
 
 
@@ -633,8 +631,7 @@ def _complex_array(pairs) -> np.ndarray:
 # of that class, written to JSON by the function next to it. Taps
 # (``_taps``) are [re, im] pairs, read back as complex; a ``float`` key must
 # hold a number and a ``_reals`` key a list of numbers (``_KINDS``); every
-# other value is read as it is, for the class to check. ``_TOP_LEVEL``
-# holds ImpairmentConfig's own fields, outside any section.
+# other value is read as it is, for the class to check.
 _IQ_KEYS = {"gamma": ("gamma", _taps), "delta": ("delta", _taps)}
 _SECTIONS = {
     "dac": (DacNonlinearity, {"coeffs_i": ("coeffs_i", _reals), "coeffs_q": ("coeffs_q", _reals)}),
@@ -651,10 +648,8 @@ _SECTIONS = {
         "analog_suppression_db": ("analog_suppression_db", float),
         "thermal_noise_dbfs": ("thermal_noise_dbfs", float),
         "adc_bits": ("adc_bits", int),
-        "adc_full_scale": ("adc_full_scale", float),
     }),
 }
-_TOP_LEVEL = {"tx_power_dbm": ("tx_power_dbm", float)}
 
 
 def _is_number(value) -> bool:
@@ -709,8 +704,7 @@ def _fields(values: dict, keys: dict) -> dict:
 
 
 def config_to_dict(cfg: ImpairmentConfig) -> dict:
-    sections = {name: _to_dict(getattr(cfg, name), keys) for name, (_, keys) in _SECTIONS.items()}
-    return {**sections, **_to_dict(cfg, _TOP_LEVEL)}
+    return {name: _to_dict(getattr(cfg, name), keys) for name, (_, keys) in _SECTIONS.items()}
 
 
 def _config_section(data: dict, name: str):
@@ -734,16 +728,13 @@ def config_from_dict(data: dict) -> ImpairmentConfig:
     if not isinstance(data, dict):
         raise ValueError(f"configuration must be a JSON object, got {type(data).__name__}")
     try:
-        cfg = ImpairmentConfig(
-            **{name: _config_section(data, name) for name in _SECTIONS},
-            **_fields(data, _TOP_LEVEL),
-        )
+        cfg = ImpairmentConfig(**{name: _config_section(data, name) for name in _SECTIONS})
     except KeyError as exc:
         raise ValueError(f"configuration is missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"configuration value has the wrong type: {exc}") from exc
     # Built, ``data`` and each of its sections are dicts.
-    unknown = [name for name in data if name not in _SECTIONS and name not in _TOP_LEVEL]
+    unknown = [name for name in data if name not in _SECTIONS]
     for name, (_, keys) in _SECTIONS.items():
         unknown += [f"{name}.{key}" for key in data[name] if key not in keys]
     if unknown:

@@ -59,11 +59,12 @@ PA_COEFFS = [1.0, -1.0e-3, -0.6e-3]
 
 THERMAL_NOISE_DBFS = -90.0
 ADC_BITS = 14
-ADC_FULL_SCALE = 1.0
 
-# Scenario name -> (tx_power_dbm, suppression_db, shared_oscillator).
-# The two sweep presets are the acceptance sweeps; fig5_m10dbm and
-# sweep_40db hold the same values under a one-tone and a sweep name.
+# Scenario name -> (tx_power_dbm, suppression_db, shared_oscillator). The
+# power is the scenario's, not the hardware's: load_preset leaves it out
+# and tone-test takes it as its default power. The two sweep presets are
+# the acceptance sweeps; fig5_m10dbm, fig7_20dbm and sweep_40db load the
+# same hardware under two one-tone powers and a sweep name.
 PRESETS = {
     "fig5_m10dbm": (-10.0, 40.0, True),
     "fig7_20dbm": (20.0, 40.0, True),
@@ -88,10 +89,10 @@ def _h_si() -> np.ndarray:
 
 
 def load_preset(name: str) -> ImpairmentConfig:
-    """Build a shipped scenario configuration by name."""
+    """Build a shipped scenario's hardware configuration by name."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
-    tx_power_dbm, suppression_db, shared_oscillator = PRESETS[name]
+    _, suppression_db, shared_oscillator = PRESETS[name]
     return ImpairmentConfig(
         dac=DacNonlinearity(DAC_COEFFS, DAC_COEFFS),
         tx_iq=IqImbalance(TX_IQ_GAMMA, TX_IQ_DELTA),
@@ -107,7 +108,5 @@ def load_preset(name: str) -> ImpairmentConfig:
             analog_suppression_db=suppression_db,
             thermal_noise_dbfs=THERMAL_NOISE_DBFS,
             adc_bits=ADC_BITS,
-            adc_full_scale=ADC_FULL_SCALE,
         ),
-        tx_power_dbm=tx_power_dbm,
     )

@@ -165,8 +165,8 @@ def channel_and_receiver_oracle(x: np.ndarray, chan, rx_iq, noise, headroom_db: 
     through = fir_convolve_oracle(attenuated, chan.h_si)
     analog = apply_iq_oracle(through, rx_iq) + noise
     rms = math.sqrt(float(np.mean(np.abs(analog) ** 2)))
-    scale = 1.0 if rms == 0.0 else chan.adc_full_scale / (rms * 10.0 ** (headroom_db / 20.0))
-    step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
+    scale = 1.0 if rms == 0.0 else 1.0 / (rms * 10.0 ** (headroom_db / 20.0))
+    step = 2.0 / 2**chan.adc_bits
     top = 2 ** (chan.adc_bits - 1) - 1
 
     def quantize(rail):
@@ -191,22 +191,22 @@ def _add_taps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _si_gain(cfg, drive_rms: float) -> float:
+def _si_gain(cfg, power: float, drive_rms: float) -> float:
     """The flat gain from frames at ``drive_rms`` to the antenna-referred SI.
 
     ``drive * 10^(22/20) * 10^(-suppression/20) = 10^((P - suppression)/20)
-    / drive_rms``.
+    / drive_rms`` at the transmit power ``P = power`` (dBm).
     """
-    return 10.0 ** ((cfg.tx_power_dbm - cfg.chan.analog_suppression_db) / 20.0) / drive_rms
+    return 10.0 ** ((power - cfg.chan.analog_suppression_db) / 20.0) / drive_rms
 
 
-def _pa_drive(cfg, drive_rms: float) -> float:
+def _pa_drive(power: float, drive_rms: float) -> float:
     """The amplifier input's scale ``d`` for frames at ``drive_rms``.
 
     ``d = 10^((P - 22)/20) / drive_rms``: at 22 dBm frames at ``drive_rms``
     reach the amplifier at unit RMS.
     """
-    return 10.0 ** ((cfg.tx_power_dbm - 22.0) / 20.0) / drive_rms
+    return 10.0 ** ((power - 22.0) / 20.0) / drive_rms
 
 
 def _fit_taps(h: np.ndarray, taps: int) -> np.ndarray:
@@ -216,19 +216,19 @@ def _fit_taps(h: np.ndarray, taps: int) -> np.ndarray:
     return np.pad(h, (0, taps - h.size))
 
 
-def joint_dac_iq_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
+def joint_dac_iq_channels(cfg, power: float, taps: int, drive_rms: float) -> np.ndarray:
     """Closed-form composite channels of joint-dac-iq's bases, ``taps`` each.
 
     Exact with the amplifier at identity and no phase noise, where the
     received signal is linear in the rail powers ``re(x)^m``, ``im(x)^m``
-    of the DAC input ``x`` (frames at ``drive_rms``). With the antenna
-    gain ``c`` (:func:`_si_gain`), the TX mixer maps DAC order m's rails
+    of the DAC input ``x`` (frames at ``drive_rms``, sent at ``power``
+    dBm). With the antenna gain ``c`` (:func:`_si_gain`), the TX mixer maps DAC order m's rails
     to ``t_re = a_i,m (gamma_T + delta_T)`` and ``t_im = j a_q,m (gamma_T -
     delta_T)``; with ``w = c h_si * t`` the basis's channel is ``gamma_R *
     w + delta_R * conj(w)``, zero padded to ``taps``. The channels come
     back to back in the basis order of the fit (re, im per order).
     """
-    c = _si_gain(cfg, drive_rms)
+    c = _si_gain(cfg, power, drive_rms)
     plus = _add_taps(cfg.tx_iq.gamma, cfg.tx_iq.delta)
     minus = _add_taps(cfg.tx_iq.gamma, -cfg.tx_iq.delta)
     channels = []
@@ -240,20 +240,20 @@ def joint_dac_iq_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
     return np.concatenate(channels)
 
 
-def widely_linear_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
+def widely_linear_channels(cfg, power: float, taps: int, drive_rms: float) -> np.ndarray:
     """Closed-form channels of widely-linear's bases ``x``, ``conj(x)``, ``taps`` each.
 
     Exact with the DAC and the amplifier at identity and no phase noise,
     where the received signal is widely linear in the DAC input ``x``
-    (frames at ``drive_rms``). With the antenna gain ``c``
-    (:func:`_si_gain`), the TX mixer and the SI channel give ``x`` the
+    (frames at ``drive_rms``, sent at ``power`` dBm). With the antenna gain
+    ``c`` (:func:`_si_gain`), the TX mixer and the SI channel give ``x`` the
     channel ``w_x = c h_si * gamma_T`` and ``conj(x)`` the channel ``w_c =
     c h_si * delta_T``. The RX mixer's image term conjugates both, so the
     channel of ``x`` is ``gamma_R * w_x + delta_R * conj(w_c)`` and that of
     ``conj(x)`` is ``gamma_R * w_c + delta_R * conj(w_x)``, each zero
     padded to ``taps`` and back to back in the basis order of the fit.
     """
-    c = _si_gain(cfg, drive_rms)
+    c = _si_gain(cfg, power, drive_rms)
     w_x = c * np.convolve(cfg.chan.h_si, cfg.tx_iq.gamma)
     w_c = c * np.convolve(cfg.chan.h_si, cfg.tx_iq.delta)
     return np.concatenate([
@@ -265,21 +265,21 @@ def widely_linear_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
     ])
 
 
-def nonlinear_channels(cfg, taps: int, drive_rms: float) -> np.ndarray:
+def nonlinear_channels(cfg, power: float, taps: int, drive_rms: float) -> np.ndarray:
     """Closed-form channels of nonlinear's envelope bases ``x|x|^(n-1)``, ``taps`` each.
 
     Exact with the DAC and both IQ stages at identity and no phase noise,
     where the received signal is the amplifier's envelope polynomial of the
-    DAC input ``x`` (frames at ``drive_rms``) through the SI channel. The
-    amplifier input is ``d x`` (:func:`_pa_drive`) and the antenna gain
-    ``c`` (:func:`_si_gain`) holds one ``d``, so order n's basis has the
-    channel ``beta'_n d^(n-1) c h_si``, with ``beta'_n`` from
+    DAC input ``x`` (frames at ``drive_rms``, sent at ``power`` dBm) through
+    the SI channel. The amplifier input is ``d x`` (:func:`_pa_drive`) and
+    the antenna gain ``c`` (:func:`_si_gain`) holds one ``d``, so order n's
+    basis has the channel ``beta'_n d^(n-1) c h_si``, with ``beta'_n`` from
     ``cfg.pa.baseband_coeffs()``, zero padded to ``taps``. The channels
     come back to back for each odd order n of the amplifier, so the fit's
     ``n_max`` is the amplifier's order; with the amplifier at identity
     they are linear's one channel ``c h_si``.
     """
-    c, d = _si_gain(cfg, drive_rms), _pa_drive(cfg, drive_rms)
+    c, d = _si_gain(cfg, power, drive_rms), _pa_drive(power, drive_rms)
     return np.concatenate([
         _fit_taps(beta * d ** (2 * i) * c * cfg.chan.h_si, taps)
         for i, beta in enumerate(cfg.pa.baseband_coeffs())

@@ -98,7 +98,7 @@ def test_criterion_02_low_power_tone_signature():
     start = time.monotonic()
     cfg = load_preset("fig5_m10dbm")
     tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
-    received, _ = simulate_received(tone, cfg, seed=1)
+    received, _ = simulate_received(tone, cfg, -10.0, seed=1)
     spec = spectrum(received, n_fft=4096)
     reference = measure_line_db(spec, 3 * TONE_FREQ)
     margins = {
@@ -277,7 +277,7 @@ def test_criterion_08_quantization_floor_tracks_power():
     x = x.with_samples(x.samples * REF_DRIVE_RMS)
     floors = {}
     for power in (0.0, 20.0):
-        _, diag = simulate_received(x, dataclasses.replace(cfg, tx_power_dbm=power), seed=5)
+        _, diag = simulate_received(x, cfg, power, seed=5)
         floors[power] = diag.apparent_floor_dbfs
     rise = floors[20.0] - floors[0.0]
     announce(8, abs(rise - 20.0) <= 1.0, f"apparent floor rise {rise:.2f} dB for +20 dB drive")

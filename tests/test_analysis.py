@@ -87,7 +87,7 @@ class TestVerifyHarmonics:
 
     def test_simulated_chain_passes(self):
         sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
-        r, _ = simulate_received(sig, load_preset("fig5_m10dbm"), seed=3)
+        r, _ = simulate_received(sig, load_preset("fig5_m10dbm"), -10.0, seed=3)
         checks = verify_harmonics(spectrum(r, n_fft=4096), TONE_FREQ, m_max=3)
         assert all(c.passed for c in checks)
 
@@ -95,7 +95,7 @@ class TestVerifyHarmonics:
         sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
         cfg = load_preset("fig5_m10dbm")
         for seed in range(100):
-            r, _ = simulate_received(sig, cfg, seed=seed)
+            r, _ = simulate_received(sig, cfg, -10.0, seed=seed)
             checks = verify_harmonics(spectrum(r, n_fft=4096), TONE_FREQ, m_max=3)
             assert all(c.passed for c in checks), f"seed {seed}"
 

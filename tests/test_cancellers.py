@@ -565,7 +565,7 @@ class TestSpanRelations:
         assert residuals[3] <= residuals[2] + 1e-9
 
 
-def _clean_config(tx_power=0.0):
+def _clean_config():
     return ImpairmentConfig(
         dac=DacNonlinearity.identity(),
         tx_iq=IqImbalance.identity(),
@@ -578,7 +578,6 @@ def _clean_config(tx_power=0.0):
             thermal_noise_dbfs=-90.0,
             adc_bits=24,
         ),
-        tx_power_dbm=tx_power,
     )
 
 
@@ -644,7 +643,7 @@ class TestRunSweep:
         monkeypatch.setattr(cancellers, "transmit_front_end", not_run)
         with pytest.raises(ValueError) as error:
             run_sweep(load_preset("sweep_40db"), [22.0, 99.0], DEFAULT_SPECS, OfdmFrameSpec(), 0)
-        assert str(error.value) == "tx_power_dbm must lie in [-10, 22.0], got 99.0"
+        assert str(error.value) == "transmit power must lie in [-10, 22] dBm, got 99"
 
     @pytest.mark.parametrize(
         ("seed", "message"),
@@ -896,9 +895,8 @@ class TestRunSweep:
         x_train = x.samples[:fit_len]
         expected = []
         for power in powers:
-            power_cfg = dataclasses.replace(cfg, tx_power_dbm=power)
-            r, _ = simulate_received(x, power_cfg, 40)
-            floor = 10.0 ** (power_cfg.chan.thermal_noise_dbfs / 10.0)
+            r, _ = simulate_received(x, cfg, power, 40)
+            floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
             for spec in specs:
                 fit = ls_estimate(
                     r.samples[:fit_len],
@@ -948,9 +946,9 @@ class TestReceive:
         return receive(front, cfg, powers, noise, min(split, cancellers.MAX_TRAIN_SAMPLES), split)
 
     @staticmethod
-    def every_row(front, cfg, noise):
+    def every_row(front, cfg, power, noise):
         """:func:`receive` at one power over every row: decoded rows and summary."""
-        _, received, (diag,) = receive(front, cfg, [cfg.tx_power_dbm], noise, 0, 0)
+        _, received, (diag,) = receive(front, cfg, [power], noise, 0, 0)
         return received[:, 0], diag
 
     def test_rows_are_those_of_every_row_receive(self):
@@ -969,17 +967,17 @@ class TestReceive:
         self.assert_rows_match(train, held, receivers, front, cfg, powers, noise, split)
 
     @staticmethod
-    def assert_summary_matches(receiver, front, cfg, noise, split):
-        """``receiver`` is the sweep's summary at ``cfg``'s power.
+    def assert_summary_matches(receiver, front, cfg, power, noise, split):
+        """``receiver`` is the sweep's summary at ``power``.
 
         Its AGC scale is an every-row receive's, bit for bit; its floor is the
         oracle's over the held rows [split, len), and its clip count the
         oracle's over the training and held rows, which the sweep digitizes.
         Returns the clip count.
         """
-        _, diag = TestReceive.every_row(front, cfg, noise)
+        _, diag = TestReceive.every_row(front, cfg, power, noise)
         assert receiver.agc_scale == diag.agc_scale
-        drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+        drive = 10.0 ** ((power - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
         antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
         _, error, clipped, _ = channel_and_receiver_oracle(
             antenna, cfg.chan, cfg.rx_iq, noise, ADC_HEADROOM_DB
@@ -998,11 +996,10 @@ class TestReceive:
     def assert_rows_match(train, held, receivers, front, cfg, powers, noise, split):
         # The rows decode to an every-row receive's, bit for bit.
         for k, power in enumerate(powers):
-            power_cfg = dataclasses.replace(cfg, tx_power_dbm=power)
-            r, _ = TestReceive.every_row(front, power_cfg, noise)
+            r, _ = TestReceive.every_row(front, cfg, power, noise)
             assert train[:, k].tobytes() == r[: len(train)].tobytes()
             assert held[:, k].tobytes() == r[split:].tobytes()
-            TestReceive.assert_summary_matches(receivers[k], front, power_cfg, noise, split)
+            TestReceive.assert_summary_matches(receivers[k], front, cfg, power, noise, split)
 
     @pytest.mark.parametrize("bits", [14, 20])
     def test_sweep_reports_carry_each_powers_receiver_summary(self, bits):
@@ -1022,9 +1019,7 @@ class TestReceive:
         front = transmit_front_end(x, cfg, 72)
         noise = thermal_noise(len(x), cfg.chan, 72)
         clips = [
-            self.assert_summary_matches(
-                rep.receiver, front, dataclasses.replace(cfg, tx_power_dbm=power), noise, split
-            )
+            self.assert_summary_matches(rep.receiver, front, cfg, power, noise, split)
             for rep, power in zip(reports, powers)
         ]
         assert clips[1] > 0
@@ -1055,7 +1050,7 @@ class TestReceive:
         samples = x.samples.copy()
         samples[cancellers.MAX_TRAIN_SAMPLES + 1000] = 1e200
         with pytest.raises(ValueError, match="not finite"):
-            TestReceive.sweep_rows(x.with_samples(samples), cfg, [cfg.tx_power_dbm], 64, split)
+            TestReceive.sweep_rows(x.with_samples(samples), cfg, [-10.0], 64, split)
 
     def test_peak_memory_above_inputs_and_outputs(self):
         # sweep_40db at the CLI defaults: 100 frames, the 9 powers -10:22:4.
@@ -1211,9 +1206,8 @@ class TestFamilyFit:
         x = x.with_samples(x.samples * REF_DRIVE_RMS)
         split = round(n_frames * TRAIN_FRACTION) * (len(x) // n_frames)
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
-        power_cfgs = [dataclasses.replace(cfg, tx_power_dbm=p) for p in powers]
         train = np.stack(
-            [simulate_received(x, c, seed)[0].samples[:fit_len] for c in power_cfgs], axis=1
+            [simulate_received(x, cfg, p, seed)[0].samples[:fit_len] for p in powers], axis=1
         )
         members = [spec for spec in specs if _family_root(spec, specs) != spec]
         assert [spec.method for spec in members] == member_methods
@@ -1280,14 +1274,13 @@ class TestFamilyFit:
 
 
 def _world(preset: str, identities: tuple[str, ...], **chan) -> ImpairmentConfig:
-    """A preset at 22 dBm with no phase noise, the stages ``identities`` names
-    at identity and ``chan`` replacing receiver fields."""
+    """A preset with no phase noise, the stages ``identities`` names at
+    identity and ``chan`` replacing receiver fields."""
     cfg = load_preset(preset)
     return dataclasses.replace(
         cfg,
         pn=dataclasses.replace(cfg.pn, linewidth=0.0),
         chan=dataclasses.replace(cfg.chan, **chan),
-        tx_power_dbm=MAX_TX_POWER_DBM,
         **{stage: type(getattr(cfg, stage)).identity() for stage in identities},
     )
 
@@ -1324,8 +1317,8 @@ class TestCompositeChannels:
         cfg = _world(preset, identities, **chan)
         specs = list(dict.fromkeys([spec, root]))
         assert _family_root(spec, specs) == root
-        rep = run_sweep(cfg, [cfg.tx_power_dbm], specs, frames, frames.seed)[0]
-        return rep.fit, channels(cfg, spec.channel_len, REF_DRIVE_RMS)
+        rep = run_sweep(cfg, [MAX_TX_POWER_DBM], specs, frames, frames.seed)[0]
+        return rep.fit, channels(cfg, MAX_TX_POWER_DBM, spec.channel_len, REF_DRIVE_RMS)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])

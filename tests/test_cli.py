@@ -17,8 +17,15 @@ from fdsic.analysis import BudgetInput, suppression_budget
 from fdsic.cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod
 from fdsic import cli
 from fdsic.cli import _parse_powers, main
-from fdsic.impairments import config_to_dict, save_config
-from fdsic.presets import PRESET_NAMES, SAMPLE_RATE, TONE_FREQ, load_preset
+from fdsic.impairments import config_to_dict, save_config, simulate_received
+from fdsic.presets import (
+    PRESET_NAMES,
+    PRESETS,
+    SAMPLE_RATE,
+    TONE_AMPLITUDE,
+    TONE_FREQ,
+    load_preset,
+)
 from fdsic.signals import gen_tone, write_iq
 
 
@@ -128,23 +135,40 @@ class TestUnknownConfigKey:
         assert "unknown key" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        ("name", "add"),
+        [
+            ("tx_power_dbm", lambda d: d.update(tx_power_dbm=-10.0)),
+            ("chan.adc_full_scale", lambda d: d["chan"].update(adc_full_scale=1.0)),
+        ],
+        ids=["tx_power_dbm", "chan.adc_full_scale"],
+    )
+    def test_removed_key_is_one_error_line(self, tmp_path, capsys, command, name, add):
+        # A file saved while the configuration still held these keys.
+        data = config_to_dict(load_preset("fig5_m10dbm"))
+        add(data)
+        (tmp_path / "cfg.json").write_text(json.dumps(data))
+        rc = main(COMMANDS[command] + ["--config", str(tmp_path / "cfg.json"),
+                                       "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: configuration has unknown key {name!r}\n"
+        assert not (tmp_path / "run").exists()
+
 
 class TestBooleanConfigValue:
     # JSON's false where a number belongs would otherwise run as 0.
     @pytest.mark.parametrize(
         ("path", "key"),
         [
-            ((), "tx_power_dbm"),
             (("pn",), "delay_samples"),
             (("pn",), "linewidth_hz"),
             (("chan",), "analog_suppression_db"),
-            (("chan",), "adc_full_scale"),
             (("dac", "coeffs_i"), 0),
             (("chan", "h_si", 1), 0),
         ],
-        ids=["tx_power_dbm", "pn.delay_samples", "pn.linewidth_hz",
-             "chan.analog_suppression_db", "chan.adc_full_scale", "dac.coeffs_i-element",
-             "chan.h_si-tap-part"],
+        ids=["pn.delay_samples", "pn.linewidth_hz", "chan.analog_suppression_db",
+             "dac.coeffs_i-element", "chan.h_si-tap-part"],
     )
     def test_is_one_error_line(self, tmp_path, capsys, path, key):
         data = config_to_dict(load_preset("fig5_m10dbm"))
@@ -196,10 +220,10 @@ class TestConfigShape:
             "configuration value has the wrong type: pn: linewidth_hz must be a number, "
             'got "abc"',
         ),
-        "adc_full_scale-a-list": (
-            lambda d: {**d, "chan": {**d["chan"], "adc_full_scale": [1.0]}},
-            "configuration value has the wrong type: chan: adc_full_scale must be a number, "
-            "got [1.0]",
+        "analog_suppression_db-a-list": (
+            lambda d: {**d, "chan": {**d["chan"], "analog_suppression_db": [40.0]}},
+            "configuration value has the wrong type: chan: analog_suppression_db must be a "
+            "number, got [40.0]",
         ),
     }
 
@@ -317,6 +341,19 @@ class TestFlagError:
             for command, preset in (("sweep", "sweep_55db"), ("tone-test", "fig5_m10dbm"))
             for seed in ("-1", "18446744073709551616")
         },
+        # One range check, one message, for either command's power flag.
+        "sweep-power-above-range": (
+            ["sweep", "--preset", "sweep_55db", "--powers", "23"],
+            "--powers must lie in [-10, 22] dBm, got 23",
+        ),
+        "tone-power-above-range": (
+            ["tone-test", "--preset", "fig5_m10dbm", "--power", "23"],
+            "--power must lie in [-10, 22] dBm, got 23",
+        ),
+        "tone-power-nan": (
+            ["tone-test", "--preset", "fig5_m10dbm", "--power", "nan"],
+            "--power must lie in [-10, 22] dBm, got nan",
+        ),
         "sweep-method-named-twice": (
             ["sweep", "--preset", "sweep_55db", "--methods", "linear,linear"],
             "--methods names 'linear' more than once",
@@ -348,8 +385,10 @@ def _run_preset_and_saved_copy(tmp_path, name, args):
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_tone_test_outputs_match_preset(self, tmp_path, name):
+        # The saved copy holds the hardware; the preset's power is a flag.
+        power = str(PRESETS[name][0])
         preset, config = _run_preset_and_saved_copy(
-            tmp_path, name, ["tone-test", "--segments", "4"]
+            tmp_path, name, ["tone-test", "--segments", "4", "--power", power]
         )
         for output in ("spectrum.csv", "harmonics.csv", "capture.iq"):
             assert (config / output).read_bytes() == (preset / output).read_bytes(), output
@@ -376,9 +415,37 @@ class TestToneTest:
         assert header == "freq_hz,power_db"
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "tone-test"
-        assert manifest["resolved_config"]["tx_power_dbm"] == -10.0
+        assert manifest["args"]["power_dbm"] == -10.0
         clipped = manifest["args"]["clipped_samples"]
         assert isinstance(clipped, int) and clipped == 0
+
+    @pytest.mark.parametrize(
+        ("source", "flags", "power"),
+        [
+            (["--preset", "fig7_20dbm"], [], 20.0),
+            (["--preset", "fig7_20dbm"], ["--power", "-5"], -5.0),
+            (["--config", "{config}"], [], -10.0),
+        ],
+        ids=["preset-power", "flag-over-preset", "config-default"],
+    )
+    def test_manifest_records_the_power_that_ran(self, tmp_path, source, flags, power):
+        config = save_config(load_preset("fig7_20dbm"), tmp_path / "cfg.json")
+        argv = ["tone-test", *(arg.format(config=config) for arg in source), *flags,
+                "--segments", "2", "--seed", "4"]
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((runs[0] / "manifest.json").read_text())
+        assert manifest["args"]["power_dbm"] == power
+        hardware = manifest["resolved_config"]
+        assert sorted(hardware) == ["chan", "dac", "pa", "pn", "rx_iq", "tx_iq"]
+        assert "adc_full_scale" not in hardware["chan"]
+        tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 2, SAMPLE_RATE)
+        received, _ = simulate_received(tone, load_preset("fig7_20dbm"), power, 4)
+        assert (runs[0] / "capture.iq").read_bytes() == received.samples.tobytes()
+        # Criterion 10: a rerun writes the same bytes.
+        for name in ("manifest.json", "spectrum.csv", "harmonics.csv", "capture.iq"):
+            assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -468,7 +535,6 @@ class TestToneTest:
                 thermal_noise_dbfs=-120.0,
                 adc_bits=24,
             ),
-            tx_power_dbm=-10.0,
         )
         save_config(cfg, tmp_path / "clean.json")
         rc = main(
@@ -532,6 +598,14 @@ class TestSweep:
         assert manifest["args"]["cancellers"][1] == {
             "label": "nonlinear(n_max=5,envelope)", "channel_len": 32, "n_max": 5
         }
+
+    def test_manifest_records_each_power_once(self, tmp_path):
+        rc = main(["sweep", "--preset", "sweep_55db", "--powers", "22", "--frames", "4",
+                   "--methods", "linear", "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["args"]["powers"] == [22.0]
+        assert "tx_power_dbm" not in manifest["resolved_config"]
 
     def test_nonlinear_variant_flag_is_refused(self, tmp_path, capsys):
         # The nonlinear canceller has one basis, so no flag chooses it.
@@ -597,7 +671,6 @@ class TestSweep:
             # scores against the floor.
             ("chan", "thermal_noise_dbfs", -math.inf, "chan.thermal_noise_dbfs"),
             ("chan", "analog_suppression_db", math.nan, "analog_suppression_db"),
-            ("chan", "adc_full_scale", math.inf, "adc_full_scale"),
             ("chan", "h_si", [[math.nan, 0.0]], "h_si"),
             ("pn", "linewidth_hz", math.nan, "linewidth"),
             ("pn", "linewidth_hz", math.inf, "linewidth"),
@@ -609,7 +682,7 @@ class TestSweep:
         ids=[
             "adc_bits-string", "adc_bits-fraction", "adc_bits-bool", "shared_oscillator-string",
             "thermal_noise_dbfs-nan", "thermal_noise_dbfs-inf", "thermal_noise_dbfs-minus-inf",
-            "analog_suppression_db-nan", "adc_full_scale-inf", "h_si-nan", "linewidth_hz-nan",
+            "analog_suppression_db-nan", "h_si-nan", "linewidth_hz-nan",
             "linewidth_hz-inf", "delay_samples-inf", "delay_samples-float", "dac-coeffs_i-nan",
             "pa-coeffs_odd-nan",
         ],

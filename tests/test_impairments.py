@@ -17,7 +17,9 @@ from helpers_oracles import (
     apply_pa_oracle,
     channel_and_receiver_oracle,
 )
+from fdsic import impairments
 from fdsic._rng import substream
+from fdsic.cancellers import DEFAULT_SPECS, run_sweep
 from fdsic.impairments import (
     ADC_HEADROOM_DB,
     CHAIN_BLOCK,
@@ -43,13 +45,12 @@ from fdsic.impairments import (
     thermal_noise,
     transmit_front_end,
     _SECTIONS,
-    _TOP_LEVEL,
     _code_dtype,
     _decode,
     _quantize,
 )
-from fdsic.presets import PRESET_NAMES, load_preset
-from fdsic.signals import ComplexBasebandSignal, gen_tone, power_db
+from fdsic.presets import PRESET_NAMES, PRESETS, load_preset
+from fdsic.signals import ComplexBasebandSignal, OfdmFrameSpec, gen_tone, power_db
 from fdsic.spectral import measure_line_db, spectrum
 
 FS = 80e6
@@ -70,7 +71,6 @@ def identity_config(**chan_overrides) -> ImpairmentConfig:
         analog_suppression_db=chan_overrides.pop("analog_suppression_db", 30.0),
         thermal_noise_dbfs=chan_overrides.pop("thermal_noise_dbfs", -90.0),
         adc_bits=chan_overrides.pop("adc_bits", 24),
-        adc_full_scale=chan_overrides.pop("adc_full_scale", 1.0),
     )
     return ImpairmentConfig(
         dac=DacNonlinearity.identity(),
@@ -79,7 +79,6 @@ def identity_config(**chan_overrides) -> ImpairmentConfig:
         pn=PhaseNoiseSpec(0.0, True, 0),
         pa=PaNonlinearity.identity(),
         chan=chan,
-        tx_power_dbm=0.0,
     )
 
 
@@ -338,19 +337,19 @@ def receive_at_antenna(x, chan, rx_iq, noise):
     """
     cfg = ImpairmentConfig(
         DacNonlinearity.identity(), IqImbalance.identity(), rx_iq, PhaseNoiseSpec(),
-        PaNonlinearity.identity(), chan, MAX_TX_POWER_DBM,
+        PaNonlinearity.identity(), chan,
     )
-    drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+    drive = 1.0 / REF_DRIVE_RMS
     v = x / (drive * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
-    received, diag = receive_every_row(v, cfg, noise)
+    received, diag = receive_every_row(v, cfg, MAX_TX_POWER_DBM, noise)
     antenna = apply_pa_oracle(v * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
     return received, diag, antenna
 
 
-def receive_every_row(v, cfg, noise):
-    """:func:`receive` at ``cfg``'s power over every row of the front-end
-    output ``v``: the decoded samples and the receiver summary."""
-    _, received, (diag,) = receive(v, cfg, [cfg.tx_power_dbm], noise, 0, 0)
+def receive_every_row(v, cfg, power, noise):
+    """:func:`receive` at ``power`` over every row of the front-end output
+    ``v``: the decoded samples and the receiver summary."""
+    _, received, (diag,) = receive(v, cfg, [power], noise, 0, 0)
     return received[:, 0], diag
 
 
@@ -383,7 +382,7 @@ class TestChannelAndReceiver:
         cfg = identity_config(thermal_noise_dbfs=float("-inf"), adc_bits=14)
         zeros = np.zeros(64, dtype=complex)
         _, _, (diag,) = receive(zeros, cfg, [0.0], zeros, 0, 0)
-        step = 2.0 * cfg.chan.adc_full_scale / 2**14
+        step = 2.0 / 2**14
         assert diag.agc_scale == 1.0
         assert diag.clipped_samples == 0
         assert diag.apparent_floor_dbfs == pytest.approx(10 * math.log10(2 * (step / 2) ** 2))
@@ -453,14 +452,13 @@ class TestChannelAndReceiver:
         cfg = identity_config()
         v = stage_input(64, seed=1)
         with pytest.raises(ValueError, match=r"need 0 <= fit_len .* < 64 rows"):
-            receive(v, cfg, [cfg.tx_power_dbm], thermal_noise(64, cfg.chan, 1), fit_len, split)
+            receive(v, cfg, [0.0], thermal_noise(64, cfg.chan, 1), fit_len, split)
 
     @pytest.mark.parametrize("power", [MAX_TX_POWER_DBM + 0.5, -10.5])
     def test_receive_rejects_power_out_of_range(self, power):
-        # Each power is checked as a configuration's own power is.
         cfg = identity_config()
         v = stage_input(64, seed=1)
-        message = rf"tx_power_dbm must lie in \[-10, 22.0\], got {power}"
+        message = rf"^transmit power must lie in \[-10, 22\] dBm, got {power:g}$"
         with pytest.raises(ValueError, match=message):
             receive(v, cfg, [0.0, power], thermal_noise(64, cfg.chan, 1), 0, 0)
 
@@ -491,10 +489,10 @@ class TestSimulateReceived:
     def test_disabled_impairments_scaled_noisy_copy(self):
         sig = gen_tone(F_TONE, 0.2, 65536, FS)
         cfg = identity_config()
-        r, _ = simulate_received(sig, cfg, seed=4)
-        # mean rx power == tx - suppression in the antenna-referred units
-        assert power_db(r) == pytest.approx(cfg.tx_power_dbm - 30.0, abs=0.3)
-        scale = 10 ** ((cfg.tx_power_dbm - 30.0) / 20.0) / 0.2
+        r, _ = simulate_received(sig, cfg, 0.0, seed=4)
+        # mean rx power == tx (0 dBm) - suppression in the antenna-referred units
+        assert power_db(r) == pytest.approx(-30.0, abs=0.3)
+        scale = 10 ** (-30.0 / 20.0) / 0.2
         resid = r.samples - scale * sig.samples
         resid_db = 10 * np.log10(np.mean(np.abs(resid) ** 2))
         assert resid_db == pytest.approx(-90.0, abs=0.5)
@@ -502,15 +500,15 @@ class TestSimulateReceived:
     def test_deterministic_in_seed(self):
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
         cfg = load_preset("fig5_m10dbm")
-        r1, _ = simulate_received(sig, cfg, seed=6)
-        r2, _ = simulate_received(sig, cfg, seed=6)
-        r3, _ = simulate_received(sig, cfg, seed=7)
+        r1, _ = simulate_received(sig, cfg, -10.0, seed=6)
+        r2, _ = simulate_received(sig, cfg, -10.0, seed=6)
+        r3, _ = simulate_received(sig, cfg, -10.0, seed=7)
         npt.assert_array_equal(r1.samples, r2.samples)
         assert not np.array_equal(r1.samples, r3.samples)
 
     def test_receiver_diagnostics_exposed(self):
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        r, diag = simulate_received(sig, load_preset("fig5_m10dbm"), seed=6)
+        r, diag = simulate_received(sig, load_preset("fig5_m10dbm"), -10.0, seed=6)
         assert isinstance(diag, ReceiverDiagnostics)
         assert len(r) == len(sig)
         assert isinstance(diag.clipped_samples, int)
@@ -522,9 +520,9 @@ class TestSimulateReceived:
         cfg = load_preset("fig5_m10dbm")
         assert cfg.pn.linewidth > 0 and np.any(cfg.tx_iq.delta)
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        r, diag = simulate_received(sig, cfg, seed=6)
+        r, diag = simulate_received(sig, cfg, -10.0, seed=6)
         r2, diag2 = receive_every_row(
-            transmit_front_end(sig, cfg, seed=6), cfg, thermal_noise(len(sig), cfg.chan, 6)
+            transmit_front_end(sig, cfg, seed=6), cfg, -10.0, thermal_noise(len(sig), cfg.chan, 6)
         )
         assert r.samples.tobytes() == r2.tobytes()
         assert diag.clipped_samples == diag2.clipped_samples
@@ -532,16 +530,26 @@ class TestSimulateReceived:
         assert diag.apparent_floor_dbfs == diag2.apparent_floor_dbfs
 
     def test_front_end_does_not_depend_on_tx_power(self):
+        # One front end serves every power: receive of it at two powers has
+        # the bits of simulate_received at each.
         cfg = load_preset("fig5_m10dbm")
         sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        low = transmit_front_end(sig, dataclasses.replace(cfg, tx_power_dbm=-10.0), seed=6)
-        high = transmit_front_end(sig, dataclasses.replace(cfg, tx_power_dbm=22.0), seed=6)
-        assert low.tobytes() == high.tobytes()
+        front = transmit_front_end(sig, cfg, seed=6)
+        powers = [-10.0, 22.0]
+        _, received, _ = receive(front, cfg, powers, thermal_noise(len(sig), cfg.chan, 6), 0, 0)
+        for k, power in enumerate(powers):
+            r, _ = simulate_received(sig, cfg, power, seed=6)
+            assert r.samples.tobytes() == received[:, k].tobytes()
 
-    def test_tx_power_range_enforced(self):
-        cfg = identity_config()
-        with pytest.raises(ValueError):
-            dataclasses.replace(cfg, tx_power_dbm=25.0)
+    @pytest.mark.parametrize("power", [25.0, -10.5, math.nan])
+    def test_tx_power_range_enforced(self, monkeypatch, power):
+        def not_run(*args):
+            raise AssertionError("the front end ran")
+
+        monkeypatch.setattr(impairments, "transmit_front_end", not_run)
+        sig = gen_tone(F_TONE, 0.2, 64, FS)
+        with pytest.raises(ValueError, match="^transmit power must lie in"):
+            simulate_received(sig, identity_config(), power, seed=4)
 
     def test_high_power_preset_adds_amplifier_lines_and_floor(self):
         # Compared with the low-power scenario, the 20 dBm scenario grows
@@ -549,7 +557,7 @@ class TestSimulateReceived:
         tone = gen_tone(F_TONE, 0.5, 4096 * 16, FS)
         readings = {}
         for name in ("fig5_m10dbm", "fig7_20dbm"):
-            r, _ = simulate_received(tone, load_preset(name), seed=1)
+            r, _ = simulate_received(tone, load_preset(name), PRESETS[name][0], seed=1)
             spec = tone_spectrum(r.samples)
             carrier = measure_line_db(spec, F_TONE)
             readings[name] = {
@@ -568,14 +576,13 @@ class TestSimulateReceived:
 
 
 # Every key of the configuration file that holds numbers, as (section,
-# key); the section of a top-level key is None. Only pn.shared_oscillator
-# holds a boolean.
+# key). Only pn.shared_oscillator holds a boolean.
 NUMERIC_KEYS = [
     (name, key)
     for name, (_, keys) in _SECTIONS.items()
     for key, (_, write) in keys.items()
     if write is not bool
-] + [(None, key) for key in _TOP_LEVEL]
+]
 
 
 def with_boolean(value, boolean, innermost):
@@ -599,7 +606,7 @@ class TestConfigSerialization:
         back = load_config(path)
         npt.assert_array_equal(back.chan.h_si, cfg.chan.h_si)
         npt.assert_array_equal(back.tx_iq.delta, cfg.tx_iq.delta)
-        assert back.tx_power_dbm == cfg.tx_power_dbm
+        assert back.chan.analog_suppression_db == cfg.chan.analog_suppression_db
         assert back.pn.linewidth == cfg.pn.linewidth
 
     def test_missing_key_named_in_error(self):
@@ -627,7 +634,7 @@ class TestConfigSerialization:
         rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
         listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
         keys = [f"{name}.{key}" for name, (_, section) in _SECTIONS.items() for key in section]
-        assert sorted(listed) == sorted(keys + list(_TOP_LEVEL))
+        assert sorted(listed) == sorted(keys)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_loads_and_roundtrips(self, name):
@@ -638,29 +645,31 @@ class TestConfigSerialization:
         ("boolean", "innermost"), [(True, False), (False, True)], ids=["true", "false-innermost"]
     )
     @pytest.mark.parametrize(
-        ("section", "key"), NUMERIC_KEYS, ids=[f"{s}.{k}" if s else k for s, k in NUMERIC_KEYS]
+        ("section", "key"), NUMERIC_KEYS, ids=[f"{s}.{k}" for s, k in NUMERIC_KEYS]
     )
     def test_boolean_for_a_number_named_in_error(self, section, key, boolean, innermost):
         # JSON's true and false would otherwise be read as 1 and 0.
         data = config_to_dict(load_preset("sweep_55db"))
-        values = data[section] if section else data
-        values[key] = with_boolean(values[key], boolean, innermost)
-        prefix = f"{section}: " if section else ""
-        with pytest.raises(ValueError, match=f"^{prefix}{key} must be numeric, not true or false"):
+        data[section][key] = with_boolean(data[section][key], boolean, innermost)
+        message = f"^{section}: {key} must be numeric, not true or false"
+        with pytest.raises(ValueError, match=message):
             config_from_dict(data)
 
     @pytest.mark.parametrize(
         ("section", "key", "value", "message"),
         [
             ("pa", "coeffs_odd", {}, "pa: coeffs_odd must be a list of numbers, got {}"),
-            (None, "tx_power_dbm", "22", 'tx_power_dbm must be a number, got "22"'),
+            (
+                "chan", "analog_suppression_db", "40",
+                'chan: analog_suppression_db must be a number, got "40"',
+            ),
         ],
-        ids=["pa.coeffs_odd-object", "tx_power_dbm-string"],
+        ids=["pa.coeffs_odd-object", "chan.analog_suppression_db-string"],
     )
     def test_value_of_wrong_kind_named_in_error(self, section, key, value, message):
         # The CLI's TestConfigShape has the other kinds, read from a file.
         data = config_to_dict(load_preset("fig5_m10dbm"))
-        (data[section] if section else data)[key] = value
+        data[section][key] = value
         expected = f"configuration value has the wrong type: {message}"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             config_from_dict(data)
@@ -668,6 +677,51 @@ class TestConfigSerialization:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
             load_preset("fig99")
+
+
+# A nudged key (``nudged``) moves some figure of a 4-frame sweep_40db sweep
+# by more than this. Measured: each key moved one by 0.26 dB or more
+# (rx_iq.delta the least), while a converter full scale, which the gain
+# ranging cancels, moved them by < 1e-11 dB.
+KEY_MOVES_DB = 0.05
+
+
+def nudged(key: str, value, write):
+    """``value`` of file key ``key`` nudged: a boolean flipped, an integer
+    stepped (``adc_bits`` by 2, any other by 1), every other number, however
+    deeply listed, scaled by 1.1."""
+    if write is bool:
+        return not value
+    if write is int:
+        return value + (2 if key == "adc_bits" else 1)
+    if isinstance(value, list):
+        return [nudged(key, v, write) for v in value]
+    return value * 1.1
+
+
+class TestEveryKeyActs:
+    @staticmethod
+    def figures(cfg: ImpairmentConfig) -> np.ndarray:
+        """Each report's mean and apparent floor, at -10 and 22 dBm."""
+        frames = OfdmFrameSpec(n_frames=4, seed=3)
+        return np.array([
+            [rep.residual_above_noise_db, rep.receiver.apparent_floor_dbfs]
+            for rep in run_sweep(cfg, [-10.0, 22.0], DEFAULT_SPECS, frames, 3)
+        ])
+
+    def test_every_file_key_moves_a_figure(self):
+        # Over _SECTIONS, so a key added to the format is covered too.
+        cfg = load_preset("sweep_40db")
+        base = self.figures(cfg)
+        inert = {}
+        for name, (_, keys) in _SECTIONS.items():
+            for key, (_, write) in keys.items():
+                data = config_to_dict(cfg)
+                data[name][key] = nudged(key, data[name][key], write)
+                moved = float(np.max(np.abs(self.figures(config_from_dict(data)) - base)))
+                if not moved > KEY_MOVES_DB:
+                    inert[f"{name}.{key}"] = moved
+        assert inert == {}
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -763,7 +817,7 @@ class TestConverterCodes:
     @staticmethod
     def float_converter(analog, scale, chan):
         """(codes of each rail, digitized samples, clip mask), all in float64."""
-        step = 2.0 * chan.adc_full_scale / 2**chan.adc_bits
+        step = 2.0 / 2**chan.adc_bits
         top = 2 ** (chan.adc_bits - 1) - 1
         rails = []
         clipped = np.zeros(len(analog), dtype=bool)
@@ -784,7 +838,7 @@ class TestConverterCodes:
         # Hot samples on either sign of each rail clip at both ends; the
         # full-scale edges sit on either side of the last code.
         analog[100:104] = [40.0 + 1j, -40.0 - 1j, 1.0 + 40j, -1.0 - 40j]
-        edge = chan.adc_full_scale / scale
+        edge = 1.0 / scale
         analog[200:204] = [edge, -edge, 1j * np.nextafter(edge, 0.0), -1j * np.nextafter(edge, 0.0)]
         rails, digitized, clipped = self.float_converter(analog, scale, chan)
 
@@ -827,6 +881,7 @@ class TestChainBlockEdges:
     out-of-place formulas."""
 
     LENGTHS = [CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1, 2 * CHAIN_BLOCK + 5]
+    POWER = PRESETS["fig7_20dbm"][0]
 
     @staticmethod
     def config(filters: str) -> ImpairmentConfig:
@@ -869,8 +924,8 @@ class TestChainBlockEdges:
             v[::512] *= 20.0
         noise = thermal_noise(n, cfg.chan, 3)
         v_before = v.copy()
-        received, diag = receive_every_row(v, cfg, noise)
-        drive = 10.0 ** ((cfg.tx_power_dbm - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
+        received, diag = receive_every_row(v, cfg, self.POWER, noise)
+        drive = 10.0 ** ((self.POWER - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
         antenna = apply_pa_oracle(v * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
         self.assert_receiver_matches(received, diag, antenna, cfg, noise, clips)
         assert same_bits(v, v_before)
