@@ -14,7 +14,7 @@ The predict/verify pair automates reading such a spectrum.
 """
 
 from fdsic import gen_tone, predict_harmonics, simulate_received, spectrum, verify_harmonics
-from fdsic.presets import PRESETS, SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from fdsic.presets import PRESETS, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.spectral import floor_estimate_db, measure_line_db
 
 print(__doc__)
@@ -27,7 +27,7 @@ for m in range(1, 6):
     print(f"  order {m}: {sides}{tag}")
 print()
 
-tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
+tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16)
 for name in ("fig5_m10dbm", "fig7_20dbm"):
     power = PRESETS[name][0]
     received, _ = simulate_received(tone, load_preset(name), power, seed=1)

@@ -13,14 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from fdsic import gen_tone, read_iq, simulate_received, spectrum, write_iq
-from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from fdsic.presets import TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.spectral import write_spectrum_csv
 
 print(__doc__)
 
 with tempfile.TemporaryDirectory(prefix="fdsic-demo-") as tmp:
     workdir = Path(tmp)
-    tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
+    tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8)
     received, _ = simulate_received(tone, load_preset("fig5_m10dbm"), -10.0, seed=7)
 
     iq_path = write_iq(received, workdir / "capture.iq")

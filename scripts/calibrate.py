@@ -28,14 +28,14 @@ from fdsic import (
     spectrum,
 )
 from fdsic.impairments import PhaseNoiseSpec
-from fdsic.presets import PRESETS, SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ
+from fdsic.presets import PRESETS, TONE_AMPLITUDE, TONE_FREQ
 from fdsic.signals import OfdmFrameSpec
 from fdsic.spectral import floor_estimate_db
 
 
 def tone_signature(preset_name: str, seed: int = 1):
     cfg = load_preset(preset_name)
-    x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33, SAMPLE_RATE)
+    x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33)
     r, diag = simulate_received(x, cfg, PRESETS[preset_name][0], seed)
     spec = spectrum(r, n_fft=4096)
     carrier = measure_line_db(spec, TONE_FREQ)
@@ -48,9 +48,9 @@ def tone_signature(preset_name: str, seed: int = 1):
 
 
 def skirt_for_linewidth(linewidth: float, shared: bool, seed: int = 3) -> float:
-    x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33, SAMPLE_RATE)
+    x = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33)
     pn = PhaseNoiseSpec(linewidth=linewidth, shared_oscillator=shared, delay_samples=1)
-    y = x.with_samples(apply_phase_noise(x.samples, pn, seed, SAMPLE_RATE))
+    y = x.with_samples(apply_phase_noise(x.samples, pn, seed))
     return skirt_peak_dbc(spectrum(y, n_fft=4096), TONE_FREQ)
 
 

@@ -517,15 +517,14 @@ def run_sweep(
     for spec in specs:
         _check_training_len(n_train, spec.n_bases * spec.channel_len)
 
-    x = gen_ofdm_frames(frames)
-    x = x.with_samples(x.samples * REF_DRIVE_RMS)
+    x = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
     front = transmit_front_end(x, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
     train, held, diags = receive(front, cfg, powers, noise, n_train, split)
     # Only the digitized rows reach the fit: let the full-length arrays go.
     del front, noise
     fits, per_frame_db = _fit_and_score(
-        x.samples, train, held, specs, FRAME_LEN, cfg.chan.thermal_noise_dbfs
+        x, train, held, specs, FRAME_LEN, cfg.chan.thermal_noise_dbfs
     )
     return [
         SuppressionReport(

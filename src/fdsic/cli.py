@@ -37,7 +37,7 @@ from .impairments import (
     simulate_received,
 )
 from .presets import PRESET_NAMES, PRESETS, TONE_AMPLITUDE, TONE_FREQ, load_preset
-from .signals import SAMPLE_RATE, OfdmFrameSpec, gen_tone, read_iq, write_iq
+from .signals import OfdmFrameSpec, gen_tone, read_iq, write_iq
 from .spectral import spectrum, write_spectrum_csv
 
 
@@ -146,7 +146,7 @@ def cmd_tone_test(args) -> int:
         power = PRESETS[args.preset][0] if args.preset else MIN_TX_POWER_DBM
     check_tx_power(power, "--power")
     n_fft = args.n_fft
-    tone = gen_tone(args.freq, TONE_AMPLITUDE, n_fft * args.segments, SAMPLE_RATE)
+    tone = gen_tone(args.freq, TONE_AMPLITUDE, n_fft * args.segments)
     received, diag = simulate_received(tone, cfg, power, args.seed)
     spec = spectrum(received, n_fft=n_fft)
     checks = verify_harmonics(spec, args.freq, m_max=args.m_max, margin_db=args.margin)

@@ -29,8 +29,8 @@ a summary of what the receiver saw over them (:class:`ReceiverDiagnostics`:
 clipped samples, AGC scale and the apparent floor that noise and
 quantization leave). ``simulate_received`` digitizes every row and
 decodes them all.
-Only ``transmit_front_end`` reads a :class:`ComplexBasebandSignal` (for
-its sample rate) and only ``simulate_received`` returns one. Every number of
+Only ``simulate_received`` takes a :class:`ComplexBasebandSignal`, which
+must be at ``SAMPLE_RATE``, and returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
 (no noise). Finite values can still overflow the chain, so the receiver
 rejects a digitized output that is not finite: one error, in place of
@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import _require_int, substream
-from .signals import ComplexBasebandSignal, fir_convolve
+from .signals import SAMPLE_RATE, ComplexBasebandSignal, fir_convolve
 
 # Rated maximum transmitter output power: at it the amplifier model sees
 # unit RMS for the nominal digital drive.
@@ -295,19 +295,17 @@ def apply_iq(x: np.ndarray, iq: IqImbalance) -> np.ndarray:
     return out
 
 
-def apply_phase_noise(
-    x: np.ndarray, pn: PhaseNoiseSpec, seed: int, sample_rate: float
-) -> np.ndarray:
+def apply_phase_noise(x: np.ndarray, pn: PhaseNoiseSpec, seed: int) -> np.ndarray:
     """Rotate each sample by exp(j(phi_tx[n] - phi_rx[n - delay])).
 
-    ``sample_rate`` in Hz sets the phase step per sample for the linewidth.
+    The linewidth sets the phase step per sample at ``SAMPLE_RATE``.
     Returns a new array and leaves ``x`` unchanged. Raises ``ValueError``
     for a shared oscillator whose delay is longer than the signal, before
     any draw: its walk would need ``len(x) + delay`` steps.
     """
     n = len(x)
     dt = pn.delay_samples
-    sigma = math.sqrt(2.0 * math.pi * pn.linewidth / sample_rate)
+    sigma = math.sqrt(2.0 * math.pi * pn.linewidth / SAMPLE_RATE)
     if pn.shared_oscillator:
         if dt > n:
             raise ValueError(
@@ -320,7 +318,9 @@ def apply_phase_noise(
         phi_tx = np.cumsum(substream(seed, "phase-noise-tx").normal(0.0, sigma, n))
         phi_rx = np.cumsum(substream(seed, "phase-noise-rx").normal(0.0, sigma, n))
         rotation = phi_tx - phi_rx
-    return x * np.exp(1j * rotation)
+    # One expression: above 256 KiB numpy elides the temporary and computes
+    # phasor * x in place, which rounds unlike x * phasor of a named phasor.
+    return x * (np.cos(rotation) + 1j * np.sin(rotation))
 
 
 def apply_pa(x: np.ndarray, pa: PaNonlinearity) -> np.ndarray:
@@ -521,17 +521,15 @@ class AdcCodes:
 
 
 @np.errstate(all="ignore")
-def transmit_front_end(
-    x: ComplexBasebandSignal, cfg: ImpairmentConfig, seed: int
-) -> np.ndarray:
-    """DAC -> TX IQ -> phase noise: the stages before the power enters.
+def transmit_front_end(x: np.ndarray, cfg: ImpairmentConfig, seed: int) -> np.ndarray:
+    """DAC -> TX IQ -> phase noise on the samples ``x``, before the power enters.
 
     The output does not depend on the transmit power, so a power sweep
     can run it once and feed it to :func:`receive` at every power.
     """
-    v = apply_dac(x.samples, cfg.dac)
+    v = apply_dac(x, cfg.dac)
     v = apply_iq(v, cfg.tx_iq)
-    return apply_phase_noise(v, cfg.pn, seed, x.sample_rate)
+    return apply_phase_noise(v, cfg.pn, seed)
 
 
 @np.errstate(all="ignore")
@@ -599,13 +597,16 @@ def simulate_received(
 ) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
     """Run the full impairment chain on a digital baseband signal.
 
-    ``power_dbm`` is the transmit power. Returns the received
+    ``x`` must be at ``SAMPLE_RATE``; it and the transmit power ``power_dbm``
+    are checked before the front end runs. Returns the received
     self-interference signal (in antenna-referred units where mean power
     in dB reads as dBm) and the receiver's summary over every sample:
     clipping, AGC scale and apparent floor.
     """
-    check_tx_power(power_dbm)  # before the front end runs
-    front = transmit_front_end(x, cfg, seed)
+    if x.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"signal at {x.sample_rate!r} Hz; the chain runs at {SAMPLE_RATE!r} Hz")
+    check_tx_power(power_dbm)
+    front = transmit_front_end(x.samples, cfg, seed)
     noise = thermal_noise(len(x), cfg.chan, seed)
     _, received, (diag,) = receive(front, cfg, [power_dbm], noise, 0, 0)
     return x.with_samples(received[:, 0]), diag

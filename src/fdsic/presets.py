@@ -27,7 +27,7 @@ from .signals import OFDM_BANDWIDTH, SAMPLE_RATE  # noqa: F401 (SAMPLE_RATE re-e
 TONE_AMPLITUDE = 0.5
 
 # Default one-tone test frequency (bandwidth / 8), coherent on a 4096-bin
-# grid at the default sample rate.
+# grid at SAMPLE_RATE.
 TONE_FREQ = OFDM_BANDWIDTH / 8
 
 # Matched-rail DAC polynomial [a1, a2, a3].

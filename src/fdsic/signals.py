@@ -1,12 +1,14 @@
 """Complex baseband signal generation and manipulation.
 
-:class:`ComplexBasebandSignal` is a uniformly sampled complex sequence
-with its sample rate: the type of a signal that enters or leaves the
-program. The generators and :func:`read_iq` build one, and its
-constructor checks the samples and the rate; :func:`write_iq`,
-:func:`power_db` and the spectrum read one. Stages that compute on
-samples, such as :func:`fir_convolve`, take and return plain arrays. Amplitudes are dimensionless with full scale at 1.0; powers are
-reported in dBFS.
+The generators make their signals at the simulator's one rate,
+``SAMPLE_RATE``. :class:`ComplexBasebandSignal` is a uniformly sampled
+complex sequence with its sample rate, the type of a signal that enters
+or leaves the program (an IQ capture carries its own rate). The
+generators and :func:`read_iq` build one, and its constructor checks the
+samples and the rate; :func:`write_iq`, :func:`power_db` and the
+spectrum read one. Stages that compute on samples, such as
+:func:`fir_convolve`, take and return plain arrays. Amplitudes are
+dimensionless with full scale at 1.0; powers are reported in dBFS.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from ._rng import _require_int, substream
 
-# Simulation rate: 8x oversampling of the 10 MHz band keeps 3rd and 5th
-# order products of in-band content alias-free.
+# The simulator's one rate: 8x oversampling of the 10 MHz band keeps 3rd
+# and 5th order products of in-band content alias-free.
 SAMPLE_RATE = 80e6
 OFDM_BANDWIDTH = 10e6
 
@@ -83,25 +85,22 @@ class OfdmFrameSpec:
             raise ValueError("n_frames must be >= 1")
 
 
-def gen_tone(
-    freq: float, amplitude: float, n_samples: int, sample_rate: float
-) -> ComplexBasebandSignal:
-    """Complex exponential amplitude * exp(j*2*pi*freq*n/sample_rate).
+def gen_tone(freq: float, amplitude: float, n_samples: int) -> ComplexBasebandSignal:
+    """Complex exponential amplitude * exp(j*2*pi*freq*n/SAMPLE_RATE).
 
-    ``freq`` must lie strictly inside the Nyquist range and ``amplitude``
-    in (0, 1].
+    ``freq`` must lie strictly inside the Nyquist range of ``SAMPLE_RATE``
+    and ``amplitude`` in (0, 1].
     """
-    if not (abs(freq) < sample_rate / 2):
+    if not (abs(freq) < SAMPLE_RATE / 2):
         raise ValueError(
-            f"tone frequency {freq} Hz outside Nyquist range +-{sample_rate / 2} Hz"
+            f"tone frequency {freq} Hz outside Nyquist range +-{SAMPLE_RATE / 2} Hz"
         )
     if not (0 < amplitude <= 1.0):
         raise ValueError(f"amplitude must be in (0, 1], got {amplitude}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    n = np.arange(n_samples)
-    samples = amplitude * np.exp(2j * np.pi * freq * n / sample_rate)
-    return ComplexBasebandSignal(samples, sample_rate)
+    phase = 2.0 * np.pi * freq * np.arange(n_samples) * (1.0 / SAMPLE_RATE)
+    return ComplexBasebandSignal(amplitude * (np.cos(phase) + 1j * np.sin(phase)), SAMPLE_RATE)
 
 
 def gen_ofdm_frames(spec: OfdmFrameSpec) -> ComplexBasebandSignal:

@@ -30,7 +30,6 @@ from fdsic.impairments import (
 )
 from fdsic.presets import (
     PHASE_NOISE_LINEWIDTH_HZ,
-    SAMPLE_RATE,
     TONE_AMPLITUDE,
     TONE_FREQ,
     load_preset,
@@ -97,7 +96,7 @@ def test_criterion_01_harmonic_predictor_matches_brute_force():
 def test_criterion_02_low_power_tone_signature():
     start = time.monotonic()
     cfg = load_preset("fig5_m10dbm")
-    tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
+    tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16)
     received, _ = simulate_received(tone, cfg, -10.0, seed=1)
     spec = spectrum(received, n_fft=4096)
     reference = measure_line_db(spec, 3 * TONE_FREQ)
@@ -118,12 +117,12 @@ def test_criterion_02_low_power_tone_signature():
 
 def test_criterion_03_phase_noise_calibration():
     start = time.monotonic()
-    tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33, SAMPLE_RATE)
+    tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33)
 
     independent = PhaseNoiseSpec(PHASE_NOISE_LINEWIDTH_HZ, shared_oscillator=False, delay_samples=1)
     skirt_ind = skirt_peak_dbc(
         spectrum(
-            tone.with_samples(apply_phase_noise(tone.samples, independent, 3, SAMPLE_RATE)),
+            tone.with_samples(apply_phase_noise(tone.samples, independent, 3)),
             n_fft=4096,
         ),
         TONE_FREQ,
@@ -131,7 +130,7 @@ def test_criterion_03_phase_noise_calibration():
     shared = dataclasses.replace(independent, shared_oscillator=True)
     skirt_shared = skirt_peak_dbc(
         spectrum(
-            tone.with_samples(apply_phase_noise(tone.samples, shared, 3, SAMPLE_RATE)),
+            tone.with_samples(apply_phase_noise(tone.samples, shared, 3)),
             n_fft=4096,
         ),
         TONE_FREQ,

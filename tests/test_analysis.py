@@ -18,7 +18,7 @@ from fdsic.analysis import (
     write_harmonics_csv,
 )
 from fdsic.impairments import DacNonlinearity, apply_dac, simulate_received
-from fdsic.presets import SAMPLE_RATE, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from fdsic.presets import TONE_AMPLITUDE, TONE_FREQ, load_preset
 from fdsic.signals import gen_tone
 from fdsic.spectral import spectrum
 
@@ -72,7 +72,7 @@ class TestPredictHarmonics:
 
 class TestVerifyHarmonics:
     def make_spectrum(self, dac, n_seg=8):
-        sig = gen_tone(TONE_FREQ, 0.5, 4096 * n_seg, SAMPLE_RATE)
+        sig = gen_tone(TONE_FREQ, 0.5, 4096 * n_seg)
         return spectrum(sig.with_samples(apply_dac(sig.samples, dac)), n_fft=4096)
 
     def test_matched_dac_passes(self):
@@ -86,13 +86,13 @@ class TestVerifyHarmonics:
         assert all(c.passed for c in checks)
 
     def test_simulated_chain_passes(self):
-        sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16, SAMPLE_RATE)
+        sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 16)
         r, _ = simulate_received(sig, load_preset("fig5_m10dbm"), -10.0, seed=3)
         checks = verify_harmonics(spectrum(r, n_fft=4096), TONE_FREQ, m_max=3)
         assert all(c.passed for c in checks)
 
     def test_simulated_chain_passes_across_100_seeds(self):
-        sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8, SAMPLE_RATE)
+        sig = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 8)
         cfg = load_preset("fig5_m10dbm")
         for seed in range(100):
             r, _ = simulate_received(sig, cfg, -10.0, seed=seed)
@@ -115,7 +115,7 @@ class TestVerifyHarmonics:
         assert checks[0].passed  # image still >= margin below the carrier
 
     def test_off_grid_tone_rejected(self):
-        sig = gen_tone(1.0e6, 0.5, 4096 * 4, SAMPLE_RATE)  # 51.2 bins: off grid
+        sig = gen_tone(1.0e6, 0.5, 4096 * 4)  # 51.2 bins: off grid
         spec = spectrum(sig, n_fft=4096)
         with pytest.raises(ValueError, match="coherent"):
             verify_harmonics(spec, 1.0e6, m_max=2)
@@ -127,7 +127,7 @@ class TestVerifyHarmonics:
     )
     def test_line_outside_sampled_band_rejected(self, freq, m_max, order, line):
         # fs = 80 MHz: a line at or beyond +-40 MHz has no bin of its own.
-        spec = spectrum(gen_tone(freq, 0.5, 4096 * 4, SAMPLE_RATE), n_fft=4096)
+        spec = spectrum(gen_tone(freq, 0.5, 4096 * 4), n_fft=4096)
         assert len(verify_harmonics(spec, freq, m_max=m_max - 1)) == m_max - 1
         with pytest.raises(ValueError, match=re.escape(f"order {order} lies at {line} Hz")):
             verify_harmonics(spec, freq, m_max=m_max)

@@ -934,8 +934,7 @@ class TestReceive:
 
     @staticmethod
     def frames(n_frames, seed):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=n_frames, seed=seed))
-        return x.with_samples(x.samples * REF_DRIVE_RMS)
+        return gen_ofdm_frames(OfdmFrameSpec(n_frames=n_frames, seed=seed)).samples * REF_DRIVE_RMS
 
     @staticmethod
     def sweep_rows(x, cfg, powers, seed, split):
@@ -1047,10 +1046,10 @@ class TestReceive:
         cfg = load_preset("sweep_40db")
         x = self.frames(40, 63)
         split = 20 * (len(x) // 40)
-        samples = x.samples.copy()
+        samples = x.copy()
         samples[cancellers.MAX_TRAIN_SAMPLES + 1000] = 1e200
         with pytest.raises(ValueError, match="not finite"):
-            TestReceive.sweep_rows(x.with_samples(samples), cfg, [-10.0], 64, split)
+            TestReceive.sweep_rows(samples, cfg, [-10.0], 64, split)
 
     def test_peak_memory_above_inputs_and_outputs(self):
         # sweep_40db at the CLI defaults: 100 frames, the 9 powers -10:22:4.
@@ -1103,7 +1102,7 @@ class TestReceive:
         noise_dbfs = cfg.chan.thermal_noise_dbfs
         tracemalloc.start()
         try:
-            cancellers._fit_and_score(x.samples, train, held, DEFAULT_SPECS, frame_len, noise_dbfs)
+            cancellers._fit_and_score(x, train, held, DEFAULT_SPECS, frame_len, noise_dbfs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

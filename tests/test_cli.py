@@ -440,7 +440,7 @@ class TestToneTest:
         hardware = manifest["resolved_config"]
         assert sorted(hardware) == ["chan", "dac", "pa", "pn", "rx_iq", "tx_iq"]
         assert "adc_full_scale" not in hardware["chan"]
-        tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 2, SAMPLE_RATE)
+        tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 2)
         received, _ = simulate_received(tone, load_preset("fig7_20dbm"), power, 4)
         assert (runs[0] / "capture.iq").read_bytes() == received.samples.tobytes()
         # Criterion 10: a rerun writes the same bytes.
@@ -804,7 +804,7 @@ class TestBudget:
 
 class TestSpectrumCommand:
     def test_roundtrip_from_iq_file(self, tmp_path):
-        sig = gen_tone(TONE_FREQ, 1.0, 4096 * 2, SAMPLE_RATE)
+        sig = gen_tone(TONE_FREQ, 1.0, 4096 * 2)
         write_iq(sig, tmp_path / "tone.iq")
         rc = main(
             ["spectrum", "--input", str(tmp_path / "tone.iq"), "--n-fft", "1024",
@@ -835,7 +835,7 @@ class TestSpectrumCommand:
         ids=["float32", "no-format"],
     )
     def test_format_other_than_float64_is_clean_error(self, tmp_path, capsys, header):
-        write_iq(gen_tone(TONE_FREQ, 1.0, 8192, SAMPLE_RATE), tmp_path / "tone.iq")
+        write_iq(gen_tone(TONE_FREQ, 1.0, 8192), tmp_path / "tone.iq")
         (tmp_path / "tone.iq.hdr").write_text(header)
         rc = main(["spectrum", "--input", str(tmp_path / "tone.iq"), "--out", str(tmp_path)])
         assert rc == 1
@@ -854,7 +854,7 @@ class TestSpectrumCommand:
         ],
     )
     def test_bad_header_is_clean_error(self, tmp_path, capsys, header):
-        write_iq(gen_tone(TONE_FREQ, 1.0, 8192, SAMPLE_RATE), tmp_path / "tone.iq")
+        write_iq(gen_tone(TONE_FREQ, 1.0, 8192), tmp_path / "tone.iq")
         (tmp_path / "tone.iq.hdr").write_text(header)
         rc = main(["spectrum", "--input", str(tmp_path / "tone.iq"), "--out", str(tmp_path)])
         assert rc == 1

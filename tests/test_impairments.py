@@ -49,8 +49,8 @@ from fdsic.impairments import (
     _decode,
     _quantize,
 )
-from fdsic.presets import PRESET_NAMES, PRESETS, load_preset
-from fdsic.signals import ComplexBasebandSignal, OfdmFrameSpec, gen_tone, power_db
+from fdsic.presets import PHASE_NOISE_LINEWIDTH_HZ, PRESET_NAMES, PRESETS, load_preset
+from fdsic.signals import SAMPLE_RATE, ComplexBasebandSignal, OfdmFrameSpec, gen_tone, power_db
 from fdsic.spectral import measure_line_db, spectrum
 
 FS = 80e6
@@ -84,7 +84,7 @@ def identity_config(**chan_overrides) -> ImpairmentConfig:
 
 class TestDacNonlinearity:
     def test_identity(self):
-        sig = gen_tone(F_TONE, 0.5, 4096, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 4096).samples
         out = apply_dac(sig, DacNonlinearity.identity())
         npt.assert_allclose(out, sig, atol=1e-15)
 
@@ -92,7 +92,7 @@ class TestDacNonlinearity:
         # Matched rails with orders up to 3: products land on f, -3f and
         # +-2f; +3f stays empty.
         dac = DacNonlinearity([1.0, 1e-3, 1e-3], [1.0, 1e-3, 1e-3])
-        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 4096 * 8).samples
         spec = tone_spectrum(apply_dac(sig, dac))
         for freq in (-3 * F_TONE, -2 * F_TONE, 2 * F_TONE):
             assert line_dbc(spec, freq) > -90.0
@@ -100,7 +100,7 @@ class TestDacNonlinearity:
 
     def test_matched_even_order_equal_power(self):
         dac = DacNonlinearity([1.0, 1e-3], [1.0, 1e-3])
-        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 4096 * 8).samples
         spec = tone_spectrum(apply_dac(sig, dac))
         plus = measure_line_db(spec, 2 * F_TONE)
         minus = measure_line_db(spec, -2 * F_TONE)
@@ -109,7 +109,7 @@ class TestDacNonlinearity:
 
     def test_linear_rail_mismatch_creates_image(self):
         dac = DacNonlinearity([1.02], [0.98])
-        sig = gen_tone(F_TONE, 0.5, 4096 * 8, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 4096 * 8).samples
         spec = tone_spectrum(apply_dac(sig, dac))
         # (a_i - a_q)/2 relative to (a_i + a_q)/2
         expected = 20 * math.log10(0.02 / 1.0)
@@ -148,18 +148,18 @@ class TestDacNonlinearity:
 
 class TestIqImbalance:
     def test_identity(self):
-        sig = gen_tone(F_TONE, 0.5, 512, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 512).samples
         out = apply_iq(sig, IqImbalance.identity())
         npt.assert_allclose(out, sig, atol=1e-15)
 
     def test_image_level_exact(self):
         iq = IqImbalance([1.0], [0.01])
-        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS).samples
+        sig = gen_tone(F_TONE, 1.0, 4096 * 8).samples
         spec = tone_spectrum(apply_iq(sig, iq))
         assert abs(line_dbc(spec, -F_TONE) - (-40.0)) < 0.1
 
     def test_compensation_drops_image_20_db(self):
-        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS).samples
+        sig = gen_tone(F_TONE, 1.0, 4096 * 8).samples
         raw = tone_spectrum(apply_iq(sig, IqImbalance([1.0], [0.1])))
         comp = tone_spectrum(apply_iq(sig, IqImbalance([1.0], [0.01])))
         drop = line_dbc(raw, -F_TONE) - line_dbc(comp, -F_TONE)
@@ -194,38 +194,38 @@ class TestIqImbalance:
 
 class TestPhaseNoise:
     def test_zero_linewidth_identity(self):
-        sig = gen_tone(F_TONE, 1.0, 1024, FS).samples
-        out = apply_phase_noise(sig, PhaseNoiseSpec(0.0, False, 3), seed=1, sample_rate=FS)
+        sig = gen_tone(F_TONE, 1.0, 1024).samples
+        out = apply_phase_noise(sig, PhaseNoiseSpec(0.0, False, 3), seed=1)
         npt.assert_allclose(out, sig, atol=1e-12)
 
     def test_shared_zero_delay_exact_identity(self):
-        sig = gen_tone(F_TONE, 1.0, 1024, FS).samples
-        out = apply_phase_noise(sig, PhaseNoiseSpec(5e3, True, 0), seed=1, sample_rate=FS)
+        sig = gen_tone(F_TONE, 1.0, 1024).samples
+        out = apply_phase_noise(sig, PhaseNoiseSpec(5e3, True, 0), seed=1)
         npt.assert_array_equal(out, sig)
 
     def test_residual_variance_grows_with_delay(self):
-        sig = gen_tone(F_TONE, 1.0, 200000, FS).samples
+        sig = gen_tone(F_TONE, 1.0, 200000).samples
         variances = []
         for delay in (1, 4, 16):
-            out = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, delay), seed=5, sample_rate=FS)
+            out = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, delay), seed=5)
             rot = np.angle(out / sig)
             variances.append(np.var(rot))
         assert variances[0] < variances[1] < variances[2]
         assert variances[1] / variances[0] == pytest.approx(4.0, rel=0.25)
 
     def test_independent_wider_than_shared(self):
-        sig = gen_tone(F_TONE, 1.0, 4096 * 16, FS).samples
-        pn_ind = apply_phase_noise(sig, PhaseNoiseSpec(100.0, False, 1), seed=2, sample_rate=FS)
-        pn_sh = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, 1), seed=2, sample_rate=FS)
+        sig = gen_tone(F_TONE, 1.0, 4096 * 16).samples
+        pn_ind = apply_phase_noise(sig, PhaseNoiseSpec(100.0, False, 1), seed=2)
+        pn_sh = apply_phase_noise(sig, PhaseNoiseSpec(100.0, True, 1), seed=2)
         var_ind = np.var(np.angle(pn_ind / sig))
         var_sh = np.var(np.angle(pn_sh / sig))
         assert var_ind > 10 * var_sh
 
     def test_deterministic_in_seed(self):
-        sig = gen_tone(F_TONE, 1.0, 512, FS).samples
-        a = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9, sample_rate=FS)
-        b = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9, sample_rate=FS)
-        c = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=10, sample_rate=FS)
+        sig = gen_tone(F_TONE, 1.0, 512).samples
+        a = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9)
+        b = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=9)
+        c = apply_phase_noise(sig, PhaseNoiseSpec(1e3, False, 1), seed=10)
         npt.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -233,10 +233,10 @@ class TestPhaseNoise:
         # The shared walk would need len + delay draws: a delay past the
         # signal is an error, raised before any draw, while a delay of the
         # whole signal still runs.
-        sig = gen_tone(F_TONE, 1.0, 64, FS).samples
-        apply_phase_noise(sig, PhaseNoiseSpec(1e3, True, len(sig)), seed=1, sample_rate=FS)
+        sig = gen_tone(F_TONE, 1.0, 64).samples
+        apply_phase_noise(sig, PhaseNoiseSpec(1e3, True, len(sig)), seed=1)
         with pytest.raises(ValueError, match=r"delay_samples \(65\) must not exceed .*64"):
-            apply_phase_noise(sig, PhaseNoiseSpec(1e3, True, len(sig) + 1), seed=1, sample_rate=FS)
+            apply_phase_noise(sig, PhaseNoiseSpec(1e3, True, len(sig) + 1), seed=1)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -263,13 +263,13 @@ def pa_two_tone_oracle(a1, a2, beta3_prime):
 
 class TestPaNonlinearity:
     def test_identity(self):
-        sig = gen_tone(F_TONE, 0.9, 1024, FS).samples
+        sig = gen_tone(F_TONE, 0.9, 1024).samples
         out = apply_pa(sig, PaNonlinearity.identity())
         npt.assert_allclose(out, sig, atol=1e-15)
 
     def test_single_tone_only_compresses(self):
         pa = PaNonlinearity([1.0, 0.01])
-        sig = gen_tone(F_TONE, 1.0, 4096 * 8, FS).samples
+        sig = gen_tone(F_TONE, 1.0, 4096 * 8).samples
         spec = tone_spectrum(apply_pa(sig, pa))
         carrier = measure_line_db(spec, F_TONE)
         others = np.delete(
@@ -365,7 +365,7 @@ class TestChannelAndReceiver:
             ChannelAndReceiver(h_si=[[1, 2], [3]])
 
     def test_transparent_receiver(self):
-        sig = gen_tone(F_TONE, 0.5, 8192, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 8192).samples
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=24
         )
@@ -389,7 +389,7 @@ class TestChannelAndReceiver:
         assert diag.apparent_floor_dbfs == pytest.approx(-81.278, abs=1e-3)
 
     def test_pure_delay_channel(self):
-        sig = gen_tone(F_TONE, 0.5, 4096, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 4096).samples
         chan = ChannelAndReceiver(
             h_si=[0.0, 0.0, 1.0],
             analog_suppression_db=20.0,
@@ -439,7 +439,7 @@ class TestChannelAndReceiver:
         assert len(out) == 4096
 
     def test_rejects_noise_of_wrong_length(self):
-        sig = gen_tone(F_TONE, 0.5, 4096, FS).samples
+        sig = gen_tone(F_TONE, 0.5, 4096).samples
         chan = ChannelAndReceiver(h_si=[1.0], analog_suppression_db=0.0)
         with pytest.raises(ValueError, match="noise has 4095 samples, the signal 4096"):
             receive_at_antenna(
@@ -487,7 +487,7 @@ class TestChannelAndReceiver:
 
 class TestSimulateReceived:
     def test_disabled_impairments_scaled_noisy_copy(self):
-        sig = gen_tone(F_TONE, 0.2, 65536, FS)
+        sig = gen_tone(F_TONE, 0.2, 65536)
         cfg = identity_config()
         r, _ = simulate_received(sig, cfg, 0.0, seed=4)
         # mean rx power == tx (0 dBm) - suppression in the antenna-referred units
@@ -498,7 +498,7 @@ class TestSimulateReceived:
         assert resid_db == pytest.approx(-90.0, abs=0.5)
 
     def test_deterministic_in_seed(self):
-        sig = gen_tone(F_TONE, 0.2, 8192, FS)
+        sig = gen_tone(F_TONE, 0.2, 8192)
         cfg = load_preset("fig5_m10dbm")
         r1, _ = simulate_received(sig, cfg, -10.0, seed=6)
         r2, _ = simulate_received(sig, cfg, -10.0, seed=6)
@@ -507,7 +507,7 @@ class TestSimulateReceived:
         assert not np.array_equal(r1.samples, r3.samples)
 
     def test_receiver_diagnostics_exposed(self):
-        sig = gen_tone(F_TONE, 0.2, 8192, FS)
+        sig = gen_tone(F_TONE, 0.2, 8192)
         r, diag = simulate_received(sig, load_preset("fig5_m10dbm"), -10.0, seed=6)
         assert isinstance(diag, ReceiverDiagnostics)
         assert len(r) == len(sig)
@@ -519,11 +519,10 @@ class TestSimulateReceived:
     def test_is_front_end_then_receive(self):
         cfg = load_preset("fig5_m10dbm")
         assert cfg.pn.linewidth > 0 and np.any(cfg.tx_iq.delta)
-        sig = gen_tone(F_TONE, 0.2, 8192, FS)
+        sig = gen_tone(F_TONE, 0.2, 8192)
         r, diag = simulate_received(sig, cfg, -10.0, seed=6)
-        r2, diag2 = receive_every_row(
-            transmit_front_end(sig, cfg, seed=6), cfg, -10.0, thermal_noise(len(sig), cfg.chan, 6)
-        )
+        front = transmit_front_end(sig.samples, cfg, seed=6)
+        r2, diag2 = receive_every_row(front, cfg, -10.0, thermal_noise(len(sig), cfg.chan, 6))
         assert r.samples.tobytes() == r2.tobytes()
         assert diag.clipped_samples == diag2.clipped_samples
         assert diag.agc_scale == diag2.agc_scale
@@ -533,8 +532,8 @@ class TestSimulateReceived:
         # One front end serves every power: receive of it at two powers has
         # the bits of simulate_received at each.
         cfg = load_preset("fig5_m10dbm")
-        sig = gen_tone(F_TONE, 0.2, 8192, FS)
-        front = transmit_front_end(sig, cfg, seed=6)
+        sig = gen_tone(F_TONE, 0.2, 8192)
+        front = transmit_front_end(sig.samples, cfg, seed=6)
         powers = [-10.0, 22.0]
         _, received, _ = receive(front, cfg, powers, thermal_noise(len(sig), cfg.chan, 6), 0, 0)
         for k, power in enumerate(powers):
@@ -547,14 +546,26 @@ class TestSimulateReceived:
             raise AssertionError("the front end ran")
 
         monkeypatch.setattr(impairments, "transmit_front_end", not_run)
-        sig = gen_tone(F_TONE, 0.2, 64, FS)
+        sig = gen_tone(F_TONE, 0.2, 64)
         with pytest.raises(ValueError, match="^transmit power must lie in"):
             simulate_received(sig, identity_config(), power, seed=4)
+
+    def test_signal_at_another_rate_rejected(self, monkeypatch):
+        # The chain runs at SAMPLE_RATE: a signal that says 40 MHz is one
+        # error naming both rates, before the front end runs.
+        def not_run(*args):
+            raise AssertionError("the front end ran")
+
+        monkeypatch.setattr(impairments, "transmit_front_end", not_run)
+        sig = ComplexBasebandSignal(gen_tone(F_TONE, 0.2, 64).samples, 40e6)
+        message = r"^signal at 40000000\.0 Hz; the chain runs at 80000000\.0 Hz$"
+        with pytest.raises(ValueError, match=message):
+            simulate_received(sig, identity_config(), -10.0, seed=4)
 
     def test_high_power_preset_adds_amplifier_lines_and_floor(self):
         # Compared with the low-power scenario, the 20 dBm scenario grows
         # +3f and +5f mixing lines and a raised absolute per-bin floor.
-        tone = gen_tone(F_TONE, 0.5, 4096 * 16, FS)
+        tone = gen_tone(F_TONE, 0.5, 4096 * 16)
         readings = {}
         for name in ("fig5_m10dbm", "fig7_20dbm"):
             r, _ = simulate_received(tone, load_preset(name), PRESETS[name][0], seed=1)
@@ -770,6 +781,26 @@ class TestStagesMatchOutOfPlaceFormulas:
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
         assert same_bits(thermal_noise(n, chan, 7), expected)
+
+    @pytest.mark.parametrize("n", [4096, 65536])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+    def test_phase_noise_bits(self, n, shared):
+        # The rotation from its cosine and sine keeps the bits of the complex
+        # exponential below and above numpy's 256 KiB temporary elision,
+        # which changes the order of the complex product's operands. The
+        # reference is its own statement: inside an assert, pytest keeps a
+        # reference to the temporary, and numpy does not elide it.
+        pn = PhaseNoiseSpec(PHASE_NOISE_LINEWIDTH_HZ, shared, 1)
+        sigma = math.sqrt(2.0 * math.pi * pn.linewidth / SAMPLE_RATE)
+        if shared:
+            path = np.cumsum(substream(3, "phase-noise-shared").normal(0.0, sigma, n + 1))
+            rotation = path[1:] - path[:n]
+        else:
+            phi_tx = np.cumsum(substream(3, "phase-noise-tx").normal(0.0, sigma, n))
+            rotation = phi_tx - np.cumsum(substream(3, "phase-noise-rx").normal(0.0, sigma, n))
+        x = stage_input(n, seed=5)
+        expected = x * np.exp(1j * rotation)
+        assert same_bits(apply_phase_noise(x, pn, 3), expected)
 
     def test_dac_and_pa_with_zero_coefficients(self):
         # Zero middle coefficients make the Horner steps produce signed zeros.

@@ -55,21 +55,21 @@ class TestComplexBasebandSignal:
 
 class TestGenTone:
     def test_dc_tone_is_constant(self):
-        sig = gen_tone(0.0, 0.5, 16, FS)
+        sig = gen_tone(0.0, 0.5, 16)
         assert np.allclose(sig.samples, 0.5)
         assert math.isclose(np.mean(np.abs(sig.samples) ** 2), 0.25)
 
     def test_power_matches_amplitude(self):
-        sig = gen_tone(1e6, 1.0, 4096, FS)
+        sig = gen_tone(1e6, 1.0, 4096)
         assert abs(power_db(sig)) < 1e-9
 
     def test_spectral_line_at_tone(self):
-        sig = gen_tone(1e6, 1.0, 4096 * 8, FS)
+        sig = gen_tone(1e6, 1.0, 4096 * 8)
         spec = spectrum(sig, n_fft=4096)
         assert abs(measure_line_db(spec, 1e6) - 0.0) < 0.5
 
     def test_negative_tone_has_no_positive_image(self):
-        sig = gen_tone(-1e6, 1.0, 4096 * 8, FS)
+        sig = gen_tone(-1e6, 1.0, 4096 * 8)
         spec = spectrum(sig, n_fft=4096)
         line = measure_line_db(spec, -1e6)
         image = spec.power_db[spec.nearest_bin(+1e6)]
@@ -78,13 +78,13 @@ class TestGenTone:
 
     def test_rejects_out_of_nyquist(self):
         with pytest.raises(ValueError, match="Nyquist"):
-            gen_tone(FS / 2, 1.0, 16, FS)
+            gen_tone(FS / 2, 1.0, 16)
 
     def test_rejects_bad_amplitude(self):
         with pytest.raises(ValueError):
-            gen_tone(1e6, 0.0, 16, FS)
+            gen_tone(1e6, 0.0, 16)
         with pytest.raises(ValueError):
-            gen_tone(1e6, 1.5, 16, FS)
+            gen_tone(1e6, 1.5, 16)
 
 
 class TestGenOfdmFrames:
@@ -165,13 +165,13 @@ class TestSubstream:
 
 class TestFirConvolve:
     def test_identity(self):
-        sig = gen_tone(1e6, 0.7, 128, FS).samples
+        sig = gen_tone(1e6, 0.7, 128).samples
         out = fir_convolve(sig, [1.0])
         assert np.allclose(out, sig)
 
     def test_single_delay_shift_theorem(self):
         f = 2.5e6
-        sig = gen_tone(f, 1.0, 256, FS).samples
+        sig = gen_tone(f, 1.0, 256).samples
         out = fir_convolve(sig, [0.0, 1.0])
         expected_rot = np.exp(-2j * np.pi * f / FS)
         ratio = out[1:] / sig[1:]
@@ -211,7 +211,7 @@ class TestFirConvolve:
 
     def test_rejects_empty_taps(self):
         with pytest.raises(ValueError):
-            fir_convolve(gen_tone(1e6, 1.0, 16, FS).samples, [])
+            fir_convolve(gen_tone(1e6, 1.0, 16).samples, [])
 
     @pytest.mark.parametrize("n_taps", [1, 2, 4])
     def test_same_bits_as_out_of_place_products(self, n_taps):
@@ -225,7 +225,7 @@ class TestFirConvolve:
 
 class TestPowerMetrics:
     def test_half_amplitude_power(self):
-        assert abs(power_db(gen_tone(1e6, 0.5, 1024, FS)) - 20 * math.log10(0.5)) < 1e-9
+        assert abs(power_db(gen_tone(1e6, 0.5, 1024)) - 20 * math.log10(0.5)) < 1e-9
 
     def test_zero_signal_sentinel(self):
         sig = ComplexBasebandSignal(np.zeros(8, dtype=complex), FS)
@@ -234,12 +234,20 @@ class TestPowerMetrics:
 
 class TestIqFile:
     def test_roundtrip_exact(self, tmp_path):
-        sig = gen_ofdm_frames(OfdmFrameSpec(n_frames=2, seed=9))
-        path = tmp_path / "capture.iq"
-        write_iq(sig, path)
-        back = read_iq(path)
-        assert back.sample_rate == sig.sample_rate
-        assert np.array_equal(back.samples, sig.samples)
+        frames = gen_ofdm_frames(OfdmFrameSpec(n_frames=2, seed=9))
+        # A capture's header is where a rate other than the simulator's
+        # comes in: it reads back, and its spectrum spans that rate.
+        for sig, last_bin in [
+            (frames, 39_980_468.75),
+            (ComplexBasebandSignal(frames.samples, 40e6), 19_990_234.375),
+        ]:
+            path = tmp_path / "capture.iq"
+            write_iq(sig, path)
+            back = read_iq(path)
+            assert back.sample_rate == sig.sample_rate
+            assert np.array_equal(back.samples, sig.samples)
+            freqs = spectrum(back, n_fft=4096).bin_freqs
+            assert (freqs[0], freqs[-1]) == (-sig.sample_rate / 2, last_bin)
 
     def test_roundtrip_keeps_every_bit(self, tmp_path):
         # A signed zero on either rail, and a subnormal, come back as written.
@@ -249,7 +257,7 @@ class TestIqFile:
         assert np.array_equal(back.samples.view(np.uint64), sig.samples.view(np.uint64))
 
     def test_header_contents(self, tmp_path):
-        sig = gen_tone(1e6, 1.0, 64, FS)
+        sig = gen_tone(1e6, 1.0, 64)
         path = tmp_path / "tone.iq"
         write_iq(sig, path)
         header = (tmp_path / "tone.iq.hdr").read_text()
@@ -282,13 +290,13 @@ class TestIqFile:
         ids=["float32", "missing"],
     )
     def test_format_other_than_float64_rejected(self, tmp_path, line, message):
-        path = write_iq(gen_tone(1e6, 1.0, 64, FS), tmp_path / "x.iq")
+        path = write_iq(gen_tone(1e6, 1.0, 64), tmp_path / "x.iq")
         (tmp_path / "x.iq.hdr").write_text(f"{line}sample_rate_hz=80000000.0\nlength=64\n")
         with pytest.raises(ValueError, match=message):
             read_iq(path)
 
     def test_length_mismatch_rejected(self, tmp_path):
-        sig = gen_tone(1e6, 1.0, 64, FS)
+        sig = gen_tone(1e6, 1.0, 64)
         path = tmp_path / "bad.iq"
         write_iq(sig, path)
         path.write_bytes(path.read_bytes()[:-16])
@@ -296,7 +304,7 @@ class TestIqFile:
             read_iq(path)
 
     def test_partial_sample_rejected(self, tmp_path):
-        sig = gen_tone(1e6, 1.0, 64, FS)
+        sig = gen_tone(1e6, 1.0, 64)
         path = write_iq(sig, tmp_path / "bad.iq")
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(ValueError, match="header says 64"):

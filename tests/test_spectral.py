@@ -19,7 +19,7 @@ FS = 80e6
 
 class TestSpectrumEstimator:
     def test_parseval_on_tone(self):
-        sig = gen_tone(1.25e6, 0.8, 4096 * 8, FS)
+        sig = gen_tone(1.25e6, 0.8, 4096 * 8)
         spec = spectrum(sig, n_fft=4096)
         assert abs(10 * np.log10(np.sum(spec.power_linear())) - 20 * np.log10(0.8)) < 0.1
 
@@ -42,7 +42,7 @@ class TestSpectrumEstimator:
         assert spread < 3.0
 
     def test_tone_line_reading_compensates_window(self):
-        sig = gen_tone(1.25e6, 1.0, 4096 * 8, FS)
+        sig = gen_tone(1.25e6, 1.0, 4096 * 8)
         spec = spectrum(sig, n_fft=4096)
         assert abs(measure_line_db(spec, 1.25e6)) < 0.5
 
@@ -53,17 +53,17 @@ class TestSpectrumEstimator:
         assert np.max(spec.power_db) <= -290.0
 
     def test_rejects_nfft_above_length(self):
-        sig = gen_tone(1e6, 1.0, 512, FS)
+        sig = gen_tone(1e6, 1.0, 512)
         with pytest.raises(ValueError, match="exceeds"):
             spectrum(sig, n_fft=1024)
 
     def test_rejects_nfft_below_two(self):
-        sig = gen_tone(1e6, 1.0, 512, FS)
+        sig = gen_tone(1e6, 1.0, 512)
         with pytest.raises(ValueError, match="^n_fft must be >= 2$"):
             spectrum(sig, n_fft=1)
 
     def test_rejects_bad_averaging(self):
-        sig = gen_tone(1e6, 1.0, 4096, FS)
+        sig = gen_tone(1e6, 1.0, 4096)
         with pytest.raises(ValueError, match="averaging"):
             spectrum(sig, n_fft=4096, averaging=2)
 
@@ -73,12 +73,12 @@ class TestSpectrumEstimator:
         ids=["n_fft-float", "averaging-bool"],
     )
     def test_count_of_wrong_type_is_rejected(self, kwargs, name):
-        sig = gen_tone(1e6, 1.0, 8192, FS)
+        sig = gen_tone(1e6, 1.0, 8192)
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             spectrum(sig, **kwargs)
 
     def test_bin_axis_symmetric_and_increasing(self):
-        sig = gen_tone(1e6, 1.0, 8192, FS)
+        sig = gen_tone(1e6, 1.0, 8192)
         spec = spectrum(sig, n_fft=4096)
         assert np.all(np.diff(spec.bin_freqs) > 0)
         assert spec.bin_freqs[0] == -FS / 2
@@ -102,7 +102,7 @@ class TestSpectrumType:
 class TestMeasurements:
     def test_skirt_excludes_line_lobe(self):
         rng = np.random.default_rng(3)
-        tone = gen_tone(1.25e6, 1.0, 4096 * 16, FS)
+        tone = gen_tone(1.25e6, 1.0, 4096 * 16)
         noisy = tone.with_samples(
             tone.samples
             + 0.001 * (rng.standard_normal(len(tone)) + 1j * rng.standard_normal(len(tone)))
@@ -114,7 +114,7 @@ class TestMeasurements:
 
     def test_skirt_needs_bins_outside_the_line_lobe(self):
         # Four bins all lie within the tone's +-3-bin main lobe.
-        spec = spectrum(gen_tone(0.0, 1.0, 4, FS), n_fft=4)
+        spec = spectrum(gen_tone(0.0, 1.0, 4), n_fft=4)
         message = "^search window contains no bins outside the line lobe$"
         with pytest.raises(ValueError, match=message):
             skirt_peak_dbc(spec, 0.0)
@@ -129,7 +129,7 @@ class TestMeasurements:
 
 class TestCsvExport:
     def test_header_and_shape(self, tmp_path):
-        sig = gen_tone(1e6, 1.0, 4096, FS)
+        sig = gen_tone(1e6, 1.0, 4096)
         spec = spectrum(sig, n_fft=1024)
         path = write_spectrum_csv(spec, tmp_path / "spec.csv")
         lines = path.read_text().splitlines()
@@ -143,14 +143,14 @@ class TestCsvExport:
             np.array([-4.0e7, -1.5, -1e-9, -0.0, 2.5e-7, 3.999999999e7]),
             np.array([-0.0, -300.0, 12345678.9, -4e-7, 0.0, 1e300]),
         )
-        real = spectrum(gen_tone(1e6, 1.0, 4096, FS), n_fft=1024)
+        real = spectrum(gen_tone(1e6, 1.0, 4096), n_fft=1024)
         for k, spec in enumerate((odd, real)):
             ours = write_spectrum_csv(spec, tmp_path / f"ours{k}.csv").read_bytes()
             spectrum_csv_oracle(spec, tmp_path / f"oracle{k}.csv")
             assert ours == (tmp_path / f"oracle{k}.csv").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
-        sig = gen_tone(1e6, 1.0, 4096, FS)
+        sig = gen_tone(1e6, 1.0, 4096)
         spec = spectrum(sig, n_fft=1024)
         a = write_spectrum_csv(spec, tmp_path / "a.csv").read_bytes()
         b = write_spectrum_csv(spec, tmp_path / "b.csv").read_bytes()
