@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._rng import _require_int
 from .spectral import LINE_HALFWIDTH_BINS, Spectrum, floor_estimate_db, measure_line_db
 
 # An even order passes when its two lines agree within this many dB.
@@ -20,6 +21,9 @@ EQUAL_POWER_TOL_DB = 1.0
 
 # A line reading within this many dB of the lobe-summed floor is at the floor.
 FLOOR_MARGIN_DB = 8.0
+
+# Default margin by which an odd order's line must exceed its counterpart.
+DEFAULT_MARGIN_DB = 20.0
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,7 @@ class HarmonicPrediction:
 
 def predict_harmonics(m: int, f: float) -> HarmonicPrediction:
     """Baseband harmonic locations of a tone at ``f`` for rail order ``m``."""
+    _require_int(m, "m")
     if m < 1:
         raise ValueError(f"harmonic order must be >= 1, got {m}")
     if m % 2 == 1:
@@ -61,7 +66,7 @@ def verify_harmonics(
     spec: Spectrum,
     f: float,
     m_max: int,
-    margin_db: float = 20.0,
+    margin_db: float = DEFAULT_MARGIN_DB,
 ) -> list[HarmonicCheck]:
     """Check predicted harmonic lines of a tone test against a spectrum.
 
@@ -75,6 +80,7 @@ def verify_harmonics(
     ``margin_db`` must be finite; otherwise no order is checked and
     ``ValueError`` is raised.
     """
+    _require_int(m_max, "m_max")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if not math.isfinite(margin_db):

@@ -35,8 +35,6 @@ from .impairments import (
     ReceiverDiagnostics,
     check_tx_power,
     receive,
-    thermal_noise,
-    transmit_front_end,
 )
 from .signals import FRAME_LEN, OfdmFrameSpec, gen_ofdm_frames
 
@@ -479,11 +477,11 @@ def run_sweep(
     """Simulate, fit each canceller on the training frames, and score the rest.
 
     ``cfg`` is the hardware and each of ``powers`` (dBm) one amplifier
-    drive (:func:`~fdsic.impairments.receive`). The transmit frames are
-    generated once, scaled to the nominal DAC drive and shared by every
-    power, so the front end runs and the noise is drawn once, and each
-    canceller family is factored once (see :func:`_fit_and_score`). The
-    first ``TRAIN_FRACTION`` of frames trains the fits (at most
+    drive. The transmit frames are generated once, scaled to the nominal
+    DAC drive and received at every power in one
+    :func:`~fdsic.impairments.receive` call, and each canceller family is
+    factored once (see :func:`_fit_and_score`). The first
+    ``TRAIN_FRACTION`` of frames trains the fits (at most
     ``MAX_TRAIN_SAMPLES`` rows, the only training rows digitized) and the
     remainder is held out. Residual-above-noise statistics are aggregated
     across the held-out frames (mean and one-standard-deviation spread).
@@ -518,11 +516,7 @@ def run_sweep(
         _check_training_len(n_train, spec.n_bases * spec.channel_len)
 
     x = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
-    front = transmit_front_end(x, cfg, seed)
-    noise = thermal_noise(len(x), cfg.chan, seed)
-    train, held, diags = receive(front, cfg, powers, noise, n_train, split)
-    # Only the digitized rows reach the fit: let the full-length arrays go.
-    del front, noise
+    train, held, diags = receive(x, cfg, powers, seed, n_train, split)
     fits, per_frame_db = _fit_and_score(
         x, train, held, specs, FRAME_LEN, cfg.chan.thermal_noise_dbfs
     )

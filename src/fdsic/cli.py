@@ -26,7 +26,9 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .analysis import BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
+from .analysis import (
+    DEFAULT_MARGIN_DB, BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
+)
 from .cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod, CancellerSpec, run_sweep
 from .impairments import (
     MIN_TX_POWER_DBM,
@@ -38,7 +40,7 @@ from .impairments import (
 )
 from .presets import PRESET_NAMES, PRESETS, TONE_AMPLITUDE, TONE_FREQ, load_preset
 from .signals import OfdmFrameSpec, gen_tone, read_iq, write_iq
-from .spectral import spectrum, write_spectrum_csv
+from .spectral import DEFAULT_N_FFT, spectrum, write_spectrum_csv
 
 
 def _parse_powers(text: str) -> list[float]:
@@ -236,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="transmit power in dBm (default: the preset's; -10 with --config)",
     )
     p_tone.add_argument("--freq", type=float, default=TONE_FREQ, help="tone frequency in Hz")
-    p_tone.add_argument("--n-fft", type=int, default=4096)
+    p_tone.add_argument("--n-fft", type=int, default=DEFAULT_N_FFT)
     p_tone.add_argument("--segments", type=int, default=16, help="capture length in FFT frames")
     p_tone.add_argument("--m-max", type=int, default=3, help="highest harmonic order to verify")
-    p_tone.add_argument("--margin", type=float, default=20.0, help="pass margin in dB")
+    p_tone.add_argument("--margin", type=float, default=DEFAULT_MARGIN_DB, help="pass margin in dB")
     p_tone.add_argument("--strict", action="store_true", help="nonzero exit if any order fails")
     p_tone.set_defaults(func=cmd_tone_test)
 
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="spectrum of a recorded IQ file")
     p_spec.add_argument("--input", type=Path, required=True, help="IQ file (with .hdr sidecar)")
-    p_spec.add_argument("--n-fft", type=int, default=4096)
+    p_spec.add_argument("--n-fft", type=int, default=DEFAULT_N_FFT)
     p_spec.add_argument("--averaging", type=int, default=None)
     p_spec.add_argument("--out", type=Path, required=True)
     p_spec.set_defaults(func=cmd_spectrum)

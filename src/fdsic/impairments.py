@@ -6,29 +6,20 @@ amplifier distortion, the self-interference channel with flat analog
 suppression, thermal noise, and a gain-ranged quantizing receiver.
 
 Stage order is fixed: DAC -> TX IQ -> phase noise -> PA -> channel ->
-RX IQ -> noise -> ADC. The transmit power enters only at the PA drive, so
-the chain splits there into ``transmit_front_end`` and ``receive``. All
-randomness derives from an explicit seed via named substreams. The
-receiver's thermal noise does not depend on the transmit power either:
-``thermal_noise`` draws it, and ``receive`` takes the drawn array. So a
-power sweep runs the front end and draws the noise once, then calls
-``receive`` once with its configuration and the list of its powers.
+RX IQ -> noise -> ADC. The transmit power enters only at the PA drive, and
+the receiver's thermal noise does not depend on it either, so ``receive``,
+the one place the chain is assembled, runs ``transmit_front_end`` and
+draws ``thermal_noise`` once, then runs the rest at each of its powers: a
+power sweep is one call, and ``simulate_received`` one call at one power.
+All randomness derives from an explicit seed via named substreams.
 
 The stages take and return plain sample arrays. Each returns a new array
 and never modifies its inputs; it works in place only on arrays it made.
-``receive`` is the one place the per-power part of the chain runs, for
-``simulate_received`` and for the power sweep alike. Per power, the
-amplifier to the ADC input streams in ``CHAIN_BLOCK``-sample blocks
-(``_analog_chain``), and the converter digitizes only the rows asked for,
-with the bits of the whole: ``_quantize`` writes each rail's clipped
-integer code (int16 up to 16 bits, else int32) and ``_decode`` turns codes
-back into antenna-referred samples. The rows are kept as codes
-(:class:`AdcCodes`, a quarter of the bytes of complex128 at up to 16
-bits), and a slice of them decodes when it is read. With the rows comes
-a summary of what the receiver saw over them (:class:`ReceiverDiagnostics`:
-clipped samples, AGC scale and the apparent floor that noise and
-quantization leave). ``simulate_received`` digitizes every row and
-decodes them all.
+Per power, the amplifier to the ADC input streams in
+``CHAIN_BLOCK``-sample blocks (``_analog_chain``), and the converter
+digitizes only the rows asked for, with the bits of the whole, into
+:class:`AdcCodes` (integer codes that decode when read), with a
+:class:`ReceiverDiagnostics` summary of what the receiver saw.
 Only ``simulate_received`` takes a :class:`ComplexBasebandSignal`, which
 must be at ``SAMPLE_RATE``, and returns one. Every number of
 a configuration must be finite, except a ``-inf`` thermal noise floor
@@ -378,18 +369,16 @@ def _analog_chain(
 ) -> tuple[np.ndarray, float]:
     """The ADC input and its AGC scale, streamed in ``CHAIN_BLOCK`` blocks.
 
-    ``x`` is the :func:`transmit_front_end` output: each block is driven
-    through the amplifier at ``power_dbm``, referred to the antenna, and
-    passed through analog suppression, the SI channel, RX IQ imbalance and
-    ``noise``. A block reads the ``len(h_si) - 1`` plus RX IQ taps - 1
-    input samples before it (none for the first), so each output sample
-    has the bits of the unblocked chain. The scale is set by the mean of
-    ``|analog|^2`` over all of ``x``: every sample reaches the AGC,
-    digitized or not. Returns a new analog array and leaves ``x`` and
+    ``x`` and ``noise`` are :func:`receive`'s front-end output and noise:
+    each block is driven through the amplifier at ``power_dbm``, referred
+    to the antenna, and passed through analog suppression, the SI channel,
+    RX IQ imbalance and ``noise``. A block reads the ``len(h_si) - 1`` plus
+    RX IQ taps - 1 input samples before it (none for the first), so each
+    output sample has the bits of the unblocked chain. The scale is set by
+    the mean of ``|analog|^2`` over all of ``x``: every sample reaches the
+    AGC, digitized or not. Returns a new analog array and leaves ``x`` and
     ``noise`` unchanged.
     """
-    if len(noise) != len(x):
-        raise ValueError(f"noise has {len(noise)} samples, the signal {len(x)}")
     chan, rx_iq = cfg.chan, cfg.rx_iq
     n = len(x)
     history = chan.h_si.size + max(rx_iq.gamma.size, rx_iq.delta.size) - 2
@@ -524,8 +513,8 @@ class AdcCodes:
 def transmit_front_end(x: np.ndarray, cfg: ImpairmentConfig, seed: int) -> np.ndarray:
     """DAC -> TX IQ -> phase noise on the samples ``x``, before the power enters.
 
-    The output does not depend on the transmit power, so a power sweep
-    can run it once and feed it to :func:`receive` at every power.
+    The output does not depend on the transmit power, so :func:`receive`
+    runs it once for all its powers.
     """
     v = apply_dac(x, cfg.dac)
     v = apply_iq(v, cfg.tx_iq)
@@ -534,21 +523,19 @@ def transmit_front_end(x: np.ndarray, cfg: ImpairmentConfig, seed: int) -> np.nd
 
 @np.errstate(all="ignore")
 def receive(
-    front: np.ndarray,
+    x: np.ndarray,
     cfg: ImpairmentConfig,
     powers: Sequence[float],
-    noise: np.ndarray,
+    seed: int,
     fit_len: int,
     split: int,
 ) -> tuple[AdcCodes, AdcCodes, list[ReceiverDiagnostics]]:
-    """Drive -> PA -> antenna reference -> channel and receiver, at each power.
+    """The whole chain on the transmit samples ``x``, at each of ``powers``.
 
-    ``front`` is the :func:`transmit_front_end` output of ``cfg`` and
-    ``noise`` the receiver noise, :func:`thermal_noise` of ``len(front)``;
-    neither depends on the power, and both are left unchanged. Each of
-    ``powers`` (dBm, each checked by :func:`check_tx_power` before the
-    chain runs) sets the amplifier drive of one column; every other stage
-    is ``cfg``'s.
+    The rows and each power (dBm, by :func:`check_tx_power`) are checked
+    first. Then :func:`transmit_front_end` and :func:`thermal_noise` run
+    once at ``seed``, as neither depends on the power. Each power sets the
+    amplifier drive of one column; every other stage is ``cfg``'s.
     Per power the analog chain streams over every row
     (:func:`_analog_chain`), so every row reaches the AGC, but only rows
     ``[0, fit_len)`` and ``[split, n)`` are quantized (:func:`_quantize`),
@@ -556,15 +543,17 @@ def receive(
     Returns those two sets of rows and per power the receiver's summary:
     clipped samples over both sets of rows, the AGC scale, and the mean of
     ``|noise + (digitized - analog)|^2`` over rows ``[split, n)`` in dBFS.
-    ``receive(front, cfg, [power], noise, 0, 0)`` digitizes every row.
+    ``receive(x, cfg, [power], seed, 0, 0)`` digitizes every row.
     Raises ``ValueError`` when the digitized output is not finite: a
     configuration of finite values that overflows the chain ends here.
     """
-    n = len(front)
+    n = len(x)
     if not 0 <= fit_len <= split < n:
         raise ValueError(f"need 0 <= fit_len ({fit_len}) <= split ({split}) < {n} rows")
     for power in powers:
         check_tx_power(power)
+    front = transmit_front_end(x, cfg, seed)
+    noise = thermal_noise(n, cfg.chan, seed)
     chan = cfg.chan
     train = AdcCodes.empty(fit_len, len(powers), chan)
     held = AdcCodes.empty(n - split, len(powers), chan)
@@ -597,18 +586,14 @@ def simulate_received(
 ) -> tuple[ComplexBasebandSignal, ReceiverDiagnostics]:
     """Run the full impairment chain on a digital baseband signal.
 
-    ``x`` must be at ``SAMPLE_RATE``; it and the transmit power ``power_dbm``
-    are checked before the front end runs. Returns the received
-    self-interference signal (in antenna-referred units where mean power
-    in dB reads as dBm) and the receiver's summary over every sample:
-    clipping, AGC scale and apparent floor.
+    ``x`` must be at ``SAMPLE_RATE``. Returns ``receive(x.samples, cfg,
+    [power_dbm], seed, 0, 0)``: the received self-interference signal (in
+    antenna-referred units where mean power in dB reads as dBm) and the
+    receiver's summary over every sample.
     """
     if x.sample_rate != SAMPLE_RATE:
         raise ValueError(f"signal at {x.sample_rate!r} Hz; the chain runs at {SAMPLE_RATE!r} Hz")
-    check_tx_power(power_dbm)
-    front = transmit_front_end(x.samples, cfg, seed)
-    noise = thermal_noise(len(x), cfg.chan, seed)
-    _, received, (diag,) = receive(front, cfg, [power_dbm], noise, 0, 0)
+    _, received, (diag,) = receive(x.samples, cfg, [power_dbm], seed, 0, 0)
     return x.with_samples(received[:, 0]), diag
 
 

@@ -97,6 +97,7 @@ def gen_tone(freq: float, amplitude: float, n_samples: int) -> ComplexBasebandSi
         )
     if not (0 < amplitude <= 1.0):
         raise ValueError(f"amplitude must be in (0, 1], got {amplitude}")
+    _require_int(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     phase = 2.0 * np.pi * freq * np.arange(n_samples) * (1.0 / SAMPLE_RATE)

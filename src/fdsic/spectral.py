@@ -28,6 +28,9 @@ LINE_HALFWIDTH_BINS = 3
 # Half-width (in bins) of the window skirt_peak_dbc searches around a tone.
 SKIRT_SEARCH_BINS = 32
 
+# Segment length of a spectrum when none is given, and of the CLI's --n-fft.
+DEFAULT_N_FFT = 4096
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -71,7 +74,7 @@ class Spectrum:
 
 def spectrum(
     signal: ComplexBasebandSignal,
-    n_fft: int = 4096,
+    n_fft: int = DEFAULT_N_FFT,
     averaging: int | None = None,
 ) -> Spectrum:
     """Welch-averaged power spectrum of periodic Hann segments, 50% overlapped.

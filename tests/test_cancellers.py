@@ -54,7 +54,9 @@ from fdsic.impairments import (
     transmit_front_end,
 )
 from fdsic.presets import load_preset
-from fdsic.signals import ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec
+from fdsic.signals import (
+    FRAME_LEN, ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec,
+)
 
 
 def random_signal(n, seed):
@@ -608,7 +610,7 @@ class TestRunSweep:
             raise AssertionError("the chain ran")
 
         monkeypatch.setattr(cancellers, "build_basis", recording_build_basis)
-        monkeypatch.setattr(cancellers, "transmit_front_end", no_front_end)
+        monkeypatch.setattr(cancellers, "receive", no_front_end)
         specs = [DEFAULT_SPECS[0], CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=300)]
         message = "training length 65536 must be >= 4 * (bases * taps) = 76800"
         with pytest.raises(ValueError) as error:
@@ -640,7 +642,7 @@ class TestRunSweep:
             raise AssertionError("the frames were drawn or the chain ran")
 
         monkeypatch.setattr(cancellers, "gen_ofdm_frames", not_run)
-        monkeypatch.setattr(cancellers, "transmit_front_end", not_run)
+        monkeypatch.setattr(cancellers, "receive", not_run)
         with pytest.raises(ValueError) as error:
             run_sweep(load_preset("sweep_40db"), [22.0, 99.0], DEFAULT_SPECS, OfdmFrameSpec(), 0)
         assert str(error.value) == "transmit power must lie in [-10, 22] dBm, got 99"
@@ -788,6 +790,31 @@ class TestRunSweep:
         )
         assert len(reports) == len(powers) * len(DEFAULT_SPECS)
         assert calls == {"apply_dac": 1, "apply_phase_noise": 1, "apply_pa": 3}
+
+    def test_one_receive_call_per_sweep(self, monkeypatch):
+        # The chain runs in one receive call: the scaled frames, the sweep's
+        # seed, the capped training rows and the split.
+        calls = []
+        real_receive = cancellers.receive
+
+        def recording_receive(x, cfg, powers, seed, fit_len, split):
+            calls.append((x.copy(), cfg, list(powers), seed, fit_len, split))
+            return real_receive(x, cfg, powers, seed, fit_len, split)
+
+        monkeypatch.setattr(cancellers, "receive", recording_receive)
+        cfg = load_preset("sweep_55db")
+        frames = OfdmFrameSpec(n_frames=40, seed=49)
+        powers = [-10.0, 6.0, 22.0]
+        run_sweep(cfg, powers, [CancellerSpec(CancellerMethod.LINEAR)], frames, seed=50)
+        assert len(calls) == 1
+        x, got_cfg, got_powers, seed, fit_len, split = calls[0]
+        scaled = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
+        assert x.tobytes() == scaled.tobytes()
+        assert got_cfg is cfg
+        assert got_powers == powers
+        assert seed == 50
+        # 20 of 40 frames train, capped at MAX_TRAIN_SAMPLES digitized rows.
+        assert (fit_len, split) == (cancellers.MAX_TRAIN_SAMPLES, 20 * FRAME_LEN)
 
     def test_thermal_noise_drawn_once_per_sweep(self, monkeypatch):
         names = []
@@ -938,16 +965,14 @@ class TestReceive:
 
     @staticmethod
     def sweep_rows(x, cfg, powers, seed, split):
-        """The receive step of a sweep of ``x`` at ``cfg`` and ``powers``: its
-        front end, one noise draw, and :func:`receive` of the rows the sweep reads."""
-        front = transmit_front_end(x, cfg, seed)
-        noise = thermal_noise(len(x), cfg.chan, seed)
-        return receive(front, cfg, powers, noise, min(split, cancellers.MAX_TRAIN_SAMPLES), split)
+        """The receive step of a sweep of ``x`` at ``cfg``, ``powers`` and
+        ``seed``: :func:`receive` of the rows the sweep reads."""
+        return receive(x, cfg, powers, seed, min(split, cancellers.MAX_TRAIN_SAMPLES), split)
 
     @staticmethod
-    def every_row(front, cfg, power, noise):
+    def every_row(x, cfg, power, seed):
         """:func:`receive` at one power over every row: decoded rows and summary."""
-        _, received, (diag,) = receive(front, cfg, [power], noise, 0, 0)
+        _, received, (diag,) = receive(x, cfg, [power], seed, 0, 0)
         return received[:, 0], diag
 
     def test_rows_are_those_of_every_row_receive(self):
@@ -959,22 +984,22 @@ class TestReceive:
         assert split > cancellers.MAX_TRAIN_SAMPLES
         powers = [-10.0, 6.0, 22.0]
         train, held, receivers = TestReceive.sweep_rows(x, cfg, powers, 62, split)
-        front = transmit_front_end(x, cfg, 62)
-        noise = thermal_noise(len(x), cfg.chan, 62)
         assert train.shape == (cancellers.MAX_TRAIN_SAMPLES, 3)
         assert train.codes.dtype == held.codes.dtype == np.int16
-        self.assert_rows_match(train, held, receivers, front, cfg, powers, noise, split)
+        self.assert_rows_match(train, held, receivers, x, cfg, powers, 62, split)
 
     @staticmethod
-    def assert_summary_matches(receiver, front, cfg, power, noise, split):
-        """``receiver`` is the sweep's summary at ``power``.
+    def assert_summary_matches(receiver, x, cfg, power, seed, split):
+        """``receiver`` is the summary at ``power`` of a sweep of ``x`` at ``seed``.
 
         Its AGC scale is an every-row receive's, bit for bit; its floor is the
         oracle's over the held rows [split, len), and its clip count the
         oracle's over the training and held rows, which the sweep digitizes.
-        Returns the clip count.
+        The oracle reads the front end and noise at ``seed``. Returns the
+        clip count.
         """
-        _, diag = TestReceive.every_row(front, cfg, power, noise)
+        _, diag = TestReceive.every_row(x, cfg, power, seed)
+        front, noise = transmit_front_end(x, cfg, seed), thermal_noise(len(x), cfg.chan, seed)
         assert receiver.agc_scale == diag.agc_scale
         drive = 10.0 ** ((power - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
         antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
@@ -992,13 +1017,13 @@ class TestReceive:
         return receiver.clipped_samples
 
     @staticmethod
-    def assert_rows_match(train, held, receivers, front, cfg, powers, noise, split):
+    def assert_rows_match(train, held, receivers, x, cfg, powers, seed, split):
         # The rows decode to an every-row receive's, bit for bit.
         for k, power in enumerate(powers):
-            r, _ = TestReceive.every_row(front, cfg, power, noise)
+            r, _ = TestReceive.every_row(x, cfg, power, seed)
             assert train[:, k].tobytes() == r[: len(train)].tobytes()
             assert held[:, k].tobytes() == r[split:].tobytes()
-            TestReceive.assert_summary_matches(receivers[k], front, cfg, power, noise, split)
+            TestReceive.assert_summary_matches(receivers[k], x, cfg, power, seed, split)
 
     @pytest.mark.parametrize("bits", [14, 20])
     def test_sweep_reports_carry_each_powers_receiver_summary(self, bits):
@@ -1015,10 +1040,8 @@ class TestReceive:
         reports = run_sweep(cfg, powers, [spec], OfdmFrameSpec(n_frames=40, seed=71), seed=72)
         x = self.frames(40, 71)
         split = 20 * (len(x) // 40)
-        front = transmit_front_end(x, cfg, 72)
-        noise = thermal_noise(len(x), cfg.chan, 72)
         clips = [
-            self.assert_summary_matches(rep.receiver, front, cfg, power, noise, split)
+            self.assert_summary_matches(rep.receiver, x, cfg, power, 72, split)
             for rep, power in zip(reports, powers)
         ]
         assert clips[1] > 0
@@ -1035,9 +1058,7 @@ class TestReceive:
         assert train.codes.dtype == held.codes.dtype == np.int32
         # The gain ranging reaches codes beyond int16 at 20 bits.
         assert np.max(np.abs(held.codes)) > np.iinfo(np.int16).max
-        front = transmit_front_end(x, cfg, 68)
-        noise = thermal_noise(len(x), cfg.chan, 68)
-        self.assert_rows_match(train, held, receivers, front, cfg, powers, noise, split)
+        self.assert_rows_match(train, held, receivers, x, cfg, powers, 68, split)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_an_undigitized_row_is_an_error(self):
@@ -1065,7 +1086,7 @@ class TestReceive:
         finally:
             tracemalloc.stop()
         full = n * 16
-        # front and noise are full-length complex arrays held throughout.
+        # receive holds its front end and noise, full-length complex arrays, throughout.
         kept = sum(rows.codes.nbytes + rows.scales.nbytes for rows in (train, held))
         transient = peak - kept - 2 * full
         assert transient <= 2.5 * full
@@ -1130,8 +1151,7 @@ class TestFitAndScore:
         def unreachable(*args, **kwargs):
             raise AssertionError("the fit-and-score step ran the simulator")
 
-        for name in ("transmit_front_end", "thermal_noise", "receive"):
-            monkeypatch.setattr(cancellers, name, unreachable)
+        monkeypatch.setattr(cancellers, "receive", unreachable)
         for name in ("_analog_chain", "_quantize"):
             monkeypatch.setattr(impairments, name, unreachable)
 

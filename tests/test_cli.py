@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fdsic
-from fdsic.analysis import BudgetInput, suppression_budget
+from fdsic.analysis import BudgetInput, suppression_budget, verify_harmonics
 from fdsic.cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod
 from fdsic import cli
 from fdsic.cli import _parse_powers, main
@@ -27,6 +28,7 @@ from fdsic.presets import (
     load_preset,
 )
 from fdsic.signals import gen_tone, write_iq
+from fdsic.spectral import spectrum
 
 
 class TestPowerGridParsing:
@@ -402,6 +404,17 @@ class TestConfigRoundTrip:
 
 
 class TestToneTest:
+    def test_analysis_flags_default_to_the_library_defaults(self):
+        # --n-fft of both commands and --margin read the defaults that
+        # spectrum and verify_harmonics take.
+        parser = cli.build_parser()
+        tone = parser.parse_args(["tone-test", "--out", "out"])
+        recorded = parser.parse_args(["spectrum", "--input", "in.iq", "--out", "out"])
+        n_fft = inspect.signature(spectrum).parameters["n_fft"].default
+        margin = inspect.signature(verify_harmonics).parameters["margin_db"].default
+        assert tone.n_fft == recorded.n_fft == n_fft
+        assert tone.margin == margin
+
     def test_outputs_written(self, tmp_path, capsys):
         rc = main(
             ["tone-test", "--preset", "fig5_m10dbm", "--seed", "1", "--segments", "8",

@@ -327,13 +327,14 @@ class TestPaNonlinearity:
             PaNonlinearity([[1.0], [2.0, 3.0]])
 
 
-def receive_at_antenna(x, chan, rx_iq, noise):
+def receive_at_antenna(x, chan, rx_iq, seed):
     """The channel and receiver alone on antenna-referred ``x``.
 
-    Runs :func:`receive_every_row` at full power with an identity PA on
-    ``x`` referred back to the amplifier input. Returns the received
-    samples, the receiver summary and the antenna samples the channel got:
-    ``x`` up to rounding, and the bits the chain computes.
+    Runs :func:`receive_every_row` at full power and ``seed`` with an
+    identity front end and PA on ``x`` referred back to the amplifier
+    input; the noise is ``thermal_noise(len(x), chan, seed)``. Returns the
+    received samples, the receiver summary and the antenna samples the
+    channel got: ``x`` up to rounding, and the bits the chain computes.
     """
     cfg = ImpairmentConfig(
         DacNonlinearity.identity(), IqImbalance.identity(), rx_iq, PhaseNoiseSpec(),
@@ -341,16 +342,22 @@ def receive_at_antenna(x, chan, rx_iq, noise):
     )
     drive = 1.0 / REF_DRIVE_RMS
     v = x / (drive * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
-    received, diag = receive_every_row(v, cfg, MAX_TX_POWER_DBM, noise)
-    antenna = apply_pa_oracle(v * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+    received, diag = receive_every_row(v, cfg, MAX_TX_POWER_DBM, seed)
+    # The identity front end passes v through; only an exact zero's sign can flip.
+    front = transmit_front_end(v, cfg, seed)
+    antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
     return received, diag, antenna
 
 
-def receive_every_row(v, cfg, power, noise):
-    """:func:`receive` at ``power`` over every row of the front-end output
-    ``v``: the decoded samples and the receiver summary."""
-    _, received, (diag,) = receive(v, cfg, [power], noise, 0, 0)
+def receive_every_row(x, cfg, power, seed):
+    """:func:`receive` at ``power`` and ``seed`` over every row of the
+    transmit samples ``x``: the decoded samples and the receiver summary."""
+    _, received, (diag,) = receive(x, cfg, [power], seed, 0, 0)
     return received[:, 0], diag
+
+
+def front_end_not_run(*args):
+    raise AssertionError("the front end ran")
 
 
 def floor_oracle_dbfs(noise, quant_error):
@@ -369,9 +376,7 @@ class TestChannelAndReceiver:
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=24
         )
-        out, diag, _ = receive_at_antenna(
-            sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 1)
-        )
+        out, diag, _ = receive_at_antenna(sig, chan, IqImbalance.identity(), 1)
         err = np.mean(np.abs(out - sig) ** 2) / np.mean(np.abs(sig) ** 2)
         assert 10 * np.log10(err) < -120.0
         assert diag.clipped_samples == 0
@@ -381,7 +386,7 @@ class TestChannelAndReceiver:
         # is the one just above zero: each rail decodes to half a step.
         cfg = identity_config(thermal_noise_dbfs=float("-inf"), adc_bits=14)
         zeros = np.zeros(64, dtype=complex)
-        _, _, (diag,) = receive(zeros, cfg, [0.0], zeros, 0, 0)
+        _, _, (diag,) = receive(zeros, cfg, [0.0], 1, 0, 0)
         step = 2.0 / 2**14
         assert diag.agc_scale == 1.0
         assert diag.clipped_samples == 0
@@ -396,9 +401,7 @@ class TestChannelAndReceiver:
             thermal_noise_dbfs=float("-inf"),
             adc_bits=24,
         )
-        out, _, _ = receive_at_antenna(
-            sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 1)
-        )
+        out, _, _ = receive_at_antenna(sig, chan, IqImbalance.identity(), 1)
         expected = np.zeros_like(sig)
         expected[2:] = sig[:-2] * 0.1
         err = np.max(np.abs(out - expected))
@@ -416,9 +419,7 @@ class TestChannelAndReceiver:
         for level in (0.01, 0.1):
             sig = level * x
             # No thermal noise: the apparent floor is the quantization error's.
-            _, diag, _ = receive_at_antenna(
-                sig, chan, IqImbalance.identity(), thermal_noise(len(sig), chan, 3)
-            )
+            _, diag, _ = receive_at_antenna(sig, chan, IqImbalance.identity(), 3)
             floors.append(diag.apparent_floor_dbfs)
         assert floors[1] - floors[0] == pytest.approx(20.0, abs=0.5)
 
@@ -429,38 +430,29 @@ class TestChannelAndReceiver:
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=12
         )
-        out, diag, _ = receive_at_antenna(
-            x,
-            chan,
-            IqImbalance.identity(),
-            thermal_noise(len(x), chan, 1),
-        )
+        out, diag, _ = receive_at_antenna(x, chan, IqImbalance.identity(), 1)
         assert diag.clipped_samples >= 1
         assert len(out) == 4096
 
-    def test_rejects_noise_of_wrong_length(self):
-        sig = gen_tone(F_TONE, 0.5, 4096).samples
-        chan = ChannelAndReceiver(h_si=[1.0], analog_suppression_db=0.0)
-        with pytest.raises(ValueError, match="noise has 4095 samples, the signal 4096"):
-            receive_at_antenna(
-                sig, chan, IqImbalance.identity(), thermal_noise(4095, chan, 1)
-            )
-
     # split = 64 would leave no held rows to measure the floor over.
     @pytest.mark.parametrize(("fit_len", "split"), [(-1, 0), (8, 4), (0, 64), (0, 65)])
-    def test_receive_rejects_rows_out_of_order(self, fit_len, split):
+    def test_receive_rejects_rows_out_of_order(self, monkeypatch, fit_len, split):
+        # Before the front end runs.
+        monkeypatch.setattr(impairments, "transmit_front_end", front_end_not_run)
         cfg = identity_config()
         v = stage_input(64, seed=1)
         with pytest.raises(ValueError, match=r"need 0 <= fit_len .* < 64 rows"):
-            receive(v, cfg, [0.0], thermal_noise(64, cfg.chan, 1), fit_len, split)
+            receive(v, cfg, [0.0], 1, fit_len, split)
 
     @pytest.mark.parametrize("power", [MAX_TX_POWER_DBM + 0.5, -10.5])
-    def test_receive_rejects_power_out_of_range(self, power):
+    def test_receive_rejects_power_out_of_range(self, monkeypatch, power):
+        # Every power, before the front end runs.
+        monkeypatch.setattr(impairments, "transmit_front_end", front_end_not_run)
         cfg = identity_config()
         v = stage_input(64, seed=1)
         message = rf"^transmit power must lie in \[-10, 22\] dBm, got {power:g}$"
         with pytest.raises(ValueError, match=message):
-            receive(v, cfg, [0.0, power], thermal_noise(64, cfg.chan, 1), 0, 0)
+            receive(v, cfg, [0.0, power], 1, 0, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_overflowing_input(self):
@@ -472,9 +464,7 @@ class TestChannelAndReceiver:
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf")
         )
         with pytest.raises(ValueError, match="digitized received signal is not finite"):
-            receive_at_antenna(
-                x, chan, IqImbalance.identity(), thermal_noise(len(x), chan, 1)
-            )
+            receive_at_antenna(x, chan, IqImbalance.identity(), 1)
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -516,36 +506,32 @@ class TestSimulateReceived:
         # Thermal noise at -90 dBFS under a finer quantization error.
         assert diag.apparent_floor_dbfs == pytest.approx(-90.0, abs=1.0)
 
-    def test_is_front_end_then_receive(self):
+    def test_is_one_receive_of_every_row(self):
+        # One receive call: its front end, here with phase noise and TX IQ imbalance.
         cfg = load_preset("fig5_m10dbm")
         assert cfg.pn.linewidth > 0 and np.any(cfg.tx_iq.delta)
         sig = gen_tone(F_TONE, 0.2, 8192)
         r, diag = simulate_received(sig, cfg, -10.0, seed=6)
-        front = transmit_front_end(sig.samples, cfg, seed=6)
-        r2, diag2 = receive_every_row(front, cfg, -10.0, thermal_noise(len(sig), cfg.chan, 6))
+        r2, diag2 = receive_every_row(sig.samples, cfg, -10.0, 6)
         assert r.samples.tobytes() == r2.tobytes()
         assert diag.clipped_samples == diag2.clipped_samples
         assert diag.agc_scale == diag2.agc_scale
         assert diag.apparent_floor_dbfs == diag2.apparent_floor_dbfs
 
     def test_front_end_does_not_depend_on_tx_power(self):
-        # One front end serves every power: receive of it at two powers has
-        # the bits of simulate_received at each.
+        # One front end serves every power: receive at two powers has the
+        # bits of simulate_received at each.
         cfg = load_preset("fig5_m10dbm")
         sig = gen_tone(F_TONE, 0.2, 8192)
-        front = transmit_front_end(sig.samples, cfg, seed=6)
         powers = [-10.0, 22.0]
-        _, received, _ = receive(front, cfg, powers, thermal_noise(len(sig), cfg.chan, 6), 0, 0)
+        _, received, _ = receive(sig.samples, cfg, powers, 6, 0, 0)
         for k, power in enumerate(powers):
             r, _ = simulate_received(sig, cfg, power, seed=6)
             assert r.samples.tobytes() == received[:, k].tobytes()
 
     @pytest.mark.parametrize("power", [25.0, -10.5, math.nan])
     def test_tx_power_range_enforced(self, monkeypatch, power):
-        def not_run(*args):
-            raise AssertionError("the front end ran")
-
-        monkeypatch.setattr(impairments, "transmit_front_end", not_run)
+        monkeypatch.setattr(impairments, "transmit_front_end", front_end_not_run)
         sig = gen_tone(F_TONE, 0.2, 64)
         with pytest.raises(ValueError, match="^transmit power must lie in"):
             simulate_received(sig, identity_config(), power, seed=4)
@@ -553,10 +539,7 @@ class TestSimulateReceived:
     def test_signal_at_another_rate_rejected(self, monkeypatch):
         # The chain runs at SAMPLE_RATE: a signal that says 40 MHz is one
         # error naming both rates, before the front end runs.
-        def not_run(*args):
-            raise AssertionError("the front end ran")
-
-        monkeypatch.setattr(impairments, "transmit_front_end", not_run)
+        monkeypatch.setattr(impairments, "transmit_front_end", front_end_not_run)
         sig = ComplexBasebandSignal(gen_tone(F_TONE, 0.2, 64).samples, 40e6)
         message = r"^signal at 40000000\.0 Hz; the chain runs at 80000000\.0 Hz$"
         with pytest.raises(ValueError, match=message):
@@ -819,7 +802,7 @@ class TestStagesMatchOutOfPlaceFormulas:
             x[::512] *= 200.0
         noise = thermal_noise(len(x), cfg.chan, 2)
         x_before, noise_before = x.copy(), noise.copy()
-        digitized, diag, antenna = receive_at_antenna(x, cfg.chan, cfg.rx_iq, noise)
+        digitized, diag, antenna = receive_at_antenna(x, cfg.chan, cfg.rx_iq, 2)
         ref_digitized, ref_error, ref_clipped, ref_scale = channel_and_receiver_oracle(
             antenna, cfg.chan, cfg.rx_iq, noise, ADC_HEADROOM_DB
         )
@@ -941,7 +924,7 @@ class TestChainBlockEdges:
             x[::512] *= 200.0
         noise = thermal_noise(n, cfg.chan, 2)
         x_before = x.copy()
-        digitized, diag, antenna = receive_at_antenna(x, cfg.chan, cfg.rx_iq, noise)
+        digitized, diag, antenna = receive_at_antenna(x, cfg.chan, cfg.rx_iq, 2)
         self.assert_receiver_matches(digitized, diag, antenna, cfg, noise, clips)
         assert same_bits(x, x_before)
 
@@ -953,10 +936,10 @@ class TestChainBlockEdges:
         v = stage_input(n, seed=n + 1, rms=REF_DRIVE_RMS)
         if clips:
             v[::512] *= 20.0
-        noise = thermal_noise(n, cfg.chan, 3)
+        front, noise = transmit_front_end(v, cfg, 3), thermal_noise(n, cfg.chan, 3)
         v_before = v.copy()
-        received, diag = receive_every_row(v, cfg, self.POWER, noise)
+        received, diag = receive_every_row(v, cfg, self.POWER, 3)
         drive = 10.0 ** ((self.POWER - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-        antenna = apply_pa_oracle(v * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+        antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
         self.assert_receiver_matches(received, diag, antenna, cfg, noise, clips)
         assert same_bits(v, v_before)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers_oracles import spectrum_csv_oracle
+from fdsic.analysis import predict_harmonics, verify_harmonics
 from fdsic.signals import ComplexBasebandSignal, gen_tone
 from fdsic.spectral import (
     Spectrum,
@@ -76,6 +77,27 @@ class TestSpectrumEstimator:
         sig = gen_tone(1e6, 1.0, 8192)
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             spectrum(sig, **kwargs)
+
+    # The other counts of a tone test: the tone's length and the harmonic orders.
+    @pytest.mark.parametrize(
+        ("call", "name"),
+        [
+            (lambda spec: gen_tone(1e6, 0.5, 100.5), "n_samples"),
+            (lambda spec: gen_tone(1e6, 0.5, True), "n_samples"),
+            (lambda spec: verify_harmonics(spec, 1e6, m_max=True), "m_max"),
+            (lambda spec: verify_harmonics(spec, 1e6, m_max=3.0), "m_max"),
+            (lambda spec: predict_harmonics(2.5, 1e6), "m"),
+            (lambda spec: predict_harmonics(True, 1e6), "m"),
+        ],
+        ids=[
+            "n_samples-fraction", "n_samples-bool", "m_max-bool", "m_max-float",
+            "m-fraction", "m-bool",
+        ],
+    )
+    def test_tone_test_count_of_wrong_type_is_rejected(self, call, name):
+        spec = spectrum(gen_tone(1e6, 1.0, 8192))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(spec)
 
     def test_bin_axis_symmetric_and_increasing(self):
         sig = gen_tone(1e6, 1.0, 8192)
