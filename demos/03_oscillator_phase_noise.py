@@ -9,11 +9,11 @@ the round-trip delay survives, and the skirt collapses.
 
 from fdsic import apply_phase_noise, gen_tone, skirt_peak_dbc, spectrum
 from fdsic.impairments import PhaseNoiseSpec
-from fdsic.presets import PHASE_NOISE_LINEWIDTH_HZ, TONE_FREQ
+from fdsic.presets import PHASE_NOISE_LINEWIDTH_HZ, TONE_AMPLITUDE, TONE_FREQ
 
 print(__doc__)
 
-tone = gen_tone(TONE_FREQ, 0.5, 4096 * 33)
+tone = gen_tone(TONE_FREQ, TONE_AMPLITUDE, 4096 * 33)
 print(f"Calibrated oscillator linewidth: {PHASE_NOISE_LINEWIDTH_HZ} Hz\n")
 
 for shared, label in ((False, "independent oscillators"), (True, "shared oscillator")):

@@ -1,4 +1,4 @@
-"""Analytical oracles and reporting.
+"""Analytical oracles.
 
 Covers the closed-form predictor for where matched per-rail polynomial
 distortion of a complex tone lands in the baseband spectrum, automated
@@ -8,10 +8,8 @@ front-end suppression budget calculator.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from ._rng import _require_int
 from .spectral import LINE_HALFWIDTH_BINS, Spectrum, floor_estimate_db, measure_line_db
@@ -145,25 +143,6 @@ def verify_harmonics(
             )
         )
     return checks
-
-
-def write_harmonics_csv(checks: list[HarmonicCheck], path) -> Path:
-    """Export harmonic verification results as CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "predicted_freqs_hz", "measured_dbc", "counterpart_dbc", "pass"])
-        for check in checks:
-            writer.writerow(
-                [
-                    check.order,
-                    ";".join(f"{v:.6f}" for v in check.predicted_freqs),
-                    ";".join(f"{v:.6f}" for v in check.measured_dbc),
-                    ";".join(f"{v:.6f}" for v in check.counterpart_dbc),
-                    "pass" if check.passed else "fail",
-                ]
-            )
-    return path
 
 
 @dataclass(frozen=True)

@@ -507,7 +507,7 @@ def run_sweep(
     for power in powers:
         check_tx_power(power)
     substream(seed)  # checks the seed before any frame is drawn
-    n_train_frames = min(max(round(n_frames * TRAIN_FRACTION), 1), n_frames - 1)
+    n_train_frames = round(n_frames * TRAIN_FRACTION)
     split = n_train_frames * FRAME_LEN
     n_train = min(split, MAX_TRAIN_SAMPLES)
     # Every family root is one of specs, so this checks each fit's size

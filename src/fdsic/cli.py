@@ -26,11 +26,10 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .analysis import (
-    DEFAULT_MARGIN_DB, BudgetInput, suppression_budget, verify_harmonics, write_harmonics_csv
-)
+from .analysis import DEFAULT_MARGIN_DB, BudgetInput, suppression_budget, verify_harmonics
 from .cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod, CancellerSpec, run_sweep
 from .impairments import (
+    MAX_TX_POWER_DBM,
     MIN_TX_POWER_DBM,
     ImpairmentConfig,
     check_tx_power,
@@ -152,6 +151,14 @@ def cmd_tone_test(args) -> int:
     received, diag = simulate_received(tone, cfg, power, args.seed)
     spec = spectrum(received, n_fft=n_fft)
     checks = verify_harmonics(spec, args.freq, m_max=args.m_max, margin_db=args.margin)
+    header = ["m", "predicted_freqs_hz", "measured_dbc", "counterpart_dbc", "pass"]
+    rows = [
+        [str(check.order),
+         *(";".join(f"{v:.6f}" for v in values)
+           for values in (check.predicted_freqs, check.measured_dbc, check.counterpart_dbc)),
+         "pass" if check.passed else "fail"]
+        for check in checks
+    ]
     _write_outputs(
         args.out, "tone-test",
         {**source, "power_dbm": power, "freq_hz": args.freq, "seed": args.seed, "n_fft": n_fft,
@@ -159,7 +166,7 @@ def cmd_tone_test(args) -> int:
          "clipped_samples": diag.clipped_samples},
         cfg,
         {"spectrum.csv": partial(write_spectrum_csv, spec),
-         "harmonics.csv": partial(write_harmonics_csv, checks),
+         "harmonics.csv": partial(_write_csv, header=header, rows=rows),
          "capture.iq": partial(write_iq, received)},
     )
     print(f"tone-test: {len(checks)} orders checked, all_pass={all(c.passed for c in checks)}")
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(p_tone)
     p_tone.add_argument(
         "--power", type=float,
-        help="transmit power in dBm (default: the preset's; -10 with --config)",
+        help=f"transmit power in dBm (default: the preset's; {MIN_TX_POWER_DBM:g} with --config)",
     )
     p_tone.add_argument("--freq", type=float, default=TONE_FREQ, help="tone frequency in Hz")
     p_tone.add_argument("--n-fft", type=int, default=DEFAULT_N_FFT)
@@ -247,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="canceller comparison over transmit powers")
     add_config_args(p_sweep)
-    p_sweep.add_argument("--powers", default="-10:22:4", help="grid a:b:step in dBm")
+    p_sweep.add_argument(
+        "--powers", default=f"{MIN_TX_POWER_DBM:g}:{MAX_TX_POWER_DBM:g}:4",
+        help="grid a:b:step in dBm",
+    )
     p_sweep.add_argument(
         "--methods",
         default=",".join(s.method.value for s in DEFAULT_SPECS),

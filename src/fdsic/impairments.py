@@ -289,7 +289,11 @@ def apply_iq(x: np.ndarray, iq: IqImbalance) -> np.ndarray:
 def apply_phase_noise(x: np.ndarray, pn: PhaseNoiseSpec, seed: int) -> np.ndarray:
     """Rotate each sample by exp(j(phi_tx[n] - phi_rx[n - delay])).
 
-    The linewidth sets the phase step per sample at ``SAMPLE_RATE``.
+    The linewidth sets the phase step per sample at ``SAMPLE_RATE``. The
+    rotation is applied as ``phasor * x`` at every length, so a sample's
+    bits do not depend on the signal's length. Numpy's temporary elision
+    takes the same order for a product of 16 384 samples or more, so at
+    those lengths the bits equal those of ``x * phasor`` as one expression.
     Returns a new array and leaves ``x`` unchanged. Raises ``ValueError``
     for a shared oscillator whose delay is longer than the signal, before
     any draw: its walk would need ``len(x) + delay`` steps.
@@ -309,9 +313,8 @@ def apply_phase_noise(x: np.ndarray, pn: PhaseNoiseSpec, seed: int) -> np.ndarra
         phi_tx = np.cumsum(substream(seed, "phase-noise-tx").normal(0.0, sigma, n))
         phi_rx = np.cumsum(substream(seed, "phase-noise-rx").normal(0.0, sigma, n))
         rotation = phi_tx - phi_rx
-    # One expression: above 256 KiB numpy elides the temporary and computes
-    # phasor * x in place, which rounds unlike x * phasor of a named phasor.
-    return x * (np.cos(rotation) + 1j * np.sin(rotation))
+    phasor = np.cos(rotation) + 1j * np.sin(rotation)
+    return np.multiply(phasor, x, out=phasor)
 
 
 def apply_pa(x: np.ndarray, pa: PaNonlinearity) -> np.ndarray:

@@ -20,7 +20,7 @@ from .impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
 )
-from .signals import OFDM_BANDWIDTH, SAMPLE_RATE  # noqa: F401 (SAMPLE_RATE re-exported)
+from .signals import OFDM_BANDWIDTH
 
 # One-tone tests drive the DAC with this fixed tone amplitude (multi-tone
 # frames are scaled to impairments.REF_DRIVE_RMS instead).

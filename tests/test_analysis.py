@@ -15,7 +15,6 @@ from fdsic.analysis import (
     predict_harmonics,
     suppression_budget,
     verify_harmonics,
-    write_harmonics_csv,
 )
 from fdsic.impairments import DacNonlinearity, apply_dac, simulate_received
 from fdsic.presets import TONE_AMPLITUDE, TONE_FREQ, load_preset
@@ -143,15 +142,6 @@ class TestVerifyHarmonics:
         spec = self.make_spectrum(DacNonlinearity.identity())
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             verify_harmonics(spec, TONE_FREQ, m_max=3, **{name: value})
-
-    def test_csv_export(self, tmp_path):
-        spec = self.make_spectrum(DacNonlinearity([1, 1e-3], [1, 1e-3]))
-        checks = verify_harmonics(spec, TONE_FREQ, m_max=2)
-        path = write_harmonics_csv(checks, tmp_path / "harm.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "m,predicted_freqs_hz,measured_dbc,counterpart_dbc,pass"
-        assert len(lines) == 3
-        assert lines[1].endswith("pass")
 
 
 class TestSuppressionBudget:

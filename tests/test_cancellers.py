@@ -956,6 +956,41 @@ class TestRunSweep:
             assert rep.fit.residual_power_dbfs == pytest.approx(fit.residual_power_dbfs, abs=1e-9)
 
 
+class TestGainShift:
+    """An exact symmetry of the hardware model, with no tuned margin.
+
+    Lowering the analog suppression by d dB and raising the thermal noise
+    by d dB moves the self-interference and the noise at the ADC input
+    together, and the gain ranging scales the converter to its input. So
+    every residual-above-noise figure stays, and the apparent floor moves
+    by d.
+    """
+
+    @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
+    def test_figures_do_not_move(self, preset):
+        cfg = load_preset(preset)
+        frames = OfdmFrameSpec(n_frames=20, seed=0)
+        base = run_sweep(cfg, [-10.0, 22.0], DEFAULT_SPECS, frames, 0)
+        for d in (10.0, -10.0):
+            chan = dataclasses.replace(
+                cfg.chan,
+                analog_suppression_db=cfg.chan.analog_suppression_db - d,
+                thermal_noise_dbfs=cfg.chan.thermal_noise_dbfs + d,
+            )
+            shifted = run_sweep(
+                dataclasses.replace(cfg, chan=chan), [-10.0, 22.0], DEFAULT_SPECS, frames, 0
+            )
+            assert len(shifted) == len(base)
+            for got, ref in zip(shifted, base):
+                assert (got.method, got.tx_power_dbm) == (ref.method, ref.tx_power_dbm)
+                for field in ("residual_above_noise_db", "residual_above_noise_std_db"):
+                    assert getattr(got, field) == pytest.approx(getattr(ref, field), abs=1e-9)
+                assert got.receiver.apparent_floor_dbfs == pytest.approx(
+                    ref.receiver.apparent_floor_dbfs + d, abs=1e-9
+                )
+                assert got.receiver.clipped_samples == ref.receiver.clipped_samples
+
+
 class TestReceive:
     """The receive step digitizes only the rows the fit and the scoring read."""
 

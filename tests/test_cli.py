@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,15 +20,8 @@ from fdsic.cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod
 from fdsic import cli
 from fdsic.cli import _parse_powers, main
 from fdsic.impairments import config_to_dict, save_config, simulate_received
-from fdsic.presets import (
-    PRESET_NAMES,
-    PRESETS,
-    SAMPLE_RATE,
-    TONE_AMPLITUDE,
-    TONE_FREQ,
-    load_preset,
-)
-from fdsic.signals import gen_tone, write_iq
+from fdsic.presets import PRESET_NAMES, PRESETS, TONE_AMPLITUDE, TONE_FREQ, load_preset
+from fdsic.signals import SAMPLE_RATE, gen_tone, write_iq
 from fdsic.spectral import spectrum
 
 
@@ -431,6 +425,21 @@ class TestToneTest:
         assert manifest["args"]["power_dbm"] == -10.0
         clipped = manifest["args"]["clipped_samples"]
         assert isinstance(clipped, int) and clipped == 0
+
+    def test_harmonics_csv(self, tmp_path):
+        rc = main(["tone-test", "--preset", "fig5_m10dbm", "--seed", "1", "--segments", "8",
+                   "--m-max", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "harmonics.csv").read_text().splitlines()
+        assert lines[0] == "m,predicted_freqs_hz,measured_dbc,counterpart_dbc,pass"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+        assert all(line.endswith(",pass") for line in lines[1:])
+        # Order 2 predicts two lines, -2f and +2f: each field joins its two
+        # values with ';', six decimals each.
+        _, *fields, _ = lines[2].split(",")
+        assert fields[0] == f"{-2 * TONE_FREQ:.6f};{2 * TONE_FREQ:.6f}"
+        for field in fields:
+            assert re.fullmatch(r"-?\d+\.\d{6};-?\d+\.\d{6}", field), field
 
     @pytest.mark.parametrize(
         ("source", "flags", "power"),

@@ -769,10 +769,9 @@ class TestStagesMatchOutOfPlaceFormulas:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
     def test_phase_noise_bits(self, n, shared):
         # The rotation from its cosine and sine keeps the bits of the complex
-        # exponential below and above numpy's 256 KiB temporary elision,
-        # which changes the order of the complex product's operands. The
-        # reference is its own statement: inside an assert, pytest keeps a
-        # reference to the temporary, and numpy does not elide it.
+        # exponential, with the phasor as the product's first operand below
+        # and above numpy's 256 KiB temporary elision (which, when it
+        # applies, takes that same order).
         pn = PhaseNoiseSpec(PHASE_NOISE_LINEWIDTH_HZ, shared, 1)
         sigma = math.sqrt(2.0 * math.pi * pn.linewidth / SAMPLE_RATE)
         if shared:
@@ -782,8 +781,22 @@ class TestStagesMatchOutOfPlaceFormulas:
             phi_tx = np.cumsum(substream(3, "phase-noise-tx").normal(0.0, sigma, n))
             rotation = phi_tx - np.cumsum(substream(3, "phase-noise-rx").normal(0.0, sigma, n))
         x = stage_input(n, seed=5)
-        expected = x * np.exp(1j * rotation)
+        expected = np.exp(1j * rotation) * x
         assert same_bits(apply_phase_noise(x, pn, 3), expected)
+
+    @pytest.mark.parametrize("preset", ["sweep_40db", "fig4_m10dbm_indosc"],
+                             ids=["shared", "independent"])
+    def test_front_end_of_a_prefix_is_the_prefix_of_the_front_end(self, preset):
+        # The lengths lie on both sides of numpy's 256 KiB (16 384-sample)
+        # temporary elision: no sample's bits depend on the signal's length.
+        cfg = load_preset(preset)
+        x = stage_input(65536 + 7, seed=11, rms=REF_DRIVE_RMS)
+        whole = transmit_front_end(x, cfg, 3)
+        differ = [
+            m for m in (2, 4096, 16383, 16384, 65536)
+            if not same_bits(transmit_front_end(x[:m], cfg, 3), whole[:m])
+        ]
+        assert differ == []
 
     def test_dac_and_pa_with_zero_coefficients(self):
         # Zero middle coefficients make the Horner steps produce signed zeros.
