@@ -147,6 +147,11 @@ def cmd_tone_test(args) -> int:
         power = PRESETS[args.preset][0] if args.preset else MIN_TX_POWER_DBM
     check_tx_power(power, "--power")
     n_fft = args.n_fft
+    # The capture is n_fft * segments long, so each flag is checked by its own name.
+    if n_fft < 2:
+        raise ValueError(f"--n-fft must be >= 2, got {n_fft}")
+    if args.segments < 1:
+        raise ValueError(f"--segments must be >= 1, got {args.segments}")
     tone = gen_tone(args.freq, TONE_AMPLITUDE, n_fft * args.segments)
     received, diag = simulate_received(tone, cfg, power, args.seed)
     spec = spectrum(received, n_fft=n_fft)

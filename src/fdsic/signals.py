@@ -115,12 +115,12 @@ def gen_ofdm_frames(spec: OfdmFrameSpec) -> ComplexBasebandSignal:
     """
     rng = substream(spec.seed, "ofdm-frames")
     bins = np.arange(-(N_TONES // 2), N_TONES // 2) % FRAME_LEN
-    frames = []
-    for _ in range(spec.n_frames):
-        grid = np.zeros(FRAME_LEN, dtype=np.complex128)
+    # One allocation up front: a count too large for memory fails at once.
+    samples = np.empty(spec.n_frames * FRAME_LEN, dtype=np.complex128)
+    grid = np.zeros(FRAME_LEN, dtype=np.complex128)
+    for frame in samples.reshape(spec.n_frames, FRAME_LEN):
         grid[bins] = _QPSK[rng.integers(0, _QPSK.size, N_TONES)]
-        frames.append(np.fft.ifft(grid) * FRAME_LEN / np.sqrt(N_TONES))
-    samples = np.concatenate(frames)
+        frame[:] = np.fft.ifft(grid) * FRAME_LEN / np.sqrt(N_TONES)
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
     return ComplexBasebandSignal(samples, SAMPLE_RATE)
 

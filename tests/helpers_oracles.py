@@ -6,9 +6,11 @@ the orthogonal-factorization solver, a per-basis convolution stands
 in for the blocked scoring of the held-out frames, and plain
 out-of-place formulas and :class:`csv.writer` stand in for the impairment
 stages that work on scratch buffers and for the one-pass file writers.
-The one exception is :func:`ls_estimate`, which runs the library's own
-factor and solve on one received signal: with :func:`cancel` it is the
-one-signal reference the sweep's fits are compared with.
+The two exceptions run the library's own code on one signal:
+:func:`ls_estimate` factors and solves one received signal, and with
+:func:`cancel` it is the one-signal reference the sweep's fits are
+compared with; :func:`receive_every_row` receives one power over every
+row, the reference the sweep's digitized rows are compared with.
 """
 
 import csv
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from fdsic.cancellers import _ls_factor, _ls_solve
+from fdsic.impairments import MAX_TX_POWER_DBM, REF_DRIVE_RMS, receive
 
 
 def passband_harmonic_oracle(m: int):
@@ -166,18 +169,45 @@ def channel_and_receiver_oracle(x: np.ndarray, chan, rx_iq, noise, headroom_db: 
     analog = apply_iq_oracle(through, rx_iq) + noise
     rms = math.sqrt(float(np.mean(np.abs(analog) ** 2)))
     scale = 1.0 if rms == 0.0 else 1.0 / (rms * 10.0 ** (headroom_db / 20.0))
+    _, digitized, clipped = converter_oracle(analog, scale, chan)
+    return digitized, digitized - analog, clipped, scale
+
+
+def converter_oracle(analog: np.ndarray, scale: float, chan):
+    """(codes of each rail, digitized samples, clip mask) of the converter
+    at the gain ``scale``, all in float64.
+
+    The clip mask is True for each sample with a clipped rail.
+    """
     step = 2.0 / 2**chan.adc_bits
     top = 2 ** (chan.adc_bits - 1) - 1
-
-    def quantize(rail):
+    rails = []
+    clipped = np.zeros(len(analog), dtype=bool)
+    for rail in (analog.real, analog.imag):
         idx = np.floor(rail * scale / step)
-        clipped = (idx > top) | (idx < -top - 1)
-        return (np.clip(idx, -top - 1, top) + 0.5) * step / scale, clipped
+        clipped |= (idx > top) | (idx < -top - 1)
+        rails.append(np.clip(idx, -top - 1, top))
+    digitized = np.empty(len(analog), dtype=np.complex128)
+    digitized.real = (rails[0] + 0.5) * step / scale
+    digitized.imag = (rails[1] + 0.5) * step / scale
+    return rails, digitized, clipped
 
-    q_i, clip_i = quantize(analog.real)
-    q_q, clip_q = quantize(analog.imag)
-    digitized = q_i + 1j * q_q
-    return digitized, digitized - analog, clip_i | clip_q, scale
+
+def antenna_oracle(front: np.ndarray, pa, power: float) -> np.ndarray:
+    """The antenna-referred samples at ``power`` dBm of the front end's
+    output ``front``, from frames at ``REF_DRIVE_RMS``: the amplifier at the
+    drive :func:`_pa_drive`, then the gain that brings its unit-RMS output
+    to full power."""
+    drive = _pa_drive(power, REF_DRIVE_RMS)
+    return apply_pa_oracle(front * drive, pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+
+
+def receive_every_row(x: np.ndarray, cfg, power: float, seed: int):
+    """:func:`~fdsic.impairments.receive` at ``power`` and ``seed`` over every
+    row of the transmit samples ``x``: the decoded samples and the receiver
+    summary."""
+    _, received, (diag,) = receive(x, cfg, [power], seed, 0, 0)
+    return received[:, 0], diag
 
 
 # --- closed-form models: the channels a fit must recover ---

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracles import (
+    antenna_oracle,
     apply_dac_oracle,
     apply_iq_oracle,
     apply_pa_oracle,
     channel_and_receiver_oracle,
+    converter_oracle,
+    receive_every_row,
 )
 from fdsic import impairments
 from fdsic._rng import substream
@@ -345,15 +348,7 @@ def receive_at_antenna(x, chan, rx_iq, seed):
     received, diag = receive_every_row(v, cfg, MAX_TX_POWER_DBM, seed)
     # The identity front end passes v through; only an exact zero's sign can flip.
     front = transmit_front_end(v, cfg, seed)
-    antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
-    return received, diag, antenna
-
-
-def receive_every_row(x, cfg, power, seed):
-    """:func:`receive` at ``power`` and ``seed`` over every row of the
-    transmit samples ``x``: the decoded samples and the receiver summary."""
-    _, received, (diag,) = receive(x, cfg, [power], seed, 0, 0)
-    return received[:, 0], diag
+    return received, diag, antenna_oracle(front, cfg.pa, MAX_TX_POWER_DBM)
 
 
 def front_end_not_run(*args):
@@ -839,23 +834,7 @@ def long_filter_config(cfg: ImpairmentConfig) -> ImpairmentConfig:
 
 class TestConverterCodes:
     """The converter in two steps: integer codes, then decoded samples with
-    the bits of the float converter."""
-
-    @staticmethod
-    def float_converter(analog, scale, chan):
-        """(codes of each rail, digitized samples, clip mask), all in float64."""
-        step = 2.0 / 2**chan.adc_bits
-        top = 2 ** (chan.adc_bits - 1) - 1
-        rails = []
-        clipped = np.zeros(len(analog), dtype=bool)
-        for rail in (analog.real, analog.imag):
-            idx = np.floor(rail * scale / step)
-            clipped |= (idx > top) | (idx < -top - 1)
-            rails.append(np.clip(idx, -top - 1, top))
-        digitized = np.empty(len(analog), dtype=np.complex128)
-        digitized.real = (rails[0] + 0.5) * step / scale
-        digitized.imag = (rails[1] + 0.5) * step / scale
-        return rails, digitized, clipped
+    the bits of the float converter (:func:`converter_oracle`)."""
 
     @pytest.mark.parametrize("bits", [4, 14, 16, 17, 24])
     def test_decoded_codes_are_the_float_converter(self, bits):
@@ -867,7 +846,7 @@ class TestConverterCodes:
         analog[100:104] = [40.0 + 1j, -40.0 - 1j, 1.0 + 40j, -1.0 - 40j]
         edge = 1.0 / scale
         analog[200:204] = [edge, -edge, 1j * np.nextafter(edge, 0.0), -1j * np.nextafter(edge, 0.0)]
-        rails, digitized, clipped = self.float_converter(analog, scale, chan)
+        rails, digitized, clipped = converter_oracle(analog, scale, chan)
 
         codes = np.empty((len(analog), 2), dtype=_code_dtype(chan))
         assert codes.dtype == (np.int16 if bits <= 16 else np.int32)
@@ -887,7 +866,7 @@ class TestConverterCodes:
             _quantize(analog[:, k], scales[k], chan, codes[k])
         decoded = _decode(codes, scales, chan)
         for k in range(2):
-            assert same_bits(decoded[k], self.float_converter(analog[:, k], scales[k], chan)[1])
+            assert same_bits(decoded[k], converter_oracle(analog[:, k], scales[k], chan)[1])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [0.0, math.nan, 1e-320], ids=["zero", "nan", "subnormal"])
@@ -895,7 +874,7 @@ class TestConverterCodes:
         chan = ChannelAndReceiver(h_si=[1.0], adc_bits=14)
         analog = stage_input(256, seed=4)
         with np.errstate(all="ignore"):
-            assert not np.all(np.isfinite(self.float_converter(analog, scale, chan)[1]))
+            assert not np.all(np.isfinite(converter_oracle(analog, scale, chan)[1]))
         codes = np.full((256, 2), 7, dtype=np.int16)
         with pytest.raises(ValueError, match="digitized received signal is not finite"):
             _quantize(analog, scale, chan, codes)
@@ -952,7 +931,6 @@ class TestChainBlockEdges:
         front, noise = transmit_front_end(v, cfg, 3), thermal_noise(n, cfg.chan, 3)
         v_before = v.copy()
         received, diag = receive_every_row(v, cfg, self.POWER, 3)
-        drive = 10.0 ** ((self.POWER - MAX_TX_POWER_DBM) / 20.0) / REF_DRIVE_RMS
-        antenna = apply_pa_oracle(front * drive, cfg.pa) * 10.0 ** (MAX_TX_POWER_DBM / 20.0)
+        antenna = antenna_oracle(front, cfg.pa, self.POWER)
         self.assert_receiver_matches(received, diag, antenna, cfg, noise, clips)
         assert same_bits(v, v_before)

@@ -66,6 +66,8 @@ def test_script_runs(command, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    # The scripts clean up after themselves: their temp folder stays empty.
+    assert sorted(path.name for path in tmp_path.iterdir()) == []
 
 
 def used_names(source: str, filename: str) -> set[str]:
