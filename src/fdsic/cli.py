@@ -180,6 +180,10 @@ def cmd_tone_test(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, source = _resolve_config(args)
+    # The frames and taps are checked by their flags' names before any work.
+    for flag, value in (("--frames", args.frames), ("--channel-len", args.channel_len)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     powers = _parse_powers(args.powers)
     specs = _canceller_specs(args)
 
@@ -218,6 +222,8 @@ def cmd_budget(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.n_fft < 2:
+        raise ValueError(f"--n-fft must be >= 2, got {args.n_fft}")
     sig = read_iq(args.input)
     spec = spectrum(sig, n_fft=args.n_fft, averaging=args.averaging)
     _write_outputs(

@@ -2,10 +2,10 @@
 
 The hardware the measurements behind these scenarios came from was never
 characterized down to coefficient values, so every number here is a
-calibration knob: the set was tuned (see scripts/calibrate.py) so the
-shipped scenarios reproduce the qualitative one-tone signatures and the
-relative canceller performance the simulator is meant to demonstrate.
-They are presets, not ground truth.
+calibration knob: the set was tuned so the shipped scenarios reproduce
+the qualitative one-tone signatures and the relative canceller
+performance the simulator is meant to demonstrate (scripts/calibrate.py
+re-derives the oscillator linewidth). They are presets, not ground truth.
 """
 
 from __future__ import annotations

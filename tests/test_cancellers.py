@@ -19,7 +19,6 @@ from helpers_oracles import (
     joint_dac_iq_channels,
     ls_estimate,
     nonlinear_channels,
-    normal_equations_fit,
     receive_every_row,
     widely_linear_channels,
 )
@@ -27,7 +26,6 @@ from helpers_oracles import (
 from fdsic import cancellers, impairments
 from fdsic.cancellers import (
     DEFAULT_SPECS,
-    ORDER_FIELDS,
     TRAIN_FRACTION,
     BasisSignal,
     CancellerMethod,
@@ -84,12 +82,6 @@ class TestBuildBasis:
         bases = build_basis(x, CancellerSpec(CancellerMethod.NONLINEAR, n_max=7))
         assert [b.label for b in bases] == ["x|x|^0", "x|x|^2", "x|x|^4", "x|x|^6"]
         npt.assert_array_equal(bases[0].samples, x)
-
-    def test_nonlinear_envelope_variant(self):
-        x = random_signal(64, 0)
-        spec = CancellerSpec(CancellerMethod.NONLINEAR, n_max=5)
-        bases = build_basis(x, spec)
-        assert [b.label for b in bases] == ["x|x|^0", "x|x|^2", "x|x|^4"]
         npt.assert_allclose(bases[2].samples, x * np.abs(x) ** 4)
 
     def test_nonlinear_spec_without_options_is_the_default_one(self):
@@ -109,71 +101,6 @@ class TestBuildBasis:
         ]
         npt.assert_allclose(bases[3].samples, (x.imag ** 2).astype(complex))
 
-    def test_rejects_unsupported_combinations(self):
-        with pytest.raises(ValueError):
-            CancellerSpec(CancellerMethod.LINEAR, m_max=3)
-        with pytest.raises(ValueError):
-            CancellerSpec(CancellerMethod.NONLINEAR, n_max=4)
-        with pytest.raises(ValueError):
-            CancellerSpec(CancellerMethod.NONLINEAR)
-        with pytest.raises(ValueError):
-            CancellerSpec(CancellerMethod.JOINT_DAC_IQ)
-        with pytest.raises(ValueError):
-            CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=2, n_max=3)
-
-    @pytest.mark.parametrize(
-        ("make", "message"),
-        [
-            (
-                lambda: CancellerSpec(CancellerMethod.LINEAR, channel_len=0),
-                "channel_len must be >= 1",
-            ),
-        ],
-        ids=["channel_len-zero"],
-    )
-    def test_out_of_range_spec_names_its_field(self, make, message):
-        with pytest.raises(ValueError) as error:
-            make()
-        assert str(error.value) == message
-
-    @pytest.mark.parametrize(
-        ("make", "field"),
-        [
-            (lambda: CancellerSpec("linear"), "method"),
-            (lambda: CancellerSpec(CancellerMethod.LINEAR, channel_len=8.5), "channel_len"),
-            (lambda: CancellerSpec(CancellerMethod.LINEAR, channel_len=True), "channel_len"),
-            (lambda: CancellerSpec(CancellerMethod.NONLINEAR, n_max=True), "n_max"),
-            (lambda: CancellerSpec(CancellerMethod.NONLINEAR, n_max=5.0), "n_max"),
-            (lambda: CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=2.5), "m_max"),
-            (lambda: CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=True), "m_max"),
-            (lambda: OfdmFrameSpec(n_frames=2.5), "n_frames"),
-            (lambda: OfdmFrameSpec(n_frames=True), "n_frames"),
-            (lambda: OfdmFrameSpec(seed=1.5), "seed"),
-        ],
-        ids=[
-            "method-string", "channel_len-fraction", "channel_len-bool", "n_max-bool",
-            "n_max-float", "m_max-fraction", "m_max-bool", "n_frames-fraction",
-            "n_frames-bool", "seed-fraction",
-        ],
-    )
-    def test_spec_of_wrong_type_is_rejected_when_built(self, make, field):
-        # A boolean is an int to Python, but no count or order here.
-        with pytest.raises(ValueError, match=f"^{field} must be a"):
-            make()
-
-    @pytest.mark.parametrize("field", ["n_max", "m_max"])
-    @pytest.mark.parametrize("method", list(CancellerMethod), ids=lambda method: method.value)
-    def test_order_is_not_applicable_exactly_where_the_table_omits_it(self, method, field):
-        # Every order the method takes is given a valid value, and so is field.
-        takes = ORDER_FIELDS.get(method, ())
-        orders = {name: 1 for name in ("n_max", "m_max") if name == field or name in takes}
-        if field in takes:
-            assert getattr(CancellerSpec(method, **orders), field) == 1
-        else:
-            message = f"^{field} is not applicable to the {method.value} canceller$"
-            with pytest.raises(ValueError, match=message):
-                CancellerSpec(method, **orders)
-
     @pytest.mark.parametrize(
         "spec",
         [
@@ -189,8 +116,6 @@ class TestBuildBasis:
 
     def test_method_parse(self):
         assert CancellerMethod.parse("Joint_Dac_Iq") is CancellerMethod.JOINT_DAC_IQ
-        with pytest.raises(ValueError, match="valid:"):
-            CancellerMethod.parse("volterra")
 
 
 class TestLsEstimate:
@@ -216,22 +141,6 @@ class TestLsEstimate:
         bases = build_basis(x, CancellerSpec(CancellerMethod.LINEAR, channel_len=4))
         fit = ls_estimate(r, bases, 4)
         assert fit.residual_power_dbfs == pytest.approx(-60.0, abs=0.5)
-
-    def test_matches_normal_equations_oracle_small(self):
-        x = random_signal(64, 5)
-        rng = np.random.default_rng(6)
-        r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        bases = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=2))
-        fit = ls_estimate(r, bases, 2)
-        got = fit.coefficients
-        ref = normal_equations_fit(r, bases, 2)
-        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-9
-
-    def test_rejects_underdetermined(self):
-        x = random_signal(60, 7)
-        bases = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=8))
-        with pytest.raises(ValueError, match="training length"):
-            ls_estimate(x, bases, 8)
 
     def test_rank_deficiency_flagged_minimum_norm(self):
         # Duplicate columns: x and a copy of x span a rank-deficient matrix.
@@ -404,16 +313,6 @@ class TestStreamedFit:
             cancellers._geqrf(buf, rows)
             assert np.array_equal(np.triu(buf[: len(ref)]), ref)
 
-    def test_geqrf_rejects_rows_beyond_the_buffer(self):
-        buf = np.zeros((10, 4), dtype=np.complex128, order="F")
-        with pytest.raises(ValueError, match="argument 4"):
-            cancellers._geqrf(buf, 11)
-
-    def test_basis_shorter_than_rhs_is_rejected(self):
-        rhs = random_signal(64, 53)[:, np.newaxis]
-        with pytest.raises(ValueError, match="^basis 'x' shorter than received signal$"):
-            _ls_factor(rhs, [BasisSignal("x", random_signal(63, 54))], 2)
-
     def test_duplicate_basis_rank_matches_dense(self):
         x = random_signal(9000, 52)
         bases = [BasisSignal("x", x), BasisSignal("x_copy", x.copy())]
@@ -499,18 +398,6 @@ class TestCancel:
         resid = cancel(r, bases, fit)
         assert np.mean(np.abs(resid) ** 2) <= np.mean(np.abs(r) ** 2)
 
-    def test_mismatched_fit_rejected(self):
-        x = random_signal(4096, 16)
-        lin = build_basis(x, CancellerSpec(CancellerMethod.LINEAR, channel_len=4))
-        wl = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=4))
-        fit = ls_estimate(x, lin, 4)
-        with pytest.raises(ValueError, match="does not match"):
-            cancel(x, wl, fit)
-        # The taps are positional: the same labels in another order differ.
-        wl_fit = ls_estimate(x, wl, 4)
-        with pytest.raises(ValueError, match="does not match"):
-            cancel(x, wl[::-1], wl_fit)
-
     def test_scaling_equivariance(self):
         # Scaling r scales every channel and leaves the residual ratio fixed.
         x = random_signal(16384, 17)
@@ -529,20 +416,6 @@ class TestCancel:
 
 
 class TestSpanRelations:
-    def test_joint_m1_equals_widely_linear(self):
-        x = random_signal(8192, 20)
-        rng = np.random.default_rng(21)
-        r = (
-            fir_convolve(x, [1.0, 0.2j])
-            + 0.05 * np.conj(x)
-            + 0.001 * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
-        )
-        wl = build_basis(x, CancellerSpec(CancellerMethod.WIDELY_LINEAR, channel_len=4))
-        joint = build_basis(x, CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=1, channel_len=4))
-        fit_wl = ls_estimate(r, wl, 4)
-        fit_joint = ls_estimate(r, joint, 4)
-        assert abs(fit_wl.residual_power_dbfs - fit_joint.residual_power_dbfs) < 1e-6
-
     def test_nested_spans_monotone_residuals(self):
         x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=22)).samples
         rng = np.random.default_rng(23)
@@ -593,79 +466,6 @@ class TestRunSweep:
         for rep in reports:
             assert abs(rep.residual_above_noise_db) <= 0.5
 
-    def test_rejects_empty_specs(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            run_sweep(_clean_config(), [0.0], [], OfdmFrameSpec(n_frames=4, seed=32), seed=1)
-
-    def test_oversized_model_is_rejected_before_any_basis_is_built(self, monkeypatch):
-        # 300 DAC orders on 2 rails at 32 taps need 76 800 training rows;
-        # the sweep fits on 65 536. Neither the chain nor a basis runs.
-        built = []
-        build = cancellers.build_basis
-
-        def recording_build_basis(x, spec):
-            built.append(len(x))
-            return build(x, spec)
-
-        def no_front_end(*args):
-            raise AssertionError("the chain ran")
-
-        monkeypatch.setattr(cancellers, "build_basis", recording_build_basis)
-        monkeypatch.setattr(cancellers, "receive", no_front_end)
-        specs = [DEFAULT_SPECS[0], CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=300)]
-        message = "training length 65536 must be >= 4 * (bases * taps) = 76800"
-        with pytest.raises(ValueError) as error:
-            run_sweep(load_preset("sweep_40db"), [22.0], specs, OfdmFrameSpec(n_frames=40), seed=0)
-        assert str(error.value) == message
-        assert built == []
-
-    def test_oversized_model_is_rejected_before_any_frame_is_drawn(self, monkeypatch):
-        # The training length follows from the frame count and FRAME_LEN
-        # alone, so the model's size is checked before the frames are drawn.
-        drawn = []
-        draw = cancellers.gen_ofdm_frames
-
-        def recording_gen_ofdm_frames(spec):
-            drawn.append(spec)
-            return draw(spec)
-
-        monkeypatch.setattr(cancellers, "gen_ofdm_frames", recording_gen_ofdm_frames)
-        specs = [CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=300)]
-        with pytest.raises(ValueError) as error:
-            run_sweep(load_preset("sweep_40db"), [22.0], specs, OfdmFrameSpec(), 0)
-        assert str(error.value) == "training length 65536 must be >= 4 * (bases * taps) = 76800"
-        assert drawn == []
-
-    def test_power_out_of_range_is_rejected_before_the_chain_runs(self, monkeypatch):
-        # 99 dBm is past the amplifier's range: no frame is drawn and the
-        # front end does not run before the power is rejected.
-        def not_run(*args):
-            raise AssertionError("the frames were drawn or the chain ran")
-
-        monkeypatch.setattr(cancellers, "gen_ofdm_frames", not_run)
-        monkeypatch.setattr(cancellers, "receive", not_run)
-        with pytest.raises(ValueError) as error:
-            run_sweep(load_preset("sweep_40db"), [22.0, 99.0], DEFAULT_SPECS, OfdmFrameSpec(), 0)
-        assert str(error.value) == "transmit power must lie in [-10, 22] dBm, got 99"
-
-    @pytest.mark.parametrize(
-        ("seed", "message"),
-        [
-            (-1, "seed must be in [0, 2**64), got -1"),
-            (2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
-            (1.5, "seed must be an integer, got 1.5"),
-        ],
-        ids=["negative", "2**64", "fraction"],
-    )
-    def test_bad_seed_is_rejected_before_any_frame_is_drawn(self, monkeypatch, seed, message):
-        def not_run(*args):
-            raise AssertionError("the frames were drawn")
-
-        monkeypatch.setattr(cancellers, "gen_ofdm_frames", not_run)
-        with pytest.raises(ValueError) as error:
-            run_sweep(load_preset("sweep_40db"), [22.0], DEFAULT_SPECS, OfdmFrameSpec(), seed)
-        assert str(error.value) == message
-
     def test_one_method_at_two_channel_lengths(self):
         specs = [CancellerSpec(CancellerMethod.LINEAR, channel_len=taps) for taps in (8, 16)]
         reports = run_sweep(
@@ -673,12 +473,6 @@ class TestRunSweep:
         )
         assert [rep.method for rep in reports] == ["linear", "linear"]
         assert [rep.fit.n_params for rep in reports] == [8, 16]
-
-    def test_rejects_single_frame(self):
-        with pytest.raises(ValueError, match="at least 2 frames.*got 1"):
-            run_sweep(
-                _clean_config(), [0.0], DEFAULT_SPECS, OfdmFrameSpec(n_frames=1, seed=32), seed=1
-            )
 
     def test_reports_carry_power_and_floor(self):
         reports = run_sweep(
@@ -860,12 +654,6 @@ class TestRunSweep:
             return count[0]
 
         assert constructions([-10.0]) == constructions([-10.0, 6.0, 22.0])
-
-    def test_empty_power_list_rejected(self):
-        with pytest.raises(ValueError, match="powers must be nonempty"):
-            run_sweep(
-                load_preset("sweep_55db"), [], DEFAULT_SPECS, OfdmFrameSpec(n_frames=4), seed=0
-            )
 
     def test_scoring_bases_cover_only_held_rows(self, monkeypatch):
         lengths = []
@@ -1140,18 +928,6 @@ class TestReceive:
         # The gain ranging reaches codes beyond int16 at 20 bits.
         assert np.max(np.abs(held.codes)) > np.iinfo(np.int16).max
         self.assert_rows_match(train, held, receivers, x, cfg, powers, 68, split)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflow_in_an_undigitized_row_is_an_error(self):
-        # The overflowed sample reaches the AGC alone, and through its scale
-        # every digitized row.
-        cfg = load_preset("sweep_40db")
-        x = self.frames(40, 63)
-        split = 20 * (len(x) // 40)
-        samples = x.copy()
-        samples[cancellers.MAX_TRAIN_SAMPLES + 1000] = 1e200
-        with pytest.raises(ValueError, match="not finite"):
-            TestReceive.sweep_rows(samples, cfg, [-10.0], 64, split)
 
     def test_peak_memory_above_inputs_and_outputs(self):
         # sweep_40db at the CLI defaults: 100 frames, the 9 powers -10:22:4.

@@ -68,13 +68,13 @@ def _config_row(command, preset, edit, line, flags=()):
     return [*COMMANDS[command], "--config", "{tmp}/cfg.json", *flags], line, write
 
 
-def _capture_row(header, line):
-    """``spectrum`` of an 8192-sample tone whose sidecar reads ``header``."""
+def _capture_row(header, line, flags=()):
+    """``spectrum`` and ``flags`` of an 8192-sample tone whose sidecar reads ``header``."""
     def write(tmp):
         write_iq(gen_tone(TONE_FREQ, 1.0, 8192), tmp / "tone.iq")
         (tmp / "tone.iq.hdr").write_text(header)
 
-    return ["spectrum", "--input", "{tmp}/tone.iq"], line, write
+    return ["spectrum", "--input", "{tmp}/tone.iq", *flags], line, write
 
 
 SWEEP = ["sweep", "--preset", "sweep_55db"]
@@ -128,6 +128,8 @@ BAD_INPUTS = {
         "--methods names 'nonlinear' more than once",
         None,
     ),
+    "sweep-no-frames": ([*SWEEP, "--frames", "0"], "--frames must be >= 1, got 0", None),
+    "sweep-no-taps": ([*SWEEP, "--channel-len", "0"], "--channel-len must be >= 1, got 0", None),
     "sweep-single-frame": (
         [*SWEEP, "--frames", "1"],
         "a comparison needs at least 2 frames (one to train, one held out), got 1",
@@ -206,6 +208,10 @@ BAD_INPUTS = {
     # Captures of spectrum.
     "spectrum-missing-input": (
         ["spectrum", "--input", "{tmp}/nope.iq"], "missing sidecar header {tmp}/nope.iq.hdr", None
+    ),
+    "spectrum-no-fft-bins": _capture_row(
+        "format=iq-float64-le-interleaved\nsample_rate_hz=80000000.0\nlength=8192\n",
+        "--n-fft must be >= 2, got 0", flags=["--n-fft", "0"],
     ),
     "spectrum-float32-format": _capture_row(
         "format=iq-float32-le-interleaved\nsample_rate_hz=80000000.0\nlength=8192\n",

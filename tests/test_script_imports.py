@@ -22,15 +22,14 @@ README_PYTHON_BLOCKS = re.findall(
     r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
 )
 
-# Every script that finishes in under two seconds. Demo 04 and the sweep
-# of scripts/calibrate.py take about 3 s each on 2 vCPUs; CI's console
-# smoke step runs them.
+# Every script that finishes in under two seconds. Demo 04 takes about
+# 3 s on 2 vCPUs; CI's console smoke step runs it.
 SMOKE_RUNS = [
     ("demos/01_suppression_budget.py",),
     ("demos/02_one_tone_impairment_signatures.py",),
     ("demos/03_oscillator_phase_noise.py",),
     ("demos/05_iq_capture_files.py",),
-    ("scripts/calibrate.py", "--skip-sweep"),
+    ("scripts/calibrate.py",),
 ]
 
 

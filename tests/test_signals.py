@@ -37,22 +37,6 @@ def direct_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-class TestComplexBasebandSignal:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ComplexBasebandSignal(np.array([]), FS)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            ComplexBasebandSignal(np.array([1.0 + 0j]), 0.0)
-        with pytest.raises(ValueError, match="finite and positive"):
-            ComplexBasebandSignal(np.array([1.0 + 0j]), math.inf)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ComplexBasebandSignal(np.array([np.nan + 0j]), FS)
-
-
 class TestGenTone:
     def test_dc_tone_is_constant(self):
         sig = gen_tone(0.0, 0.5, 16)
@@ -75,16 +59,6 @@ class TestGenTone:
         image = spec.power_db[spec.nearest_bin(+1e6)]
         assert line > -0.5
         assert image - line < -100.0
-
-    def test_rejects_out_of_nyquist(self):
-        with pytest.raises(ValueError, match="Nyquist"):
-            gen_tone(FS / 2, 1.0, 16)
-
-    def test_rejects_bad_amplitude(self):
-        with pytest.raises(ValueError):
-            gen_tone(1e6, 0.0, 16)
-        with pytest.raises(ValueError):
-            gen_tone(1e6, 1.5, 16)
 
 
 class TestGenOfdmFrames:
@@ -138,16 +112,6 @@ class TestGenOfdmFrames:
         # leakage but stays strongly band-confined.
         assert in_band_fraction(spectrum(sig, n_fft=4096)) > 0.995
 
-    def test_rejects_bad_spec(self):
-        with pytest.raises(ValueError, match="n_frames"):
-            OfdmFrameSpec(n_frames=0)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
-    def test_seed_outside_64_bits_is_rejected(self, seed):
-        # Taken modulo 2**64, these would draw the streams of 2**64 - 1 and 0.
-        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
-            gen_ofdm_frames(OfdmFrameSpec(seed=seed))
-
 
 class TestSubstream:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.uint64(2**64 - 1)])
@@ -156,11 +120,6 @@ class TestSubstream:
         expected = np.random.default_rng(np.random.SeedSequence([int(seed), label]))
         drawn = substream(seed, "thermal-noise").standard_normal(4)
         assert np.array_equal(drawn, expected.standard_normal(4))
-
-    @pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["fraction", "bool", "string"])
-    def test_seed_that_is_not_an_integer_is_rejected(self, seed):
-        with pytest.raises(ValueError, match="^seed must be an integer"):
-            substream(seed, "thermal-noise")
 
 
 class TestFirConvolve:
@@ -208,10 +167,6 @@ class TestFirConvolve:
         out = fir_convolve(x, [0.5, 0.25j, -0.1])
         assert x.tobytes() == before.tobytes()
         assert not np.shares_memory(out, x)
-
-    def test_rejects_empty_taps(self):
-        with pytest.raises(ValueError):
-            fir_convolve(gen_tone(1e6, 1.0, 16).samples, [])
 
     @pytest.mark.parametrize("n_taps", [1, 2, 4])
     def test_same_bits_as_out_of_place_products(self, n_taps):
@@ -274,38 +229,3 @@ class TestIqFile:
             sig = ComplexBasebandSignal(samples, FS)
             path = write_iq(sig, tmp_path / "x.iq")
             assert path.read_bytes() == iq_bytes_oracle(sig.samples)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "orphan.iq"
-        path.write_bytes(b"\x00" * 32)
-        with pytest.raises(FileNotFoundError):
-            read_iq(path)
-
-    @pytest.mark.parametrize(
-        ("line", "message"),
-        [
-            ("format=iq-float32-le-interleaved\n", "field 'format' must be"),
-            ("", "missing key 'format'"),
-        ],
-        ids=["float32", "missing"],
-    )
-    def test_format_other_than_float64_rejected(self, tmp_path, line, message):
-        path = write_iq(gen_tone(1e6, 1.0, 64), tmp_path / "x.iq")
-        (tmp_path / "x.iq.hdr").write_text(f"{line}sample_rate_hz=80000000.0\nlength=64\n")
-        with pytest.raises(ValueError, match=message):
-            read_iq(path)
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        sig = gen_tone(1e6, 1.0, 64)
-        path = tmp_path / "bad.iq"
-        write_iq(sig, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValueError, match="header"):
-            read_iq(path)
-
-    def test_partial_sample_rejected(self, tmp_path):
-        sig = gen_tone(1e6, 1.0, 64)
-        path = write_iq(sig, tmp_path / "bad.iq")
-        path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(ValueError, match="header says 64"):
-            read_iq(path)
