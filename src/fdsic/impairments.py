@@ -57,8 +57,9 @@ REF_DRIVE_RMS = 0.2
 
 # Receiver gain ranging backs the converter off its full scale by this
 # headroom above the input RMS. Per-rail Gaussian peaks of a multi-tone
-# signal reach ~13 dB above the complex RMS, so 12 dB keeps hard clips
-# rare enough that they stay below the quantization error budget.
+# signal reach ~13 dB above the complex RMS, so at 12 dB a rare peak
+# clips: a noise-free receive of 20 sweep_40db frames at -10 dBm clips
+# none of 81 920 samples at seeds 0 and 2, and 2 at seed 1.
 ADC_HEADROOM_DB = 12.0
 
 

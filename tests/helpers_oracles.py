@@ -10,7 +10,8 @@ The two exceptions run the library's own code on one signal:
 :func:`ls_estimate` factors and solves one received signal, and with
 :func:`cancel` it is the one-signal reference the sweep's fits are
 compared with; :func:`receive_every_row` receives one power over every
-row, the reference the sweep's digitized rows are compared with.
+row, the reference the sweep's digitized rows are compared with. The last
+section builds the inputs many tests start from.
 """
 
 import csv
@@ -19,7 +20,17 @@ import math
 import numpy as np
 
 from fdsic.cancellers import _ls_factor, _ls_solve
-from fdsic.impairments import MAX_TX_POWER_DBM, REF_DRIVE_RMS, receive
+from fdsic.impairments import (
+    MAX_TX_POWER_DBM,
+    REF_DRIVE_RMS,
+    DacNonlinearity,
+    ImpairmentConfig,
+    IqImbalance,
+    PaNonlinearity,
+    PhaseNoiseSpec,
+    receive,
+)
+from fdsic.signals import gen_ofdm_frames
 
 
 def passband_harmonic_oracle(m: int):
@@ -314,3 +325,27 @@ def nonlinear_channels(cfg, power: float, taps: int, drive_rms: float) -> np.nda
         _fit_taps(beta * d ** (2 * i) * c * cfg.chan.h_si, taps)
         for i, beta in enumerate(cfg.pa.baseband_coeffs())
     ])
+
+
+# --- test inputs ---
+
+
+def identity_config(chan, rx_iq=IqImbalance.identity()) -> ImpairmentConfig:
+    """Every stage at identity and no phase noise, but the receiver: the
+    channel and converter ``chan`` and the receive IQ stage ``rx_iq``."""
+    return ImpairmentConfig(
+        DacNonlinearity.identity(), IqImbalance.identity(), rx_iq, PhaseNoiseSpec(),
+        PaNonlinearity.identity(), chan,
+    )
+
+
+def transmit_samples(frames) -> np.ndarray:
+    """The OFDM frames of the :class:`~fdsic.signals.OfdmFrameSpec` ``frames``
+    at the nominal DAC drive ``REF_DRIVE_RMS``, as a sweep sends them."""
+    return gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
+
+
+def random_signal(n: int, seed: int) -> np.ndarray:
+    """``n`` samples of unit-power complex Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)

@@ -10,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers_oracles import ls_estimate, normal_equations_fit, passband_harmonic_oracle
+from helpers_oracles import (
+    ls_estimate,
+    normal_equations_fit,
+    passband_harmonic_oracle,
+    transmit_samples,
+)
 
 from fdsic.analysis import BudgetInput, predict_harmonics, suppression_budget
 from fdsic.cancellers import (
@@ -23,7 +28,6 @@ from fdsic.cancellers import (
 )
 from fdsic.cli import main as cli_main
 from fdsic.impairments import (
-    REF_DRIVE_RMS,
     PhaseNoiseSpec,
     apply_phase_noise,
     simulate_received,
@@ -34,7 +38,7 @@ from fdsic.presets import (
     TONE_FREQ,
     load_preset,
 )
-from fdsic.signals import OfdmFrameSpec, gen_ofdm_frames, gen_tone
+from fdsic.signals import SAMPLE_RATE, ComplexBasebandSignal, OfdmFrameSpec, gen_tone
 from fdsic.spectral import measure_line_db, skirt_peak_dbc, spectrum
 
 POWERS = [-10, -6, -2, 2, 6, 10, 14, 18, 22]
@@ -272,8 +276,7 @@ def test_criterion_08_quantization_floor_tracks_power():
         cfg,
         chan=dataclasses.replace(cfg.chan, thermal_noise_dbfs=-140.0, adc_bits=12),
     )
-    x = gen_ofdm_frames(OfdmFrameSpec(seed=0, n_frames=20))
-    x = x.with_samples(x.samples * REF_DRIVE_RMS)
+    x = ComplexBasebandSignal(transmit_samples(OfdmFrameSpec(seed=0, n_frames=20)), SAMPLE_RATE)
     floors = {}
     for power in (0.0, 20.0):
         _, diag = simulate_received(x, cfg, power, seed=5)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracles import transmit_samples
+
 from fdsic.analysis import (
     BudgetInput,
     predict_harmonics,
@@ -16,14 +18,13 @@ from fdsic.analysis import (
 )
 from fdsic.impairments import (
     ADC_HEADROOM_DB,
-    REF_DRIVE_RMS,
     DacNonlinearity,
     apply_dac,
     receive,
     simulate_received,
 )
 from fdsic.presets import TONE_AMPLITUDE, TONE_FREQ, load_preset
-from fdsic.signals import OfdmFrameSpec, gen_ofdm_frames, gen_tone
+from fdsic.signals import OfdmFrameSpec, gen_tone
 from fdsic.spectral import spectrum
 
 
@@ -140,7 +141,7 @@ class TestSuppressionBudget:
         powers = [-10.0, 20.0]
         misses = []
         for seed in range(4):
-            x = gen_ofdm_frames(OfdmFrameSpec(n_frames=8, seed=seed)).samples * REF_DRIVE_RMS
+            x = transmit_samples(OfdmFrameSpec(n_frames=8, seed=seed))
             _, received, receivers = receive(x, quiet, powers, seed, 0, 0)
             for k, power in enumerate(powers):
                 si_dbm = 10.0 * math.log10(float(np.mean(np.abs(received[:, k]) ** 2)))

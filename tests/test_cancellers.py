@@ -1,10 +1,8 @@
 """Tests for basis construction and least-squares cancellation."""
 
 import ast
-import collections
 import dataclasses
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +14,13 @@ from helpers_oracles import (
     cancel,
     channel_and_receiver_oracle,
     dense_regressor,
+    identity_config,
     joint_dac_iq_channels,
     ls_estimate,
     nonlinear_channels,
+    random_signal,
     receive_every_row,
+    transmit_samples,
     widely_linear_channels,
 )
 
@@ -45,7 +46,6 @@ from fdsic.impairments import (
     ImpairmentConfig,
     IqImbalance,
     PaNonlinearity,
-    PhaseNoiseSpec,
     REF_DRIVE_RMS,
     receive,
     simulate_received,
@@ -54,13 +54,8 @@ from fdsic.impairments import (
 )
 from fdsic.presets import load_preset
 from fdsic.signals import (
-    FRAME_LEN, ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec,
+    FRAME_LEN, SAMPLE_RATE, ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec,
 )
-
-
-def random_signal(n, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
 
 
 class TestBuildBasis:
@@ -265,28 +260,6 @@ class TestStreamedFit:
         assert not cancellers._ls_factor(x[:, np.newaxis], bases, 8).packed
         self.assert_matches_dense_lstsq(bases, 9001, 8)
 
-    def test_joint_rails_are_real_and_packed_two_rows_per_complex_row(self, monkeypatch):
-        n, spec = 9001, CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3)
-        bases = build_basis(random_signal(n, 57), spec)
-        assert all(basis.samples.dtype == np.float64 for basis in bases)
-
-        calls = []
-        geqrf = cancellers._geqrf
-
-        def recording_geqrf(buf, rows, *args):
-            calls.append(((rows, buf.shape[1]), buf.dtype))
-            return geqrf(buf, rows, *args)
-
-        monkeypatch.setattr(cancellers, "_geqrf", recording_geqrf)
-        n_params = len(bases) * spec.channel_len
-        factor = cancellers._ls_factor(random_signal(n, 58)[:, np.newaxis], bases, spec.channel_len)
-        assert factor.packed
-        assert len(calls) == -(-n // (2 * cancellers.FIT_BLOCK_ROWS))
-        for (rows, cols), dtype in calls:
-            assert dtype == np.complex128
-            assert rows <= n_params + cancellers.FIT_BLOCK_ROWS
-            assert cols == n_params + 2
-
     def test_geqrf_r_is_numpy_qr_bit_for_bit(self, monkeypatch):
         # lapack_lite is the LAPACK numpy.linalg itself calls, so the
         # in-place factor keeps np.linalg.qr's bits: on a full block, on a
@@ -320,41 +293,6 @@ class TestStreamedFit:
         _, _, ref_rank, _ = np.linalg.lstsq(dense_regressor(bases, 9000, 4), rhs, rcond=None)
         fit = _ls_solve(_ls_factor(rhs, bases, 4), bases, 4)[0]
         assert fit.rank == ref_rank < fit.n_params
-
-    def test_peak_memory_below_a_third_of_dense_regressor(self):
-        n, n_rhs = 65536, 3
-        spec = CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3)
-        bases = build_basis(random_signal(n, 53), spec)
-        rhs = random_signal(n * n_rhs, 54).reshape(n, n_rhs)
-        dense_bytes = n * len(bases) * spec.channel_len * 16  # 201 MB
-        tracemalloc.start()
-        try:
-            _ls_solve(_ls_factor(rhs, bases, spec.channel_len), bases, spec.channel_len)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < dense_bytes / 3
-
-    @pytest.mark.parametrize(
-        "spec", [DEFAULT_SPECS[1], DEFAULT_SPECS[3]], ids=["nonlinear", "joint-dac-iq"]
-    )
-    def test_peak_memory_near_one_block_buffer(self, spec):
-        # Each block is factored where it lies: the fit holds little more
-        # than its one (n_params + FIT_BLOCK_ROWS) x ncols buffer.
-        n, n_rhs = 65536, 3
-        bases = build_basis(random_signal(n, 53), spec)
-        rhs = random_signal(n * n_rhs, 54).reshape(n, n_rhs)
-        n_params = len(bases) * spec.channel_len
-        per_row = 2 if spec.method is CancellerMethod.JOINT_DAC_IQ else 1
-        buffer_bytes = (n_params + cancellers.FIT_BLOCK_ROWS) * (n_params + per_row * n_rhs) * 16
-        tracemalloc.start()
-        try:
-            _ls_factor(rhs, bases, spec.channel_len)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * buffer_bytes
-
 
 class TestCancel:
     def test_residual_is_noise_only(self):
@@ -441,26 +379,14 @@ class TestSpanRelations:
         assert residuals[3] <= residuals[2] + 1e-9
 
 
-def _clean_config():
-    return ImpairmentConfig(
-        dac=DacNonlinearity.identity(),
-        tx_iq=IqImbalance.identity(),
-        rx_iq=IqImbalance.identity(),
-        pn=PhaseNoiseSpec(0.0, True, 0),
-        pa=PaNonlinearity.identity(),
-        chan=ChannelAndReceiver(
-            h_si=[1.0, 0.1 + 0.05j],
-            analog_suppression_db=40.0,
-            thermal_noise_dbfs=-90.0,
-            adc_bits=24,
-        ),
-    )
+# Every stage at identity, a two-tap channel and a 24-bit converter.
+CLEAN = identity_config(ChannelAndReceiver([1.0, 0.1 + 0.05j], 40.0, -90.0, 24))
 
 
 class TestRunSweep:
     def test_all_methods_reach_floor_without_impairments(self):
         reports = run_sweep(
-            _clean_config(), [0.0], DEFAULT_SPECS, OfdmFrameSpec(n_frames=20, seed=30), seed=31
+            CLEAN, [0.0], DEFAULT_SPECS, OfdmFrameSpec(n_frames=20, seed=30), seed=31
         )
         assert len(reports) == 4
         for rep in reports:
@@ -469,14 +395,14 @@ class TestRunSweep:
     def test_one_method_at_two_channel_lengths(self):
         specs = [CancellerSpec(CancellerMethod.LINEAR, channel_len=taps) for taps in (8, 16)]
         reports = run_sweep(
-            _clean_config(), [0.0], specs, OfdmFrameSpec(n_frames=4, seed=30), seed=31
+            CLEAN, [0.0], specs, OfdmFrameSpec(n_frames=4, seed=30), seed=31
         )
         assert [rep.method for rep in reports] == ["linear", "linear"]
         assert [rep.fit.n_params for rep in reports] == [8, 16]
 
     def test_reports_carry_power_and_floor(self):
         reports = run_sweep(
-            _clean_config(),
+            CLEAN,
             [-5.0],
             [CancellerSpec(CancellerMethod.LINEAR)],
             OfdmFrameSpec(n_frames=8, seed=33),
@@ -491,7 +417,7 @@ class TestRunSweep:
     def test_reports_of_identical_runs_compare_equal(self):
         spec = [CancellerSpec(CancellerMethod.LINEAR)]
         first, second = (
-            run_sweep(_clean_config(), [0.0], spec, OfdmFrameSpec(n_frames=4, seed=43), seed=44)[0]
+            run_sweep(CLEAN, [0.0], spec, OfdmFrameSpec(n_frames=4, seed=43), seed=44)[0]
             for _ in range(2)
         )
         assert first.fit is not second.fit
@@ -540,148 +466,6 @@ class TestRunSweep:
             )
         assert [rep.tx_power_dbm for rep in got] == [-10.0] * 4 + [22.0] * 4
 
-    def test_one_lstsq_call_per_canceller(self, monkeypatch):
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counting_lstsq(*args, **kwargs):
-            calls.append(args[1].shape)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-        powers = [-10.0, 6.0, 22.0]
-        reports = run_sweep(
-            load_preset("sweep_55db"),
-            powers,
-            DEFAULT_SPECS,
-            OfdmFrameSpec(n_frames=10, seed=37),
-            seed=38,
-        )
-        assert len(reports) == len(powers) * len(DEFAULT_SPECS)
-        assert len(calls) == len(DEFAULT_SPECS)
-        assert all(shape[1] == len(powers) for shape in calls)
-
-    def test_front_end_runs_once_per_sweep(self, monkeypatch):
-        calls = {"apply_dac": 0, "apply_phase_noise": 0, "apply_pa": 0}
-
-        def counting(name):
-            stage = getattr(impairments, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return stage(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(impairments, name, counting(name))
-        powers = [-10.0, 6.0, 22.0]
-        reports = run_sweep(
-            load_preset("sweep_55db"),
-            powers,
-            DEFAULT_SPECS,
-            OfdmFrameSpec(n_frames=4, seed=41),
-            seed=42,
-        )
-        assert len(reports) == len(powers) * len(DEFAULT_SPECS)
-        assert calls == {"apply_dac": 1, "apply_phase_noise": 1, "apply_pa": 3}
-
-    def test_one_receive_call_per_sweep(self, monkeypatch):
-        # The chain runs in one receive call: the scaled frames, the sweep's
-        # seed, the capped training rows and the split.
-        calls = []
-        real_receive = cancellers.receive
-
-        def recording_receive(x, cfg, powers, seed, fit_len, split):
-            calls.append((x.copy(), cfg, list(powers), seed, fit_len, split))
-            return real_receive(x, cfg, powers, seed, fit_len, split)
-
-        monkeypatch.setattr(cancellers, "receive", recording_receive)
-        cfg = load_preset("sweep_55db")
-        frames = OfdmFrameSpec(n_frames=40, seed=49)
-        powers = [-10.0, 6.0, 22.0]
-        run_sweep(cfg, powers, [CancellerSpec(CancellerMethod.LINEAR)], frames, seed=50)
-        assert len(calls) == 1
-        x, got_cfg, got_powers, seed, fit_len, split = calls[0]
-        scaled = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
-        assert x.tobytes() == scaled.tobytes()
-        assert got_cfg is cfg
-        assert got_powers == powers
-        assert seed == 50
-        # 20 of 40 frames train, capped at MAX_TRAIN_SAMPLES digitized rows.
-        assert (fit_len, split) == (cancellers.MAX_TRAIN_SAMPLES, 20 * FRAME_LEN)
-
-    def test_thermal_noise_drawn_once_per_sweep(self, monkeypatch):
-        names = []
-        substream = impairments.substream
-
-        def recording_substream(seed, name):
-            names.append(name)
-            return substream(seed, name)
-
-        monkeypatch.setattr(impairments, "substream", recording_substream)
-        powers = [-10.0, 6.0, 22.0]
-        reports = run_sweep(
-            load_preset("sweep_55db"),
-            powers,
-            DEFAULT_SPECS,
-            OfdmFrameSpec(n_frames=4, seed=45),
-            seed=46,
-        )
-        assert len(reports) == len(powers) * len(DEFAULT_SPECS)
-        assert names.count("thermal-noise") == 1
-
-    def test_signal_constructions_do_not_grow_with_powers(self, monkeypatch):
-        # Samples pass between the chain stages as arrays: a signal is
-        # built where the frames enter, not once per stage and power.
-        def constructions(powers):
-            count = [0]
-            post_init = ComplexBasebandSignal.__post_init__
-
-            def counting_post_init(self):
-                count[0] += 1
-                post_init(self)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(ComplexBasebandSignal, "__post_init__", counting_post_init)
-                run_sweep(
-                    load_preset("sweep_55db"),
-                    powers,
-                    DEFAULT_SPECS,
-                    OfdmFrameSpec(n_frames=4, seed=47),
-                    seed=48,
-                )
-            return count[0]
-
-        assert constructions([-10.0]) == constructions([-10.0, 6.0, 22.0])
-
-    def test_scoring_bases_cover_only_held_rows(self, monkeypatch):
-        lengths = []
-        build = cancellers.build_basis
-
-        def recording_build_basis(x, spec):
-            lengths.append(len(x))
-            return build(x, spec)
-
-        monkeypatch.setattr(cancellers, "build_basis", recording_build_basis)
-        frames = OfdmFrameSpec(n_frames=10, seed=43)
-        run_sweep(load_preset("sweep_55db"), [-10.0, 22.0], DEFAULT_SPECS, frames, seed=44)
-
-        x = gen_ofdm_frames(frames)
-        frame_len = len(x) // frames.n_frames
-        split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
-        usable = frames.n_frames * frame_len
-        fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
-        # All fits first, one build per family root (nonlinear and
-        # joint-dac-iq), then one sample per spec for its labels, then per
-        # held-out frame each spec's scoring bases: the frame plus the
-        # taps - 1 samples of history before it.
-        assert lengths == [fit_len] * 2 + [1] * len(DEFAULT_SPECS) + [
-            frame_len + spec.channel_len - 1
-            for _ in range(split, usable, frame_len)
-            for spec in DEFAULT_SPECS
-        ]
-
     @pytest.mark.parametrize(
         "max_train, channel_len",
         [(None, 32), (8192, 32), (None, 1), (None, 7), (None, 20)],
@@ -702,8 +486,7 @@ class TestRunSweep:
         powers = [-10.0, 22.0]
         reports = run_sweep(cfg, powers, specs, frames, seed=40)
 
-        x = gen_ofdm_frames(frames)
-        x = x.with_samples(x.samples * REF_DRIVE_RMS)
+        x = ComplexBasebandSignal(transmit_samples(frames), SAMPLE_RATE)
         frame_len = len(x) // frames.n_frames
         split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
@@ -828,17 +611,13 @@ class TestRailSwap:
         base = load_preset(preset)
         cfg = dataclasses.replace(base, dac=DacNonlinearity(base.dac.coeffs_i, [1.0, 0.02, 0.25]))
         assert not np.array_equal(cfg.dac.coeffs_i, cfg.dac.coeffs_q)
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=20, seed=0)).samples * REF_DRIVE_RMS
+        x = transmit_samples(OfdmFrameSpec(n_frames=20, seed=0))
         moved = self.held_out_means(1j * np.conj(x), self.swapped(cfg)) - self.held_out_means(x, cfg)
         assert np.max(np.abs(moved)) < self.BOUND_DB
 
 
 class TestReceive:
     """The receive step digitizes only the rows the fit and the scoring read."""
-
-    @staticmethod
-    def frames(n_frames, seed):
-        return gen_ofdm_frames(OfdmFrameSpec(n_frames=n_frames, seed=seed)).samples * REF_DRIVE_RMS
 
     @staticmethod
     def sweep_rows(x, cfg, powers, seed, split):
@@ -850,7 +629,7 @@ class TestReceive:
         # 40 frames: the split (81 920) lies past MAX_TRAIN_SAMPLES, so rows
         # [65 536, 81 920) feed the AGC but are never digitized.
         cfg = load_preset("sweep_40db")
-        x = self.frames(40, 61)
+        x = transmit_samples(OfdmFrameSpec(n_frames=40, seed=61))
         split = 20 * (len(x) // 40)
         assert split > cancellers.MAX_TRAIN_SAMPLES
         powers = [-10.0, 6.0, 22.0]
@@ -907,7 +686,7 @@ class TestReceive:
         powers = [-10.0, 22.0]
         spec = CancellerSpec(CancellerMethod.LINEAR)
         reports = run_sweep(cfg, powers, [spec], OfdmFrameSpec(n_frames=40, seed=71), seed=72)
-        x = self.frames(40, 71)
+        x = transmit_samples(OfdmFrameSpec(n_frames=40, seed=71))
         split = 20 * (len(x) // 40)
         clips = [
             self.assert_summary_matches(rep.receiver, x, cfg, power, 72, split)
@@ -920,7 +699,7 @@ class TestReceive:
         # of an every-row receive's.
         base = load_preset("sweep_40db")
         cfg = dataclasses.replace(base, chan=dataclasses.replace(base.chan, adc_bits=20))
-        x = self.frames(10, 67)
+        x = transmit_samples(OfdmFrameSpec(n_frames=10, seed=67))
         split = 5 * (len(x) // 10)
         powers = [-10.0, 22.0]
         train, held, receivers = TestReceive.sweep_rows(x, cfg, powers, 68, split)
@@ -928,64 +707,6 @@ class TestReceive:
         # The gain ranging reaches codes beyond int16 at 20 bits.
         assert np.max(np.abs(held.codes)) > np.iinfo(np.int16).max
         self.assert_rows_match(train, held, receivers, x, cfg, powers, 68, split)
-
-    def test_peak_memory_above_inputs_and_outputs(self):
-        # sweep_40db at the CLI defaults: 100 frames, the 9 powers -10:22:4.
-        cfg = load_preset("sweep_40db")
-        x = self.frames(100, 65)
-        n = len(x)
-        split = 50 * (n // 100)
-        powers = [-10.0 + 4.0 * i for i in range(9)]
-        tracemalloc.start()
-        try:
-            train, held, _ = TestReceive.sweep_rows(x, cfg, powers, 66, split)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        full = n * 16
-        # receive holds its front end and noise, full-length complex arrays, throughout.
-        kept = sum(rows.codes.nbytes + rows.scales.nbytes for rows in (train, held))
-        transient = peak - kept - 2 * full
-        assert transient <= 2.5 * full
-
-    @staticmethod
-    def sweep40_rows(seed):
-        """x, the config, the powers, the split and the frame length of a
-        9-power sweep_40db sweep."""
-        x = TestReceive.frames(100, seed)
-        powers = [-10.0 + 4.0 * i for i in range(9)]
-        return x, load_preset("sweep_40db"), powers, 50 * (len(x) // 100), len(x) // 100
-
-    def test_peak_memory_with_rows_as_codes(self):
-        # The 65 536 training and 204 800 held rows of 9 powers are 9.7 MB
-        # of int16 codes (38.9 MB as complex128), next to the 13.1 MB front
-        # end and noise and one power's chain at a time.
-        x, cfg, powers, split, _ = self.sweep40_rows(65)
-        tracemalloc.start()
-        try:
-            TestReceive.sweep_rows(x, cfg, powers, 66, split)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 42e6
-
-    def test_fit_and_score_peak_memory_on_codes(self):
-        # The peak is the joint-dac-iq root's fit: its block buffer,
-        # (192 + 4096) x (192 + 2 * 9) complex (14.4 MB), and its 65 536-row
-        # real bases (3.1 MB). Rows are decoded a fit block or a held-out
-        # frame at a time: all held rows at once would add 29.5 MB, and every
-        # spec's full-length scoring bases 29.5 MB.
-        x, cfg, powers, split, frame_len = self.sweep40_rows(69)
-        train, held, _ = TestReceive.sweep_rows(x, cfg, powers, 70, split)
-        noise_dbfs = cfg.chan.thermal_noise_dbfs
-        tracemalloc.start()
-        try:
-            cancellers._fit_and_score(x, train, held, DEFAULT_SPECS, frame_len, noise_dbfs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 22e6
-
 
 def test_imports_no_private_impairments_name():
     # The receive chain's internals stay inside impairments: the sweep
@@ -1078,8 +799,7 @@ class TestFamilyFit:
         powers = [-10.0, 22.0]
         reports = run_sweep(cfg, powers, specs, frames, seed)
 
-        x = gen_ofdm_frames(frames)
-        x = x.with_samples(x.samples * REF_DRIVE_RMS)
+        x = ComplexBasebandSignal(transmit_samples(frames), SAMPLE_RATE)
         split = round(n_frames * TRAIN_FRACTION) * (len(x) // n_frames)
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
         train = np.stack(
@@ -1108,46 +828,6 @@ class TestFamilyFit:
             assert joint.rank < joint.n_params
             wl = by_method[CancellerMethod.WIDELY_LINEAR]
             assert wl.rank == wl.n_params
-
-    @pytest.mark.parametrize(
-        "specs, roots",
-        [
-            (DEFAULT_SPECS, (DEFAULT_SPECS[1], DEFAULT_SPECS[3])),
-            ((DEFAULT_SPECS[0], DEFAULT_SPECS[3]), (DEFAULT_SPECS[0], DEFAULT_SPECS[3])),
-            ((DEFAULT_SPECS[2],), (DEFAULT_SPECS[2],)),
-            (
-                (dataclasses.replace(DEFAULT_SPECS[2], channel_len=16), DEFAULT_SPECS[3]),
-                (dataclasses.replace(DEFAULT_SPECS[2], channel_len=16), DEFAULT_SPECS[3]),
-            ),
-        ],
-        ids=["default", "linear-joint", "widely-linear", "widely-linear-16-taps-joint"],
-    )
-    def test_qr_calls_per_family_root(self, monkeypatch, specs, roots):
-        calls = []
-        geqrf = cancellers._geqrf
-
-        def counting_geqrf(buf, rows, *args):
-            calls.append((rows, buf.shape[1]))
-            return geqrf(buf, rows, *args)
-
-        monkeypatch.setattr(cancellers, "_geqrf", counting_geqrf)
-        frames = OfdmFrameSpec(n_frames=10, seed=46)
-        reports = run_sweep(load_preset("sweep_55db"), [22.0], specs, frames, seed=47)
-        assert [rep.method for rep in reports] == [spec.label() for spec in specs]
-
-        x = gen_ofdm_frames(frames)
-        split = round(frames.n_frames * TRAIN_FRACTION) * (len(x) // frames.n_frames)
-        fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
-        # A root's calls are told apart by their width: its columns plus one
-        # right-hand side, which a joint-dac-iq root packs as two columns
-        # (Re, Im) over steps of twice the rows.
-        expected = {}
-        for root in roots:
-            per_row = 2 if root.method is CancellerMethod.JOINT_DAC_IQ else 1
-            width = len(build_basis(x.samples[:1], root)) * root.channel_len + per_row
-            expected[width] = -(-fit_len // (per_row * cancellers.FIT_BLOCK_ROWS))
-        assert collections.Counter(shape[1] for shape in calls) == expected
-
 
 def _world(preset: str, identities: tuple[str, ...], **chan) -> ImpairmentConfig:
     """A preset with no phase noise, the stages ``identities`` names at
@@ -1219,7 +899,7 @@ class TestCompositeChannels:
         fit, truth = self.fit_and_truth(case, preset, frames)
         _, spec, _, _ = self.CASES[case]
         n = fit.training_len
-        s = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
+        s = transmit_samples(frames)
         a = dense_regressor(build_basis(s[:n], spec), n, spec.channel_len)
         e = fit.coefficients - truth
         sigma2 = 10.0 ** (fit.residual_power_dbfs / 10.0)

@@ -18,6 +18,7 @@ from helpers_oracles import (
     apply_pa_oracle,
     channel_and_receiver_oracle,
     converter_oracle,
+    identity_config,
     receive_every_row,
 )
 from fdsic._rng import substream
@@ -65,23 +66,6 @@ def tone_spectrum(samples, n_fft=4096):
 
 def line_dbc(spec, freq, ref_freq=F_TONE):
     return measure_line_db(spec, freq) - measure_line_db(spec, ref_freq)
-
-
-def identity_config(**chan_overrides) -> ImpairmentConfig:
-    chan = ChannelAndReceiver(
-        h_si=[1.0],
-        analog_suppression_db=chan_overrides.pop("analog_suppression_db", 30.0),
-        thermal_noise_dbfs=chan_overrides.pop("thermal_noise_dbfs", -90.0),
-        adc_bits=chan_overrides.pop("adc_bits", 24),
-    )
-    return ImpairmentConfig(
-        dac=DacNonlinearity.identity(),
-        tx_iq=IqImbalance.identity(),
-        rx_iq=IqImbalance.identity(),
-        pn=PhaseNoiseSpec(0.0, True, 0),
-        pa=PaNonlinearity.identity(),
-        chan=chan,
-    )
 
 
 class TestDacNonlinearity:
@@ -267,10 +251,7 @@ def receive_at_antenna(x, chan, rx_iq, seed):
     received samples, the receiver summary and the antenna samples the
     channel got: ``x`` up to rounding, and the bits the chain computes.
     """
-    cfg = ImpairmentConfig(
-        DacNonlinearity.identity(), IqImbalance.identity(), rx_iq, PhaseNoiseSpec(),
-        PaNonlinearity.identity(), chan,
-    )
+    cfg = identity_config(chan, rx_iq)
     drive = 1.0 / REF_DRIVE_RMS
     v = x / (drive * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
     received, diag = receive_every_row(v, cfg, MAX_TX_POWER_DBM, seed)
@@ -298,7 +279,7 @@ class TestChannelAndReceiver:
     def test_zero_input_keeps_unit_agc_scale(self):
         # Nothing reaches the AGC, so it keeps a scale of 1, and every code
         # is the one just above zero: each rail decodes to half a step.
-        cfg = identity_config(thermal_noise_dbfs=float("-inf"), adc_bits=14)
+        cfg = identity_config(ChannelAndReceiver([1.0], 30.0, float("-inf"), 14))
         zeros = np.zeros(64, dtype=complex)
         _, _, (diag,) = receive(zeros, cfg, [0.0], 1, 0, 0)
         step = 2.0 / 2**14
@@ -352,7 +333,7 @@ class TestChannelAndReceiver:
 class TestSimulateReceived:
     def test_disabled_impairments_scaled_noisy_copy(self):
         sig = gen_tone(F_TONE, 0.2, 65536)
-        cfg = identity_config()
+        cfg = identity_config(ChannelAndReceiver([1.0], 30.0, -90.0, 24))
         r, _ = simulate_received(sig, cfg, 0.0, seed=4)
         # mean rx power == tx (0 dBm) - suppression in the antenna-referred units
         assert power_db(r) == pytest.approx(-30.0, abs=0.3)
@@ -451,9 +432,11 @@ class TestConfigSerialization:
         assert sorted(listed) == sorted(keys)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_every_preset_loads_and_roundtrips(self, name):
-        cfg = load_preset(name)
-        assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)
+    def test_every_preset_loads_and_roundtrips(self, tmp_path, name):
+        # A preset's saved file reads back and saves to the same bytes.
+        saved = save_config(load_preset(name), tmp_path / "saved.json")
+        resaved = save_config(load_config(saved), tmp_path / "resaved.json")
+        assert resaved.read_bytes() == saved.read_bytes()
 
 
 # A nudged key (``nudged``) moves some figure of a 4-frame sweep_40db sweep

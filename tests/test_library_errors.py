@@ -16,7 +16,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers_oracles import cancel, converter_oracle, ls_estimate
+from helpers_oracles import (
+    cancel,
+    converter_oracle,
+    identity_config,
+    ls_estimate,
+    random_signal,
+    transmit_samples,
+)
 
 from fdsic import cancellers, impairments
 from fdsic._rng import substream
@@ -34,10 +41,8 @@ from fdsic.cancellers import (
     run_sweep,
 )
 from fdsic.impairments import (
-    REF_DRIVE_RMS,
     ChannelAndReceiver,
     DacNonlinearity,
-    ImpairmentConfig,
     IqImbalance,
     PaNonlinearity,
     PhaseNoiseSpec,
@@ -62,6 +67,8 @@ from fdsic.signals import (
 from fdsic.spectral import Spectrum, skirt_peak_dbc, spectrum
 
 LINEAR, NONLINEAR, WIDELY_LINEAR, JOINT = CancellerMethod
+# Every stage at identity, and a one-tap channel with the default receiver.
+UNIT_CHANNEL = identity_config(ChannelAndReceiver([1.0]))
 OVERFLOW = (
     "the digitized received signal is not finite: the configuration overflows the impairment chain"
 )
@@ -79,23 +86,9 @@ def calls(prefix, call, cases, kind=ValueError):
     return {f"{prefix}-{name}": (make(args), kind, message) for name, args, message in cases}
 
 
-def noise(n, seed):
-    """``n`` samples of unit-power complex Gaussian noise."""
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-
-
 def verify_tone(freq, *args):
     """``verify_harmonics`` of a half-scale tone at ``freq`` on 4096 bins."""
     verify_harmonics(spectrum(gen_tone(freq, 0.5, 4096 * 4), n_fft=4096), freq, *args)
-
-
-def identity_config(**chan):
-    """Every stage at identity, with a one-tap channel of ``chan``'s fields."""
-    return ImpairmentConfig(
-        DacNonlinearity.identity(), IqImbalance.identity(), IqImbalance.identity(),
-        PhaseNoiseSpec(), PaNonlinearity.identity(), ChannelAndReceiver(h_si=[1.0], **chan),
-    )
 
 
 def sweep(specs=DEFAULT_SPECS, powers=(22.0,), frames=OfdmFrameSpec(), seed=0):
@@ -106,20 +99,20 @@ def sweep(specs=DEFAULT_SPECS, powers=(22.0,), frames=OfdmFrameSpec(), seed=0):
 def cancel_with(fitted, given, order):
     """``cancel`` with the fit of method ``fitted`` and the bases of method
     ``given``, taken in the order ``[::order]``."""
-    x = noise(4096, 16)
+    x = random_signal(4096, 16)
     fit = ls_estimate(x, build_basis(x, CancellerSpec(fitted, channel_len=4)), 4)
     cancel(x, build_basis(x, CancellerSpec(given, channel_len=4))[::order], fit)
 
 
 def receive_rows(fit_len, split, powers=(0.0,)):
     """``receive`` of 64 samples at ``powers`` over the rows ``fit_len`` and ``split`` give."""
-    receive(noise(64, 1), identity_config(), list(powers), 1, fit_len, split)
+    receive(random_signal(64, 1), UNIT_CHANNEL, list(powers), 1, fit_len, split)
 
 
 def overflow_in_an_undigitized_row(tmp):
     # The overflowed sample reaches the AGC alone, and through its scale
     # every digitized row.
-    x = gen_ofdm_frames(OfdmFrameSpec(n_frames=40, seed=63)).samples * REF_DRIVE_RMS
+    x = transmit_samples(OfdmFrameSpec(n_frames=40, seed=63))
     x[MAX_TRAIN_SAMPLES + 1000] = 1e200
     receive(x, load_preset("sweep_40db"), [-10.0], 64, MAX_TRAIN_SAMPLES, len(x) // 2)
 
@@ -222,7 +215,9 @@ LIBRARY_ERRORS = {
     # same labels in another order differ.
     "ls_estimate-underdetermined": (
         lambda tmp: ls_estimate(
-            noise(60, 7), build_basis(noise(60, 7), CancellerSpec(WIDELY_LINEAR, channel_len=8)), 8
+            random_signal(60, 7),
+            build_basis(random_signal(60, 7), CancellerSpec(WIDELY_LINEAR, channel_len=8)),
+            8,
         ),
         ValueError,
         "training length 60 must be >= 4 * (bases * taps) = 64",
@@ -233,7 +228,9 @@ LIBRARY_ERRORS = {
         "zgeqrf argument 4 is illegal",
     ),
     "_ls_factor-basis-shorter-than-rhs": (
-        lambda tmp: _ls_factor(noise(64, 53)[:, np.newaxis], [BasisSignal("x", noise(63, 54))], 2),
+        lambda tmp: _ls_factor(
+            random_signal(64, 53)[:, np.newaxis], [BasisSignal("x", random_signal(63, 54))], 2
+        ),
         ValueError,
         "basis 'x' shorter than received signal",
     ),
@@ -291,7 +288,7 @@ LIBRARY_ERRORS = {
     ]),
     # The shared walk would need len + delay draws.
     "apply_phase_noise-delay-past-the-signal": (
-        lambda tmp: apply_phase_noise(noise(64, 1), PhaseNoiseSpec(1e3, True, 65), seed=1),
+        lambda tmp: apply_phase_noise(random_signal(64, 1), PhaseNoiseSpec(1e3, True, 65), seed=1),
         ValueError,
         "delay_samples (65) must not exceed the signal length (64 samples)",
     ),
@@ -330,12 +327,12 @@ LIBRARY_ERRORS = {
     # The chain runs at SAMPLE_RATE.
     **calls("simulate_received", simulate_received, [
         *(
-            (f"power-{power:g}", (gen_tone(TONE_FREQ, 0.2, 64), identity_config(), power, 4),
+            (f"power-{power:g}", (gen_tone(TONE_FREQ, 0.2, 64), UNIT_CHANNEL, power, 4),
              f"transmit power must lie in [-10, 22] dBm, got {power:g}")
             for power in (25.0, -10.5, math.nan)
         ),
         ("signal-at-40-MHz",
-         (ComplexBasebandSignal(noise(64, 1), 40e6), identity_config(), -10.0, 4),
+         (ComplexBasebandSignal(random_signal(64, 1), 40e6), UNIT_CHANNEL, -10.0, 4),
          "signal at 40000000.0 Hz; the chain runs at 80000000.0 Hz"),
     ]),
     # Finite samples whose power overflows the gain ranging: the stage says
@@ -343,7 +340,7 @@ LIBRARY_ERRORS = {
     "overflow-input": (
         lambda tmp: receive(
             np.full(64, 1e200 + 0j),
-            identity_config(analog_suppression_db=0.0, thermal_noise_dbfs=-math.inf),
+            identity_config(ChannelAndReceiver([1.0], 0.0, -math.inf)),
             [22.0], 1, 0, 0,
         ),
         ValueError,
@@ -387,6 +384,7 @@ LIBRARY_ERRORS = {
         ("amplitude-above-one", (1e6, 1.5, 16), "amplitude must be in (0, 1], got 1.5"),
         ("n_samples-fraction", (1e6, 0.5, 100.5), "n_samples must be an integer, got 100.5"),
         ("n_samples-bool", (1e6, 0.5, True), "n_samples must be an integer, got True"),
+        ("n_samples-zero", (1e6, 0.5, 0), "n_samples must be >= 1"),
     ]),
     **calls("OfdmFrameSpec", OfdmFrameSpec, [
         ("no-frames", (0,), "n_frames must be >= 1"),
@@ -405,7 +403,7 @@ LIBRARY_ERRORS = {
         ("seed-string", ("1", "thermal-noise"), "seed must be an integer, got '1'"),
     ]),
     "fir_convolve-no-taps": (
-        lambda tmp: fir_convolve(noise(16, 1), []),
+        lambda tmp: fir_convolve(random_signal(16, 1), []),
         ValueError,
         "taps must be a nonempty 1-D sequence",
     ),
@@ -495,7 +493,7 @@ def test_chain_rejects_before_the_front_end(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("scale", [0.0, math.nan, 1e-320], ids=["zero", "nan", "subnormal"])
 def test_scale_that_decodes_to_non_finite_is_an_error_before_any_code(scale):
     chan = ChannelAndReceiver(h_si=[1.0], adc_bits=14)
-    analog = noise(256, 4)
+    analog = random_signal(256, 4)
     with np.errstate(all="ignore"):
         assert not np.all(np.isfinite(converter_oracle(analog, scale, chan)[1]))
     codes = np.full((256, 2), 7, dtype=np.int16)
