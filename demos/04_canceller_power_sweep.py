@@ -19,15 +19,12 @@ one.
 """
 
 from fdsic import DEFAULT_SPECS, load_preset, run_sweep
-from fdsic.signals import OfdmFrameSpec
 
 print(__doc__)
 
 powers = (-10, 2, 14, 22)
 for preset in ("sweep_40db", "sweep_55db"):
-    reports = run_sweep(
-        load_preset(preset), powers, DEFAULT_SPECS, OfdmFrameSpec(n_frames=40, seed=0), seed=0
-    )
+    reports = run_sweep(load_preset(preset), powers, DEFAULT_SPECS, n_frames=40, seed=0)
     print(f"--- {preset} (residual above thermal floor, dB) ---")
     header = " ".join(f"{s.label():>28s}" for s in DEFAULT_SPECS)
     print(f"{'P(dBm)':>7s} {header}")

@@ -49,7 +49,6 @@ from .impairments import (
 from .presets import load_preset
 from .signals import (
     ComplexBasebandSignal,
-    OfdmFrameSpec,
     fir_convolve,
     gen_ofdm_frames,
     gen_tone,

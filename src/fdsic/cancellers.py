@@ -36,7 +36,7 @@ from .impairments import (
     check_tx_power,
     receive,
 )
-from .signals import FRAME_LEN, OfdmFrameSpec, gen_ofdm_frames
+from .signals import FRAME_LEN, gen_ofdm_frames
 
 
 class CancellerMethod(str, enum.Enum):
@@ -116,6 +116,9 @@ DEFAULT_SPECS = (
     CancellerSpec(CancellerMethod.JOINT_DAC_IQ, m_max=3),
 )
 
+# How many transmit frames the comparison draws (``fdsic sweep --frames``).
+DEFAULT_N_FRAMES = 100
+
 
 @dataclass(frozen=True)
 class BasisSignal:
@@ -131,7 +134,7 @@ class LsFit:
     ``labels`` (the order of :func:`build_basis`). ``rank`` is the
     regressor's numerical rank out of ``n_params`` columns; below
     ``n_params`` the coefficients are the minimum-norm solution.
-    ``residual_power_dbfs`` is the power the fit leaves on its training rows.
+    ``residual_power_dbfs`` is the power per training row outside the kept directions.
     """
 
     labels: tuple[str, ...]
@@ -181,11 +184,14 @@ def build_basis(s: np.ndarray, spec: CancellerSpec) -> list[BasisSignal]:
     elif spec.method is CancellerMethod.NONLINEAR:
         pairs = [(f"x|x|^{n - 1}", s * np.abs(s) ** (n - 1)) for n in range(1, spec.n_max + 1, 2)]
     else:
-        pairs = [
-            (f"{name}(x)^{m}", rail**m)
-            for m in range(1, spec.m_max + 1)
-            for name, rail in (("re", s.real), ("im", s.imag))
-        ]
+        # Each rail power is the one below it times the rail: numpy's ``**``
+        # takes a slow path for a real base with negative entries.
+        powers = {"re": 1.0, "im": 1.0}
+        pairs = []
+        for m in range(1, spec.m_max + 1):
+            for name, rail in (("re", s.real), ("im", s.imag)):
+                powers[name] = rail * powers[name]
+                pairs.append((f"{name}(x)^{m}", powers[name]))
     return [BasisSignal(label, x) for label, x in pairs]
 
 
@@ -363,12 +369,15 @@ def _ls_solve(factor: _LsFactor, bases: list[BasisSignal], channel_len: int) -> 
     ``q = len(bases) * channel_len``, and the fits carry the labels of
     ``bases``. The leading ``q x q`` block of ``R11`` is the triangular
     factor of the regressor's leading ``q`` columns, and ``R12[:q]`` is
-    their share of the right-hand sides. So
-    one SVD-based ``lstsq`` of ``R11[:q, :q] h = R12[:q]`` at the dense
-    problem's default threshold ``rcond = eps * max(n, q)`` gives the
-    rank, singular values and minimum-norm solution of the dense fit of
-    those columns alone, and the training residual of column k is
-    ``|R12[:q, k] - R11[:q, :q] h|² + |R12[q:, k]|² + dropped_k``.
+    their share of the right-hand sides. One SVD ``R11[:q, :q] = U S Vᴴ``
+    keeps the singular values above the dense problem's ``lstsq``
+    threshold ``eps * max(n, q) * s_max``: their count is the rank, and
+    each right-hand side ``b = R12[:q, k]`` gets the minimum-norm solution
+    ``h = V_r (z / s_r)``, ``z = U_rᴴ b``. Its training residual is the part
+    of ``b`` outside the kept left singular vectors, ``|b - U_r z|²``, plus
+    ``|R12[q:, k]|² + dropped_k``; ``b - R11 h`` would scale rounding by
+    ``|h|``, ≈ 4e5 on a rank-deficient fit. Each column is solved on its
+    own, so its bits do not depend on how many columns share the factor.
 
     Complex ``bases`` on a ``packed`` factor are read through the rail
     map: the factor's leading columns are then joint-dac-iq's ``re(x)``,
@@ -382,9 +391,9 @@ def _ls_solve(factor: _LsFactor, bases: list[BasisSignal], channel_len: int) -> 
     real ``g``, ``|R11 g - R12|² = |[Re R11; Im R11] g - [Re R12; Im R12]|²``,
     and ``[Re R11; Im R11]`` (``2q x q``, real) has the singular values of
     the real regressor. The halves of a right-hand side, ``Re b`` and
-    ``Im b``, are joined back into one complex column, so the one
-    ``lstsq`` gives ``h = g_re + i g_im`` directly, and a column's
-    residual adds the energy of both halves.
+    ``Im b``, are joined back into one complex column, so the one real
+    SVD gives ``h = g_re + i g_im`` directly, and a column's residual adds
+    the energy of both halves.
 
     The blocked QR may round the factor's regressor columns differently
     with the number of right-hand sides (it does for some widely-linear
@@ -393,7 +402,7 @@ def _ls_solve(factor: _LsFactor, bases: list[BasisSignal], channel_len: int) -> 
     dense SVD solve's coefficients within 1e-14 relative, packed or not. A
     rank-deficient fit (the joint-dac-iq fit on 10 frames) rounds its
     near-null directions differently, which moves its held-out figures by
-    up to 3e-5 dB from the dense solve's and leaves its rank unchanged.
+    up to 8e-5 dB from the dense solve's and leaves its rank unchanged.
     """
     n = factor.training_len
     n_params = len(factor.r)
@@ -408,17 +417,15 @@ def _ls_solve(factor: _LsFactor, bases: list[BasisSignal], channel_len: int) -> 
         r12 = np.concatenate([r12.real, r12.imag])
         r12 = r12[:, :n_rhs] + 1j * r12[:, n_rhs:]
         unexplained = unexplained[:n_rhs] + unexplained[n_rhs:]
-    coeffs, _, rank, singular = np.linalg.lstsq(
-        r11, r12, rcond=np.finfo(np.float64).eps * max(n, q)
-    )
+    u, singular, vh = np.linalg.svd(r11, full_matrices=False)
+    rank = int(np.count_nonzero(singular > np.finfo(np.float64).eps * max(n, q) * singular[0]))
     cond = float(singular[0] / singular[-1]) if singular[-1] > 0 else float("inf")
+    u, kept, v = u[:, :rank], singular[:rank], vh[:rank].conj().T
     fits = []
     for k, energy in enumerate(unexplained):
-        # Column by column: a matrix product rounds each column differently
-        # with the number of columns, and a residual at rounding level (an
-        # exact fit) would then depend on how many powers share the fit.
-        g = coeffs[:, k]
-        resid_power = (float(np.sum(np.abs(r12[:, k] - r11 @ g) ** 2)) + energy) / n
+        z = u.conj().T @ r12[:, k]
+        g = v @ (z / kept)
+        resid_power = (float(np.sum(np.abs(r12[:, k] - u @ z) ** 2)) + energy) / n
         if rails:
             g_re, g_im = g[:channel_len], g[channel_len:]
             h = np.concatenate([(g_re - 1j * g_im) / 2, (g_re + 1j * g_im) / 2])
@@ -430,7 +437,7 @@ def _ls_solve(factor: _LsFactor, bases: list[BasisSignal], channel_len: int) -> 
                 coefficients=h,
                 training_len=n,
                 condition_number=cond,
-                rank=int(rank),
+                rank=rank,
                 residual_power_dbfs=(
                     10.0 * math.log10(resid_power) if resid_power > 0 else float("-inf")
                 ),
@@ -471,16 +478,17 @@ def run_sweep(
     cfg: ImpairmentConfig,
     powers: Sequence[float],
     specs: Sequence[CancellerSpec],
-    frames: OfdmFrameSpec,
+    n_frames: int,
     seed: int,
 ) -> list[SuppressionReport]:
     """Simulate, fit each canceller on the training frames, and score the rest.
 
     ``cfg`` is the hardware and each of ``powers`` (dBm) one amplifier
-    drive. The transmit frames are generated once, scaled to the nominal
-    DAC drive and received at every power in one
-    :func:`~fdsic.impairments.receive` call, and each canceller family is
-    factored once (see :func:`_fit_and_score`). The first
+    drive. ``seed`` draws the ``n_frames`` transmit frames and every noise
+    of the chain, each from its own named substream. The frames are
+    generated once, scaled to the nominal DAC drive and received at every
+    power in one :func:`~fdsic.impairments.receive` call, and each canceller
+    family is factored once (see :func:`_fit_and_score`). The first
     ``TRAIN_FRACTION`` of frames trains the fits (at most
     ``MAX_TRAIN_SAMPLES`` rows, the only training rows digitized) and the
     remainder is held out. Residual-above-noise statistics are aggregated
@@ -493,7 +501,7 @@ def run_sweep(
         raise ValueError("specs must be nonempty")
     if not powers:
         raise ValueError("powers must be nonempty")
-    n_frames = frames.n_frames
+    _require_int(n_frames, "n_frames")
     if n_frames < 2:
         raise ValueError(
             f"a comparison needs at least 2 frames (one to train, one held out), "
@@ -515,7 +523,7 @@ def run_sweep(
     for spec in specs:
         _check_training_len(n_train, spec.n_bases * spec.channel_len)
 
-    x = gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
+    x = gen_ofdm_frames(n_frames, seed).samples * REF_DRIVE_RMS
     train, held, diags = receive(x, cfg, powers, seed, n_train, split)
     fits, per_frame_db = _fit_and_score(
         x, train, held, specs, FRAME_LEN, cfg.chan.thermal_noise_dbfs

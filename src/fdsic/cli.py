@@ -27,7 +27,9 @@ from functools import partial
 from pathlib import Path
 
 from .analysis import DEFAULT_MARGIN_DB, BudgetInput, suppression_budget, verify_harmonics
-from .cancellers import DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod, CancellerSpec, run_sweep
+from .cancellers import (
+    DEFAULT_N_FRAMES, DEFAULT_SPECS, ORDER_FIELDS, CancellerMethod, CancellerSpec, run_sweep,
+)
 from .impairments import (
     MAX_TX_POWER_DBM,
     MIN_TX_POWER_DBM,
@@ -38,7 +40,7 @@ from .impairments import (
     simulate_received,
 )
 from .presets import PRESET_NAMES, PRESETS, TONE_AMPLITUDE, TONE_FREQ, load_preset
-from .signals import OfdmFrameSpec, gen_tone, read_iq, write_iq
+from .signals import gen_tone, read_iq, write_iq
 from .spectral import DEFAULT_N_FFT, spectrum, write_spectrum_csv
 
 
@@ -187,13 +189,12 @@ def cmd_sweep(args) -> int:
     powers = _parse_powers(args.powers)
     specs = _canceller_specs(args)
 
-    frames = OfdmFrameSpec(n_frames=args.frames, seed=args.seed)
     header = ["tx_power_dbm", "method", "mean_residual_above_noise_db", "std_db",
               "apparent_floor_dbfs"]
     rows = [
         [f"{rep.tx_power_dbm:.3f}", rep.method, f"{rep.residual_above_noise_db:.6f}",
          f"{rep.residual_above_noise_std_db:.6f}", f"{rep.receiver.apparent_floor_dbfs:.6f}"]
-        for rep in run_sweep(cfg, powers, specs, frames, args.seed)
+        for rep in run_sweep(cfg, powers, specs, args.frames, args.seed)
     ]
     _write_outputs(
         args.out, "sweep",
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(s.method.value for s in DEFAULT_SPECS),
         help="comma-separated canceller list",
     )
-    p_sweep.add_argument("--frames", type=int, default=OfdmFrameSpec.n_frames)
+    p_sweep.add_argument("--frames", type=int, default=DEFAULT_N_FRAMES)
     # The default canceller set seeds the channel-length and order flags.
     defaults = {spec.method: spec for spec in DEFAULT_SPECS}
     p_sweep.add_argument(

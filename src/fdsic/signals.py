@@ -68,23 +68,6 @@ class ComplexBasebandSignal:
         return ComplexBasebandSignal(samples, self.sample_rate)
 
 
-@dataclass(frozen=True)
-class OfdmFrameSpec:
-    """How many transmit frames :func:`gen_ofdm_frames` draws, and from which seed.
-
-    The frame format itself is fixed by the module constants.
-    """
-
-    n_frames: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        _require_int(self.n_frames, "n_frames")
-        _require_int(self.seed, "seed")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
-
-
 def gen_tone(freq: float, amplitude: float, n_samples: int) -> ComplexBasebandSignal:
     """Complex exponential amplitude * exp(j*2*pi*freq*n/SAMPLE_RATE).
 
@@ -104,21 +87,25 @@ def gen_tone(freq: float, amplitude: float, n_samples: int) -> ComplexBasebandSi
     return ComplexBasebandSignal(amplitude * (np.cos(phase) + 1j * np.sin(phase)), SAMPLE_RATE)
 
 
-def gen_ofdm_frames(spec: OfdmFrameSpec) -> ComplexBasebandSignal:
-    """Concatenated OFDM frames at ``SAMPLE_RATE``, unit average power.
+def gen_ofdm_frames(n_frames: int, seed: int) -> ComplexBasebandSignal:
+    """``n_frames`` concatenated OFDM frames at ``SAMPLE_RATE``, unit average power.
 
     Each frame is one ``FRAME_LEN``-sample IFFT block: ``N_TONES`` QPSK
     symbols on the centered tone grid that spans ``OFDM_BANDWIDTH``,
     zero-padded to the sample rate, so every frame is exactly
-    band-limited. Frames are joined with no cyclic prefix. Deterministic
-    for a given spec (including its seed).
+    band-limited. Frames are joined with no cyclic prefix. The symbols
+    are drawn from the ``"ofdm-frames"`` substream of ``seed``, so the
+    frames are fixed by the count and the seed.
     """
-    rng = substream(spec.seed, "ofdm-frames")
+    _require_int(n_frames, "n_frames")
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    rng = substream(seed, "ofdm-frames")
     bins = np.arange(-(N_TONES // 2), N_TONES // 2) % FRAME_LEN
     # One allocation up front: a count too large for memory fails at once.
-    samples = np.empty(spec.n_frames * FRAME_LEN, dtype=np.complex128)
+    samples = np.empty(n_frames * FRAME_LEN, dtype=np.complex128)
     grid = np.zeros(FRAME_LEN, dtype=np.complex128)
-    for frame in samples.reshape(spec.n_frames, FRAME_LEN):
+    for frame in samples.reshape(n_frames, FRAME_LEN):
         grid[bins] = _QPSK[rng.integers(0, _QPSK.size, N_TONES)]
         frame[:] = np.fft.ifft(grid) * FRAME_LEN / np.sqrt(N_TONES)
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))

@@ -339,10 +339,10 @@ def identity_config(chan, rx_iq=IqImbalance.identity()) -> ImpairmentConfig:
     )
 
 
-def transmit_samples(frames) -> np.ndarray:
-    """The OFDM frames of the :class:`~fdsic.signals.OfdmFrameSpec` ``frames``
-    at the nominal DAC drive ``REF_DRIVE_RMS``, as a sweep sends them."""
-    return gen_ofdm_frames(frames).samples * REF_DRIVE_RMS
+def transmit_samples(n_frames: int, seed: int) -> np.ndarray:
+    """The ``n_frames`` OFDM frames of ``seed`` at the nominal DAC drive
+    ``REF_DRIVE_RMS``, as a sweep of that seed sends them."""
+    return gen_ofdm_frames(n_frames, seed).samples * REF_DRIVE_RMS
 
 
 def random_signal(n: int, seed: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from helpers_oracles import (
 
 from fdsic.analysis import BudgetInput, predict_harmonics, suppression_budget
 from fdsic.cancellers import (
+    DEFAULT_N_FRAMES,
     DEFAULT_SPECS,
     BasisSignal,
     CancellerMethod,
@@ -38,7 +39,7 @@ from fdsic.presets import (
     TONE_FREQ,
     load_preset,
 )
-from fdsic.signals import SAMPLE_RATE, ComplexBasebandSignal, OfdmFrameSpec, gen_tone
+from fdsic.signals import SAMPLE_RATE, ComplexBasebandSignal, gen_tone
 from fdsic.spectral import measure_line_db, skirt_peak_dbc, spectrum
 
 POWERS = [-10, -6, -2, 2, 6, 10, 14, 18, 22]
@@ -52,9 +53,7 @@ def announce(number, passed, detail):
 
 def sweep_table(preset_name):
     """{power: {method label: report}} over POWERS for the default cancellers."""
-    reports = run_sweep(
-        load_preset(preset_name), POWERS, DEFAULT_SPECS, OfdmFrameSpec(seed=0), seed=0
-    )
+    reports = run_sweep(load_preset(preset_name), POWERS, DEFAULT_SPECS, DEFAULT_N_FRAMES, 0)
     table = {}
     for rep in reports:
         table.setdefault(rep.tx_power_dbm, {})[rep.method] = rep
@@ -276,7 +275,7 @@ def test_criterion_08_quantization_floor_tracks_power():
         cfg,
         chan=dataclasses.replace(cfg.chan, thermal_noise_dbfs=-140.0, adc_bits=12),
     )
-    x = ComplexBasebandSignal(transmit_samples(OfdmFrameSpec(seed=0, n_frames=20)), SAMPLE_RATE)
+    x = ComplexBasebandSignal(transmit_samples(20, 0), SAMPLE_RATE)
     floors = {}
     for power in (0.0, 20.0):
         _, diag = simulate_received(x, cfg, power, seed=5)

@@ -24,7 +24,7 @@ from fdsic.impairments import (
     simulate_received,
 )
 from fdsic.presets import TONE_AMPLITUDE, TONE_FREQ, load_preset
-from fdsic.signals import OfdmFrameSpec, gen_tone
+from fdsic.signals import gen_tone
 from fdsic.spectral import spectrum
 
 
@@ -141,7 +141,7 @@ class TestSuppressionBudget:
         powers = [-10.0, 20.0]
         misses = []
         for seed in range(4):
-            x = transmit_samples(OfdmFrameSpec(n_frames=8, seed=seed))
+            x = transmit_samples(8, seed)
             _, received, receivers = receive(x, quiet, powers, seed, 0, 0)
             for k, power in enumerate(powers):
                 si_dbm = 10.0 * math.log10(float(np.mean(np.abs(received[:, k]) ** 2)))

@@ -54,7 +54,7 @@ from fdsic.impairments import (
 )
 from fdsic.presets import load_preset
 from fdsic.signals import (
-    FRAME_LEN, SAMPLE_RATE, ComplexBasebandSignal, fir_convolve, gen_ofdm_frames, OfdmFrameSpec,
+    FRAME_LEN, SAMPLE_RATE, ComplexBasebandSignal, fir_convolve, gen_ofdm_frames,
 )
 
 
@@ -181,8 +181,10 @@ class TestBatchedFit:
         fits = self.assert_matches_per_column(rhs, bases, 4)
         assert fits[0].rank == fits[0].n_params
 
-    def test_rank_deficient_columns_give_minimum_norm(self):
-        x = random_signal(512, 42)
+    @pytest.mark.parametrize("part", [np.asarray, np.real], ids=["complex", "real-packed"])
+    def test_rank_deficient_columns_give_minimum_norm(self, part):
+        # Real bases are packed, two training rows to a complex row.
+        x = part(random_signal(512, 42))
         bases = [BasisSignal("x", x), BasisSignal("x_copy", x.copy())]
         rhs = np.stack(
             [fir_convolve(x, h) for h in ([0.5], [1.0, -0.25j], [0.1, 0.2, 0.3])],
@@ -355,7 +357,7 @@ class TestCancel:
 
 class TestSpanRelations:
     def test_nested_spans_monotone_residuals(self):
-        x = gen_ofdm_frames(OfdmFrameSpec(n_frames=4, seed=22)).samples
+        x = gen_ofdm_frames(4, 22).samples
         rng = np.random.default_rng(23)
         # impaired-ish target: linear + conjugate + envelope cubic + noise
         r = (
@@ -385,29 +387,19 @@ CLEAN = identity_config(ChannelAndReceiver([1.0, 0.1 + 0.05j], 40.0, -90.0, 24))
 
 class TestRunSweep:
     def test_all_methods_reach_floor_without_impairments(self):
-        reports = run_sweep(
-            CLEAN, [0.0], DEFAULT_SPECS, OfdmFrameSpec(n_frames=20, seed=30), seed=31
-        )
+        reports = run_sweep(CLEAN, [0.0], DEFAULT_SPECS, 20, seed=30)
         assert len(reports) == 4
         for rep in reports:
             assert abs(rep.residual_above_noise_db) <= 0.5
 
     def test_one_method_at_two_channel_lengths(self):
         specs = [CancellerSpec(CancellerMethod.LINEAR, channel_len=taps) for taps in (8, 16)]
-        reports = run_sweep(
-            CLEAN, [0.0], specs, OfdmFrameSpec(n_frames=4, seed=30), seed=31
-        )
+        reports = run_sweep(CLEAN, [0.0], specs, 4, seed=30)
         assert [rep.method for rep in reports] == ["linear", "linear"]
         assert [rep.fit.n_params for rep in reports] == [8, 16]
 
     def test_reports_carry_power_and_floor(self):
-        reports = run_sweep(
-            CLEAN,
-            [-5.0],
-            [CancellerSpec(CancellerMethod.LINEAR)],
-            OfdmFrameSpec(n_frames=8, seed=33),
-            seed=34,
-        )
+        reports = run_sweep(CLEAN, [-5.0], [CancellerSpec(CancellerMethod.LINEAR)], 8, seed=33)
         rep = reports[0]
         assert rep.tx_power_dbm == -5.0
         assert rep.method == "linear"
@@ -417,7 +409,7 @@ class TestRunSweep:
     def test_reports_of_identical_runs_compare_equal(self):
         spec = [CancellerSpec(CancellerMethod.LINEAR)]
         first, second = (
-            run_sweep(CLEAN, [0.0], spec, OfdmFrameSpec(n_frames=4, seed=43), seed=44)[0]
+            run_sweep(CLEAN, [0.0], spec, 4, seed=43)[0]
             for _ in range(2)
         )
         assert first.fit is not second.fit
@@ -426,11 +418,8 @@ class TestRunSweep:
 
     def test_reports_carry_fit_diagnostics(self):
         # Ten frames leave the joint-dac-iq fit numerically rank-deficient.
-        frames = OfdmFrameSpec(n_frames=10, seed=41)
         cfg = load_preset("sweep_55db")
-        reports = {
-            rep.method: rep for rep in run_sweep(cfg, [22.0], DEFAULT_SPECS, frames, seed=42)
-        }
+        reports = {rep.method: rep for rep in run_sweep(cfg, [22.0], DEFAULT_SPECS, 10, seed=41)}
         linear = reports["linear"]
         joint = reports["joint-dac-iq(m_max=3)"]
         assert linear.fit.n_params == 32
@@ -447,13 +436,12 @@ class TestRunSweep:
 
     def test_matches_per_power_comparison_loop(self):
         cfg = load_preset("sweep_55db")
-        frames = OfdmFrameSpec(n_frames=10, seed=35)
         powers = [-10.0, 22.0]
-        got = run_sweep(cfg, powers, DEFAULT_SPECS, frames, seed=36)
+        got = run_sweep(cfg, powers, DEFAULT_SPECS, 10, seed=35)
 
         expected = []
         for power in powers:
-            expected += run_sweep(cfg, [power], DEFAULT_SPECS, frames, seed=36)
+            expected += run_sweep(cfg, [power], DEFAULT_SPECS, 10, seed=35)
         # One multi-column solve rounds differently from one solve per
         # power, so the dB figures agree to rounding, not bit for bit.
         assert len(got) == len(expected)
@@ -482,19 +470,19 @@ class TestRunSweep:
             monkeypatch.setattr(cancellers, "MAX_TRAIN_SAMPLES", max_train)
         specs = [dataclasses.replace(spec, channel_len=channel_len) for spec in DEFAULT_SPECS]
         cfg = load_preset("sweep_55db")
-        frames = OfdmFrameSpec(n_frames=10, seed=39)
+        n_frames, seed = 10, 39
         powers = [-10.0, 22.0]
-        reports = run_sweep(cfg, powers, specs, frames, seed=40)
+        reports = run_sweep(cfg, powers, specs, n_frames, seed)
 
-        x = ComplexBasebandSignal(transmit_samples(frames), SAMPLE_RATE)
-        frame_len = len(x) // frames.n_frames
-        split = round(frames.n_frames * TRAIN_FRACTION) * frame_len
+        x = ComplexBasebandSignal(transmit_samples(n_frames, seed), SAMPLE_RATE)
+        frame_len = len(x) // n_frames
+        split = round(n_frames * TRAIN_FRACTION) * frame_len
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
         assert (fit_len < split) == (max_train is not None)
         x_train = x.samples[:fit_len]
         expected = []
         for power in powers:
-            r, _ = simulate_received(x, cfg, power, 40)
+            r, _ = simulate_received(x, cfg, power, seed)
             floor = 10.0 ** (cfg.chan.thermal_noise_dbfs / 10.0)
             for spec in specs:
                 fit = ls_estimate(
@@ -508,7 +496,7 @@ class TestRunSweep:
                         max(float(np.mean(np.abs(residual[s : s + frame_len]) ** 2)), 1e-300)
                         / floor
                     )
-                    for s in range(split, frames.n_frames * frame_len, frame_len)
+                    for s in range(split, n_frames * frame_len, frame_len)
                 ]
                 expected.append((np.mean(per_frame), np.std(per_frame), fit))
 
@@ -541,8 +529,7 @@ class TestGainShift:
     @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
     def test_figures_do_not_move(self, preset):
         cfg = load_preset(preset)
-        frames = OfdmFrameSpec(n_frames=20, seed=0)
-        base = run_sweep(cfg, [-10.0, 22.0], DEFAULT_SPECS, frames, 0)
+        base = run_sweep(cfg, [-10.0, 22.0], DEFAULT_SPECS, 20, 0)
         for d in (10.0, -10.0):
             chan = dataclasses.replace(
                 cfg.chan,
@@ -550,7 +537,7 @@ class TestGainShift:
                 thermal_noise_dbfs=cfg.chan.thermal_noise_dbfs + d,
             )
             shifted = run_sweep(
-                dataclasses.replace(cfg, chan=chan), [-10.0, 22.0], DEFAULT_SPECS, frames, 0
+                dataclasses.replace(cfg, chan=chan), [-10.0, 22.0], DEFAULT_SPECS, 20, 0
             )
             assert len(shifted) == len(base)
             for got, ref in zip(shifted, base):
@@ -611,7 +598,7 @@ class TestRailSwap:
         base = load_preset(preset)
         cfg = dataclasses.replace(base, dac=DacNonlinearity(base.dac.coeffs_i, [1.0, 0.02, 0.25]))
         assert not np.array_equal(cfg.dac.coeffs_i, cfg.dac.coeffs_q)
-        x = transmit_samples(OfdmFrameSpec(n_frames=20, seed=0))
+        x = transmit_samples(20, 0)
         moved = self.held_out_means(1j * np.conj(x), self.swapped(cfg)) - self.held_out_means(x, cfg)
         assert np.max(np.abs(moved)) < self.BOUND_DB
 
@@ -629,7 +616,7 @@ class TestReceive:
         # 40 frames: the split (81 920) lies past MAX_TRAIN_SAMPLES, so rows
         # [65 536, 81 920) feed the AGC but are never digitized.
         cfg = load_preset("sweep_40db")
-        x = transmit_samples(OfdmFrameSpec(n_frames=40, seed=61))
+        x = transmit_samples(40, 61)
         split = 20 * (len(x) // 40)
         assert split > cancellers.MAX_TRAIN_SAMPLES
         powers = [-10.0, 6.0, 22.0]
@@ -685,11 +672,11 @@ class TestReceive:
         )
         powers = [-10.0, 22.0]
         spec = CancellerSpec(CancellerMethod.LINEAR)
-        reports = run_sweep(cfg, powers, [spec], OfdmFrameSpec(n_frames=40, seed=71), seed=72)
-        x = transmit_samples(OfdmFrameSpec(n_frames=40, seed=71))
+        reports = run_sweep(cfg, powers, [spec], 40, seed=71)
+        x = transmit_samples(40, 71)
         split = 20 * (len(x) // 40)
         clips = [
-            self.assert_summary_matches(rep.receiver, x, cfg, power, 72, split)
+            self.assert_summary_matches(rep.receiver, x, cfg, power, 71, split)
             for rep, power in zip(reports, powers)
         ]
         assert clips[1] > 0
@@ -699,7 +686,7 @@ class TestReceive:
         # of an every-row receive's.
         base = load_preset("sweep_40db")
         cfg = dataclasses.replace(base, chan=dataclasses.replace(base.chan, adc_bits=20))
-        x = transmit_samples(OfdmFrameSpec(n_frames=10, seed=67))
+        x = transmit_samples(10, 67)
         split = 5 * (len(x) // 10)
         powers = [-10.0, 22.0]
         train, held, receivers = TestReceive.sweep_rows(x, cfg, powers, 68, split)
@@ -795,11 +782,10 @@ class TestFamilyFit:
     )
     def test_member_equals_its_own_fit(self, preset, n_frames, seed, specs, member_methods):
         cfg = load_preset(preset)
-        frames = OfdmFrameSpec(n_frames=n_frames, seed=seed)
         powers = [-10.0, 22.0]
-        reports = run_sweep(cfg, powers, specs, frames, seed)
+        reports = run_sweep(cfg, powers, specs, n_frames, seed)
 
-        x = ComplexBasebandSignal(transmit_samples(frames), SAMPLE_RATE)
+        x = ComplexBasebandSignal(transmit_samples(n_frames, seed), SAMPLE_RATE)
         split = round(n_frames * TRAIN_FRACTION) * (len(x) // n_frames)
         fit_len = min(split, cancellers.MAX_TRAIN_SAMPLES)
         train = np.stack(
@@ -868,21 +854,20 @@ class TestCompositeChannels:
         ),
     }
 
-    def fit_and_truth(self, case, preset, frames, **chan):
+    def fit_and_truth(self, case, preset, n_frames, seed, **chan):
         identities, spec, root, channels = self.CASES[case]
         cfg = _world(preset, identities, **chan)
         specs = list(dict.fromkeys([spec, root]))
         assert _family_root(spec, specs) == root
-        rep = run_sweep(cfg, [MAX_TX_POWER_DBM], specs, frames, frames.seed)[0]
+        rep = run_sweep(cfg, [MAX_TX_POWER_DBM], specs, n_frames, seed)[0]
         return rep.fit, channels(cfg, MAX_TX_POWER_DBM, spec.channel_len, REF_DRIVE_RMS)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("preset", ["sweep_40db", "sweep_55db"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_noise_free_fit_recovers_channels(self, case, preset, seed):
-        frames = OfdmFrameSpec(n_frames=16, seed=seed)
         fit, truth = self.fit_and_truth(
-            case, preset, frames, thermal_noise_dbfs=-200.0, adc_bits=24
+            case, preset, 16, seed, thermal_noise_dbfs=-200.0, adc_bits=24
         )
         assert np.linalg.norm(fit.coefficients - truth) / np.linalg.norm(truth) <= 1e-4
 
@@ -895,11 +880,10 @@ class TestCompositeChannels:
         # imaginary parts are each N(0, sigma^2/2 (A^T A)^-1): either way
         # e^H (A^H A) e / (sigma^2 / 2) is chi-squared with 2p degrees of
         # freedom.
-        frames = OfdmFrameSpec(n_frames=8, seed=seed)
-        fit, truth = self.fit_and_truth(case, preset, frames)
+        fit, truth = self.fit_and_truth(case, preset, 8, seed)
         _, spec, _, _ = self.CASES[case]
         n = fit.training_len
-        s = transmit_samples(frames)
+        s = transmit_samples(8, seed)
         a = dense_regressor(build_basis(s[:n], spec), n, spec.channel_len)
         e = fit.coefficients - truth
         sigma2 = 10.0 ** (fit.residual_power_dbfs / 10.0)

@@ -53,7 +53,7 @@ from fdsic.impairments import (
     _quantize,
 )
 from fdsic.presets import PHASE_NOISE_LINEWIDTH_HZ, PRESET_NAMES, PRESETS, load_preset
-from fdsic.signals import SAMPLE_RATE, ComplexBasebandSignal, OfdmFrameSpec, gen_tone, power_db
+from fdsic.signals import SAMPLE_RATE, ComplexBasebandSignal, gen_tone, power_db
 from fdsic.spectral import measure_line_db, spectrum
 
 FS = 80e6
@@ -463,10 +463,9 @@ class TestEveryKeyActs:
     @staticmethod
     def figures(cfg: ImpairmentConfig) -> np.ndarray:
         """Each report's mean and apparent floor, at -10 and 22 dBm."""
-        frames = OfdmFrameSpec(n_frames=4, seed=3)
         return np.array([
             [rep.residual_above_noise_db, rep.receiver.apparent_floor_dbfs]
-            for rep in run_sweep(cfg, [-10.0, 22.0], DEFAULT_SPECS, frames, 3)
+            for rep in run_sweep(cfg, [-10.0, 22.0], DEFAULT_SPECS, 4, 3)
         ])
 
     def test_every_file_key_moves_a_figure(self):

@@ -29,6 +29,7 @@ from fdsic import cancellers, impairments
 from fdsic._rng import substream
 from fdsic.analysis import BudgetInput, predict_harmonics, verify_harmonics
 from fdsic.cancellers import (
+    DEFAULT_N_FRAMES,
     DEFAULT_SPECS,
     MAX_TRAIN_SAMPLES,
     ORDER_FIELDS,
@@ -57,7 +58,6 @@ from fdsic.impairments import (
 from fdsic.presets import TONE_FREQ, load_preset
 from fdsic.signals import (
     ComplexBasebandSignal,
-    OfdmFrameSpec,
     fir_convolve,
     gen_ofdm_frames,
     gen_tone,
@@ -91,9 +91,9 @@ def verify_tone(freq, *args):
     verify_harmonics(spectrum(gen_tone(freq, 0.5, 4096 * 4), n_fft=4096), freq, *args)
 
 
-def sweep(specs=DEFAULT_SPECS, powers=(22.0,), frames=OfdmFrameSpec(), seed=0):
+def sweep(specs=DEFAULT_SPECS, powers=(22.0,), n_frames=DEFAULT_N_FRAMES, seed=0):
     """``run_sweep`` of sweep_40db; the defaults are a valid sweep."""
-    run_sweep(load_preset("sweep_40db"), list(powers), specs, frames, seed)
+    run_sweep(load_preset("sweep_40db"), list(powers), specs, n_frames, seed)
 
 
 def cancel_with(fitted, given, order):
@@ -112,7 +112,7 @@ def receive_rows(fit_len, split, powers=(0.0,)):
 def overflow_in_an_undigitized_row(tmp):
     # The overflowed sample reaches the AGC alone, and through its scale
     # every digitized row.
-    x = transmit_samples(OfdmFrameSpec(n_frames=40, seed=63))
+    x = transmit_samples(40, 63)
     x[MAX_TRAIN_SAMPLES + 1000] = 1e200
     receive(x, load_preset("sweep_40db"), [-10.0], 64, MAX_TRAIN_SAMPLES, len(x) // 2)
 
@@ -250,7 +250,7 @@ LIBRARY_ERRORS = {
         *(
             (f"model-too-large-{n}-frames",
              {"specs": [DEFAULT_SPECS[0], CancellerSpec(JOINT, m_max=300)],
-              "frames": OfdmFrameSpec(n_frames=n)},
+              "n_frames": n},
              "training length 65536 must be >= 4 * (bases * taps) = 76800")
             for n in (40, 100)
         ),
@@ -259,6 +259,7 @@ LIBRARY_ERRORS = {
         ("seed-negative", {"seed": -1}, "seed must be in [0, 2**64), got -1"),
         ("seed-2**64", {"seed": 2**64}, "seed must be in [0, 2**64), got 18446744073709551616"),
         ("seed-fraction", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("n_frames-fraction", {"n_frames": 2.5}, "n_frames must be an integer, got 2.5"),
     ]),
     # impairments: the stages' parameters. A (3, 1) array of DAC
     # coefficients would run the chain, then fail to serialize.
@@ -386,16 +387,13 @@ LIBRARY_ERRORS = {
         ("n_samples-bool", (1e6, 0.5, True), "n_samples must be an integer, got True"),
         ("n_samples-zero", (1e6, 0.5, 0), "n_samples must be >= 1"),
     ]),
-    **calls("OfdmFrameSpec", OfdmFrameSpec, [
-        ("no-frames", (0,), "n_frames must be >= 1"),
-        ("n_frames-fraction", (2.5,), "n_frames must be an integer, got 2.5"),
-        ("n_frames-bool", (True,), "n_frames must be an integer, got True"),
-        ("seed-fraction", (100, 1.5), "seed must be an integer, got 1.5"),
-    ]),
     **calls("gen_ofdm_frames", gen_ofdm_frames, [
-        ("seed-negative", (OfdmFrameSpec(seed=-1),), "seed must be in [0, 2**64), got -1"),
-        ("seed-2**64", (OfdmFrameSpec(seed=2**64),),
-         "seed must be in [0, 2**64), got 18446744073709551616"),
+        ("no-frames", (0, 0), "n_frames must be >= 1"),
+        ("n_frames-fraction", (2.5, 0), "n_frames must be an integer, got 2.5"),
+        ("n_frames-bool", (True, 0), "n_frames must be an integer, got True"),
+        ("seed-fraction", (100, 1.5), "seed must be an integer, got 1.5"),
+        ("seed-negative", (100, -1), "seed must be in [0, 2**64), got -1"),
+        ("seed-2**64", (100, 2**64), "seed must be in [0, 2**64), got 18446744073709551616"),
     ]),
     **calls("substream", substream, [
         ("seed-fraction", (1.5, "thermal-noise"), "seed must be an integer, got 1.5"),

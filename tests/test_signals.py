@@ -12,7 +12,6 @@ from helpers_oracles import fir_convolve_oracle, iq_bytes_oracle
 from fdsic._rng import substream
 from fdsic.signals import (
     ComplexBasebandSignal,
-    OfdmFrameSpec,
     fir_convolve,
     gen_ofdm_frames,
     gen_tone,
@@ -63,9 +62,8 @@ class TestGenTone:
 
 class TestGenOfdmFrames:
     def test_unit_power_and_determinism(self):
-        spec = OfdmFrameSpec(n_frames=5, seed=11)
-        a = gen_ofdm_frames(spec)
-        b = gen_ofdm_frames(spec)
+        a = gen_ofdm_frames(5, 11)
+        b = gen_ofdm_frames(5, 11)
         assert np.array_equal(a.samples, b.samples)
         assert abs(power_db(a)) < 1e-9
 
@@ -75,14 +73,14 @@ class TestGenOfdmFrames:
         # 11.3 +- 0.5 dB across seeds (extreme-value statistics); the
         # nominal budget figure of ~10 dB refers to the same waveform, so
         # accept the band around both.
-        power = np.abs(gen_ofdm_frames(OfdmFrameSpec(seed=seed)).samples) ** 2
+        power = np.abs(gen_ofdm_frames(100, seed).samples) ** 2
         assert 8.5 <= 10 * np.log10(np.max(power) / np.mean(power)) <= 12.0
 
     def test_frame_format(self):
         # Every 4096-sample frame at 80 MHz is one IFFT block: QPSK symbols
         # times one common scale on the 512 centered tone bins (+-5 MHz),
         # and nothing on any other bin.
-        sig = gen_ofdm_frames(OfdmFrameSpec(n_frames=6, seed=7))
+        sig = gen_ofdm_frames(6, 7)
         assert sig.sample_rate == FS and len(sig) == 6 * 4096
         grid = np.fft.fft(sig.samples.reshape(6, 4096), axis=1)
         tone_bins = np.arange(-256, 256) % 4096
@@ -100,7 +98,7 @@ class TestGenOfdmFrames:
             band = np.abs(spec.bin_freqs) <= 5e6 + spec.bin_spacing / 2
             return np.sum(lin[band]) / np.sum(lin)
 
-        sig = gen_ofdm_frames(OfdmFrameSpec(seed=5))
+        sig = gen_ofdm_frames(100, 5)
         # Each frame is periodic on the analysis grid, so a frame-aligned
         # FFT resolves the exact line spectrum.
         freqs = np.fft.fftfreq(4096, d=1.0 / FS)
@@ -189,7 +187,7 @@ class TestPowerMetrics:
 
 class TestIqFile:
     def test_roundtrip_exact(self, tmp_path):
-        frames = gen_ofdm_frames(OfdmFrameSpec(n_frames=2, seed=9))
+        frames = gen_ofdm_frames(2, 9)
         # A capture's header is where a rate other than the simulator's
         # comes in: it reads back, and its spectrum spans that rate.
         for sig, last_bin in [

@@ -3,7 +3,7 @@
 ``WORK`` maps a name to ``(spied, measure, expected)``. ``spied`` names a
 callable ``(owner, attribute)``, which :func:`spied_sweep` spies on through
 :mod:`unittest.mock` over one sweep_55db sweep of ``DEFAULT_SPECS``
-(``FRAMES``, ``POWERS``, ``SEED``); ``measure`` of its spy must equal
+(``N_FRAMES``, ``POWERS``, ``SEED``); ``measure`` of its spy must equal
 ``expected``, or with ``TWIN`` the measure over the sweep's one-power twin.
 
 ``PEAKS`` maps a name to ``(run, bound)``. ``run()`` builds its inputs and
@@ -39,13 +39,13 @@ from fdsic.cancellers import (
 )
 from fdsic.impairments import CHAIN_BLOCK, receive
 from fdsic.presets import load_preset
-from fdsic.signals import FRAME_LEN, ComplexBasebandSignal, OfdmFrameSpec
+from fdsic.signals import FRAME_LEN, ComplexBasebandSignal
 
 CFG = load_preset("sweep_55db")
-FRAMES = OfdmFrameSpec(n_frames=40, seed=49)
+N_FRAMES = 40
 POWERS = [-10.0, 6.0, 22.0]
-SEED = 50
-N = FRAMES.n_frames * FRAME_LEN
+SEED = 49
+N = N_FRAMES * FRAME_LEN
 # 20 of 40 frames train, capped at MAX_TRAIN_SAMPLES digitized rows.
 SPLIT = 20 * FRAME_LEN
 FIT_LEN = MAX_TRAIN_SAMPLES
@@ -64,11 +64,11 @@ def spy(owner, name):
     return mock.patch.object(owner, name, wraps=original)
 
 
-def spied_sweep(spied, powers, specs=DEFAULT_SPECS, frames=FRAMES, seed=SEED):
+def spied_sweep(spied, powers, specs=DEFAULT_SPECS, n_frames=N_FRAMES, seed=SEED):
     """The reports of a sweep of ``CFG`` and the spies on each of ``spied`` over it."""
     with contextlib.ExitStack() as stack:
         spies = {target: stack.enter_context(spy(*target)) for target in spied}
-        reports = run_sweep(CFG, powers, specs, frames, seed)
+        reports = run_sweep(CFG, powers, specs, n_frames, seed)
     return reports, spies
 
 
@@ -110,7 +110,7 @@ def count(spy):
 def receive_calls(spy):
     """Per receive call: whether it got the sweep's scaled frames and its
     config, and the powers, seed and rows it got."""
-    x = transmit_samples(FRAMES)
+    x = transmit_samples(N_FRAMES, SEED)
     return [
         (got.tobytes() == x.tobytes(), cfg is CFG, list(powers), seed, fit_len, split)
         for got, cfg, powers, seed, fit_len, split in (c.args for c in spy.call_args_list)
@@ -139,11 +139,13 @@ WORK = {
     "one-receive-call": (
         (cancellers, "receive"), receive_calls, [(True, True, POWERS, SEED, FIT_LEN, SPLIT)]
     ),
-    # Each canceller is solved once for every power.
-    "one-lstsq-per-canceller": (
-        (np.linalg, "lstsq"),
-        lambda spy: [rhs.shape[1] for rhs in args(spy, 1)],
-        [len(POWERS)] * len(DEFAULT_SPECS),
+    # Each canceller is solved once for every power: one SVD per canceller,
+    # as in the one-power twin.
+    "one-svd-per-canceller": ((np.linalg, "svd"), count, len(DEFAULT_SPECS)),
+    # The frames and every noise are drawn from the substreams of the
+    # sweep's one seed.
+    "every-substream-at-the-sweep-seed": (
+        (np.random, "SeedSequence"), lambda spy: {words[0] for words in args(spy)}, {SEED}
     ),
     # Linear and widely-linear are read off the nonlinear and joint-dac-iq
     # factors, and the joint-dac-iq rails are real, so packed.
@@ -196,8 +198,7 @@ def test_sweep_work(spies, name):
 def test_qr_steps_per_family_root(specs, roots):
     # The other spec sets of the "qr-steps-per-family-root" row: a spec
     # with no root in the set is factored on its own.
-    frames = OfdmFrameSpec(n_frames=10, seed=46)
-    reports, spies = spied_sweep([GEQRF], [22.0], specs, frames, seed=47)
+    reports, spies = spied_sweep([GEQRF], [22.0], specs, n_frames=10, seed=46)
     assert [rep.method for rep in reports] == [spec.label() for spec in specs]
     assert qr_calls(spies[GEQRF]) == qr_steps(roots, 5 * FRAME_LEN, 1)
 
@@ -225,7 +226,7 @@ FULL = 100 * FRAME_LEN * 16  # bytes of one full-length complex array
 
 def sweep40_receive(frames_seed, seed):
     """The receive step of a sweep_40db sweep at the CLI defaults."""
-    x = transmit_samples(OfdmFrameSpec(n_frames=100, seed=frames_seed))
+    x = transmit_samples(100, frames_seed)
     return x, lambda: receive(x, SWEEP40, SWEEP40_POWERS, seed, MAX_TRAIN_SAMPLES, 50 * FRAME_LEN)
 
 
