@@ -52,7 +52,6 @@ from .signals import (
     fir_convolve,
     gen_ofdm_frames,
     gen_tone,
-    power_db,
     read_iq,
     write_iq,
 )

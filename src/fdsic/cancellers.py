@@ -217,13 +217,13 @@ def _family_root(spec: CancellerSpec, specs: Sequence[CancellerSpec]) -> Cancell
 
 
 # Training rows added to the triangular factor per QR step of the streamed
-# LS fit. At 1024 a one-power 10-frame sweep would peak at ≈ 47 MB, not ≈ 54
-# (process RSS, numpy 2.4.6), but the ill-posed 10-frame joint-dac-iq fits
-# would round so differently that sweeps no longer match their single-power
-# runs within 1e-9 dB. At 2048 the QR of a 9-power sweep_40db sweep took a
-# median ≈ 10 % less time (0-20 % over 3 alternating runs of 3 sweeps, 2 vCPU),
-# but the rank-deficient 10-frame joint-dac-iq fits of a sweep then differ
-# from their single-power fits by 2e-12 relative, against 1e-12 allowed.
+# LS fit. Fewer rows round the fits of a sweep unlike those of its one-power
+# runs. Measured with the SVD solve (numpy 2.4.6, 2 BLAS threads), in
+# TestRunSweep: at 2048, [rows-between-fit-and-split] misses a held-out
+# figure by 1.9e-9 dB (1e-9 allowed) and [taps-20] a coefficient by 1.0e-11
+# relative (1e-12 allowed); at 1024, four cases miss held-out figures by up
+# to 2.2e-8 dB. An earlier measurement found 2048 rows ≈ 10 % faster in the
+# QR of a 9-power sweep_40db sweep (2 vCPU).
 FIT_BLOCK_ROWS = 4096
 
 

@@ -5,10 +5,10 @@ The generators make their signals at the simulator's one rate,
 complex sequence with its sample rate, the type of a signal that enters
 or leaves the program (an IQ capture carries its own rate). The
 generators and :func:`read_iq` build one, and its constructor checks the
-samples and the rate; :func:`write_iq`, :func:`power_db` and the
-spectrum read one. Stages that compute on samples, such as
-:func:`fir_convolve`, take and return plain arrays. Amplitudes are
-dimensionless with full scale at 1.0; powers are reported in dBFS.
+samples and the rate; :func:`write_iq` and the spectrum read one. Stages
+that compute on samples, such as :func:`fir_convolve`, take and return
+plain arrays. Amplitudes are dimensionless with full scale at 1.0; powers
+are reported in dBFS.
 """
 
 from __future__ import annotations
@@ -132,14 +132,6 @@ def fir_convolve(x: np.ndarray, taps) -> np.ndarray:
         product = np.multiply(x[:-k], taps[k], out=scratch[k:])
         out[k:] += product
     return out
-
-
-def power_db(signal: ComplexBasebandSignal) -> float:
-    """Mean power 10*log10(mean |x|^2) in dBFS; -inf for an all-zero signal."""
-    p = float(np.mean(np.abs(signal.samples) ** 2))
-    if p == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(p)
 
 
 # --- binary IQ file interface -------------------------------------------

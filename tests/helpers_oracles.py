@@ -21,6 +21,7 @@ import numpy as np
 
 from fdsic.cancellers import _ls_factor, _ls_solve
 from fdsic.impairments import (
+    ADC_HEADROOM_DB,
     MAX_TX_POWER_DBM,
     REF_DRIVE_RMS,
     DacNonlinearity,
@@ -29,6 +30,8 @@ from fdsic.impairments import (
     PaNonlinearity,
     PhaseNoiseSpec,
     receive,
+    thermal_noise,
+    transmit_front_end,
 )
 from fdsic.signals import gen_ofdm_frames
 
@@ -221,6 +224,20 @@ def receive_every_row(x: np.ndarray, cfg, power: float, seed: int):
     return received[:, 0], diag
 
 
+def receiver_oracle(x, cfg, power: float, seed: int, fit_len: int, split: int):
+    """The out-of-place receiver on the chain's front end and noise at
+    ``seed``, for the transmit samples ``x`` at ``power``: the digitized
+    samples of every row, the clipped samples over rows ``[0, fit_len)`` and
+    ``[split, n)``, the AGC scale and the floor over rows ``[split, n)``."""
+    front, noise = transmit_front_end(x, cfg, seed), thermal_noise(len(x), cfg.chan, seed)
+    digitized, error, clipped, scale = channel_and_receiver_oracle(
+        antenna_oracle(front, cfg.pa, power), cfg.chan, cfg.rx_iq, noise, ADC_HEADROOM_DB
+    )
+    clips = int(np.count_nonzero(clipped[:fit_len]) + np.count_nonzero(clipped[split:]))
+    floor = 10.0 * math.log10(float(np.mean(np.abs(noise[split:] + error[split:]) ** 2)))
+    return digitized, clips, scale, floor
+
+
 # --- closed-form models: the channels a fit must recover ---
 
 
@@ -337,6 +354,14 @@ def identity_config(chan, rx_iq=IqImbalance.identity()) -> ImpairmentConfig:
         DacNonlinearity.identity(), IqImbalance.identity(), rx_iq, PhaseNoiseSpec(),
         PaNonlinearity.identity(), chan,
     )
+
+
+def antenna_input(x: np.ndarray, chan, rx_iq):
+    """:func:`receive_every_row`'s arguments but the seed that feed ``chan``
+    and ``rx_iq`` the antenna-referred ``x`` at full power, through an
+    identity front end: only an exact zero's sign can flip."""
+    v = x / (1.0 / REF_DRIVE_RMS * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
+    return v, identity_config(chan, rx_iq), MAX_TX_POWER_DBM
 
 
 def transmit_samples(n_frames: int, seed: int) -> np.ndarray:

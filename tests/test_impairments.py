@@ -1,6 +1,5 @@
 """Tests for the transceiver impairment chain."""
 
-import dataclasses
 import math
 import re
 from pathlib import Path
@@ -11,23 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracles import (
-    antenna_oracle,
-    apply_dac_oracle,
-    apply_iq_oracle,
-    apply_pa_oracle,
-    channel_and_receiver_oracle,
-    converter_oracle,
-    identity_config,
-    receive_every_row,
-)
-from fdsic._rng import substream
+from helpers_oracles import antenna_input, identity_config, receive_every_row
 from fdsic.cancellers import DEFAULT_SPECS, run_sweep
 from fdsic.impairments import (
-    ADC_HEADROOM_DB,
-    CHAIN_BLOCK,
-    MAX_TX_POWER_DBM,
-    REF_DRIVE_RMS,
     ChannelAndReceiver,
     DacNonlinearity,
     ImpairmentConfig,
@@ -45,15 +30,10 @@ from fdsic.impairments import (
     receive,
     save_config,
     simulate_received,
-    thermal_noise,
-    transmit_front_end,
     _SECTIONS,
-    _code_dtype,
-    _decode,
-    _quantize,
 )
-from fdsic.presets import PHASE_NOISE_LINEWIDTH_HZ, PRESET_NAMES, PRESETS, load_preset
-from fdsic.signals import SAMPLE_RATE, ComplexBasebandSignal, gen_tone, power_db
+from fdsic.presets import PRESET_NAMES, PRESETS, load_preset
+from fdsic.signals import ComplexBasebandSignal, gen_tone
 from fdsic.spectral import measure_line_db, spectrum
 
 FS = 80e6
@@ -242,36 +222,13 @@ class TestPaNonlinearity:
         npt.assert_allclose(bc, [2.0, 0.8 * 3 / 4, 0.4 * 10 / 16])
 
 
-def receive_at_antenna(x, chan, rx_iq, seed):
-    """The channel and receiver alone on antenna-referred ``x``.
-
-    Runs :func:`receive_every_row` at full power and ``seed`` with an
-    identity front end and PA on ``x`` referred back to the amplifier
-    input; the noise is ``thermal_noise(len(x), chan, seed)``. Returns the
-    received samples, the receiver summary and the antenna samples the
-    channel got: ``x`` up to rounding, and the bits the chain computes.
-    """
-    cfg = identity_config(chan, rx_iq)
-    drive = 1.0 / REF_DRIVE_RMS
-    v = x / (drive * 10.0 ** (MAX_TX_POWER_DBM / 20.0))
-    received, diag = receive_every_row(v, cfg, MAX_TX_POWER_DBM, seed)
-    # The identity front end passes v through; only an exact zero's sign can flip.
-    front = transmit_front_end(v, cfg, seed)
-    return received, diag, antenna_oracle(front, cfg.pa, MAX_TX_POWER_DBM)
-
-
-def floor_oracle_dbfs(noise, quant_error):
-    """The apparent floor of noise plus quantization error, in dBFS."""
-    return 10.0 * math.log10(float(np.mean(np.abs(noise + quant_error) ** 2)))
-
-
 class TestChannelAndReceiver:
     def test_transparent_receiver(self):
         sig = gen_tone(F_TONE, 0.5, 8192).samples
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=24
         )
-        out, diag, _ = receive_at_antenna(sig, chan, IqImbalance.identity(), 1)
+        out, diag = receive_every_row(*antenna_input(sig, chan, IqImbalance.identity()), 1)
         err = np.mean(np.abs(out - sig) ** 2) / np.mean(np.abs(sig) ** 2)
         assert 10 * np.log10(err) < -120.0
         assert diag.clipped_samples == 0
@@ -296,7 +253,7 @@ class TestChannelAndReceiver:
             thermal_noise_dbfs=float("-inf"),
             adc_bits=24,
         )
-        out, _, _ = receive_at_antenna(sig, chan, IqImbalance.identity(), 1)
+        out, _ = receive_every_row(*antenna_input(sig, chan, IqImbalance.identity()), 1)
         expected = np.zeros_like(sig)
         expected[2:] = sig[:-2] * 0.1
         err = np.max(np.abs(out - expected))
@@ -314,7 +271,7 @@ class TestChannelAndReceiver:
         for level in (0.01, 0.1):
             sig = level * x
             # No thermal noise: the apparent floor is the quantization error's.
-            _, diag, _ = receive_at_antenna(sig, chan, IqImbalance.identity(), 3)
+            _, diag = receive_every_row(*antenna_input(sig, chan, IqImbalance.identity()), 3)
             floors.append(diag.apparent_floor_dbfs)
         assert floors[1] - floors[0] == pytest.approx(20.0, abs=0.5)
 
@@ -325,7 +282,7 @@ class TestChannelAndReceiver:
         chan = ChannelAndReceiver(
             h_si=[1.0], analog_suppression_db=0.0, thermal_noise_dbfs=float("-inf"), adc_bits=12
         )
-        out, diag, _ = receive_at_antenna(x, chan, IqImbalance.identity(), 1)
+        out, diag = receive_every_row(*antenna_input(x, chan, IqImbalance.identity()), 1)
         assert diag.clipped_samples >= 1
         assert len(out) == 4096
 
@@ -336,7 +293,7 @@ class TestSimulateReceived:
         cfg = identity_config(ChannelAndReceiver([1.0], 30.0, -90.0, 24))
         r, _ = simulate_received(sig, cfg, 0.0, seed=4)
         # mean rx power == tx (0 dBm) - suppression in the antenna-referred units
-        assert power_db(r) == pytest.approx(-30.0, abs=0.3)
+        assert 10 * np.log10(np.mean(np.abs(r.samples) ** 2)) == pytest.approx(-30.0, abs=0.3)
         scale = 10 ** (-30.0 / 20.0) / 0.2
         resid = r.samples - scale * sig.samples
         resid_db = 10 * np.log10(np.mean(np.abs(resid) ** 2))
@@ -360,29 +317,6 @@ class TestSimulateReceived:
         assert diag.agc_scale > 0
         # Thermal noise at -90 dBFS under a finer quantization error.
         assert diag.apparent_floor_dbfs == pytest.approx(-90.0, abs=1.0)
-
-    def test_is_one_receive_of_every_row(self):
-        # One receive call: its front end, here with phase noise and TX IQ imbalance.
-        cfg = load_preset("fig5_m10dbm")
-        assert cfg.pn.linewidth > 0 and np.any(cfg.tx_iq.delta)
-        sig = gen_tone(F_TONE, 0.2, 8192)
-        r, diag = simulate_received(sig, cfg, -10.0, seed=6)
-        r2, diag2 = receive_every_row(sig.samples, cfg, -10.0, 6)
-        assert r.samples.tobytes() == r2.tobytes()
-        assert diag.clipped_samples == diag2.clipped_samples
-        assert diag.agc_scale == diag2.agc_scale
-        assert diag.apparent_floor_dbfs == diag2.apparent_floor_dbfs
-
-    def test_front_end_does_not_depend_on_tx_power(self):
-        # One front end serves every power: receive at two powers has the
-        # bits of simulate_received at each.
-        cfg = load_preset("fig5_m10dbm")
-        sig = gen_tone(F_TONE, 0.2, 8192)
-        powers = [-10.0, 22.0]
-        _, received, _ = receive(sig.samples, cfg, powers, 6, 0, 0)
-        for k, power in enumerate(powers):
-            r, _ = simulate_received(sig, cfg, power, seed=6)
-            assert r.samples.tobytes() == received[:, k].tobytes()
 
     def test_high_power_preset_adds_amplifier_lines_and_floor(self):
         # Compared with the low-power scenario, the 20 dBm scenario grows
@@ -481,193 +415,3 @@ class TestEveryKeyActs:
                 if not moved > KEY_MOVES_DB:
                     inert[f"{name}.{key}"] = moved
         assert inert == {}
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal dtype, shape and bits, so signed zeros count."""
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
-        a.view(np.uint64), b.view(np.uint64)
-    )
-
-
-def stage_input(n: int, seed: int, rms: float = 0.3) -> np.ndarray:
-    """Complex Gaussian samples with signed zeros on either rail."""
-    rng = np.random.default_rng(seed)
-    x = rms / math.sqrt(2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    x[[0, 7, 8, 9]] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
-    return x
-
-
-class TestStagesMatchOutOfPlaceFormulas:
-    """Each stage writes through scratch buffers; its output must keep the
-    bits of the plain out-of-place formula, and its inputs must not change."""
-
-    @pytest.mark.parametrize("preset", PRESET_NAMES)
-    @pytest.mark.parametrize("stage", ["dac", "tx_iq", "rx_iq", "pa"])
-    def test_stage_bits(self, preset, stage):
-        cfg = load_preset(preset)
-        run, oracle, params = {
-            "dac": (apply_dac, apply_dac_oracle, cfg.dac),
-            "tx_iq": (apply_iq, apply_iq_oracle, cfg.tx_iq),
-            "rx_iq": (apply_iq, apply_iq_oracle, cfg.rx_iq),
-            "pa": (apply_pa, apply_pa_oracle, cfg.pa),
-        }[stage]
-        x = stage_input(4096, seed=len(preset))
-        before = x.copy()
-        out = run(x, params)
-        assert same_bits(out, oracle(x, params))
-        assert same_bits(x, before)
-        assert not np.shares_memory(out, x)
-
-    @pytest.mark.parametrize("n", [1, 40960, 65536])
-    def test_thermal_noise_bits(self, n):
-        # Drawn into one buffer and scaled in place: the bits of the
-        # out-of-place sum and product.
-        chan = ChannelAndReceiver(h_si=[1.0], thermal_noise_dbfs=-90.0)
-        rng = substream(7, "thermal-noise")
-        expected = (10.0 ** (-90.0 / 20.0) / math.sqrt(2.0)) * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-        assert same_bits(thermal_noise(n, chan, 7), expected)
-
-    @pytest.mark.parametrize("n", [4096, 65536])
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
-    def test_phase_noise_bits(self, n, shared):
-        # The rotation from its cosine and sine keeps the bits of the complex
-        # exponential, with the phasor as the product's first operand below
-        # and above numpy's 256 KiB temporary elision (which, when it
-        # applies, takes that same order).
-        pn = PhaseNoiseSpec(PHASE_NOISE_LINEWIDTH_HZ, shared, 1)
-        sigma = math.sqrt(2.0 * math.pi * pn.linewidth / SAMPLE_RATE)
-        if shared:
-            path = np.cumsum(substream(3, "phase-noise-shared").normal(0.0, sigma, n + 1))
-            rotation = path[1:] - path[:n]
-        else:
-            phi_tx = np.cumsum(substream(3, "phase-noise-tx").normal(0.0, sigma, n))
-            rotation = phi_tx - np.cumsum(substream(3, "phase-noise-rx").normal(0.0, sigma, n))
-        x = stage_input(n, seed=5)
-        expected = np.exp(1j * rotation) * x
-        assert same_bits(apply_phase_noise(x, pn, 3), expected)
-
-    @pytest.mark.parametrize("preset", ["sweep_40db", "fig4_m10dbm_indosc"],
-                             ids=["shared", "independent"])
-    def test_front_end_of_a_prefix_is_the_prefix_of_the_front_end(self, preset):
-        # The lengths lie on both sides of numpy's 256 KiB (16 384-sample)
-        # temporary elision: no sample's bits depend on the signal's length.
-        cfg = load_preset(preset)
-        x = stage_input(65536 + 7, seed=11, rms=REF_DRIVE_RMS)
-        whole = transmit_front_end(x, cfg, 3)
-        differ = [
-            m for m in (2, 4096, 16383, 16384, 65536)
-            if not same_bits(transmit_front_end(x[:m], cfg, 3), whole[:m])
-        ]
-        assert differ == []
-
-    def test_dac_and_pa_with_zero_coefficients(self):
-        # Zero middle coefficients make the Horner steps produce signed zeros.
-        dac = DacNonlinearity([1.0, 0.0, -0.2, 0.0], [0.9, 0.0, 0.0, 0.05])
-        pa = PaNonlinearity([1.0, 0.0, -0.3])
-        x = stage_input(2048, seed=3)
-        assert same_bits(apply_dac(x, dac), apply_dac_oracle(x, dac))
-        assert same_bits(apply_pa(x, pa), apply_pa_oracle(x, pa))
-
-
-def long_filter_config(cfg: ImpairmentConfig) -> ImpairmentConfig:
-    """``cfg`` with a 7-tap SI channel and 3-tap RX IQ taps: more history per
-    block than the presets' 4 + 1 taps."""
-    rx_iq = IqImbalance([1.0, 0.05 - 0.02j, -0.01j], [0.03 + 0.01j, 0.0, 0.005])
-    h_si = cfg.chan.h_si[0] * np.array([1.0, 0.4j, -0.2, 0.1 - 0.1j, 0.05, -0.02j, 0.01])
-    chan = dataclasses.replace(cfg.chan, h_si=h_si)
-    return dataclasses.replace(cfg, chan=chan, rx_iq=rx_iq)
-
-
-class TestConverterCodes:
-    """The converter in two steps: integer codes, then decoded samples with
-    the bits of the float converter (:func:`converter_oracle`)."""
-
-    @pytest.mark.parametrize("bits", [4, 14, 16, 17, 24])
-    def test_decoded_codes_are_the_float_converter(self, bits):
-        chan = ChannelAndReceiver(h_si=[1.0], adc_bits=bits)
-        scale = 0.37
-        analog = stage_input(4096, seed=bits, rms=0.3 / scale)
-        # Hot samples on either sign of each rail clip at both ends; the
-        # full-scale edges sit on either side of the last code.
-        analog[100:104] = [40.0 + 1j, -40.0 - 1j, 1.0 + 40j, -1.0 - 40j]
-        edge = 1.0 / scale
-        analog[200:204] = [edge, -edge, 1j * np.nextafter(edge, 0.0), -1j * np.nextafter(edge, 0.0)]
-        rails, digitized, clipped = converter_oracle(analog, scale, chan)
-
-        codes = np.empty((len(analog), 2), dtype=_code_dtype(chan))
-        assert codes.dtype == (np.int16 if bits <= 16 else np.int32)
-        assert np.array_equal(_quantize(analog, scale, chan, codes), clipped)
-        for r in range(2):
-            assert np.array_equal(codes[:, r], rails[r])
-            assert codes[:, r].min() == -(2 ** (bits - 1))
-            assert codes[:, r].max() == 2 ** (bits - 1) - 1
-        assert same_bits(_decode(codes, scale, chan), digitized)
-
-    def test_decode_takes_one_scale_per_column(self):
-        chan = ChannelAndReceiver(h_si=[1.0], adc_bits=14)
-        analog = stage_input(1000, seed=9).reshape(500, 2)
-        scales = np.array([0.8, 3.0])
-        codes = np.empty((2, 500, 2), dtype=np.int16)
-        for k in range(2):
-            _quantize(analog[:, k], scales[k], chan, codes[k])
-        decoded = _decode(codes, scales, chan)
-        for k in range(2):
-            assert same_bits(decoded[k], converter_oracle(analog[:, k], scales[k], chan)[1])
-
-
-class TestChainBlockEdges:
-    """The analog chain streams in CHAIN_BLOCK-sample blocks: at lengths
-    around the block edges, every output keeps the bits of the unblocked
-    out-of-place formulas."""
-
-    LENGTHS = [CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1, 2 * CHAIN_BLOCK + 5]
-    POWER = PRESETS["fig7_20dbm"][0]
-
-    @staticmethod
-    def config(filters: str) -> ImpairmentConfig:
-        cfg = load_preset("fig7_20dbm")
-        return cfg if filters == "preset" else long_filter_config(cfg)
-
-    @staticmethod
-    def assert_receiver_matches(digitized, diag, x, cfg, noise, clips):
-        ref_digitized, ref_error, ref_clipped, ref_scale = channel_and_receiver_oracle(
-            x, cfg.chan, cfg.rx_iq, noise, ADC_HEADROOM_DB
-        )
-        assert same_bits(digitized, ref_digitized)
-        assert diag.apparent_floor_dbfs == floor_oracle_dbfs(noise, ref_error)
-        assert diag.clipped_samples == np.count_nonzero(ref_clipped)
-        assert (diag.clipped_samples > 0) == clips
-        assert diag.agc_scale == ref_scale
-
-    @pytest.mark.parametrize("clips", [False, True], ids=["in-range", "clipping"])
-    @pytest.mark.parametrize("filters", ["preset", "long"])
-    @pytest.mark.parametrize("n", LENGTHS)
-    def test_channel_and_receiver(self, n, filters, clips):
-        cfg = self.config(filters)
-        x = stage_input(n, seed=n, rms=3.0)
-        if clips:
-            # Sparse peaks, some on block edges, overload the gain-ranged ADC.
-            x[::512] *= 200.0
-        noise = thermal_noise(n, cfg.chan, 2)
-        x_before = x.copy()
-        digitized, diag, antenna = receive_at_antenna(x, cfg.chan, cfg.rx_iq, 2)
-        self.assert_receiver_matches(digitized, diag, antenna, cfg, noise, clips)
-        assert same_bits(x, x_before)
-
-    @pytest.mark.parametrize("clips", [False, True], ids=["in-range", "clipping"])
-    @pytest.mark.parametrize("filters", ["preset", "long"])
-    @pytest.mark.parametrize("n", LENGTHS)
-    def test_receive(self, n, filters, clips):
-        cfg = self.config(filters)
-        v = stage_input(n, seed=n + 1, rms=REF_DRIVE_RMS)
-        if clips:
-            v[::512] *= 20.0
-        front, noise = transmit_front_end(v, cfg, 3), thermal_noise(n, cfg.chan, 3)
-        v_before = v.copy()
-        received, diag = receive_every_row(v, cfg, self.POWER, 3)
-        antenna = antenna_oracle(front, cfg.pa, self.POWER)
-        self.assert_receiver_matches(received, diag, antenna, cfg, noise, clips)
-        assert same_bits(v, v_before)

@@ -70,16 +70,18 @@ def test_script_runs(command, tmp_path):
 
 
 def used_names(source: str, filename: str) -> set[str]:
-    """Every name ``source`` reads, every attribute it reads and every name it imports."""
+    """Every name ``source`` imports, calls, or reads as the base of an
+    attribute (``CancellerMethod`` in ``CancellerMethod.LINEAR``), so a local
+    variable or a field of the same spelling is no caller."""
     names = set()
     for node in ast.walk(ast.parse(source, filename=filename)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
-    return names
+        elif isinstance(node, (ast.Call, ast.Attribute)):
+            ref = node.func if isinstance(node, ast.Call) else node.value
+            # A Name, or the last name of an Attribute; None for any other node.
+            names.add(getattr(ref, "id", getattr(ref, "attr", None)))
+    return names - {None}
 
 
 def test_every_exported_name_has_a_caller():
